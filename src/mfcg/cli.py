@@ -35,12 +35,9 @@ from .locality import (
     replay_cache,
 )
 from .mesh import GeometryVariant, build_cartesian_mesh, deform_mesh
-from .solvers import SolverBreakdown, SolverConfig, solve
+from .solvers import VARIANTS, SolverBreakdown, SolverConfig, solve
 from .tensor import evaluate_values, gauss_quadrature, lagrange_basis
 from .trace import AccessRecorder
-
-SOLVER_VARIANTS = ("cg", "pcg", "pipelined", "sstep", "combined_cg",
-                   "combined_pcg")
 
 # capacities for the cache sweep: 32 KiB ... 64 MiB, powers of two
 SWEEP_CAPACITIES = tuple(2 ** k for k in range(15, 27))
@@ -63,6 +60,10 @@ class Config:
     cache_bytes: int = 262144
     seed: int = 0
     out: str = ""
+
+    def __post_init__(self):
+        if self.iterations < 1:
+            raise ValueError(f"iterations must be at least 1, got {self.iterations}")
 
 
 _INT_KEYS = {"degree", "iterations", "repeats", "simd_lanes", "cache_bytes",
@@ -124,12 +125,12 @@ def _geometry_variant(cfg: Config) -> GeometryVariant:
 
 
 def _variant_list(cfg: Config) -> list:
-    names = (list(SOLVER_VARIANTS) if cfg.variant == "all"
+    names = (list(VARIANTS) if cfg.variant == "all"
              else [v.strip() for v in cfg.variant.split(",") if v.strip()])
     for name in names:
-        if name not in SOLVER_VARIANTS:
+        if name not in VARIANTS:
             raise ValueError(f"unknown solver variant {name!r}; expected "
-                             f"one of {', '.join(SOLVER_VARIANTS)} or 'all'")
+                             f"one of {', '.join(VARIANTS)} or 'all'")
     if not names:
         raise ValueError("empty variant list")
     return names
@@ -424,8 +425,8 @@ def cmd_verify(cfg: Config, name_filter: str = "", mutate: str = "") -> int:
         # integration inside the cell loop and expect the oracle to notice
         real = operator_mod.integrate_gradients
 
-        def flipped(basis, quad_data, even_odd=True):
-            return -real(basis, quad_data, even_odd)
+        def flipped(*args, **kwargs):
+            return -real(*args, **kwargs)
 
         operator_mod.integrate_gradients = flipped
         restore = real

@@ -34,6 +34,8 @@ __all__ = [
     "precompute_geometry",
     "mesh_to_text",
     "mesh_from_text",
+    "SYMMETRIC_INDEX",
+    "symmetric_coefficients",
 ]
 
 
@@ -191,14 +193,26 @@ class GeometryData:
     doubles_per_cell: int
 
 
+# Position of entry (i, k) of a symmetric 3x3 tensor in its six-entry
+# storage order (xx, yy, zz, xy, xz, yz).
+SYMMETRIC_INDEX = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
+_SYMMETRIC_ROWS = (0, 1, 2, 0, 0, 1)
+_SYMMETRIC_COLS = (0, 1, 2, 1, 2, 2)
+
+
+def symmetric_coefficients(inv: np.ndarray, jxw: np.ndarray) -> np.ndarray:
+    """The six distinct entries of G = J^-1 (w det J) J^-T on a new leading
+    axis, in SYMMETRIC_INDEX order: inv (..., 3, 3) and jxw (...) give
+    (6, ...)."""
+    rows = inv[..., _SYMMETRIC_ROWS, :]
+    cols = inv[..., _SYMMETRIC_COLS, :]
+    return np.einsum("...aj,...aj->a...", rows, cols) * jxw
+
+
 def _final_tensor(jac, det, weights):
     """J^-1 (w det J) J^-T as symmetric 6-storage (xx,yy,zz,xy,xz,yz)."""
-    inv = np.linalg.inv(jac)
-    jxw = det * weights
-    full = np.einsum("cqij,cqkj,cq->cqik", inv, inv, jxw)
-    sym = np.stack([full[..., 0, 0], full[..., 1, 1], full[..., 2, 2],
-                    full[..., 0, 1], full[..., 0, 2], full[..., 1, 2]], axis=-1)
-    return sym
+    sym = symmetric_coefficients(np.linalg.inv(jac), det * weights)
+    return np.ascontiguousarray(np.moveaxis(sym, 0, -1))
 
 
 def _tensor_weights(quad: QuadratureRule1D) -> np.ndarray:

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from . import trace
 from .dofs import (
@@ -26,10 +25,12 @@ from .dofs import (
     expand_batch,
 )
 from .mesh import (
+    SYMMETRIC_INDEX,
     GeometryVariant,
     HexMesh,
     compute_jacobians_from_nodes,
     precompute_geometry,
+    symmetric_coefficients,
 )
 from .tensor import (
     evaluate_gradients,
@@ -159,17 +160,22 @@ class MatrixFreeOperator:
         self._constrained_mask = mask
         self._constrained = handler.constrained_dofs
 
-        # per-batch caches: expanded indices, constraint masks, touched ranges
+        # per-batch caches: expanded indices relative to the start of the
+        # batch's window (its touched ranges, first to last), the window
+        # start, constraint masks, touched ranges and their dof spans
         self._batch_idx = []
+        self._batch_lo = []
         self._batch_cmask = []
         self._batch_ranges = []
         self._batch_spans = []
         for cells in plan.batches:
             idx = expand_batch(handler, cells)
             cmask = mask[idx]
-            self._batch_idx.append(idx)
-            self._batch_cmask.append(cmask if cmask.any() else None)
             ranges = np.unique(idx // RANGE_SIZE)
+            lo = int(ranges[0]) * RANGE_SIZE
+            self._batch_idx.append(idx - lo)
+            self._batch_lo.append(lo)
+            self._batch_cmask.append(cmask if cmask.any() else None)
             self._batch_ranges.append(ranges)
             self._batch_spans.append(_merge_spans(ranges, RANGE_SIZE, handler.n_dofs))
         self._zero_spans = self._first_touch_spans()
@@ -200,53 +206,35 @@ class MatrixFreeOperator:
     # -- geometry per batch ----------------------------------------------------
 
     def _batch_geometry(self, cells: np.ndarray):
-        """(coefficient tensor or None, jxw) for the cells of one batch.
+        """(coefficients or None, jxw) for the cells of one batch.
 
-        The coefficient tensor G = J^-1 (w det J) J^-T is either loaded
-        (final-tensor variant), assembled from loaded inverse Jacobians, or
-        computed on the fly from geometry node coordinates.
+        The coefficients are the six distinct entries of the symmetric
+        tensor G = J^-1 (w det J) J^-T (see mesh.SYMMETRIC_INDEX), shaped
+        (6, n_cells, n_q^3), or (6, n_q^3) for the affine variant, whose
+        cells all share them.  They are loaded (final-tensor variant),
+        formed from loaded inverse Jacobians, or computed on the fly from
+        geometry node coordinates.
         """
-        spec = self.spec
         payload = self.geometry.payload
-        nq3 = len(self.quadrature) ** 3
-        variant = spec.geometry
-        if variant == GeometryVariant.AFFINE:
-            inv = payload["inverse_jacobian"]
-            jxw = payload["det_j"] * payload["weights"]
-            G = None
-            if spec.needs_gradients:
-                G = np.einsum("ij,kj,q->qik", inv, inv, jxw)
-            return G, np.broadcast_to(jxw, (len(cells), nq3))
+        variant = self.spec.geometry
         if variant == GeometryVariant.FINAL_TENSOR_LOAD:
-            jxw = payload["jxw"][cells]
-            G = None
-            if spec.needs_gradients:
-                sym = payload["final_tensor"][cells]
-                G = np.empty(sym.shape[:-1] + (3, 3))
-                G[..., 0, 0] = sym[..., 0]
-                G[..., 1, 1] = sym[..., 1]
-                G[..., 2, 2] = sym[..., 2]
-                G[..., 0, 1] = G[..., 1, 0] = sym[..., 3]
-                G[..., 0, 2] = G[..., 2, 0] = sym[..., 4]
-                G[..., 1, 2] = G[..., 2, 1] = sym[..., 5]
-            return G, jxw
-        if variant == GeometryVariant.INVERSE_JACOBIAN_LOAD:
+            sym = None
+            if self.spec.needs_gradients:
+                sym = payload["final_tensor"].transpose(2, 0, 1)[:, cells]
+            return sym, payload["jxw"][cells]
+        if variant == GeometryVariant.AFFINE:
+            inv = payload["inverse_jacobian"][None]
+            jxw = payload["det_j"] * payload["weights"]
+        elif variant == GeometryVariant.INVERSE_JACOBIAN_LOAD:
             inv = payload["inverse_jacobian"][cells]
             jxw = payload["jxw"][cells]
-            G = None
-            if spec.needs_gradients:
-                G = np.einsum("cqij,cqkj,cq->cqik", inv, inv, jxw)
-            return G, jxw
-        # compute variants: differentiate the stored geometry interpolant
-        nodes = payload["nodes"][cells]
-        jac, det = compute_jacobians_from_nodes(nodes, self._geo_basis,
-                                                len(self.quadrature))
-        jxw = det * payload["weights"]
-        G = None
-        if spec.needs_gradients:
-            inv = np.linalg.inv(jac)
-            G = np.einsum("cqij,cqkj,cq->cqik", inv, inv, jxw)
-        return G, jxw
+        else:  # compute variants: differentiate the stored geometry interpolant
+            jac, det = compute_jacobians_from_nodes(
+                payload["nodes"][cells], self._geo_basis, len(self.quadrature))
+            inv = np.linalg.inv(jac) if self.spec.needs_gradients else None
+            jxw = det * payload["weights"]
+        sym = symmetric_coefficients(inv, jxw) if self.spec.needs_gradients else None
+        return sym, np.broadcast_to(jxw, (len(cells), jxw.shape[-1]))
 
     # -- cell kernel -------------------------------------------------------------
 
@@ -258,22 +246,24 @@ class MatrixFreeOperator:
         spec = self.spec
         nq = len(self.quadrature)
         nb = u.shape[0]
-        cells = np.asarray(self.plan.batches[b])
-        G, jxw = self._batch_geometry(cells)
+        sym, jxw = self._batch_geometry(np.asarray(self.plan.batches[b]))
         out = None
         if spec.needs_values:
             vals = evaluate_values(self.basis, u)
             vals *= jxw.reshape(nb, 1, nq, nq, nq)
             out = integrate_values(self.basis, vals)
         if spec.needs_gradients:
-            grads = evaluate_gradients(self.basis, u)  # (3, nb, c, nq,nq,nq)
-            gq = np.moveaxis(grads.reshape(3, nb, spec.components, nq**3), 0, -1)
-            if G.ndim == 3:  # affine: one tensor per quadrature point
-                flux = np.einsum("ncqe,qde->ncqd", gq, G)
-            else:
-                flux = np.einsum("ncqe,nqde->ncqd", gq, G)
-            flux = np.moveaxis(flux, -1, 0).reshape(3, nb, spec.components, nq, nq, nq)
-            lap = integrate_gradients(self.basis, flux)
+            # flux = G grad u per quadrature point, straight from the six
+            # entries of G: flux_i = sum_k G[i, k] grad_k u
+            grads = evaluate_gradients(self.basis, u).reshape(3, nb, spec.components, -1)
+            g = sym.reshape(6, -1, 1, nq**3)
+            flux = np.empty_like(grads)
+            for f, (i, k, m) in zip(flux, SYMMETRIC_INDEX):
+                np.multiply(g[i], grads[0], out=f)
+                f += g[k] * grads[1]
+                f += g[m] * grads[2]
+            lap = integrate_gradients(self.basis,
+                                      flux.reshape(3, nb, spec.components, nq, nq, nq))
             if out is None:
                 out = lap
             else:
@@ -336,8 +326,9 @@ class MatrixFreeOperator:
                 if recorder is not None:
                     recorder.record_dofs(rec_dst, lo, hi, trace.WRITE)
             idx = self._batch_idx[b]
+            lo = self._batch_lo[b]
             cmask = self._batch_cmask[b]
-            u = src[idx]
+            u = src[lo:][idx]
             if cmask is not None:
                 u[cmask] = 0.0
             u = u.reshape(len(idx), -1, comp).transpose(0, 2, 1)
@@ -347,10 +338,11 @@ class MatrixFreeOperator:
             local = local.reshape(len(idx), -1)
             if cmask is not None:
                 local[cmask] = 0.0
+            spans = self._batch_spans[b]
             flat = np.bincount(idx.ravel(), weights=local.ravel(),
-                               minlength=self.n_dofs)
-            for lo, hi in self._batch_spans[b]:
-                dst[lo:hi] += flat[lo:hi]
+                               minlength=spans[-1][1] - lo)
+            for start, end in spans:
+                dst[start:end] += flat[start - lo:end - lo]
             if recorder is not None:
                 recorder.record_ranges(rec_src, self._batch_ranges[b], trace.READ)
                 recorder.record_ranges(rec_dst, self._batch_ranges[b], trace.READWRITE)
@@ -386,25 +378,23 @@ class MatrixFreeOperator:
         rule = gauss_lobatto_quadrature(n1)
         basis = lagrange_basis(p, rule)
         geo = precompute_geometry(self.mesh, GeometryVariant.INVERSE_JACOBIAN_LOAD, rule)
-        inv = geo.payload["inverse_jacobian"]
         jxw = geo.payload["jxw"]
         n_cells = self.handler.n_cells
         diag_loc = np.zeros((n_cells, n1, n1, n1))
         if self.spec.needs_values:
             diag_loc += jxw.reshape(n_cells, n1, n1, n1)
         if self.spec.needs_gradients:
-            G = np.einsum("cqij,cqkj,cq->cqik", inv, inv, jxw)
-            G = G.reshape(n_cells, n1, n1, n1, 3, 3)
+            sym = symmetric_coefficients(geo.payload["inverse_jacobian"], jxw)
+            G = sym[SYMMETRIC_INDEX].reshape(3, 3, n_cells, n1, n1, n1)
             D2 = basis.shape_gradients ** 2
-            lap = np.einsum("qi,ckjq->ckji", D2, G[..., 0, 0])
-            lap += np.einsum("qj,ckqi->ckji", D2, G[..., 1, 1])
-            lap += np.einsum("qk,cqji->ckji", D2, G[..., 2, 2])
+            lap = np.einsum("qi,ckjq->ckji", D2, G[0, 0])
+            lap += np.einsum("qj,ckqi->ckji", D2, G[1, 1])
+            lap += np.einsum("qk,cqji->ckji", D2, G[2, 2])
             dd = np.diag(basis.shape_gradients)
             dx = dd[None, None, None, :]
             dy = dd[None, None, :, None]
             dz = dd[None, :, None, None]
-            lap += 2.0 * (dx * dy * G[..., 0, 1] + dx * dz * G[..., 0, 2]
-                          + dy * dz * G[..., 1, 2])
+            lap += 2.0 * (dx * dy * G[0, 1] + dx * dz * G[0, 2] + dy * dz * G[1, 2])
             scale = self.spec.scaling if self.spec.equation == "mass_plus_laplace" else 1.0
             diag_loc += scale * lap
         scalar_idx = _expand_scalar(self.handler, np.arange(n_cells))
@@ -422,6 +412,10 @@ class MatrixFreeOperator:
     def assemble_sparse(self) -> scipy.sparse.csr_matrix:
         """Assembled matrix from per-cell quadrature (independent of apply's
         sum-factorized path); constrained rows/columns cleared, unit diagonal."""
+        # imported here: only this oracle needs scipy.sparse, whose import
+        # costs about 20 MB of resident memory
+        import scipy.sparse
+
         spec = self.spec
         nq = len(self.quadrature)
         S1 = self.basis.shape_values
@@ -432,17 +426,15 @@ class MatrixFreeOperator:
                   2: np.kron(np.kron(D1, S1), S1)}
         n_cells = self.handler.n_cells
         cells = np.arange(n_cells)
-        G, jxw = self._batch_geometry(cells)
+        sym, jxw = self._batch_geometry(cells)
         npc = (spec.degree + 1) ** 3
         local = np.zeros((n_cells, npc, npc))
         if spec.needs_values:
             local += np.einsum("qi,cq,qj->cij", S3, jxw, S3, optimize=True)
         if spec.needs_gradients:
             grad = np.stack([tables[0], tables[1], tables[2]])  # (3, nq^3, npc)
-            if G.ndim == 3:  # affine
-                Gc = np.broadcast_to(G, (n_cells,) + G.shape)
-            else:
-                Gc = G
+            G = np.moveaxis(sym[SYMMETRIC_INDEX], (0, 1), (-2, -1))
+            Gc = np.broadcast_to(G, (n_cells, nq**3, 3, 3))
             scale = spec.scaling if spec.equation == "mass_plus_laplace" else 1.0
             local += scale * np.einsum("dqi,cqde,eqj->cij", grad, Gc, grad,
                                        optimize=True)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import trace
+from .dofs import RANGE_SIZE
 from .operator import DiagonalPreconditioner
 
 __all__ = ["SolverBreakdown", "SolverConfig", "SolveResult", "ArrayOperator",
@@ -54,6 +55,8 @@ class SolverConfig:
             raise ValueError("max_iterations must be at least 1")
         if self.s < 1:
             raise ValueError("s must be at least 1")
+        if self.fixed_iterations is not None and self.fixed_iterations < 1:
+            raise ValueError("fixed_iterations must be at least 1")
 
 
 @dataclass
@@ -98,15 +101,14 @@ class ArrayOperator:
                              recorder=None, merge_ranges=True, checked=False,
                              src_name="src", dst_name="dst"):
         n = self.n_dofs
-        size = 64
         if pre_fn is not None:
-            for lo in range(0, n, size):
-                pre_fn(lo, min(lo + size, n))
+            for lo in range(0, n, RANGE_SIZE):
+                pre_fn(lo, min(lo + RANGE_SIZE, n))
         self.apply(src, out=dst, recorder=recorder, src_name=src_name,
                    dst_name=dst_name)
         if post_fn is not None:
-            for lo in range(0, n, size):
-                post_fn(lo, min(lo + size, n))
+            for lo in range(0, n, RANGE_SIZE):
+                post_fn(lo, min(lo + RANGE_SIZE, n))
 
 
 def fused_reductions(r, v, p, minv, lo, hi) -> np.ndarray:

@@ -4,13 +4,16 @@ sweeps over tensor-product cells.
 Cell data lives in C-ordered numpy arrays indexed ``[z, y, x]`` (x fastest in
 memory, i.e. lexicographic layout); direction 0 is x, 1 is y, 2 is z.  All
 sweeps accept arbitrary leading batch axes, so a whole batch of cells (or the
-three gradient components) can be pushed through one contraction.  The
-reference cell is the unit cube [0,1]^3.
+three gradient components) can be pushed through one contraction.  Every
+sweep is a small matrix-matrix product on a reshaped view of the tensor (the
+"mxm" form of sum factorization).  The reference cell is the unit cube
+[0,1]^3.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -164,37 +167,78 @@ def lagrange_gradients_1d(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _even_odd_halves(matrix: np.ndarray):
-    """Split a matrix into the half-size blocks acting on the symmetric and
-    antisymmetric parts of the input (even-odd decomposition)."""
-    m, n = matrix.shape
-    mh = (m + 1) // 2
+def _axis(tensor: CellTensor, direction: int, n: int) -> int:
+    """Axis of `direction` in a C-ordered tensor, checked to have extent n."""
+    if direction not in (0, 1, 2):
+        raise ValueError("direction must be 0, 1 or 2")
+    axis = tensor.ndim - 1 - direction
+    if tensor.shape[axis] != n:
+        raise ValueError(f"tensor extent {tensor.shape[axis]} in direction "
+                         f"{direction} does not match matrix extent {n}")
+    return axis
+
+
+def _mxm(matrix: np.ndarray, view: np.ndarray) -> np.ndarray:
+    """matrix (m, n) times the middle axis of view (lead, n, trail): one GEMM
+    if trail is 1, else one (m, n) x (n, trail) GEMM per lead index."""
+    lead, n, trail = view.shape
+    if trail == 1:
+        return (view.reshape(lead, n) @ matrix.T).reshape(lead, -1, 1)
+    return matrix @ view
+
+
+def _halves(matrix: np.ndarray) -> tuple:
+    """Even-odd blocks (even, odd) of a matrix over point sets symmetric
+    about 0.5, acting on sums and differences of mirrored inputs (factor 1/2
+    folded in) and giving the first half of the output rows."""
+    n = matrix.shape[1]
     nh = n // 2
-    top = matrix[:mh]
-    even = top[:, :nh] + top[:, ::-1][:, :nh]
-    if n % 2 == 1:
-        even = np.hstack([even, top[:, nh : nh + 1]])
-    odd = top[:, :nh] - top[:, ::-1][:, :nh]
-    return np.ascontiguousarray(even), np.ascontiguousarray(odd)
+    top = matrix[:(matrix.shape[0] + 1) // 2]
+    left, right = top[:, :nh], top[:, ::-1][:, :nh]
+    even = 0.5 * (left + right)
+    if n % 2:
+        even = np.hstack([even, top[:, nh:nh + 1]])
+    return np.ascontiguousarray(even), np.ascontiguousarray(0.5 * (left - right))
 
 
 @dataclass(frozen=True)
-class _EvenOddKernel:
-    """Precomputed half matrices for one interpolation matrix (forward and
-    transposed application)."""
+class _Matrix1D:
+    """A 1D matrix with the even-odd blocks of itself and its transpose."""
 
-    shape: tuple
-    fw_even: np.ndarray
-    fw_odd: np.ndarray
-    tr_even: np.ndarray
-    tr_odd: np.ndarray
-    sign: int  # +1 persymmetric (values), -1 anti-persymmetric (gradients)
+    matrix: np.ndarray
+    sign: int  # +1 persymmetric (values), -1 anti-persymmetric (derivatives)
+    halves: tuple
+    halves_t: tuple
 
     @classmethod
-    def build(cls, matrix: np.ndarray, sign: int) -> "_EvenOddKernel":
-        fe, fo = _even_odd_halves(matrix)
-        te, to = _even_odd_halves(matrix.T)
-        return cls(matrix.shape, fe, fo, te, to, sign)
+    def build(cls, matrix: np.ndarray, sign: int) -> "_Matrix1D":
+        return cls(matrix, sign, _halves(matrix), _halves(matrix.T))
+
+    def apply(self, tensor: CellTensor, direction: int, transpose: bool,
+              even_odd: bool) -> CellTensor:
+        """The one sum-factorization primitive: contract along `direction` by
+        matrix products on the tensor's (lead, n, trail) view; with
+        `even_odd`, by half-size products on its (anti)symmetric parts."""
+        matrix = self.matrix.T if transpose else self.matrix
+        m, n = matrix.shape
+        axis = _axis(tensor, direction, n)
+        shape = tensor.shape
+        view = tensor.reshape(prod(shape[:axis]), n, prod(shape[axis + 1:]))
+        if not even_odd:
+            out = _mxm(matrix, view)
+        else:
+            even, odd = self.halves_t if transpose else self.halves
+            nh = n // 2
+            lo, hi = view[:, :nh], view[:, ::-1][:, :nh]
+            sym = lo + hi
+            if n % 2:
+                sym = np.concatenate([sym, view[:, nh:nh + 1]], axis=1)
+            a, b = _mxm(even, sym), _mxm(odd, lo - hi)
+            out = np.empty((view.shape[0], m, view.shape[2]))
+            np.add(a, b, out=out[:, :(m + 1) // 2])
+            tail = a[:, :m // 2] - b[:, :m // 2]
+            out[:, (m + 1) // 2:] = (tail if self.sign > 0 else -tail)[:, ::-1]
+        return out.reshape(shape[:axis] + (m,) + shape[axis + 1:])
 
 
 @dataclass(frozen=True)
@@ -203,8 +247,10 @@ class TensorBasis1D:
     tabulated at the quadrature points of `quadrature`.
 
     shape_values[q, i] = phi_i(x_q); shape_gradients[q, i] = phi_i'(x_q).
-    The even-odd kernels exploit the point symmetry of nodes and quadrature
-    about 0.5 to halve the multiplication count of 1D sweeps.
+    `collocation` differentiates the interpolant through the quadrature
+    points at those points, exact for the field if there are >= p+1 of them
+    (else None).  `identity_values`: shape_values is exactly the identity
+    (Gauss-Lobatto collocation), so value sweeps are skipped.
     """
 
     degree: int
@@ -212,76 +258,39 @@ class TensorBasis1D:
     quadrature: QuadratureRule1D
     shape_values: np.ndarray
     shape_gradients: np.ndarray
-    value_kernel: _EvenOddKernel
-    gradient_kernel: _EvenOddKernel
-
-    @property
-    def n_q(self) -> int:
-        return len(self.quadrature)
+    values: _Matrix1D
+    gradients: _Matrix1D
+    collocation: _Matrix1D | None
+    identity_values: bool
 
 
 def lagrange_basis(p: int, quad: QuadratureRule1D) -> TensorBasis1D:
     """Build the degree-p Lagrange basis (Gauss-Lobatto nodes) tabulated at
-    the points of `quad`, with even-odd factors populated."""
+    the points of `quad`, with its 1D matrices and their even-odd blocks."""
     if p < 1:
         raise ValueError("polynomial degree must be >= 1")
     nodes = gauss_lobatto_quadrature(p + 1).points
     values = lagrange_values_1d(nodes, quad.points)
     gradients = lagrange_gradients_1d(nodes, quad.points)
-    return TensorBasis1D(
-        degree=p,
-        node_points=nodes,
-        quadrature=quad,
-        shape_values=values,
-        shape_gradients=gradients,
-        value_kernel=_EvenOddKernel.build(values, +1),
-        gradient_kernel=_EvenOddKernel.build(gradients, -1),
-    )
+    collocation = None
+    if len(quad) >= p + 1:
+        collocation = _Matrix1D.build(
+            lagrange_gradients_1d(quad.points, quad.points), -1)
+    return TensorBasis1D(p, nodes, quad, values, gradients,
+                         _Matrix1D.build(values, +1), _Matrix1D.build(gradients, -1),
+                         collocation, bool(np.array_equal(values, np.eye(p + 1))))
 
 
 def apply_1d(matrix: np.ndarray, tensor: CellTensor, direction: int,
              transpose: bool = False) -> CellTensor:
     """Contract `matrix` (or its transpose) with `tensor` along the given
-    direction (0 = x = last axis).  Leading batch axes pass through."""
-    if direction not in (0, 1, 2):
-        raise ValueError("direction must be 0, 1 or 2")
+    direction (0 = x = last axis).  Leading batch axes pass through.  The
+    reference contraction: sums in index order of separately rounded
+    products, as a plain loop does (the sweeps' BLAS may fuse them)."""
     mat = matrix.T if transpose else matrix
-    axis = tensor.ndim - 1 - direction
-    if tensor.shape[axis] != mat.shape[1]:
-        raise ValueError(
-            f"tensor extent {tensor.shape[axis]} in direction {direction} "
-            f"does not match matrix columns {mat.shape[1]}")
-    if direction == 0:
-        return np.einsum("qi,...i->...q", mat, tensor)
-    if direction == 1:
-        return np.einsum("qi,...ix->...qx", mat, tensor)
-    return np.einsum("qi,...iyx->...qyx", mat, tensor)
-
-
-def _even_odd_1d(kernel: _EvenOddKernel, data: np.ndarray, transpose: bool) -> np.ndarray:
-    """Apply one even-odd factorized matrix along the LAST axis of `data`."""
-    if transpose:
-        even, odd = kernel.tr_even, kernel.tr_odd
-        m = kernel.shape[1]
-    else:
-        even, odd = kernel.fw_even, kernel.fw_odd
-        m = kernel.shape[0]
-    n = data.shape[-1]
-    nh = n // 2
-    lo = data[..., :nh]
-    hi = data[..., ::-1][..., :nh]
-    u_sym = 0.5 * (lo + hi)
-    u_asym = 0.5 * (lo - hi)
-    if n % 2 == 1:
-        u_sym = np.concatenate([u_sym, data[..., nh : nh + 1]], axis=-1)
-    a = u_sym @ even.T
-    b = u_asym @ odd.T
-    out = np.empty(data.shape[:-1] + (m,), dtype=data.dtype)
-    mh = (m + 1) // 2
-    out[..., :mh] = a + b
-    tail = kernel.sign * (a[..., : m // 2] - b[..., : m // 2])
-    out[..., mh:] = tail[..., ::-1]
-    return out
+    _axis(tensor, direction, mat.shape[1])
+    spec = ("qi,...i->...q", "qi,...ix->...qx", "qi,...iyx->...qyx")[direction]
+    return np.einsum(spec, mat, tensor)
 
 
 def even_odd_apply(basis: TensorBasis1D, tensor: CellTensor, direction: int,
@@ -289,82 +298,72 @@ def even_odd_apply(basis: TensorBasis1D, tensor: CellTensor, direction: int,
     """Same contraction as apply_1d with the basis' value or gradient matrix,
     computed through the even-odd decomposition (about half the
     multiplications; agrees with apply_1d to reassociation tolerance)."""
-    if kind == "value":
-        kernel = basis.value_kernel
-    elif kind == "gradient":
-        kernel = basis.gradient_kernel
-    else:
+    if kind not in ("value", "gradient"):
         raise ValueError("kind must be 'value' or 'gradient'")
-    n_expected = kernel.shape[0] if transpose else kernel.shape[1]
-    axis = tensor.ndim - 1 - direction
-    if direction not in (0, 1, 2):
-        raise ValueError("direction must be 0, 1 or 2")
-    if tensor.shape[axis] != n_expected:
-        raise ValueError(
-            f"tensor extent {tensor.shape[axis]} in direction {direction} "
-            f"does not match matrix extent {n_expected}")
-    if direction == 0:
-        return _even_odd_1d(kernel, tensor, transpose)
-    moved = np.moveaxis(tensor, axis, -1)
-    result = _even_odd_1d(kernel, moved, transpose)
-    return np.ascontiguousarray(np.moveaxis(result, -1, axis))
+    matrix = basis.values if kind == "value" else basis.gradients
+    return matrix.apply(tensor, direction, transpose, True)
 
 
-def _sweep(basis: TensorBasis1D, tensor: CellTensor, kinds, transpose: bool,
+def _sweep(tensor: CellTensor, matrices, transpose: bool,
            even_odd: bool) -> CellTensor:
-    """Apply one 1D matrix per direction; kinds is a (x, y, z) tuple of
-    'value'/'gradient'."""
-    out = tensor
-    for direction in range(3):
-        kind = kinds[direction]
-        if even_odd:
-            out = even_odd_apply(basis, out, direction, kind, transpose)
-        else:
-            mat = basis.shape_values if kind == "value" else basis.shape_gradients
-            out = apply_1d(mat, out, direction, transpose)
-    return out
+    """Apply one _Matrix1D per direction (x, y, z); None skips a direction."""
+    for direction, matrix in enumerate(matrices):
+        if matrix is not None:
+            tensor = matrix.apply(tensor, direction, transpose, even_odd)
+    return tensor
+
+
+def _interpolation(basis: TensorBasis1D) -> tuple:
+    return (None if basis.identity_values else basis.values,) * 3
+
+
+def _gradient_sweeps(basis: TensorBasis1D):
+    """(sweeps to the quadrature points, per component the sweeps that
+    differentiate there); with fewer points than nodes, a triple each."""
+    D = basis.collocation
+    if D is None:
+        return (None,) * 3, [tuple(basis.gradients if d == c else basis.values
+                                   for d in range(3)) for c in range(3)]
+    return _interpolation(basis), [tuple(D if d == c else None for d in range(3))
+                                   for c in range(3)]
 
 
 def evaluate_values(basis: TensorBasis1D, cell_dofs: CellTensor,
-                    even_odd: bool = True) -> CellTensor:
+                    even_odd: bool = False) -> CellTensor:
     """Interpolate nodal coefficients to the quadrature points (value sweeps
-    in all three directions)."""
-    return _sweep(basis, cell_dofs, ("value",) * 3, False, even_odd)
+    in all three directions; a copy under collocation)."""
+    out = _sweep(cell_dofs, _interpolation(basis), False, even_odd)
+    return out.copy() if out is cell_dofs else out
 
 
 def evaluate_gradients(basis: TensorBasis1D, cell_dofs: CellTensor,
-                       even_odd: bool = True) -> CellTensor:
-    """Reference-space gradient of the interpolant at all quadrature points.
-
-    Returns the three derivative components stacked on a new leading axis:
-    output[c] = d/dx_c of the field, each of shape (n_q, n_q, n_q) (plus any
-    leading batch axes of the input).
-    """
-    comps = []
-    for c in range(3):
-        kinds = tuple("gradient" if d == c else "value" for d in range(3))
-        comps.append(_sweep(basis, cell_dofs, kinds, False, even_odd))
-    return np.stack(comps)
+                       even_odd: bool = False) -> CellTensor:
+    """Reference-space gradient of the interpolant at all quadrature points:
+    three value sweeps, then the collocation derivative in each direction.
+    output[c] = d/dx_c of the field, stacked on a new leading axis, each of
+    shape (n_q, n_q, n_q) plus any leading batch axes of the input."""
+    to_q, differentiate = _gradient_sweeps(basis)
+    at_q = _sweep(cell_dofs, to_q, False, even_odd)
+    return np.stack([_sweep(at_q, d, False, even_odd) for d in differentiate])
 
 
 def integrate_values(basis: TensorBasis1D, quad_data: CellTensor,
-                     even_odd: bool = True) -> CellTensor:
+                     even_odd: bool = False) -> CellTensor:
     """Adjoint of evaluate_values: sum phi_i(x_q) * quad_data[q] over q
-    (transposed value sweeps)."""
-    return _sweep(basis, quad_data, ("value",) * 3, True, even_odd)
+    (transposed value sweeps; a copy under collocation)."""
+    out = _sweep(quad_data, _interpolation(basis), True, even_odd)
+    return out.copy() if out is quad_data else out
 
 
 def integrate_gradients(basis: TensorBasis1D, quad_data: CellTensor,
-                        even_odd: bool = True) -> CellTensor:
+                        even_odd: bool = False) -> CellTensor:
     """Adjoint of evaluate_gradients: per-cell residual
-    sum_q grad phi_i(x_q) . quad_data[:, q].  Expects the three gradient
-    components stacked on the leading axis (after any batch axes the
-    component axis must be axis 0)."""
+    sum_q grad phi_i(x_q) . quad_data[:, q], as transposed collocation
+    derivatives summed at the quadrature points, then transposed value
+    sweeps.  The three gradient components are stacked on axis 0."""
     if quad_data.shape[0] != 3:
         raise ValueError("quad_data must stack 3 gradient components on axis 0")
-    out = None
-    for c in range(3):
-        kinds = tuple("gradient" if d == c else "value" for d in range(3))
-        part = _sweep(basis, quad_data[c], kinds, True, even_odd)
-        out = part if out is None else out + part
-    return out
+    to_q, differentiate = _gradient_sweeps(basis)
+    at_q = sum(_sweep(data, d, True, even_odd)
+               for data, d in zip(quad_data, differentiate))
+    return _sweep(at_q, to_q, True, even_odd)

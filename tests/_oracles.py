@@ -98,3 +98,87 @@ def dense_pcg(A, b, minv_full, tol=1e-8, maxit=500):
         p = z + beta * p
     return {"x": x, "iterations": iters, "alpha": alphas, "beta": betas,
             "residual": residuals}
+
+
+# -- sum-factorization sweeps as first implemented ------------------------------
+# Every sweep an einsum over `...` (or the even-odd split with moveaxis round
+# trips), and each gradient component its own sweep triple: the oracle for
+# the GEMM-shaped sweeps, collocation derivatives and identity skip of
+# mfcg.tensor.
+
+
+def einsum_apply_1d(matrix, tensor, direction, transpose=False):
+    mat = matrix.T if transpose else matrix
+    if direction == 0:
+        return np.einsum("qi,...i->...q", mat, tensor)
+    if direction == 1:
+        return np.einsum("qi,...ix->...qx", mat, tensor)
+    return np.einsum("qi,...iyx->...qyx", mat, tensor)
+
+
+def _even_odd_halves(matrix):
+    m, n = matrix.shape
+    nh = n // 2
+    top = matrix[:(m + 1) // 2]
+    even = top[:, :nh] + top[:, ::-1][:, :nh]
+    if n % 2 == 1:
+        even = np.hstack([even, top[:, nh:nh + 1]])
+    odd = top[:, :nh] - top[:, ::-1][:, :nh]
+    return even, odd
+
+
+def even_odd_apply_1d(matrix, sign, tensor, direction, transpose=False):
+    """The even-odd contraction along the last axis after a moveaxis."""
+    mat = matrix.T if transpose else matrix
+    even, odd = _even_odd_halves(mat)
+    axis = tensor.ndim - 1 - direction
+    data = np.moveaxis(tensor, axis, -1)
+    m, n = mat.shape
+    nh = n // 2
+    lo = data[..., :nh]
+    hi = data[..., ::-1][..., :nh]
+    u_sym = 0.5 * (lo + hi)
+    u_asym = 0.5 * (lo - hi)
+    if n % 2 == 1:
+        u_sym = np.concatenate([u_sym, data[..., nh:nh + 1]], axis=-1)
+    a = u_sym @ even.T
+    b = u_asym @ odd.T
+    out = np.empty(data.shape[:-1] + (m,))
+    mh = (m + 1) // 2
+    out[..., :mh] = a + b
+    out[..., mh:] = (sign * (a[..., :m // 2] - b[..., :m // 2]))[..., ::-1]
+    return np.ascontiguousarray(np.moveaxis(out, -1, axis))
+
+
+def _oracle_sweep(basis, tensor, kinds, transpose, even_odd):
+    out = tensor
+    for direction, kind in enumerate(kinds):
+        mat = basis.shape_values if kind == "value" else basis.shape_gradients
+        if even_odd:
+            sign = 1 if kind == "value" else -1
+            out = even_odd_apply_1d(mat, sign, out, direction, transpose)
+        else:
+            out = einsum_apply_1d(mat, out, direction, transpose)
+    return out
+
+
+def _gradient_kinds(c):
+    return tuple("gradient" if d == c else "value" for d in range(3))
+
+
+def oracle_evaluate_values(basis, u, even_odd=False):
+    return _oracle_sweep(basis, u, ("value",) * 3, False, even_odd)
+
+
+def oracle_integrate_values(basis, q, even_odd=False):
+    return _oracle_sweep(basis, q, ("value",) * 3, True, even_odd)
+
+
+def oracle_evaluate_gradients(basis, u, even_odd=False):
+    return np.stack([_oracle_sweep(basis, u, _gradient_kinds(c), False, even_odd)
+                     for c in range(3)])
+
+
+def oracle_integrate_gradients(basis, q, even_odd=False):
+    return sum(_oracle_sweep(basis, q[c], _gradient_kinds(c), True, even_odd)
+               for c in range(3))

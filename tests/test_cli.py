@@ -94,6 +94,16 @@ class TestUsageErrors:
     def test_missing_subcommand(self, capsys):
         assert main([]) == 2
 
+    @pytest.mark.parametrize("command,count", [("cachesweep", "0"),
+                                               ("bench", "0"), ("bench", "-3")])
+    def test_iterations_below_one_is_usage_error(self, command, count, capsys):
+        # cachesweep used to die dividing by zero; bench ran 500 or 0
+        code, _, err = run_cli([command, "--cells", "2", "--degree", "2",
+                                "--variant", "cg", "--repeats", "1",
+                                "--iterations", count], capsys)
+        assert code == 2
+        assert "iterations must be at least 1" in err
+
     def test_size_guard_is_usage_error(self, capsys):
         code, _, err = run_cli(["bench", "--cells", "64", "--degree", "8",
                                 "--bp", "BP4"], capsys)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfcg.mesh import (
+    SYMMETRIC_INDEX,
     GeometryVariant,
     build_cartesian_mesh,
     compute_jacobians_from_nodes,
@@ -241,6 +242,12 @@ class TestVariants:
                                    np.diag([2.0, 4.0, 8.0]))
         np.testing.assert_allclose(data.payload["det_j"], 0.5 * 0.25 * 0.125)
         assert data.doubles_per_cell == 10
+
+    def test_symmetric_index_matches_storage_order(self):
+        # the kernel's flux reads G[i, k] at SYMMETRIC_INDEX[i, k]; the
+        # stored order is xx, yy, zz, xy, xz, yz
+        for a, (i, k) in enumerate([(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]):
+            assert SYMMETRIC_INDEX[i, k] == SYMMETRIC_INDEX[k, i] == a
 
     def test_final_tensor_matches_inverse_jacobian(self):
         mesh = deform_mesh(build_cartesian_mesh((2, 2, 2)), 0.07)

@@ -109,6 +109,21 @@ class TestOracleEquivalence:
         with pytest.raises(ValueError, match="guard"):
             op.assemble_dense()
 
+    @pytest.mark.parametrize("quadrature", ["gauss", "gauss_lobatto"])
+    @pytest.mark.parametrize("variant", list(GeometryVariant))
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_every_variant_matches_sparse(self, p, variant, quadrature):
+        affine = variant == GeometryVariant.AFFINE
+        op, handler = build_op(cells=(2, 2, 1), p=p, eq="mass_plus_laplace",
+                               variant=variant,
+                               deformed=0.0 if affine else 0.05, scaling=0.6,
+                               quadrature=quadrature,
+                               nq=p + 1 if quadrature == "gauss_lobatto" else None)
+        u = np.random.default_rng(p).standard_normal(handler.n_dofs)
+        ref = op.assemble_sparse() @ u
+        np.testing.assert_allclose(op.apply(u), ref, rtol=1e-12,
+                                   atol=1e-13 * np.abs(ref).max())
+
     def test_collocation_matches_sparse(self):
         op, handler = build_op(p=3, nq=4, quadrature="gauss_lobatto")
         u = np.random.default_rng(5).standard_normal(handler.n_dofs)

@@ -236,6 +236,13 @@ class TestConfigAndPlumbing:
         with pytest.raises(ValueError):
             SolverConfig(s=0)
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_fixed_iterations_below_one_rejected(self, count):
+        # 0 used to fall through `fixed_iterations or max_iterations` and
+        # run 500 iterations; negative counts ran none
+        with pytest.raises(ValueError, match="fixed_iterations"):
+            SolverConfig(fixed_iterations=count)
+
     def test_fixed_iterations_exact_count(self, fem):
         op, handler, b, minv, dense = fem
         res = solve_cg(op, b, SolverConfig(fixed_iterations=7))

@@ -1,9 +1,13 @@
 """Tests for 1D quadrature, Lagrange bases, and sum-factorization sweeps.
 
 Oracles: analytic monomial integrals for quadrature exactness, explicit
-triple-loop contraction for apply_1d, and a naive per-point basis-product
-evaluation (O(p^6) per cell) for the gradient sweeps.
+triple-loop contraction for apply_1d, a naive per-point basis-product
+evaluation (O(p^6) per cell) for the gradient sweeps, and for the GEMM-shaped
+sweeps the first einsum/even-odd implementation (_oracles) and the unfactored
+Kronecker matrices.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +26,13 @@ from mfcg.tensor import (
     lagrange_basis,
     lagrange_gradients_1d,
     lagrange_values_1d,
+)
+
+from _oracles import (
+    oracle_evaluate_gradients,
+    oracle_evaluate_values,
+    oracle_integrate_gradients,
+    oracle_integrate_values,
 )
 
 
@@ -364,3 +375,89 @@ def test_gradient_extent_mismatch():
         evaluate_gradients(basis, np.zeros((4, 4, 4)))
     with pytest.raises(ValueError):
         integrate_gradients(basis, np.zeros((2, 3, 3, 3)))
+
+
+# ------------------------------------- GEMM sweeps against the first version
+
+
+def _rel(got, ref):
+    return np.abs(got - ref).max() / max(np.abs(ref).max(), 1e-300)
+
+
+def _sweep_pairs(basis, u, q, qg, even_odd):
+    """(new, oracle) results of the four public sweeps on the same inputs."""
+    return [(evaluate_values(basis, u, even_odd), oracle_evaluate_values(basis, u)),
+            (evaluate_gradients(basis, u, even_odd), oracle_evaluate_gradients(basis, u)),
+            (integrate_values(basis, q, even_odd), oracle_integrate_values(basis, q)),
+            (integrate_gradients(basis, qg, even_odd),
+             oracle_integrate_gradients(basis, qg))]
+
+
+def _rules(p):
+    return [gauss_quadrature(p + 1), gauss_quadrature(p + 2),
+            gauss_quadrature(p + 3), gauss_lobatto_quadrature(p + 1)]
+
+
+@pytest.mark.parametrize("p", range(1, 10))
+def test_sweeps_match_first_version_and_kronecker(p):
+    # the first implementation (einsum / moveaxis even-odd, a sweep triple
+    # per gradient component) and the unfactored Kronecker matrices
+    rng = np.random.default_rng(p)
+    n1 = p + 1
+    for rule in _rules(p):
+        basis = lagrange_basis(p, rule)
+        nq = len(rule)
+        V, G = basis.shape_values, basis.shape_gradients
+        val = np.kron(np.kron(V, V), V)
+        grads = [np.kron(np.kron(V, V), G), np.kron(np.kron(V, G), V),
+                 np.kron(np.kron(G, V), V)]
+        u = rng.standard_normal((2, n1, n1, n1))
+        q = rng.standard_normal((2, nq, nq, nq))
+        qg = rng.standard_normal((3, 2, nq, nq, nq))
+        for even_odd in (False, True):
+            for got, ref in _sweep_pairs(basis, u, q, qg, even_odd):
+                assert _rel(got, ref) <= 1e-13
+        flat = u.reshape(2, -1)
+        kron = [(evaluate_values(basis, u), flat @ val.T),
+                (integrate_values(basis, q), q.reshape(2, -1) @ val),
+                (integrate_gradients(basis, qg),
+                 sum(qg[c].reshape(2, -1) @ grads[c] for c in range(3)))]
+        kron += [(evaluate_gradients(basis, u)[c], flat @ grads[c].T) for c in range(3)]
+        for got, ref in kron:
+            assert _rel(got.reshape(ref.shape), ref) <= 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.integers(1, 6), rule=st.integers(0, 3),
+       batch=st.lists(st.integers(1, 3), max_size=2),
+       comp=st.sampled_from([1, 3]), seed=st.integers(0, 2**31 - 1))
+def test_sweeps_property_batches_and_components(p, rule, batch, comp, seed):
+    basis = lagrange_basis(p, _rules(p)[rule])
+    nq, n1 = len(basis.quadrature), p + 1
+    lead = tuple(batch) + (comp,)
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(lead + (n1,) * 3)
+    q = rng.standard_normal(lead + (nq,) * 3)
+    qg = rng.standard_normal((3,) + lead + (nq,) * 3)
+    for even_odd in (False, True):
+        for got, ref in _sweep_pairs(basis, u, q, qg, even_odd):
+            assert got.shape == ref.shape
+            assert _rel(got, ref) <= 1e-13
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 9])
+def test_identity_skip_equals_general_path(p):
+    # Gauss-Lobatto collocation: shape_values is exactly the identity, so
+    # skipping the value sweeps must not change a single bit
+    basis = lagrange_basis(p, gauss_lobatto_quadrature(p + 1))
+    assert basis.identity_values
+    assert not lagrange_basis(p, gauss_quadrature(p + 1)).identity_values
+    general = replace(basis, identity_values=False)
+    rng = np.random.default_rng(p)
+    u = rng.standard_normal((4, 1) + (p + 1,) * 3)
+    qg = rng.standard_normal((3, 4, 1) + (p + 1,) * 3)
+    for fn, data in ((evaluate_values, u), (evaluate_gradients, u),
+                     (integrate_values, u), (integrate_gradients, qg)):
+        fast = fn(basis, data)
+        np.testing.assert_array_equal(fast, fn(general, data))
+        assert not np.shares_memory(fast, data)
