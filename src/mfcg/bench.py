@@ -14,14 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dofs import batch_size, distribute_dofs, expand_cell_indices, make_batches
+from .dofs import batch_size, distribute_dofs, expand_batch, make_batches
 from .locality import predict_transfer
 from .mesh import (
     GeometryVariant,
+    _all_quadratic_nodes,
     build_cartesian_mesh,
     compute_jacobians_from_nodes,
     deform_mesh,
-    quadratic_geometry_nodes,
 )
 from .operator import MatrixFreeOperator, OperatorSpec
 from .solvers import SolverConfig, solve
@@ -95,8 +95,7 @@ def build_rhs(op: MatrixFreeOperator) -> np.ndarray:
             else gauss_quadrature(nq))
     basis = lagrange_basis(spec.degree, quad)
     geo_basis = lagrange_basis(2, quad)
-    nodes = np.stack([quadratic_geometry_nodes(mesh, c)
-                      for c in range(mesh.n_cells)])
+    nodes = _all_quadratic_nodes(mesh)
     _, det = compute_jacobians_from_nodes(nodes, geo_basis, nq)
     coords = nodes.transpose(0, 2, 1).reshape(-1, 3, 3, 3, 3)
     pts = evaluate_values(geo_basis, coords)          # (cells, 3, nq, nq, nq)
@@ -106,14 +105,10 @@ def build_rhs(op: MatrixFreeOperator) -> np.ndarray:
     f = manufactured_forcing(pts, spec.equation)
     fw = (f * det * tw).reshape(-1, nq, nq, nq)
     local = integrate_values(basis, fw).reshape(mesh.n_cells, -1)
-    b = np.zeros(handler.n_dofs)
-    for cell in range(mesh.n_cells):
-        idx = expand_cell_indices(handler, cell)
-        # indices within one cell are unique, so fancy += accumulates safely
-        if spec.components == 1:
-            b[idx] += local[cell]
-        else:
-            b[idx] += np.repeat(local[cell], spec.components)
+    # one scatter over all cells; bincount adds in cell order
+    local = np.repeat(local, spec.components, axis=1)
+    idx = expand_batch(handler, np.arange(mesh.n_cells))
+    b = np.bincount(idx.ravel(), weights=local.ravel(), minlength=handler.n_dofs)
     b[handler.constrained_dofs] = 0.0
     return b
 

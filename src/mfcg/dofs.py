@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mesh import HexMesh
+from .mesh import HexMesh, _lattice_coords
 
 __all__ = [
     "DofHandler",
@@ -109,11 +109,14 @@ def _slots(p: int) -> np.ndarray:
     return np.where(i == 0, 0, np.where(i == p, 2, 1))
 
 
-_ENTITY_WALK = [(sx, sy, sz) for sz in (0, 1, 2) for sy in (0, 1, 2) for sx in (0, 1, 2)]
+# (sx, sy, sz) of the 27 entity slots of a cell, slot index sx + 3 sy + 9 sz
+_ENTITY_SLOTS = np.stack(np.unravel_index(np.arange(27), (3, 3, 3), order="F"), axis=1)
 
 
-def _entity_size(p: int, sx: int, sy: int, sz: int) -> int:
-    return int(np.prod([(p - 1) if s == 1 else 1 for s in (sx, sy, sz)]))
+def _slot_sizes(p: int) -> np.ndarray:
+    """Number of nodes of the entity in each of the 27 slots: 1, p-1, 1
+    nodes per direction."""
+    return np.where(_ENTITY_SLOTS == 1, p - 1, 1).prod(axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -143,32 +146,24 @@ def distribute_dofs(mesh: HexMesh, p: int, components: int = 1,
         raise ValueError("degree must be >= 1")
     if components not in (1, 3):
         raise ValueError("components must be 1 or 3")
-    nx, ny, nz = mesh.cells_per_dim
+    nx, ny, _ = mesh.cells_per_dim
     # entity id on the refined lattice: 2*cell_coord + slot per direction
-    rx, ry, rz = 2 * nx + 1, 2 * ny + 1, 2 * nz + 1
-    sizes = {s: _entity_size(p, *s) for s in _ENTITY_WALK}
+    rx, ry = 2 * nx + 1, 2 * ny + 1
+    sizes = _slot_sizes(p)
+    live = sizes > 0  # degree 1 has no edge, face or interior nodes
+    cx, cy, cz = (c[:, None] for c in _lattice_coords(mesh.cells_per_dim))
+    sx, sy, sz = _ENTITY_SLOTS[live].T
+    rid = (2 * cx + sx) + rx * ((2 * cy + sy) + ry * (2 * cz + sz))
+    # walking cells in order and their entities in slot order (x fastest),
+    # each entity gets the next block when it is first seen
+    _, first, inverse = np.unique(rid.ravel(), return_index=True, return_inverse=True)
+    size = sizes[live][first % rid.shape[1]]
+    seen = np.argsort(first)
+    start = np.empty_like(size)
+    start[seen] = np.cumsum(size[seen]) - size[seen]
     blocks = np.full((mesh.n_cells, 27), -1, dtype=np.int32)
-    entity_start = {}
-    next_start = 0
-    cell = 0
-    for cz in range(nz):
-        for cy in range(ny):
-            for cx in range(nx):
-                # nodes are walked x fastest, so entities are first seen in
-                # slot order low/mid/high per direction, z slowest
-                for sx, sy, sz in _ENTITY_WALK:
-                    size = sizes[(sx, sy, sz)]
-                    if size == 0:
-                        continue
-                    rid = (2 * cx + sx) + rx * ((2 * cy + sy) + ry * (2 * cz + sz))
-                    start = entity_start.get(rid)
-                    if start is None:
-                        start = next_start
-                        entity_start[rid] = start
-                        next_start += size
-                    blocks[cell, sx + 3 * sy + 9 * sz] = start
-                cell += 1
-    n_dofs = next_start * components
+    blocks[:, live] = start[inverse].reshape(rid.shape)
+    n_dofs = int(size.sum()) * components
     constrained = np.empty(0, dtype=np.int64)
     handler = DofHandler(n_dofs, components, p, mesh.cells_per_dim, blocks, constrained)
     if constrain_boundary:
@@ -182,34 +177,16 @@ def distribute_dofs(mesh: HexMesh, p: int, components: int = 1,
 def _boundary_nodes(handler: DofHandler) -> np.ndarray:
     """Scalar node indices lying on the domain boundary."""
     p = handler.degree
-    nx, ny, nz = handler.cells_per_dim
-    found = []
-    grid_shape = (p + 1, p + 1, p + 1)
-    for cell in range(handler.n_cells):
-        cx = cell % nx
-        cy = (cell // nx) % ny
-        cz = cell // (nx * ny)
-        faces = []
-        if cx == 0:
-            faces.append((slice(None), slice(None), 0))
-        if cx == nx - 1:
-            faces.append((slice(None), slice(None), p))
-        if cy == 0:
-            faces.append((slice(None), 0, slice(None)))
-        if cy == ny - 1:
-            faces.append((slice(None), p, slice(None)))
-        if cz == 0:
-            faces.append((0, slice(None), slice(None)))
-        if cz == nz - 1:
-            faces.append((p, slice(None), slice(None)))
-        if not faces:
-            continue
-        nodes = _expand_scalar(handler, np.array([cell]))[0].reshape(grid_shape)
-        for sel in faces:
-            found.append(nodes[sel].ravel())
-    if not found:
-        return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(found))
+    coords = np.stack(_lattice_coords(handler.cells_per_dim), axis=1)
+    low = coords == 0
+    high = coords == np.asarray(handler.cells_per_dim) - 1
+    touching = np.flatnonzero((low | high).any(axis=1))
+    # (i, j, k) of the local nodes, x fastest
+    local = np.stack(np.unravel_index(np.arange((p + 1) ** 3), (p + 1,) * 3,
+                                      order="F"), axis=1)
+    on_face = ((low[touching, None, :] & (local == 0))
+               | (high[touching, None, :] & (local == p))).any(axis=2)
+    return np.unique(_expand_scalar(handler, touching)[on_face])
 
 
 def _expand_scalar(handler: DofHandler, cells: np.ndarray) -> np.ndarray:
@@ -250,18 +227,13 @@ def batch_size(p: int, components: int, simd_lanes: int) -> int:
 
 def _morton_order(cells_per_dim) -> np.ndarray:
     """Cell indices ordered along the Morton curve (x bits lowest)."""
-    nx, ny, nz = cells_per_dim
     bits = max(max(n - 1, 0).bit_length() for n in cells_per_dim)
-    order = []
-    for code in range(1 << (3 * bits)):
-        x = y = z = 0
-        for b in range(bits):
-            x |= ((code >> (3 * b)) & 1) << b
-            y |= ((code >> (3 * b + 1)) & 1) << b
-            z |= ((code >> (3 * b + 2)) & 1) << b
-        if x < nx and y < ny and z < nz:
-            order.append(x + nx * (y + ny * z))
-    return np.asarray(order, dtype=np.int64)
+    coords = _lattice_coords(cells_per_dim)
+    code = np.zeros_like(coords[0])
+    for b in range(bits):
+        for d, c in enumerate(coords):
+            code |= ((c >> b) & 1) << (3 * b + d)
+    return np.argsort(code, kind="stable")
 
 
 def make_batches(mesh: HexMesh, size: int, traversal: str = "lexicographic") -> BatchPlan:
@@ -283,24 +255,6 @@ def make_batches(mesh: HexMesh, size: int, traversal: str = "lexicographic") -> 
 # renumbering
 
 
-def _entity_table(handler: DofHandler):
-    """(starts, sizes, cells) of every entity, keyed by block start."""
-    blocks = handler.cell_index_blocks
-    sizes_by_slot = np.array([_entity_size(handler.degree, e % 3, (e // 3) % 3, e // 9)
-                              for e in range(27)])
-    entity_size_of = {}
-    entity_cells = {}
-    for cell in range(handler.n_cells):
-        row = blocks[cell]
-        for e in range(27):
-            start = row[e]
-            if start < 0:
-                continue
-            entity_size_of[int(start)] = int(sizes_by_slot[e])
-            entity_cells.setdefault(int(start), []).append(cell)
-    return entity_size_of, entity_cells
-
-
 def renumber_optimized(handler: DofHandler, plan: BatchPlan) -> DofHandler:
     """Renumber unknowns by data locality of the batched cell loop.
 
@@ -320,55 +274,50 @@ def renumber_optimized(handler: DofHandler, plan: BatchPlan) -> DofHandler:
     if handler.numbering_kind != "default-cell-order":
         raise ValueError("handler already renumbered")
     comp = handler.components
-    size_of, cells_of = _entity_table(handler)
-
+    blocks = handler.cell_index_blocks
     cell_batch = np.empty(handler.n_cells, dtype=np.int64)
-    for b, cells in enumerate(plan.batches):
-        cell_batch[np.asarray(cells)] = b
+    cell_batch[np.concatenate(plan.batches)] = np.repeat(
+        np.arange(plan.n_batches), [len(cells) for cells in plan.batches])
 
-    constrained_nodes = _constrained_node_set(handler)
+    # one row per (cell, slot) incidence; entities are keyed by block start
+    cell, slot = np.nonzero(blocks >= 0)
+    old_start, inverse = np.unique(blocks[cell, slot].astype(np.int64),
+                                   return_inverse=True)
+    size = np.empty_like(old_start)
+    size[inverse] = _slot_sizes(handler.degree)[slot]
+    first = np.full(len(old_start), plan.n_batches, dtype=np.int64)
+    last = np.full(len(old_start), -1, dtype=np.int64)
+    np.minimum.at(first, inverse, cell_batch[cell])
+    np.maximum.at(last, inverse, cell_batch[cell])
 
-    categories = ([], [], [], [])
-    for start, size in size_of.items():
-        batches = sorted({int(cell_batch[c]) for c in cells_of[start]})
-        node0 = start
-        is_constrained = node0 in constrained_nodes
-        covered = sum((node0 + t) in constrained_nodes for t in range(size))
-        if 0 < covered < size:
-            raise ValueError("partially constrained entity cannot keep "
-                             "contiguous blocks")
-        if is_constrained:
-            cat = 3
-        elif len(batches) == 1:
-            cat = 0
-        else:
-            cat = 1
-        categories[cat].append((batches[0], batches[-1], start, size))
+    constrained = _constrained_node_mask(handler)
+    prefix = np.concatenate(([0], np.cumsum(constrained)))
+    covered = prefix[old_start + size] - prefix[old_start]
+    if np.any((covered > 0) & (covered < size)):
+        raise ValueError("partially constrained entity cannot keep "
+                         "contiguous blocks")
+    category = np.where(constrained[old_start], 3, np.where(first == last, 0, 1))
 
+    def ordered(cat, *keys):
+        members = np.flatnonzero(category == cat)
+        return members[np.lexsort([k[members] for k in keys])]
+
+    # lexsort's last key is the primary one
+    order = np.concatenate((ordered(0, old_start, last, first),
+                            ordered(1, old_start, last - first, -(first + last)),
+                            ordered(3, old_start, last, first)))
+    new_start = np.empty_like(old_start)
+    new_start[order] = np.cumsum(size[order]) - size[order]
+
+    # nodes keep their offset inside their entity's block
+    offset = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
     node_perm = np.full(handler.n_nodes, -1, dtype=np.int64)
-    start_map = {}
-    next_node = 0
-    order = (sorted(categories[0]),
-             sorted(categories[1],
-                    key=lambda t: (-(t[0] + t[1]), t[1] - t[0], t[2])),
-             sorted(categories[2]),
-             sorted(categories[3]))
-    for cat in order:
-        for entry in cat:
-            _, _, old_start, size = entry
-            start_map[old_start] = next_node
-            node_perm[old_start:old_start + size] = np.arange(next_node, next_node + size)
-            next_node += size
-    if next_node != handler.n_nodes or np.any(node_perm < 0):
+    node_perm[np.repeat(old_start, size) + offset] = np.repeat(new_start, size) + offset
+    if size.sum() != handler.n_nodes or np.any(node_perm < 0):
         raise AssertionError("renumbering did not produce a bijection")
 
-    blocks = handler.cell_index_blocks
     new_blocks = np.full_like(blocks, -1)
-    for e in range(27):
-        col = blocks[:, e]
-        valid = col >= 0
-        if np.any(valid):
-            new_blocks[valid, e] = [start_map[int(s)] for s in col[valid]]
+    new_blocks[cell, slot] = new_start[inverse]
 
     perm = (node_perm[:, None] * comp + np.arange(comp)).ravel()
     new_constrained = np.sort(perm[handler.constrained_dofs])
@@ -376,16 +325,19 @@ def renumber_optimized(handler: DofHandler, plan: BatchPlan) -> DofHandler:
                       new_blocks, new_constrained, "optimized", perm)
 
 
-def _constrained_node_set(handler: DofHandler) -> set:
-    """Scalar nodes whose every component is constrained; rejects partial
-    per-component constraints (they would break the interleaved layout)."""
+def _constrained_node_mask(handler: DofHandler) -> np.ndarray:
+    """Mask of the scalar nodes whose every component is constrained; rejects
+    partial per-component constraints (they would break the interleaved
+    layout)."""
+    mask = np.zeros(handler.n_nodes, dtype=bool)
     if handler.constrained_dofs.size == 0:
-        return set()
+        return mask
     comp = handler.components
     nodes, counts = np.unique(handler.constrained_dofs // comp, return_counts=True)
     if np.any(counts != comp):
         raise ValueError("constraints must cover whole nodes (all components)")
-    return set(int(n) for n in nodes)
+    mask[nodes] = True
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -399,12 +351,13 @@ def compute_range_schedule(handler: DofHandler, plan: BatchPlan) -> RangeSchedul
     alongside the final batch."""
     n_ranges = -(-handler.n_dofs // RANGE_SIZE)
     n_batches = plan.n_batches
+    batch = np.repeat(np.arange(n_batches), [len(cells) for cells in plan.batches])
+    ranges = expand_batch(handler, np.concatenate(plan.batches)) // RANGE_SIZE
+    batch = np.broadcast_to(batch[:, None], ranges.shape)
     first = np.full(n_ranges, n_batches, dtype=np.int64)
     last = np.full(n_ranges, -1, dtype=np.int64)
-    for b, cells in enumerate(plan.batches):
-        touched = np.unique(expand_batch(handler, cells) // RANGE_SIZE)
-        first[touched] = np.minimum(first[touched], b)
-        last[touched] = np.maximum(last[touched], b)
+    np.minimum.at(first, ranges, batch)
+    np.maximum.at(last, ranges, batch)
     untouched = first == n_batches
     if np.any(untouched):
         # every DoF belongs to some cell, so this can only be a partial
@@ -417,7 +370,13 @@ def compute_range_schedule(handler: DofHandler, plan: BatchPlan) -> RangeSchedul
         constrained_ranges = np.unique(handler.constrained_dofs // RANGE_SIZE)
         pre_batch[constrained_ranges] = 0
         post_batch[constrained_ranges] = n_batches - 1
-    pre_schedule = tuple(np.flatnonzero(pre_batch == b) for b in range(n_batches))
-    post_schedule = tuple(np.flatnonzero(post_batch == b) for b in range(n_batches))
     return RangeSchedule(RANGE_SIZE, handler.n_dofs, first, last,
-                         pre_schedule, post_schedule)
+                         _group_by(pre_batch, n_batches),
+                         _group_by(post_batch, n_batches))
+
+
+def _group_by(keys: np.ndarray, n_groups: int) -> tuple:
+    """Per group g in range(n_groups): the ascending indices i with
+    keys[i] == g, as flatnonzero(keys == g) gives them."""
+    order = np.argsort(keys, kind="stable")
+    return tuple(np.split(order, np.cumsum(np.bincount(keys, minlength=n_groups))[:-1]))

@@ -36,6 +36,8 @@ __all__ = [
     "mesh_from_text",
     "SYMMETRIC_INDEX",
     "symmetric_coefficients",
+    "adjugate",
+    "metric_tensor",
 ]
 
 
@@ -94,18 +96,13 @@ def build_cartesian_mesh(cells_per_dim, extents=(1.0, 1.0, 1.0)) -> HexMesh:
     xs = [np.linspace(0.0, ext[d], cells[d] + 1) for d in range(3)]
     Z, Y, X = np.meshgrid(xs[2], xs[1], xs[0], indexing="ij")
     vertices = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
-
-    def vid(i, j, k):
-        return i + (nx + 1) * (j + (ny + 1) * k)
-
-    conn = np.empty((nx * ny * nz, 8), dtype=np.int64)
-    cell = 0
-    for k in range(nz):
-        for j in range(ny):
-            for i in range(nx):
-                conn[cell] = [vid(i + dk, j + dj, k + di)
-                              for di in (0, 1) for dj in (0, 1) for dk in (0, 1)]
-                cell += 1
+    # vertex id i + (nx+1)(j + (ny+1)k) of each cell's low corner, plus the
+    # offsets of its 8 corners, x fastest
+    k, j, i = np.meshgrid(np.arange(nz), np.arange(ny), np.arange(nx), indexing="ij")
+    dz, dy, dx = np.meshgrid((0, 1), (0, 1), (0, 1), indexing="ij")
+    base = i + (nx + 1) * (j + (ny + 1) * k)
+    corner = dx + (nx + 1) * (dy + (ny + 1) * dz)
+    conn = (base.reshape(-1, 1) + corner.reshape(1, -1)).astype(np.int64)
     return HexMesh(cells, ext, 0.0, vertices, conn)
 
 
@@ -125,55 +122,87 @@ def deform_mesh(mesh: HexMesh, amplitude: float) -> HexMesh:
     return new
 
 
-def _cell_lattice(mesh: HexMesh, order: np.ndarray):
+def _lattice_coords(cells_per_dim, cells=None) -> tuple:
+    """(cx, cy, cz) lattice coordinates of lexicographic cell indices, of
+    every cell when `cells` is None."""
+    nx, ny, nz = cells_per_dim
+    if cells is None:
+        cells = np.arange(nx * ny * nz, dtype=np.int64)
+    cells = np.asarray(cells, dtype=np.int64)
+    return cells % nx, (cells // nx) % ny, cells // (nx * ny)
+
+
+def _cell_lattice(mesh: HexMesh, order: np.ndarray, cells=None):
     """Undeformed physical coordinates of per-cell tensor lattices.
 
     `order` holds the 1D reference positions in [0,1]; returns an array of
-    shape (n_cells, len(order)^3, 3) in lexicographic x-fastest point order.
+    shape (len(cells), len(order)^3, 3) in lexicographic x-fastest point
+    order, for every cell when `cells` is None.
     """
-    nx, ny, nz = mesh.cells_per_dim
     hx, hy, hz = (mesh.extents[d] / mesh.cells_per_dim[d] for d in range(3))
-    cz, cy, cx = np.meshgrid(np.arange(nz), np.arange(ny), np.arange(nx), indexing="ij")
-    origin = np.stack([cx.ravel() * hx, cy.ravel() * hy, cz.ravel() * hz], axis=1)
+    cx, cy, cz = _lattice_coords(mesh.cells_per_dim, cells)
+    origin = np.stack([cx * hx, cy * hy, cz * hz], axis=1)
     t = np.asarray(order, dtype=float)
     TZ, TY, TX = np.meshgrid(t, t, t, indexing="ij")
     local = np.stack([TX.ravel() * hx, TY.ravel() * hy, TZ.ravel() * hz], axis=1)
     return origin[:, None, :] + local[None, :, :]
 
 
+_QUADRATIC_ORDER = np.array([0.0, 0.5, 1.0])
+
+
 def quadratic_geometry_nodes(mesh: HexMesh, cell: int) -> np.ndarray:
     """The 27 tri-quadratic geometry support points of one cell (the deformed
     {0, 1/2, 1}^3 lattice), shape (27, 3), x fastest."""
     mesh.cell_coords(cell)  # validates the index
-    lattice = _cell_lattice(mesh, np.array([0.0, 0.5, 1.0]))[cell]
-    return mesh.map_points(lattice)
+    return mesh.map_points(_cell_lattice(mesh, _QUADRATIC_ORDER, [cell])[0])
 
 
 def _all_quadratic_nodes(mesh: HexMesh) -> np.ndarray:
     """(n_cells, 27, 3) tri-quadratic nodes for every cell."""
-    return mesh.map_points(_cell_lattice(mesh, np.array([0.0, 0.5, 1.0])))
+    return mesh.map_points(_cell_lattice(mesh, _QUADRATIC_ORDER))
 
 
-def _reference_jacobians(mesh: HexMesh, quad: QuadratureRule1D, cells=None):
+def _reference_jacobians(mesh: HexMesh, quad: QuadratureRule1D):
     """Jacobians of the tri-quadratic cell maps at tensor quadrature points.
 
     Returns (jac, det) with jac of shape (n_cells, n_q^3, 3, 3) where
     jac[c, q, i, j] = d x_i / d ref_j, and det positive (checked).
     """
-    basis = lagrange_basis(2, quad)
-    nodes = _all_quadratic_nodes(mesh)
-    if cells is not None:
-        nodes = nodes[cells]
-    n_cells = nodes.shape[0]
-    nq = len(quad)
-    # (cells, coord, 3, 3, 3) nodal coordinates as cell tensors
-    coords = nodes.transpose(0, 2, 1).reshape(n_cells, 3, 3, 3, 3)
-    g = evaluate_gradients(basis, coords)  # (3 ref-dir, cells, coord, nq,nq,nq)
-    jac = np.transpose(g.reshape(3, n_cells, 3, nq**3), (1, 3, 2, 0))
-    det = np.linalg.det(jac)
-    if np.min(det) <= 0.0:
+    return compute_jacobians_from_nodes(_all_quadratic_nodes(mesh),
+                                        lagrange_basis(2, quad), len(quad))
+
+
+# -- closed-form 3x3 algebra ---------------------------------------------------
+# Entry by entry on (..., 3, 3) stacks, so every operation streams whole
+# arrays of quadrature points instead of looping over LAPACK calls.
+
+
+def _cofactor(jac: np.ndarray, i: int, k: int) -> np.ndarray:
+    """Signed cofactor of entry (i, k) of (..., 3, 3) matrices."""
+    i1, i2, k1, k2 = (i + 1) % 3, (i + 2) % 3, (k + 1) % 3, (k + 2) % 3
+    return jac[..., i1, k1] * jac[..., i2, k2] - jac[..., i1, k2] * jac[..., i2, k1]
+
+
+def _checked_determinant(jac: np.ndarray) -> np.ndarray:
+    """det J by cofactor expansion along the first row; raises ValueError
+    unless every determinant is positive."""
+    det = jac[..., 0, 0] * _cofactor(jac, 0, 0)
+    det += jac[..., 0, 1] * _cofactor(jac, 0, 1)
+    det += jac[..., 0, 2] * _cofactor(jac, 0, 2)
+    if not np.min(det) > 0.0:
         raise ValueError(f"degenerate cell: min det J = {np.min(det):.3e}")
-    return jac, det
+    return det
+
+
+def adjugate(jac: np.ndarray) -> np.ndarray:
+    """adj J = det(J) J^-1 of (..., 3, 3) matrices: entry (k, i) is the
+    cofactor of J_ik.  Stored entry-major, so each entry is contiguous."""
+    adj = np.empty((3, 3) + jac.shape[:-2])
+    for i in range(3):
+        for k in range(3):
+            adj[k, i] = _cofactor(jac, i, k)
+    return np.moveaxis(adj, (0, 1), (-2, -1))
 
 
 @dataclass(frozen=True)
@@ -200,19 +229,28 @@ _SYMMETRIC_ROWS = (0, 1, 2, 0, 0, 1)
 _SYMMETRIC_COLS = (0, 1, 2, 1, 2, 2)
 
 
-def symmetric_coefficients(inv: np.ndarray, jxw: np.ndarray) -> np.ndarray:
-    """The six distinct entries of G = J^-1 (w det J) J^-T on a new leading
-    axis, in SYMMETRIC_INDEX order: inv (..., 3, 3) and jxw (...) give
-    (6, ...)."""
-    rows = inv[..., _SYMMETRIC_ROWS, :]
-    cols = inv[..., _SYMMETRIC_COLS, :]
-    return np.einsum("...aj,...aj->a...", rows, cols) * jxw
+def symmetric_coefficients(m: np.ndarray, scale) -> np.ndarray:
+    """The six distinct entries of m m^T * scale on a new leading axis, in
+    SYMMETRIC_INDEX order: m (..., 3, 3) and scale (...) give (6, ...).
+    With m = J^-1 and scale = w det J this is G = J^-1 (w det J) J^-T."""
+    out = np.empty((6,) + np.broadcast_shapes(m.shape[:-2], np.shape(scale)))
+    for entry, a, b in zip(out, _SYMMETRIC_ROWS, _SYMMETRIC_COLS):
+        dot = m[..., a, 0] * m[..., b, 0]
+        dot += m[..., a, 1] * m[..., b, 1]
+        dot += m[..., a, 2] * m[..., b, 2]
+        np.multiply(dot, scale, out=entry)
+    return out
+
+
+def metric_tensor(jac: np.ndarray, det: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The six entries of G = J^-1 (w det J) J^-T = adj(J) adj(J)^T (w / det J)
+    in closed form, shaped (6, ...)."""
+    return symmetric_coefficients(adjugate(jac), weights / det)
 
 
 def _final_tensor(jac, det, weights):
     """J^-1 (w det J) J^-T as symmetric 6-storage (xx,yy,zz,xy,xz,yz)."""
-    sym = symmetric_coefficients(np.linalg.inv(jac), det * weights)
-    return np.ascontiguousarray(np.moveaxis(sym, 0, -1))
+    return np.ascontiguousarray(np.moveaxis(metric_tensor(jac, det, weights), 0, -1))
 
 
 def _tensor_weights(quad: QuadratureRule1D) -> np.ndarray:
@@ -246,17 +284,17 @@ def precompute_geometry(mesh: HexMesh, variant: GeometryVariant,
         if nq < 2:
             raise ValueError("isoparametric geometry needs >= 2 points/dir")
         support = gauss_lobatto_quadrature(nq).points
-        lattice = _cell_lattice(mesh, np.array([0.0, 0.5, 1.0]))
         basis2 = lagrange_basis(2, QuadratureRule1D(support, np.full(len(support), 1.0 / len(support))))
         n_cells = mesh.n_cells
-        coords = mesh.map_points(lattice).transpose(0, 2, 1).reshape(n_cells, 3, 3, 3, 3)
+        coords = _all_quadratic_nodes(mesh).transpose(0, 2, 1).reshape(n_cells, 3, 3, 3, 3)
         vals = evaluate_values(basis2, coords)  # (cells, coord, s,s,s)
         nodes = vals.reshape(n_cells, 3, -1).transpose(0, 2, 1)
         payload = {"nodes": nodes, "weights": weights, "n_support": len(support)}
         return GeometryData(variant, quad, payload, 3 * len(support) ** 3)
     jac, det = _reference_jacobians(mesh, quad)
     if variant == GeometryVariant.INVERSE_JACOBIAN_LOAD:
-        inv = np.linalg.inv(jac)
+        inv = np.empty(jac.shape)
+        np.divide(adjugate(jac), det[..., None, None], out=inv)
         payload = {"inverse_jacobian": inv, "jxw": det * weights}
         return GeometryData(variant, quad, payload, 10 * nq**3)
     if variant == GeometryVariant.FINAL_TENSOR_LOAD:
@@ -288,10 +326,7 @@ def compute_jacobians_from_nodes(nodes: np.ndarray, geo_basis, nq: int):
     coords = nodes.transpose(0, 2, 1).reshape(n_batch, 3, npd, npd, npd)
     g = evaluate_gradients(geo_basis, coords)
     jac = np.transpose(g.reshape(3, n_batch, 3, nq**3), (1, 3, 2, 0))
-    det = np.linalg.det(jac)
-    if np.min(det) <= 0.0:
-        raise ValueError(f"degenerate cell: min det J = {np.min(det):.3e}")
-    return jac, det
+    return jac, _checked_determinant(jac)
 
 
 def mesh_to_text(mesh: HexMesh) -> str:

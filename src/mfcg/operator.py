@@ -21,6 +21,7 @@ from .dofs import (
     BatchPlan,
     DofHandler,
     _expand_scalar,
+    _group_by,
     compute_range_schedule,
     expand_batch,
 )
@@ -29,6 +30,7 @@ from .mesh import (
     GeometryVariant,
     HexMesh,
     compute_jacobians_from_nodes,
+    metric_tensor,
     precompute_geometry,
     symmetric_coefficients,
 )
@@ -102,10 +104,14 @@ class DiagonalPreconditioner:
 
 def _cell_stream_ranges(cells: np.ndarray, bytes_per_cell: int) -> np.ndarray:
     """512-byte range ids covered by the per-cell records of `cells`."""
-    pieces = [np.arange((int(c) * bytes_per_cell) // trace.GRAIN_BYTES,
-                        -(-((int(c) + 1) * bytes_per_cell) // trace.GRAIN_BYTES))
-              for c in cells]
-    return np.unique(np.concatenate(pieces)) if pieces else np.empty(0, dtype=np.int64)
+    cells = np.asarray(cells, dtype=np.int64)
+    lo = (cells * bytes_per_cell) // trace.GRAIN_BYTES
+    hi = -(-((cells + 1) * bytes_per_cell) // trace.GRAIN_BYTES)
+    counts = hi - lo
+    # lo[c], lo[c] + 1, ..., hi[c] - 1 for every cell, concatenated
+    ends = np.cumsum(counts)
+    ranges = np.arange(ends[-1] if len(ends) else 0) + np.repeat(lo - ends + counts, counts)
+    return np.unique(ranges)
 
 
 def _merge_spans(ranges: np.ndarray, range_size: int, n: int):
@@ -185,22 +191,15 @@ class MatrixFreeOperator:
 
     def _first_touch_spans(self):
         """Per batch: dof spans of dst ranges first written by that batch."""
-        first = self.schedule.first_touch_batch
-        spans = []
-        for b in range(self.plan.n_batches):
-            ranges = np.flatnonzero(first == b)
-            spans.append(_merge_spans(ranges, RANGE_SIZE, self.n_dofs))
-        return spans
+        groups = _group_by(self.schedule.first_touch_batch, self.plan.n_batches)
+        return [_merge_spans(ranges, RANGE_SIZE, self.n_dofs) for ranges in groups]
 
     def _metadata_ranges(self):
         """512-byte range ids of the geometry and index streams per batch."""
         dpc_geo = self.geometry.doubles_per_cell * 8
         dpc_idx = 27 * 4
-        geom, idxm = [], []
-        for cells in self.plan.batches:
-            cells = np.asarray(cells)
-            geom.append(_cell_stream_ranges(cells, dpc_geo))
-            idxm.append(_cell_stream_ranges(cells, dpc_idx))
+        geom = [_cell_stream_ranges(cells, dpc_geo) for cells in self.plan.batches]
+        idxm = [_cell_stream_ranges(cells, dpc_idx) for cells in self.plan.batches]
         return geom, idxm
 
     # -- geometry per batch ----------------------------------------------------
@@ -231,8 +230,10 @@ class MatrixFreeOperator:
         else:  # compute variants: differentiate the stored geometry interpolant
             jac, det = compute_jacobians_from_nodes(
                 payload["nodes"][cells], self._geo_basis, len(self.quadrature))
-            inv = np.linalg.inv(jac) if self.spec.needs_gradients else None
-            jxw = det * payload["weights"]
+            sym = None
+            if self.spec.needs_gradients:
+                sym = metric_tensor(jac, det, payload["weights"])
+            return sym, det * payload["weights"]
         sym = symmetric_coefficients(inv, jxw) if self.spec.needs_gradients else None
         return sym, np.broadcast_to(jxw, (len(cells), jxw.shape[-1]))
 
@@ -377,24 +378,25 @@ class MatrixFreeOperator:
         n1 = p + 1
         rule = gauss_lobatto_quadrature(n1)
         basis = lagrange_basis(p, rule)
-        geo = precompute_geometry(self.mesh, GeometryVariant.INVERSE_JACOBIAN_LOAD, rule)
+        geo = precompute_geometry(self.mesh, GeometryVariant.FINAL_TENSOR_LOAD, rule)
         jxw = geo.payload["jxw"]
         n_cells = self.handler.n_cells
         diag_loc = np.zeros((n_cells, n1, n1, n1))
         if self.spec.needs_values:
             diag_loc += jxw.reshape(n_cells, n1, n1, n1)
         if self.spec.needs_gradients:
-            sym = symmetric_coefficients(geo.payload["inverse_jacobian"], jxw)
-            G = sym[SYMMETRIC_INDEX].reshape(3, 3, n_cells, n1, n1, n1)
+            # G[i, k] as strided views of the stored six entries
+            sym = geo.payload["final_tensor"].reshape(n_cells, n1, n1, n1, 6)
+            G = [[sym[..., e] for e in row] for row in SYMMETRIC_INDEX]
             D2 = basis.shape_gradients ** 2
-            lap = np.einsum("qi,ckjq->ckji", D2, G[0, 0])
-            lap += np.einsum("qj,ckqi->ckji", D2, G[1, 1])
-            lap += np.einsum("qk,cqji->ckji", D2, G[2, 2])
+            lap = np.einsum("qi,ckjq->ckji", D2, G[0][0])
+            lap += np.einsum("qj,ckqi->ckji", D2, G[1][1])
+            lap += np.einsum("qk,cqji->ckji", D2, G[2][2])
             dd = np.diag(basis.shape_gradients)
             dx = dd[None, None, None, :]
             dy = dd[None, None, :, None]
             dz = dd[None, :, None, None]
-            lap += 2.0 * (dx * dy * G[0, 1] + dx * dz * G[0, 2] + dy * dz * G[1, 2])
+            lap += 2.0 * (dx * dy * G[0][1] + dx * dz * G[0][2] + dy * dz * G[1][2])
             scale = self.spec.scaling if self.spec.equation == "mass_plus_laplace" else 1.0
             diag_loc += scale * lap
         scalar_idx = _expand_scalar(self.handler, np.arange(n_cells))

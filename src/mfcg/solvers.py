@@ -179,6 +179,17 @@ def _stagnates(fixed: bool, residual: float, tolerance: float) -> bool:
     return fixed and residual < tolerance
 
 
+def _check_preconditioned_product(rz: float, residual: float,
+                                  tolerance: float, k: int) -> None:
+    """r^T M^-1 r must be positive while r is not yet converged; otherwise
+    the preconditioner is not SPD.  Below the tolerance, r^T M^-1 r <= 0 is
+    roundoff on a converged residual (fixed-iteration stagnation)."""
+    if rz <= 0.0 and residual >= tolerance:
+        raise SolverBreakdown(
+            f"PCG breakdown: preconditioned product r^T M^-1 r = {rz:.3e} "
+            f"<= 0 at iteration {k} (preconditioner not SPD)")
+
+
 # -- standard CG / PCG --------------------------------------------------------
 
 
@@ -286,6 +297,7 @@ def solve_pcg(A, b, minv, config: SolverConfig = None, *,
         p = z.copy()
         gamma = r @ z
         _record(rec, reads=("b", "minv", "r", "z"), writes=("r", "z", "p"))
+    _check_preconditioned_product(gamma, 1.0, cfg.tolerance, 0)
     history = []
     limit = cfg.fixed_iterations or cfg.max_iterations
     fixed = cfg.fixed_iterations is not None
@@ -325,6 +337,7 @@ def solve_pcg(A, b, minv, config: SolverConfig = None, *,
         with _region(rec, times, "dot_rz"):
             gamma_new = r @ z
             _record(rec, reads=("r", "z"))
+        _check_preconditioned_product(gamma_new, residual, cfg.tolerance, k)
         beta = gamma_new / gamma if gamma > 0.0 else 0.0
         history.append({"k": k, "alpha": alpha, "beta": beta,
                         "gamma": gamma, "residual": residual})
@@ -818,7 +831,12 @@ def solve_combined_pcg(A, b, minv, config: SolverConfig = None, *,
 def solve(variant: str, A, b, *, minv=None, config: SolverConfig = None,
           recorder=None) -> SolveResult:
     """Dispatch by variant name; `minv` is required for the preconditioned
-    variants and ignored by the rest."""
+    variants and ignored by the rest.  A non-finite entry in `b` or `minv` is
+    rejected up front: no variant could converge on it."""
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side has non-finite entries")
+    if minv is not None and not np.all(np.isfinite(_scalar_inverse_diagonal(minv))):
+        raise ValueError("preconditioner has non-finite entries")
     if variant == "cg":
         return solve_cg(A, b, config, recorder=recorder)
     if variant == "pcg":

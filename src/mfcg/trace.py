@@ -68,6 +68,7 @@ class AccessRecorder:
 
     def __init__(self):
         self.streams = {}
+        self._by_sid = {}
         self.chunks = []
         self.iteration = -1
         self._region = -1
@@ -85,6 +86,7 @@ class AccessRecorder:
             return stream
         stream = Stream(len(self.streams), name, kind, n_bytes)
         self.streams[name] = stream
+        self._by_sid[stream.sid] = stream
         return stream
 
     def register_dofs(self, name: str, n_dofs: int, kind: str = "vector") -> Stream:
@@ -137,20 +139,13 @@ class AccessRecorder:
     def mark(self) -> int:
         return len(self.chunks)
 
-    def chunks_since(self, mark: int):
-        return self.chunks[mark:]
-
-    @property
-    def n_events(self) -> int:
-        return sum(len(c.ranges) for c in self.chunks)
-
     def assert_within(self, mark: int, dof_lo: int, dof_hi: int,
                       n_dofs: int) -> None:
         """Check that every dof-length vector event since `mark` stays inside
         the dof span [dof_lo, dof_hi).  Streams of other lengths are scaled
         proportionally (e.g. a scalar diagonal on a 3-component vector)."""
         for chunk in self.chunks[mark:]:
-            stream = _stream_by_sid(self.streams, chunk.sid)
+            stream = self._by_sid[chunk.sid]
             if stream.kind != "vector":
                 continue
             scale = stream.n_bytes / (8 * n_dofs)
@@ -161,10 +156,3 @@ class AccessRecorder:
                     f"stream {stream.name!r} touched ranges "
                     f"[{chunk.ranges.min()}, {chunk.ranges.max()}] outside the "
                     f"scheduled span [{lo}, {hi}) in region {chunk.tag!r}")
-
-
-def _stream_by_sid(streams: dict, sid: int) -> Stream:
-    for stream in streams.values():
-        if stream.sid == sid:
-            return stream
-    raise KeyError(sid)

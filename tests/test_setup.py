@@ -1,0 +1,285 @@
+"""Problem set-up against the per-cell implementations it replaced.
+
+Numbering, renumbering, schedules, spans and connectivity are index
+arithmetic and must equal the loops in _oracles exactly.  Geometry and the
+right-hand side change only the 3x3 algebra (closed-form cofactors instead
+of LAPACK) and must agree to 1e-14 relative to the largest entry.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import mfcg.mesh
+from _oracles import (
+    build_fem,
+    lapack_diagonal,
+    lapack_geometry,
+    lapack_jacobians,
+    loop_boundary_nodes,
+    loop_build_rhs,
+    loop_cell_stream_ranges,
+    loop_connectivity,
+    loop_distribute_dofs,
+    loop_first_touch_spans,
+    loop_morton_order,
+    loop_range_schedule,
+    loop_renumber_optimized,
+)
+from mfcg.bench import assemble_problem, build_rhs
+from mfcg.dofs import (
+    _boundary_nodes,
+    _morton_order,
+    batch_size,
+    compute_range_schedule,
+    distribute_dofs,
+    make_batches,
+    renumber_optimized,
+)
+from mfcg.mesh import (
+    GeometryVariant,
+    adjugate,
+    build_cartesian_mesh,
+    compute_jacobians_from_nodes,
+    deform_mesh,
+    metric_tensor,
+    precompute_geometry,
+    quadratic_geometry_nodes,
+)
+from mfcg.operator import _cell_stream_ranges
+from mfcg.tensor import gauss_quadrature, lagrange_basis
+
+CELLS = [(1, 1, 1), (3, 5, 2), (4, 4, 4), (6, 6, 6)]
+REL = 1e-14
+
+
+def assert_close(actual, expected, rel=REL):
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(actual - expected)) <= rel * scale
+
+
+def assert_same_handler(actual, expected):
+    assert actual.n_dofs == expected.n_dofs
+    assert actual.numbering_kind == expected.numbering_kind
+    np.testing.assert_array_equal(actual.cell_index_blocks, expected.cell_index_blocks)
+    assert actual.cell_index_blocks.dtype == expected.cell_index_blocks.dtype
+    np.testing.assert_array_equal(actual.constrained_dofs, expected.constrained_dofs)
+    if expected.permutation is None:
+        assert actual.permutation is None
+    else:
+        np.testing.assert_array_equal(actual.permutation, expected.permutation)
+
+
+def assert_same_schedule(handler, plan):
+    schedule = compute_range_schedule(handler, plan)
+    first, last, pre, post = loop_range_schedule(handler, plan)
+    np.testing.assert_array_equal(schedule.first_touch_batch, first)
+    np.testing.assert_array_equal(schedule.last_touch_batch, last)
+    assert len(schedule.pre_schedule) == len(pre) == plan.n_batches
+    for got, want in zip(schedule.pre_schedule + schedule.post_schedule, pre + post):
+        np.testing.assert_array_equal(got, want)
+
+
+def check_numbering(cells, p, comp, constrain, size, traversal):
+    mesh = build_cartesian_mesh(cells)
+    handler = distribute_dofs(mesh, p, components=comp, constrain_boundary=constrain)
+    assert_same_handler(handler, loop_distribute_dofs(mesh, p, comp, constrain))
+    plan = make_batches(mesh, size, traversal)
+    assert_same_schedule(handler, plan)
+    renumbered = renumber_optimized(handler, plan)
+    assert_same_handler(renumbered, loop_renumber_optimized(handler, plan))
+    assert_same_schedule(renumbered, plan)
+
+
+# ---------------------------------------------------------------------------
+# index arithmetic: exact equality
+
+
+@pytest.mark.parametrize("cells", CELLS)
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("comp", [1, 3])
+def test_numbering_renumbering_and_schedules_match_loops(cells, p, comp):
+    check_numbering(cells, p, comp, True, batch_size(p, comp, 2), "morton")
+
+
+@pytest.mark.parametrize("cells", CELLS)
+@pytest.mark.parametrize("p", [1, 3])
+def test_unconstrained_lexicographic_match_loops(cells, p):
+    check_numbering(cells, p, 1, False, 5, "lexicographic")
+
+
+@pytest.mark.parametrize("cells", CELLS)
+@pytest.mark.parametrize("p", [1, 2, 5])
+def test_boundary_nodes_match_loop(cells, p):
+    handler = distribute_dofs(build_cartesian_mesh(cells), p)
+    nodes = _boundary_nodes(handler)
+    np.testing.assert_array_equal(nodes, loop_boundary_nodes(handler))
+    assert nodes.dtype == np.int64
+
+
+@pytest.mark.parametrize("cells", CELLS + [(1, 7, 3), (8, 2, 1)])
+def test_morton_order_matches_loop(cells):
+    order = _morton_order(cells)
+    np.testing.assert_array_equal(order, loop_morton_order(cells))
+    assert order.dtype == np.int64
+
+
+@pytest.mark.parametrize("cells", CELLS)
+def test_connectivity_matches_loop(cells):
+    conn = build_cartesian_mesh(cells).cell_vertex_indices
+    np.testing.assert_array_equal(conn, loop_connectivity(cells))
+    assert conn.dtype == np.int64
+
+
+@pytest.mark.parametrize("cells", [(3, 5, 2), (6, 6, 6)])
+@pytest.mark.parametrize("numbering", ["default", "optimized"])
+@pytest.mark.parametrize("variant", [GeometryVariant.FINAL_TENSOR_LOAD,
+                                     GeometryVariant.QUADRATIC_COMPUTE])
+def test_operator_spans_and_metadata_ranges_match_loops(cells, numbering, variant):
+    op, _ = build_fem(cells, p=2, comp=3, batch=7, traversal="morton",
+                      numbering=numbering, variant=variant)
+    assert op._zero_spans == loop_first_touch_spans(op)
+    for cells_b, geom, idxm in zip(op.plan.batches, op._geom_ranges, op._idx_ranges):
+        np.testing.assert_array_equal(
+            geom, loop_cell_stream_ranges(cells_b, op.geometry.doubles_per_cell * 8))
+        np.testing.assert_array_equal(idxm, loop_cell_stream_ranges(cells_b, 27 * 4))
+    assert _cell_stream_ranges(np.empty(0, dtype=np.int64), 8).size == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(nx=st.integers(1, 6), ny=st.integers(1, 6), nz=st.integers(1, 6),
+       p=st.integers(1, 4), comp=st.sampled_from([1, 3]),
+       constrain=st.booleans(), size=st.integers(1, 40),
+       traversal=st.sampled_from(["lexicographic", "morton"]))
+def test_numbering_property(nx, ny, nz, p, comp, constrain, size, traversal):
+    check_numbering((nx, ny, nz), p, comp, constrain, size, traversal)
+    np.testing.assert_array_equal(_morton_order((nx, ny, nz)),
+                                  loop_morton_order((nx, ny, nz)))
+
+
+# ---------------------------------------------------------------------------
+# closed-form geometry: 1e-14 relative to LAPACK
+
+
+@pytest.mark.parametrize("cells", [(1, 1, 1), (3, 5, 2), (4, 4, 4)])
+@pytest.mark.parametrize("nq", [2, 4, 6])
+def test_geometry_matches_lapack(cells, nq):
+    mesh = deform_mesh(build_cartesian_mesh(cells), 0.05)
+    quad = gauss_quadrature(nq)
+    inv, jxw, sym = lapack_geometry(mesh, quad)
+    final = precompute_geometry(mesh, GeometryVariant.FINAL_TENSOR_LOAD, quad).payload
+    assert_close(final["jxw"], jxw)
+    assert_close(np.moveaxis(final["final_tensor"], -1, 0), sym)
+    loaded = precompute_geometry(mesh, GeometryVariant.INVERSE_JACOBIAN_LOAD, quad).payload
+    assert_close(loaded["inverse_jacobian"], inv)
+    assert_close(loaded["jxw"], jxw)
+
+
+def test_adjugate_and_metric_tensor_on_random_matrices():
+    rng = np.random.default_rng(3)
+    jac = rng.standard_normal((50, 8, 3, 3)) + 3.0 * np.eye(3)
+    det = np.linalg.det(jac)
+    assert_close(adjugate(jac), np.linalg.inv(jac) * det[..., None, None])
+    weights = rng.uniform(0.5, 1.0, 8)
+    inv = np.linalg.inv(jac)
+    want = np.einsum("...ak,...bk->...ab", inv, inv) * (det * weights)[..., None, None]
+    got = metric_tensor(jac, det, weights)
+    for e, (a, b) in enumerate([(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]):
+        assert_close(got[e], want[..., a, b], rel=1e-13)
+
+
+@pytest.mark.parametrize("variant", [GeometryVariant.QUADRATIC_COMPUTE,
+                                     GeometryVariant.ISOPARAMETRIC_COMPUTE,
+                                     GeometryVariant.INVERSE_JACOBIAN_LOAD])
+def test_batch_geometry_matches_lapack(variant):
+    op, _ = build_fem((3, 2, 2), p=3, variant=variant, batch=5)
+    _, jxw, sym = lapack_geometry(op.mesh, op.quadrature)
+    for cells in op.plan.batches:
+        got_sym, got_jxw = op._batch_geometry(np.asarray(cells))
+        assert_close(got_jxw, jxw[cells])
+        assert_close(got_sym, sym[:, cells])
+
+
+@pytest.mark.parametrize("eq,comp", [("laplace", 1), ("mass", 3),
+                                     ("mass_plus_laplace", 1)])
+@pytest.mark.parametrize("p", [1, 3, 5])
+def test_diagonal_matches_lapack(eq, comp, p):
+    op, _ = build_fem((3, 2, 4), p=p, comp=comp, eq=eq, scaling=0.5)
+    assert_close(op.compute_diagonal().inverse_diagonal, lapack_diagonal(op))
+
+
+def test_degenerate_jacobian_raises():
+    mesh = build_cartesian_mesh((2, 1, 1))
+    nodes = np.stack([quadratic_geometry_nodes(mesh, c) for c in range(2)])
+    basis = lagrange_basis(2, gauss_quadrature(3))
+    flat = nodes.copy()
+    flat[1, :, 2] = 0.0  # second cell collapsed to zero thickness
+    with pytest.raises(ValueError, match="degenerate"):
+        compute_jacobians_from_nodes(flat, basis, 3)
+    mirrored = nodes.copy()
+    mirrored[0, :, 0] *= -1.0  # inverted orientation: det J < 0
+    with pytest.raises(ValueError, match="degenerate"):
+        compute_jacobians_from_nodes(mirrored, basis, 3)
+    nan = nodes.copy()
+    nan[0, 4, 1] = np.nan
+    with pytest.raises(ValueError, match="degenerate"):
+        compute_jacobians_from_nodes(nan, basis, 3)
+    with pytest.raises(ValueError, match="non-positive Jacobian"):
+        deform_mesh(mesh, 5.0)
+
+
+def test_closed_form_determinant_matches_lapack():
+    mesh = deform_mesh(build_cartesian_mesh((4, 4, 4)), 0.05)
+    nodes = np.stack([quadratic_geometry_nodes(mesh, c) for c in range(mesh.n_cells)])
+    basis = lagrange_basis(2, gauss_quadrature(5))
+    jac, det = compute_jacobians_from_nodes(nodes, basis, 5)
+    want_jac, want_det = lapack_jacobians(nodes, basis, 5)
+    np.testing.assert_array_equal(jac, want_jac)
+    assert_close(det, want_det)
+
+
+# ---------------------------------------------------------------------------
+# one-pass right-hand side
+
+
+@pytest.mark.parametrize("bp,degree,cells,numbering", [
+    ("BP1", 1, (1, 1, 1), "default"),
+    ("BP3", 2, (3, 5, 2), "default"),
+    ("BP2", 2, (4, 4, 4), "optimized"),
+    ("BP4", 3, (3, 5, 2), "optimized"),
+    ("BP5", 5, (4, 4, 4), "optimized"),
+    ("BP5", 3, (6, 6, 6), "default"),
+])
+def test_rhs_matches_per_cell_loop(bp, degree, cells, numbering):
+    op, b, _ = assemble_problem(bp, degree, cells, numbering=numbering)
+    assert_close(b, loop_build_rhs(op))
+
+
+@pytest.mark.parametrize("cells", [(2, 2, 2), (5, 4, 3)])
+def test_rhs_builds_the_lattice_once(monkeypatch, cells):
+    op, _ = build_fem(cells, p=2)
+    calls = []
+    original = mfcg.mesh._cell_lattice
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mfcg.mesh, "_cell_lattice", counting)
+    build_rhs(op)
+    assert len(calls) == 1
+
+
+def test_single_cell_nodes_match_all_cell_lattice():
+    mesh = deform_mesh(build_cartesian_mesh((3, 5, 2)), 0.05)
+    every = mfcg.mesh._all_quadratic_nodes(mesh)
+    for cell in (0, 7, mesh.n_cells - 1):
+        np.testing.assert_array_equal(quadratic_geometry_nodes(mesh, cell), every[cell])
+    with pytest.raises(IndexError):
+        quadratic_geometry_nodes(mesh, mesh.n_cells)
+
+
+def test_gauss_lobatto_rhs_matches_loop():
+    op, _ = build_fem((3, 2, 2), p=4, quadrature="gauss_lobatto", nq=5)
+    assert_close(build_rhs(op), loop_build_rhs(op))

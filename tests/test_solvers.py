@@ -221,6 +221,32 @@ class TestBreakdown:
         with pytest.raises(SolverBreakdown, match="preconditioner"):
             solve_combined_pcg(A, np.ones(3), np.array([1.0, -1.0, 1.0]))
 
+    def test_pcg_rejects_negative_definite_preconditioner(self):
+        # used to zero beta silently and report convergence
+        A = ArrayOperator(np.diag([2.0, 3.0, 4.0]))
+        with pytest.raises(SolverBreakdown, match="preconditioner"):
+            solve_pcg(A, np.ones(3), -np.ones(3))
+
+    def test_pcg_rejects_indefinite_preconditioner_mid_solve(self):
+        # r^T M^-1 r > 0 for r = b, <= 0 for a later unconverged residual
+        A = ArrayOperator(np.diag([1.0, 2.0, 3.0]))
+        with pytest.raises(SolverBreakdown, match="iteration 1"):
+            solve_pcg(A, np.ones(3), np.array([1.0, 1.0, -1.0]))
+
+    @pytest.mark.parametrize("variant", ALL_SOLVERS)
+    def test_non_finite_rhs_rejected(self, variant):
+        # a NaN in b used to run every variant to the iteration limit
+        A = ArrayOperator(np.diag([2.0, 3.0, 4.0, 5.0]))
+        b = np.array([1.0, np.nan, 1.0, 1.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            solve(variant, A, b, minv=np.ones(4))
+
+    @pytest.mark.parametrize("variant", ["pcg", "combined_pcg"])
+    def test_non_finite_preconditioner_rejected(self, variant):
+        A = ArrayOperator(np.diag([2.0, 3.0, 4.0, 5.0]))
+        with pytest.raises(ValueError, match="non-finite"):
+            solve(variant, A, np.ones(4), minv=np.array([1.0, np.inf, 1.0, 1.0]))
+
     def test_sstep_s_guard(self):
         A = ArrayOperator(np.eye(4))
         with pytest.raises(ValueError, match="s > 8"):
