@@ -20,18 +20,11 @@ from .mesh import (
     GeometryVariant,
     _all_quadratic_nodes,
     build_cartesian_mesh,
-    compute_jacobians_from_nodes,
     deform_mesh,
 )
 from .operator import MatrixFreeOperator, OperatorSpec
 from .solvers import SolverConfig, solve
-from .tensor import (
-    evaluate_values,
-    gauss_lobatto_quadrature,
-    gauss_quadrature,
-    integrate_values,
-    lagrange_basis,
-)
+from .tensor import evaluate_values, integrate_values, lagrange_basis
 
 
 @dataclass(frozen=True)
@@ -87,27 +80,21 @@ def manufactured_forcing(points: np.ndarray, equation: str) -> np.ndarray:
 
 def build_rhs(op: MatrixFreeOperator) -> np.ndarray:
     """Weak-form right-hand side b_i = integral f phi_i dx for the
-    manufactured forcing, integrated with the operator's own quadrature on
-    the tri-quadratic geometry.  Constrained entries are zeroed (g = 0)."""
+    manufactured forcing, integrated with the operator's own quadrature,
+    basis and w det J on the tri-quadratic geometry.  Constrained entries
+    are zeroed (g = 0)."""
     spec, mesh, handler = op.spec, op.mesh, op.handler
     nq = spec.n_q_1d
-    quad = (gauss_lobatto_quadrature(nq) if spec.quadrature_kind == "gauss_lobatto"
-            else gauss_quadrature(nq))
-    basis = lagrange_basis(spec.degree, quad)
-    geo_basis = lagrange_basis(2, quad)
-    nodes = _all_quadratic_nodes(mesh)
-    _, det = compute_jacobians_from_nodes(nodes, geo_basis, nq)
-    coords = nodes.transpose(0, 2, 1).reshape(-1, 3, 3, 3, 3)
-    pts = evaluate_values(geo_basis, coords)          # (cells, 3, nq, nq, nq)
+    cells = np.arange(mesh.n_cells)
+    _, jxw = op._batch_geometry(cells, coefficients=False)
+    coords = _all_quadratic_nodes(mesh).transpose(0, 2, 1).reshape(-1, 3, 3, 3, 3)
+    pts = evaluate_values(lagrange_basis(2, op.quadrature), coords)  # (cells, 3, nq, nq, nq)
     pts = pts.reshape(-1, 3, nq ** 3).transpose(0, 2, 1)
-    w = quad.weights
-    tw = (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
-    f = manufactured_forcing(pts, spec.equation)
-    fw = (f * det * tw).reshape(-1, nq, nq, nq)
-    local = integrate_values(basis, fw).reshape(mesh.n_cells, -1)
+    fw = (manufactured_forcing(pts, spec.equation) * jxw).reshape(-1, nq, nq, nq)
+    local = integrate_values(op.basis, fw).reshape(mesh.n_cells, -1)
     # one scatter over all cells; bincount adds in cell order
     local = np.repeat(local, spec.components, axis=1)
-    idx = expand_batch(handler, np.arange(mesh.n_cells))
+    idx = expand_batch(handler, cells)
     b = np.bincount(idx.ravel(), weights=local.ravel(), minlength=handler.n_dofs)
     b[handler.constrained_dofs] = 0.0
     return b

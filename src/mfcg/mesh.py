@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -82,6 +83,12 @@ class HexMesh:
         scaled = np.pi * points / np.asarray(self.extents)
         bump = np.prod(np.sin(scaled), axis=-1, keepdims=True)
         return points + self.deformation * bump
+
+    @cached_property
+    def _quadratic_nodes(self) -> np.ndarray:
+        nodes = self.map_points(_cell_lattice(self, _QUADRATIC_ORDER))
+        nodes.flags.writeable = False
+        return nodes
 
 
 def build_cartesian_mesh(cells_per_dim, extents=(1.0, 1.0, 1.0)) -> HexMesh:
@@ -159,8 +166,9 @@ def quadratic_geometry_nodes(mesh: HexMesh, cell: int) -> np.ndarray:
 
 
 def _all_quadratic_nodes(mesh: HexMesh) -> np.ndarray:
-    """(n_cells, 27, 3) tri-quadratic nodes for every cell."""
-    return mesh.map_points(_cell_lattice(mesh, _QUADRATIC_ORDER))
+    """(n_cells, 27, 3) tri-quadratic nodes for every cell, built once per
+    mesh and shared read-only by the geometry and the right-hand side."""
+    return mesh._quadratic_nodes
 
 
 def _reference_jacobians(mesh: HexMesh, quad: QuadratureRule1D):

@@ -131,6 +131,28 @@ def _merge_spans(ranges: np.ndarray, range_size: int, n: int):
     return spans
 
 
+# SYMMETRIC_INDEX row by row: flux_i = G[i, 0] grad_0 + G[i, 1] grad_1 + G[i, 2] grad_2
+_FLUX_ROWS = tuple(tuple(int(e) for e in row) for row in SYMMETRIC_INDEX)
+
+
+def _flux(sym: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """G grad u per quadrature point, straight from the six entries of G.
+
+    grads: (3, n_batch, components, n_q, n_q, n_q); sym: the six entries,
+    (6, n_batch or 1, n_q^3).  The products of each row are summed in
+    gradient order."""
+    flux = np.empty_like(grads)
+    n = grads.shape[1]
+    d0, d1, d2 = grads.reshape(3, n, -1, sym.shape[-1])
+    g = sym.reshape(6, -1, 1, sym.shape[-1])
+    product = np.empty_like(d0)
+    for f, (i, k, m) in zip(flux.reshape((3,) + d0.shape), _FLUX_ROWS):
+        np.multiply(g[i], d0, out=f)
+        f += np.multiply(g[k], d1, out=product)
+        f += np.multiply(g[m], d2, out=product)
+    return flux
+
+
 class MatrixFreeOperator:
     """v = A u evaluated batch by batch with sum-factorized cell kernels."""
 
@@ -158,6 +180,7 @@ class MatrixFreeOperator:
         elif spec.geometry == GeometryVariant.ISOPARAMETRIC_COMPUTE:
             self._geo_basis = lagrange_basis(spec.n_q_1d - 1, self.quadrature)
         self.schedule = compute_range_schedule(handler, plan)
+        self._nq = len(self.quadrature)
         self.n_dofs = handler.n_dofs
         self.components = spec.components
 
@@ -166,9 +189,10 @@ class MatrixFreeOperator:
         self._constrained_mask = mask
         self._constrained = handler.constrained_dofs
 
-        # per-batch caches: expanded indices relative to the start of the
-        # batch's window (its touched ranges, first to last), the window
-        # start, constraint masks, touched ranges and their dof spans
+        # per-batch caches: cell ids, expanded indices relative to the start
+        # of the batch's window (its touched ranges, first to last), the
+        # window start, constraint masks, touched ranges and their dof spans
+        self._batch_cells = [np.asarray(cells) for cells in plan.batches]
         self._batch_idx = []
         self._batch_lo = []
         self._batch_cmask = []
@@ -184,8 +208,22 @@ class MatrixFreeOperator:
             self._batch_cmask.append(cmask if cmask.any() else None)
             self._batch_ranges.append(ranges)
             self._batch_spans.append(_merge_spans(ranges, RANGE_SIZE, handler.n_dofs))
+        # per batch, the kernel's (coefficients, jxw) where they are data,
+        # not work: the final tensor gathered in batch order, contiguous per
+        # entry as the cell loop streams it, and the affine variant's, which
+        # every cell shares
+        self._stored_geometry = None
+        if spec.geometry in (GeometryVariant.FINAL_TENSOR_LOAD, GeometryVariant.AFFINE):
+            self._stored_geometry = [self._batch_geometry(cells, jxw=spec.needs_values)
+                                     for cells in self._batch_cells]
         self._zero_spans = self._first_touch_spans()
         self._geom_ranges, self._idx_ranges = self._metadata_ranges()
+        # callback spans per merge_ranges setting: (pre, post) per batch
+        self._hook_spans = {
+            merge: tuple([self._callback_spans(ranges, merge) for ranges in schedule]
+                         for schedule in (self.schedule.pre_schedule,
+                                          self.schedule.post_schedule))
+            for merge in (True, False)}
 
     # -- construction helpers ------------------------------------------------
 
@@ -193,6 +231,14 @@ class MatrixFreeOperator:
         """Per batch: dof spans of dst ranges first written by that batch."""
         groups = _group_by(self.schedule.first_touch_batch, self.plan.n_batches)
         return [_merge_spans(ranges, RANGE_SIZE, self.n_dofs) for ranges in groups]
+
+    def _callback_spans(self, ranges: np.ndarray, merge: bool):
+        """Dof spans of one batch's pre or post ranges: merged runs, or one
+        span per range."""
+        if merge:
+            return _merge_spans(np.sort(ranges), RANGE_SIZE, self.n_dofs)
+        return [(r * RANGE_SIZE, min((r + 1) * RANGE_SIZE, self.n_dofs))
+                for r in np.sort(ranges)]
 
     def _metadata_ranges(self):
         """512-byte range ids of the geometry and index streams per batch."""
@@ -204,38 +250,44 @@ class MatrixFreeOperator:
 
     # -- geometry per batch ----------------------------------------------------
 
-    def _batch_geometry(self, cells: np.ndarray):
-        """(coefficients or None, jxw) for the cells of one batch.
+    def _batch_geometry(self, cells: np.ndarray, coefficients: bool = True,
+                        jxw: bool = True):
+        """(coefficients or None, jxw or None) for the cells of one batch.
 
         The coefficients are the six distinct entries of the symmetric
         tensor G = J^-1 (w det J) J^-T (see mesh.SYMMETRIC_INDEX), shaped
         (6, n_cells, n_q^3), or (6, n_q^3) for the affine variant, whose
         cells all share them.  They are loaded (final-tensor variant),
         formed from loaded inverse Jacobians, or computed on the fly from
-        geometry node coordinates.
+        geometry node coordinates; only if the equation needs gradients and
+        `coefficients` asks for them.  jxw = w det J, (n_cells, n_q^3), only
+        if `jxw` asks for it.
         """
         payload = self.geometry.payload
         variant = self.spec.geometry
+        coefficients = coefficients and self.spec.needs_gradients
+        sym = weights = None
         if variant == GeometryVariant.FINAL_TENSOR_LOAD:
-            sym = None
-            if self.spec.needs_gradients:
-                sym = payload["final_tensor"].transpose(2, 0, 1)[:, cells]
-            return sym, payload["jxw"][cells]
-        if variant == GeometryVariant.AFFINE:
-            inv = payload["inverse_jacobian"][None]
-            jxw = payload["det_j"] * payload["weights"]
+            if coefficients:
+                sym = np.ascontiguousarray(payload["final_tensor"].transpose(2, 0, 1)[:, cells])
+            if jxw:
+                weights = payload["jxw"][cells]
+        elif variant == GeometryVariant.AFFINE:
+            weights = payload["det_j"] * payload["weights"]
+            if coefficients:
+                sym = symmetric_coefficients(payload["inverse_jacobian"][None], weights)
+            weights = np.broadcast_to(weights, (len(cells), weights.shape[-1]))
         elif variant == GeometryVariant.INVERSE_JACOBIAN_LOAD:
-            inv = payload["inverse_jacobian"][cells]
-            jxw = payload["jxw"][cells]
+            weights = payload["jxw"][cells]
+            if coefficients:
+                sym = symmetric_coefficients(payload["inverse_jacobian"][cells], weights)
         else:  # compute variants: differentiate the stored geometry interpolant
             jac, det = compute_jacobians_from_nodes(
-                payload["nodes"][cells], self._geo_basis, len(self.quadrature))
-            sym = None
-            if self.spec.needs_gradients:
+                payload["nodes"][cells], self._geo_basis, self._nq)
+            if coefficients:
                 sym = metric_tensor(jac, det, payload["weights"])
-            return sym, det * payload["weights"]
-        sym = symmetric_coefficients(inv, jxw) if self.spec.needs_gradients else None
-        return sym, np.broadcast_to(jxw, (len(cells), jxw.shape[-1]))
+            weights = det * payload["weights"]
+        return sym, (weights if jxw else None)
 
     # -- cell kernel -------------------------------------------------------------
 
@@ -245,26 +297,20 @@ class MatrixFreeOperator:
         u, result: (n_batch, components, p+1, p+1, p+1) nodal values.
         """
         spec = self.spec
-        nq = len(self.quadrature)
         nb = u.shape[0]
-        sym, jxw = self._batch_geometry(np.asarray(self.plan.batches[b]))
+        if self._stored_geometry is not None:
+            sym, jxw = self._stored_geometry[b]
+        else:
+            sym, jxw = self._batch_geometry(self._batch_cells[b], jxw=spec.needs_values)
         out = None
         if spec.needs_values:
+            nq = self._nq
             vals = evaluate_values(self.basis, u)
             vals *= jxw.reshape(nb, 1, nq, nq, nq)
             out = integrate_values(self.basis, vals)
         if spec.needs_gradients:
-            # flux = G grad u per quadrature point, straight from the six
-            # entries of G: flux_i = sum_k G[i, k] grad_k u
-            grads = evaluate_gradients(self.basis, u).reshape(3, nb, spec.components, -1)
-            g = sym.reshape(6, -1, 1, nq**3)
-            flux = np.empty_like(grads)
-            for f, (i, k, m) in zip(flux, SYMMETRIC_INDEX):
-                np.multiply(g[i], grads[0], out=f)
-                f += g[k] * grads[1]
-                f += g[m] * grads[2]
-            lap = integrate_gradients(self.basis,
-                                      flux.reshape(3, nb, spec.components, nq, nq, nq))
+            grads = evaluate_gradients(self.basis, u)
+            lap = integrate_gradients(self.basis, _flux(sym, grads))
             if out is None:
                 out = lap
             else:
@@ -303,7 +349,7 @@ class MatrixFreeOperator:
             raise ValueError("vector length does not match handler")
         if checked and recorder is None:
             raise ValueError("checked mode needs a recorder")
-        schedule = self.schedule
+        pre_spans, post_spans = self._hook_spans[bool(merge_ranges)]
         n_batches = self.plan.n_batches
         rec_src, rec_dst = src_name, dst_name
         if recorder is not None:
@@ -317,7 +363,7 @@ class MatrixFreeOperator:
         n1 = self.spec.degree + 1
         for b in range(n_batches):
             if pre_fn is not None:
-                for lo, hi in self._callback_spans(schedule.pre_schedule[b], merge_ranges):
+                for lo, hi in pre_spans[b]:
                     mark = recorder.mark() if (checked and recorder) else None
                     pre_fn(lo, hi)
                     if mark is not None:
@@ -356,17 +402,11 @@ class MatrixFreeOperator:
                     recorder.record_ranges(rec_src, cranges, trace.READ)
                     recorder.record_ranges(rec_dst, cranges, trace.WRITE)
             if post_fn is not None:
-                for lo, hi in self._callback_spans(schedule.post_schedule[b], merge_ranges):
+                for lo, hi in post_spans[b]:
                     mark = recorder.mark() if (checked and recorder) else None
                     post_fn(lo, hi)
                     if mark is not None:
                         recorder.assert_within(mark, lo, hi, self.n_dofs)
-
-    def _callback_spans(self, ranges: np.ndarray, merge: bool):
-        if merge:
-            return _merge_spans(np.sort(ranges), RANGE_SIZE, self.n_dofs)
-        return [(r * RANGE_SIZE, min((r + 1) * RANGE_SIZE, self.n_dofs))
-                for r in np.sort(ranges)]
 
     # -- diagonal preconditioner ---------------------------------------------
 
@@ -378,7 +418,11 @@ class MatrixFreeOperator:
         n1 = p + 1
         rule = gauss_lobatto_quadrature(n1)
         basis = lagrange_basis(p, rule)
-        geo = precompute_geometry(self.mesh, GeometryVariant.FINAL_TENSOR_LOAD, rule)
+        if (self.spec.geometry == GeometryVariant.FINAL_TENSOR_LOAD
+                and self.spec.quadrature_kind == "gauss_lobatto"):
+            geo = self.geometry  # already the final tensor at these points
+        else:
+            geo = precompute_geometry(self.mesh, GeometryVariant.FINAL_TENSOR_LOAD, rule)
         jxw = geo.payload["jxw"]
         n_cells = self.handler.n_cells
         diag_loc = np.zeros((n_cells, n1, n1, n1))

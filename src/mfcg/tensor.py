@@ -6,14 +6,18 @@ memory, i.e. lexicographic layout); direction 0 is x, 1 is y, 2 is z.  All
 sweeps accept arbitrary leading batch axes, so a whole batch of cells (or the
 three gradient components) can be pushed through one contraction.  Every
 sweep is a small matrix-matrix product on a reshaped view of the tensor (the
-"mxm" form of sum factorization).  The reference cell is the unit cube
-[0,1]^3.
+"mxm" form of sum factorization).  Each basis derives its sweep plans (the
+matrices, the skipped directions and the view shapes) once, so a call does
+the products and little else.  Rules and bases are built once per argument
+and are read-only.  The reference cell is the unit cube [0,1]^3.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,17 +44,25 @@ CellTensor = np.ndarray
 _NEWTON_TOL = 1e-15
 
 
+def _read_only(array) -> np.ndarray:
+    """A read-only, C-contiguous float copy of `array`."""
+    out = np.array(array, dtype=float, order="C")
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class QuadratureRule1D:
     """A 1D quadrature rule on [0,1]: strictly increasing points, positive
-    weights summing to 1 (the interval length)."""
+    weights summing to 1 (the interval length).  Holds read-only copies of
+    the arrays it is given."""
 
     points: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        wts = np.asarray(self.weights, dtype=float)
+        pts = _read_only(self.points)
+        wts = _read_only(self.weights)
         if pts.ndim != 1 or pts.shape != wts.shape:
             raise ValueError("points and weights must be 1D arrays of equal length")
         if np.any(np.diff(pts) <= 0):
@@ -84,11 +96,12 @@ def _legendre(n: int, x: np.ndarray):
     return p, dp
 
 
+@lru_cache(maxsize=64)
 def gauss_quadrature(n: int) -> QuadratureRule1D:
     """n-point Gauss-Legendre rule mapped to [0,1]; exact to degree 2n-1.
 
     Nodes are found by Newton iteration on P_n seeded with Chebyshev
-    estimates, converged to 1e-15.
+    estimates, converged to 1e-15.  Built once per n.
     """
     if n < 1:
         raise ValueError("gauss_quadrature requires n >= 1")
@@ -108,10 +121,11 @@ def gauss_quadrature(n: int) -> QuadratureRule1D:
     return QuadratureRule1D((x[order] + 1.0) / 2.0, w[order] / 2.0)
 
 
+@lru_cache(maxsize=64)
 def gauss_lobatto_quadrature(n: int) -> QuadratureRule1D:
     """n-point Gauss-Lobatto rule on [0,1] including both endpoints; exact to
     degree 2n-3.  Interior nodes are the roots of P'_{n-1}, found by Newton
-    iteration from Chebyshev-Lobatto seeds."""
+    iteration from Chebyshev-Lobatto seeds.  Built once per n."""
     if n < 2:
         raise ValueError("gauss_lobatto_quadrature requires n >= 2")
     m = n - 1
@@ -178,13 +192,15 @@ def _axis(tensor: CellTensor, direction: int, n: int) -> int:
     return axis
 
 
-def _mxm(matrix: np.ndarray, view: np.ndarray) -> np.ndarray:
+def _mxm(matrix: np.ndarray, view: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     """matrix (m, n) times the middle axis of view (lead, n, trail): one GEMM
-    if trail is 1, else one (m, n) x (n, trail) GEMM per lead index."""
+    if trail is 1, else one (m, n) x (n, trail) GEMM per lead index; written
+    into `out`, (lead, m, trail), if given."""
     lead, n, trail = view.shape
     if trail == 1:
-        return (view.reshape(lead, n) @ matrix.T).reshape(lead, -1, 1)
-    return matrix @ view
+        flat = None if out is None else out.reshape(lead, -1)
+        return np.matmul(view.reshape(lead, n), matrix.T, out=flat).reshape(lead, -1, 1)
+    return np.matmul(matrix, view, out=out)
 
 
 def _halves(matrix: np.ndarray) -> tuple:
@@ -198,47 +214,85 @@ def _halves(matrix: np.ndarray) -> tuple:
     even = 0.5 * (left + right)
     if n % 2:
         even = np.hstack([even, top[:, nh:nh + 1]])
-    return np.ascontiguousarray(even), np.ascontiguousarray(0.5 * (left - right))
+    return _read_only(even), _read_only(0.5 * (left - right))
 
 
-@dataclass(frozen=True)
-class _Matrix1D:
-    """A 1D matrix with the even-odd blocks of itself and its transpose."""
+class _Matrix1D(NamedTuple):
+    """A 1D matrix (m, n) as a sweep applies it, with its even-odd blocks."""
 
     matrix: np.ndarray
+    even: np.ndarray
+    odd: np.ndarray
     sign: int  # +1 persymmetric (values), -1 anti-persymmetric (derivatives)
-    halves: tuple
-    halves_t: tuple
 
     @classmethod
     def build(cls, matrix: np.ndarray, sign: int) -> "_Matrix1D":
-        return cls(matrix, sign, _halves(matrix), _halves(matrix.T))
+        return cls(_read_only(matrix), *_halves(matrix), sign)
 
-    def apply(self, tensor: CellTensor, direction: int, transpose: bool,
-              even_odd: bool) -> CellTensor:
-        """The one sum-factorization primitive: contract along `direction` by
-        matrix products on the tensor's (lead, n, trail) view; with
-        `even_odd`, by half-size products on its (anti)symmetric parts."""
-        matrix = self.matrix.T if transpose else self.matrix
-        m, n = matrix.shape
-        axis = _axis(tensor, direction, n)
-        shape = tensor.shape
-        view = tensor.reshape(prod(shape[:axis]), n, prod(shape[axis + 1:]))
-        if not even_odd:
-            out = _mxm(matrix, view)
-        else:
-            even, odd = self.halves_t if transpose else self.halves
-            nh = n // 2
-            lo, hi = view[:, :nh], view[:, ::-1][:, :nh]
-            sym = lo + hi
-            if n % 2:
-                sym = np.concatenate([sym, view[:, nh:nh + 1]], axis=1)
-            a, b = _mxm(even, sym), _mxm(odd, lo - hi)
-            out = np.empty((view.shape[0], m, view.shape[2]))
-            np.add(a, b, out=out[:, :(m + 1) // 2])
-            tail = a[:, :m // 2] - b[:, :m // 2]
-            out[:, (m + 1) // 2:] = (tail if self.sign > 0 else -tail)[:, ::-1]
-        return out.reshape(shape[:axis] + (m,) + shape[axis + 1:])
+
+class _Sweep(NamedTuple):
+    """One contraction of a plan: the (lead * outer, n, trail) view of the
+    tensor, for `lead` cells, times `matrix` along its middle axis."""
+
+    outer: int
+    n: int
+    trail: int
+    matrix: _Matrix1D
+
+
+def _plan(steps, extent: int) -> tuple:
+    """Sweeps for (direction, _Matrix1D) steps applied in order to cells of
+    `extent` points per direction."""
+    extents = [extent] * 3  # z, y, x
+    sweeps = []
+    for direction, matrix in steps:
+        axis = 2 - direction
+        m, n = matrix.matrix.shape
+        sweeps.append(_Sweep(prod(extents[:axis]), n, prod(extents[axis + 1:]),
+                             matrix))
+        extents[axis] = m
+    return tuple(sweeps)
+
+
+def _even_odd(matrix: _Matrix1D, view: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    """The product of _mxm by half-size products on the (anti)symmetric
+    parts of the view."""
+    m, n = matrix.matrix.shape
+    nh = n // 2
+    lo, hi = view[:, :nh], view[:, ::-1][:, :nh]
+    sym = lo + hi
+    if n % 2:
+        sym = np.concatenate([sym, view[:, nh:nh + 1]], axis=1)
+    a, b = _mxm(matrix.even, sym), _mxm(matrix.odd, lo - hi)
+    if out is None:
+        out = np.empty((view.shape[0], m, view.shape[2]))
+    np.add(a, b, out=out[:, :(m + 1) // 2])
+    tail = a[:, :m // 2] - b[:, :m // 2]
+    out[:, (m + 1) // 2:] = (tail if matrix.sign > 0 else -tail)[:, ::-1]
+    return out
+
+
+def _contract(sweep: _Sweep, tensor: CellTensor, lead: int, even_odd: bool,
+              out: np.ndarray = None) -> np.ndarray:
+    """One sweep on `lead` cells, into `out` (any shape of the result's
+    size, contiguous) if given."""
+    outer, n, trail, matrix = sweep
+    view = tensor.reshape(lead * outer, n, trail)
+    if out is not None:
+        out = out.reshape(lead * outer, -1, trail)
+    if even_odd:
+        return _even_odd(matrix, view, out)
+    return _mxm(matrix.matrix, view, out)
+
+
+def _run(sweeps: tuple, tensor: CellTensor, lead: int,
+         even_odd: bool) -> np.ndarray:
+    """Apply a plan's sweeps to `lead` cells: the last sweep's product in
+    its (lead * outer, m, trail) shape, or `tensor` itself for an empty
+    plan."""
+    for sweep in sweeps:
+        tensor = _contract(sweep, tensor, lead, even_odd)
+    return tensor
 
 
 @dataclass(frozen=True)
@@ -251,6 +305,11 @@ class TensorBasis1D:
     points at those points, exact for the field if there are >= p+1 of them
     (else None).  `identity_values`: shape_values is exactly the identity
     (Gauss-Lobatto collocation), so value sweeps are skipped.
+
+    The sweep plans of the four kernels are derived once from these fields:
+    values to and from the quadrature points, and for gradients the sweeps
+    to the quadrature points plus, per component, the sweeps that
+    differentiate there (with fewer points than nodes, a triple each).
     """
 
     degree: int
@@ -258,26 +317,62 @@ class TensorBasis1D:
     quadrature: QuadratureRule1D
     shape_values: np.ndarray
     shape_gradients: np.ndarray
-    values: _Matrix1D
-    gradients: _Matrix1D
-    collocation: _Matrix1D | None
+    collocation: np.ndarray | None
     identity_values: bool
+    _values: tuple = field(init=False, repr=False, compare=False)
+    _values_t: tuple = field(init=False, repr=False, compare=False)
+    _to_q: tuple = field(init=False, repr=False, compare=False)
+    _to_q_t: tuple = field(init=False, repr=False, compare=False)
+    _derivatives: tuple = field(init=False, repr=False, compare=False)
+    _derivatives_t: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n1, nq = self.degree + 1, len(self.quadrature)
+        value = _Matrix1D.build(self.shape_values, +1)
+        value_t = _Matrix1D.build(self.shape_values.T, +1)
+        interpolate = () if self.identity_values else (0, 1, 2)
+        plans = {"_values": _plan([(d, value) for d in interpolate], n1),
+                 "_values_t": _plan([(d, value_t) for d in interpolate], nq)}
+        if self.collocation is None:
+            gradient = _Matrix1D.build(self.shape_gradients, -1)
+            gradient_t = _Matrix1D.build(self.shape_gradients.T, -1)
+            plans["_to_q"] = plans["_to_q_t"] = ()
+            plans["_derivatives"] = tuple(
+                _plan([(d, gradient if d == c else value) for d in range(3)], n1)
+                for c in range(3))
+            plans["_derivatives_t"] = tuple(
+                _plan([(d, gradient_t if d == c else value_t) for d in range(3)], nq)
+                for c in range(3))
+        else:
+            derivative = _Matrix1D.build(self.collocation, -1)
+            derivative_t = _Matrix1D.build(self.collocation.T, -1)
+            plans["_to_q"], plans["_to_q_t"] = plans["_values"], plans["_values_t"]
+            plans["_derivatives"] = tuple(_plan([(c, derivative)], nq) for c in range(3))
+            plans["_derivatives_t"] = tuple(_plan([(c, derivative_t)], nq)
+                                            for c in range(3))
+        for name, plan in plans.items():
+            object.__setattr__(self, name, plan)
 
 
 def lagrange_basis(p: int, quad: QuadratureRule1D) -> TensorBasis1D:
-    """Build the degree-p Lagrange basis (Gauss-Lobatto nodes) tabulated at
-    the points of `quad`, with its 1D matrices and their even-odd blocks."""
+    """The degree-p Lagrange basis (Gauss-Lobatto nodes) tabulated at the
+    points of `quad`, with its sweep plans.  Built once per degree and rule
+    (compared by value); its arrays are read-only."""
     if p < 1:
         raise ValueError("polynomial degree must be >= 1")
+    return _lagrange_basis(int(p), quad.points.tobytes(), quad.weights.tobytes())
+
+
+@lru_cache(maxsize=64)
+def _lagrange_basis(p: int, points: bytes, weights: bytes) -> TensorBasis1D:
+    quad = QuadratureRule1D(np.frombuffer(points), np.frombuffer(weights))
     nodes = gauss_lobatto_quadrature(p + 1).points
     values = lagrange_values_1d(nodes, quad.points)
-    gradients = lagrange_gradients_1d(nodes, quad.points)
     collocation = None
     if len(quad) >= p + 1:
-        collocation = _Matrix1D.build(
-            lagrange_gradients_1d(quad.points, quad.points), -1)
-    return TensorBasis1D(p, nodes, quad, values, gradients,
-                         _Matrix1D.build(values, +1), _Matrix1D.build(gradients, -1),
+        collocation = _read_only(lagrange_gradients_1d(quad.points, quad.points))
+    return TensorBasis1D(p, nodes, quad, _read_only(values),
+                         _read_only(lagrange_gradients_1d(nodes, quad.points)),
                          collocation, bool(np.array_equal(values, np.eye(p + 1))))
 
 
@@ -300,40 +395,38 @@ def even_odd_apply(basis: TensorBasis1D, tensor: CellTensor, direction: int,
     multiplications; agrees with apply_1d to reassociation tolerance)."""
     if kind not in ("value", "gradient"):
         raise ValueError("kind must be 'value' or 'gradient'")
-    matrix = basis.values if kind == "value" else basis.gradients
-    return matrix.apply(tensor, direction, transpose, True)
+    matrix = basis.shape_values if kind == "value" else basis.shape_gradients
+    if transpose:
+        matrix = matrix.T
+    m, n = matrix.shape
+    axis = _axis(tensor, direction, n)
+    shape = tensor.shape
+    view = tensor.reshape(prod(shape[:axis]), n, prod(shape[axis + 1:]))
+    out = _even_odd(_Matrix1D.build(matrix, +1 if kind == "value" else -1), view)
+    return out.reshape(shape[:axis] + (m,) + shape[axis + 1:])
 
 
-def _sweep(tensor: CellTensor, matrices, transpose: bool,
-           even_odd: bool) -> CellTensor:
-    """Apply one _Matrix1D per direction (x, y, z); None skips a direction."""
-    for direction, matrix in enumerate(matrices):
-        if matrix is not None:
-            tensor = matrix.apply(tensor, direction, transpose, even_odd)
-    return tensor
-
-
-def _interpolation(basis: TensorBasis1D) -> tuple:
-    return (None if basis.identity_values else basis.values,) * 3
-
-
-def _gradient_sweeps(basis: TensorBasis1D):
-    """(sweeps to the quadrature points, per component the sweeps that
-    differentiate there); with fewer points than nodes, a triple each."""
-    D = basis.collocation
-    if D is None:
-        return (None,) * 3, [tuple(basis.gradients if d == c else basis.values
-                                   for d in range(3)) for c in range(3)]
-    return _interpolation(basis), [tuple(D if d == c else None for d in range(3))
-                                   for c in range(3)]
+def _cells(tensor: CellTensor, extent: int) -> tuple:
+    """(leading shape, number of cells) of a tensor whose last three axes
+    must have `extent` points."""
+    shape = tensor.shape
+    if shape[-3:] != (extent,) * 3:
+        raise ValueError(f"cell extents {shape[-3:]} do not match the "
+                         f"basis extent {extent}")
+    lead = shape[:-3]
+    return lead, prod(lead)
 
 
 def evaluate_values(basis: TensorBasis1D, cell_dofs: CellTensor,
                     even_odd: bool = False) -> CellTensor:
     """Interpolate nodal coefficients to the quadrature points (value sweeps
     in all three directions; a copy under collocation)."""
-    out = _sweep(cell_dofs, _interpolation(basis), False, even_odd)
-    return out.copy() if out is cell_dofs else out
+    lead, cells = _cells(cell_dofs, basis.degree + 1)
+    out = _run(basis._values, cell_dofs, cells, even_odd)
+    if out is cell_dofs:
+        return out.copy()
+    nq = len(basis.quadrature.points)
+    return out.reshape(lead + (nq, nq, nq))
 
 
 def evaluate_gradients(basis: TensorBasis1D, cell_dofs: CellTensor,
@@ -342,17 +435,26 @@ def evaluate_gradients(basis: TensorBasis1D, cell_dofs: CellTensor,
     three value sweeps, then the collocation derivative in each direction.
     output[c] = d/dx_c of the field, stacked on a new leading axis, each of
     shape (n_q, n_q, n_q) plus any leading batch axes of the input."""
-    to_q, differentiate = _gradient_sweeps(basis)
-    at_q = _sweep(cell_dofs, to_q, False, even_odd)
-    return np.stack([_sweep(at_q, d, False, even_odd) for d in differentiate])
+    lead, cells = _cells(cell_dofs, basis.degree + 1)
+    nq = len(basis.quadrature.points)
+    at_q = _run(basis._to_q, cell_dofs, cells, even_odd)
+    out = np.empty((3,) + lead + (nq, nq, nq))
+    flat = out.reshape(3, cells, nq ** 3)
+    for c, (*sweeps, last) in enumerate(basis._derivatives):
+        _contract(last, _run(sweeps, at_q, cells, even_odd), cells, even_odd, flat[c])
+    return out
 
 
 def integrate_values(basis: TensorBasis1D, quad_data: CellTensor,
                      even_odd: bool = False) -> CellTensor:
     """Adjoint of evaluate_values: sum phi_i(x_q) * quad_data[q] over q
     (transposed value sweeps; a copy under collocation)."""
-    out = _sweep(quad_data, _interpolation(basis), True, even_odd)
-    return out.copy() if out is quad_data else out
+    lead, cells = _cells(quad_data, len(basis.quadrature.points))
+    out = _run(basis._values_t, quad_data, cells, even_odd)
+    if out is quad_data:
+        return out.copy()
+    n1 = basis.degree + 1
+    return out.reshape(lead + (n1, n1, n1))
 
 
 def integrate_gradients(basis: TensorBasis1D, quad_data: CellTensor,
@@ -363,7 +465,10 @@ def integrate_gradients(basis: TensorBasis1D, quad_data: CellTensor,
     sweeps.  The three gradient components are stacked on axis 0."""
     if quad_data.shape[0] != 3:
         raise ValueError("quad_data must stack 3 gradient components on axis 0")
-    to_q, differentiate = _gradient_sweeps(basis)
-    at_q = sum(_sweep(data, d, True, even_odd)
-               for data, d in zip(quad_data, differentiate))
-    return _sweep(at_q, to_q, True, even_odd)
+    lead, cells = _cells(quad_data[0], len(basis.quadrature.points))
+    d0, d1, d2 = basis._derivatives_t
+    at_q = _run(d0, quad_data[0], cells, even_odd).reshape(cells, -1)
+    at_q += _run(d1, quad_data[1], cells, even_odd).reshape(cells, -1)
+    at_q += _run(d2, quad_data[2], cells, even_odd).reshape(cells, -1)
+    n1 = basis.degree + 1
+    return _run(basis._to_q_t, at_q, cells, even_odd).reshape(lead + (n1, n1, n1))

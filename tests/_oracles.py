@@ -24,8 +24,11 @@ from mfcg.mesh import (
     SYMMETRIC_INDEX,
     GeometryVariant,
     build_cartesian_mesh,
+    compute_jacobians_from_nodes,
     deform_mesh,
+    metric_tensor,
     quadratic_geometry_nodes,
+    symmetric_coefficients,
 )
 from mfcg.operator import MatrixFreeOperator, OperatorSpec, _merge_spans
 from mfcg.tensor import (
@@ -35,6 +38,7 @@ from mfcg.tensor import (
     gauss_quadrature,
     integrate_values,
     lagrange_basis,
+    lagrange_gradients_1d,
 )
 
 
@@ -206,6 +210,181 @@ def oracle_evaluate_gradients(basis, u, even_odd=False):
 def oracle_integrate_gradients(basis, q, even_odd=False):
     return sum(_oracle_sweep(basis, q[c], _gradient_kinds(c), True, even_odd)
                for c in range(3))
+
+
+# -- GEMM-shaped sweeps and cell kernel before the precomputed sweep plans --------
+# A _Matrix1D per basis matrix, the direction checks and (lead, n, trail)
+# shapes derived on every sweep, np.stack / sum over the gradient components,
+# and the kernel's per-call geometry: the bit-exact oracle for the sweep plans
+# of mfcg.tensor and the cell kernel of mfcg.operator.
+
+
+def _plumbed_mxm(matrix, view):
+    lead, n, trail = view.shape
+    if trail == 1:
+        return (view.reshape(lead, n) @ matrix.T).reshape(lead, -1, 1)
+    return matrix @ view
+
+
+def _plumbed_halves(matrix):
+    n = matrix.shape[1]
+    nh = n // 2
+    top = matrix[:(matrix.shape[0] + 1) // 2]
+    left, right = top[:, :nh], top[:, ::-1][:, :nh]
+    even = 0.5 * (left + right)
+    if n % 2:
+        even = np.hstack([even, top[:, nh:nh + 1]])
+    return np.ascontiguousarray(even), np.ascontiguousarray(0.5 * (left - right))
+
+
+class PlumbedMatrix1D:
+    def __init__(self, matrix, sign):
+        self.matrix = matrix
+        self.sign = sign
+        self.halves = _plumbed_halves(matrix)
+        self.halves_t = _plumbed_halves(matrix.T)
+
+    def apply(self, tensor, direction, transpose, even_odd):
+        matrix = self.matrix.T if transpose else self.matrix
+        m, n = matrix.shape
+        axis = tensor.ndim - 1 - direction
+        assert tensor.shape[axis] == n
+        shape = tensor.shape
+        view = tensor.reshape(math.prod(shape[:axis]), n, math.prod(shape[axis + 1:]))
+        if not even_odd:
+            out = _plumbed_mxm(matrix, view)
+        else:
+            even, odd = self.halves_t if transpose else self.halves
+            nh = n // 2
+            lo, hi = view[:, :nh], view[:, ::-1][:, :nh]
+            sym = lo + hi
+            if n % 2:
+                sym = np.concatenate([sym, view[:, nh:nh + 1]], axis=1)
+            a, b = _plumbed_mxm(even, sym), _plumbed_mxm(odd, lo - hi)
+            out = np.empty((view.shape[0], m, view.shape[2]))
+            np.add(a, b, out=out[:, :(m + 1) // 2])
+            tail = a[:, :m // 2] - b[:, :m // 2]
+            out[:, (m + 1) // 2:] = (tail if self.sign > 0 else -tail)[:, ::-1]
+        return out.reshape(shape[:axis] + (m,) + shape[axis + 1:])
+
+
+def _plumbed_matrices(basis):
+    """(values, gradients, collocation or None) of a basis."""
+    nq = len(basis.quadrature)
+    collocation = None
+    if nq >= basis.degree + 1:
+        points = basis.quadrature.points
+        collocation = PlumbedMatrix1D(lagrange_gradients_1d(points, points), -1)
+    return (PlumbedMatrix1D(basis.shape_values, +1),
+            PlumbedMatrix1D(basis.shape_gradients, -1), collocation)
+
+
+def _plumbed_sweep(tensor, matrices, transpose, even_odd):
+    for direction, matrix in enumerate(matrices):
+        if matrix is not None:
+            tensor = matrix.apply(tensor, direction, transpose, even_odd)
+    return tensor
+
+
+def _plumbed_interpolation(basis):
+    values = _plumbed_matrices(basis)[0]
+    return (None if basis.identity_values else values,) * 3
+
+
+def _plumbed_gradient_sweeps(basis):
+    values, gradients, D = _plumbed_matrices(basis)
+    if D is None:
+        return (None,) * 3, [tuple(gradients if d == c else values
+                                   for d in range(3)) for c in range(3)]
+    return _plumbed_interpolation(basis), [tuple(D if d == c else None
+                                                 for d in range(3))
+                                           for c in range(3)]
+
+
+def plumbed_evaluate_values(basis, cell_dofs, even_odd=False):
+    out = _plumbed_sweep(cell_dofs, _plumbed_interpolation(basis), False, even_odd)
+    return out.copy() if out is cell_dofs else out
+
+
+def plumbed_evaluate_gradients(basis, cell_dofs, even_odd=False):
+    to_q, differentiate = _plumbed_gradient_sweeps(basis)
+    at_q = _plumbed_sweep(cell_dofs, to_q, False, even_odd)
+    return np.stack([_plumbed_sweep(at_q, d, False, even_odd) for d in differentiate])
+
+
+def plumbed_integrate_values(basis, quad_data, even_odd=False):
+    out = _plumbed_sweep(quad_data, _plumbed_interpolation(basis), True, even_odd)
+    return out.copy() if out is quad_data else out
+
+
+def plumbed_integrate_gradients(basis, quad_data, even_odd=False):
+    to_q, differentiate = _plumbed_gradient_sweeps(basis)
+    at_q = sum(_plumbed_sweep(data, d, True, even_odd)
+               for data, d in zip(quad_data, differentiate))
+    return _plumbed_sweep(at_q, to_q, True, even_odd)
+
+
+def plumbed_batch_geometry(op, cells):
+    """(six entries or None, jxw) of a batch, derived from the payload."""
+    payload = op.geometry.payload
+    variant = op.spec.geometry
+    if variant == GeometryVariant.FINAL_TENSOR_LOAD:
+        sym = None
+        if op.spec.needs_gradients:
+            sym = payload["final_tensor"].transpose(2, 0, 1)[:, cells]
+        return sym, payload["jxw"][cells]
+    if variant == GeometryVariant.AFFINE:
+        inv = payload["inverse_jacobian"][None]
+        jxw = payload["det_j"] * payload["weights"]
+    elif variant == GeometryVariant.INVERSE_JACOBIAN_LOAD:
+        inv = payload["inverse_jacobian"][cells]
+        jxw = payload["jxw"][cells]
+    else:
+        jac, det = compute_jacobians_from_nodes(
+            payload["nodes"][cells], op._geo_basis, len(op.quadrature))
+        sym = None
+        if op.spec.needs_gradients:
+            sym = metric_tensor(jac, det, payload["weights"])
+        return sym, det * payload["weights"]
+    sym = symmetric_coefficients(inv, jxw) if op.spec.needs_gradients else None
+    return sym, np.broadcast_to(jxw, (len(cells), jxw.shape[-1]))
+
+
+def plumbed_batch_kernel(op, b, u):
+    """The cell kernel on batch b of `op`, u of shape
+    (n_batch, components, p+1, p+1, p+1)."""
+    spec = op.spec
+    nq = len(op.quadrature)
+    nb = u.shape[0]
+    sym, jxw = plumbed_batch_geometry(op, np.asarray(op.plan.batches[b]))
+    out = None
+    if spec.needs_values:
+        vals = plumbed_evaluate_values(op.basis, u)
+        vals *= jxw.reshape(nb, 1, nq, nq, nq)
+        out = plumbed_integrate_values(op.basis, vals)
+    if spec.needs_gradients:
+        grads = plumbed_evaluate_gradients(op.basis, u).reshape(3, nb, spec.components, -1)
+        g = sym.reshape(6, -1, 1, nq**3)
+        flux = np.empty_like(grads)
+        for f, (i, k, m) in zip(flux, SYMMETRIC_INDEX):
+            np.multiply(g[i], grads[0], out=f)
+            f += g[k] * grads[1]
+            f += g[m] * grads[2]
+        lap = plumbed_integrate_gradients(
+            op.basis, flux.reshape(3, nb, spec.components, nq, nq, nq))
+        if out is None:
+            out = lap
+        else:
+            out += spec.scaling * lap
+    return out
+
+
+def plumbed_callback_spans(op, ranges, merge):
+    """Per-call callback spans of one schedule entry."""
+    if merge:
+        return _merge_spans(np.sort(ranges), RANGE_SIZE, op.n_dofs)
+    return [(r * RANGE_SIZE, min((r + 1) * RANGE_SIZE, op.n_dofs))
+            for r in np.sort(ranges)]
 
 
 # -- problem set-up as first implemented -----------------------------------------

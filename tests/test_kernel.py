@@ -1,0 +1,127 @@
+"""The cell kernel and the sum-factorization sweep plans against the
+per-call implementation they replaced (tests/_oracles.py, "plumbed"): the
+same contractions and flux operations in the same order, so the results
+must be bit-identical, and the contraction count per batch is pinned.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import mfcg.tensor
+from _oracles import (
+    build_fem,
+    plumbed_batch_kernel,
+    plumbed_evaluate_gradients,
+    plumbed_evaluate_values,
+    plumbed_integrate_gradients,
+    plumbed_integrate_values,
+)
+from mfcg.bench import assemble_problem
+from mfcg.mesh import GeometryVariant
+from mfcg.tensor import (
+    evaluate_gradients,
+    evaluate_values,
+    gauss_lobatto_quadrature,
+    gauss_quadrature,
+    integrate_gradients,
+    integrate_values,
+    lagrange_basis,
+)
+
+EQUATIONS = ("mass", "laplace", "mass_plus_laplace")
+# Gauss at p+2 points (BP1-BP4) and Gauss-Lobatto collocation (BP5)
+QUADRATURES = (("gauss", 2), ("gauss_lobatto", 1))
+
+
+def _batch_inputs(op, seed):
+    n1 = op.spec.degree + 1
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal((len(cells), op.components, n1, n1, n1))
+            for cells in op.plan.batches]
+
+
+@pytest.mark.parametrize("variant", list(GeometryVariant))
+@pytest.mark.parametrize("p", range(1, 7))
+def test_kernel_bit_identical_to_plumbed(p, variant):
+    # 2x1x2 cells in batches of 3: one full batch and a one-cell batch
+    affine = variant == GeometryVariant.AFFINE
+    for eq in EQUATIONS:
+        for quadrature, offset in QUADRATURES:
+            for comp in (1, 3):
+                op, _ = build_fem((2, 1, 2), p=p, comp=comp, eq=eq,
+                                  nq=p + offset, quadrature=quadrature,
+                                  variant=variant, deformed=0.0 if affine else 0.05,
+                                  scaling=0.35)
+                assert [len(c) for c in op.plan.batches] == [3, 1]
+                for b, u in enumerate(_batch_inputs(op, p)):
+                    got = op._batch_kernel(b, u.copy())
+                    want = plumbed_batch_kernel(op, b, u.copy())
+                    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("bp,degree", [("BP1", 2), ("BP2", 3), ("BP3", 2),
+                                       ("BP4", 2), ("BP5", 3), ("BP5", 5)])
+def test_benchmark_problems_bit_identical_to_plumbed(bp, degree):
+    op, _, _ = assemble_problem(bp, degree, (3, 3, 3), simd_lanes=4)
+    for b, u in enumerate(_batch_inputs(op, degree)):
+        np.testing.assert_array_equal(op._batch_kernel(b, u.copy()),
+                                      plumbed_batch_kernel(op, b, u.copy()))
+
+
+def _rules(p):
+    return [gauss_quadrature(p + 1), gauss_quadrature(p + 2),
+            gauss_quadrature(p + 3), gauss_lobatto_quadrature(p + 1),
+            gauss_quadrature(max(p - 1, 1))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(1, 6), rule=st.integers(0, 4),
+       batch=st.lists(st.integers(1, 9), max_size=2),
+       comp=st.sampled_from([1, 3]), even_odd=st.booleans(),
+       seed=st.integers(0, 2**31 - 1))
+def test_sweeps_bit_identical_to_plumbed(p, rule, batch, comp, even_odd, seed):
+    # the last rule has fewer points than nodes: a sweep triple per
+    # gradient component instead of collocation derivatives
+    basis = lagrange_basis(p, _rules(p)[rule])
+    nq, n1 = len(basis.quadrature), p + 1
+    lead = tuple(batch) + (comp,)
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(lead + (n1,) * 3)
+    q = rng.standard_normal(lead + (nq,) * 3)
+    qg = rng.standard_normal((3,) + lead + (nq,) * 3)
+    for got, want in ((evaluate_values(basis, u, even_odd),
+                       plumbed_evaluate_values(basis, u, even_odd)),
+                      (evaluate_gradients(basis, u, even_odd),
+                       plumbed_evaluate_gradients(basis, u, even_odd)),
+                      (integrate_values(basis, q, even_odd),
+                       plumbed_integrate_values(basis, q, even_odd)),
+                      (integrate_gradients(basis, qg, even_odd),
+                       plumbed_integrate_gradients(basis, qg, even_odd))):
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("bp,degree,contractions", [
+    ("BP1", 3, 6),   # values to and from Gauss points
+    ("BP3", 3, 12),  # three value sweeps and three derivatives, both ways
+    ("BP4", 2, 12),  # components ride along in the batch
+    ("BP5", 3, 6),   # collocation: derivatives only
+    ("BP5", 5, 6),
+])
+def test_contractions_per_batch(monkeypatch, bp, degree, contractions):
+    op, _, _ = assemble_problem(bp, degree, (2, 2, 2), simd_lanes=4)
+    calls = []
+    original = mfcg.tensor._mxm
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mfcg.tensor, "_mxm", counting)
+    for b, u in enumerate(_batch_inputs(op, 0)):
+        calls.clear()
+        op._batch_kernel(b, u)
+        assert len(calls) == contractions
+

@@ -12,6 +12,8 @@ from mfcg.mesh import GeometryVariant, build_cartesian_mesh, deform_mesh
 from mfcg.operator import DiagonalPreconditioner, MatrixFreeOperator, OperatorSpec
 from mfcg.trace import READ, WRITE, AccessRecorder, ContractViolation
 
+from _oracles import plumbed_callback_spans
+
 VARIANTS = [GeometryVariant.QUADRATIC_COMPUTE, GeometryVariant.ISOPARAMETRIC_COMPUTE,
             GeometryVariant.INVERSE_JACOBIAN_LOAD, GeometryVariant.FINAL_TENSOR_LOAD]
 
@@ -316,6 +318,25 @@ class TestCallbacks:
             np.testing.assert_array_equal(s1, s2)
             np.testing.assert_array_equal(d1, d2)
             assert abs(a1 - a2) <= 1e-13 * max(abs(a2), 1.0)
+
+    @pytest.mark.parametrize("merge", [False, True])
+    @pytest.mark.parametrize("constrain", [False, True])
+    def test_callback_spans_built_once(self, merge, constrain):
+        # the spans handed to the callbacks, recorded during an apply,
+        # equal the per-call merge of the schedule's ranges
+        op, handler = build_op(cells=(3, 3, 2), p=2, comp=3, batch=4,
+                               traversal="morton", constrain=constrain)
+        schedule = op.schedule
+        seen = {"pre": [], "post": []}
+        op.apply_with_callbacks(np.zeros(handler.n_dofs), np.empty(handler.n_dofs),
+                                lambda lo, hi: seen["pre"].append((lo, hi)),
+                                lambda lo, hi: seen["post"].append((lo, hi)),
+                                merge_ranges=merge)
+        for kind, ranges in (("pre", schedule.pre_schedule),
+                             ("post", schedule.post_schedule)):
+            want = [span for r in ranges
+                    for span in plumbed_callback_spans(op, r, merge)]
+            assert seen[kind] == want
 
     def test_checked_mode_catches_out_of_range(self):
         # unconstrained: constrained ranges are scheduled wide (pre at batch

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mfcg.mesh
+import mfcg.operator
 from _oracles import (
     build_fem,
     lapack_diagonal,
@@ -258,7 +259,9 @@ def test_rhs_matches_per_cell_loop(bp, degree, cells, numbering):
 
 @pytest.mark.parametrize("cells", [(2, 2, 2), (5, 4, 3)])
 def test_rhs_builds_the_lattice_once(monkeypatch, cells):
-    op, _ = build_fem(cells, p=2)
+    # the lattice of all cells is built once per mesh, by the first set-up
+    # step that needs it (here the deformation check), and shared by the
+    # geometry and the right-hand side
     calls = []
     original = mfcg.mesh._cell_lattice
 
@@ -267,6 +270,7 @@ def test_rhs_builds_the_lattice_once(monkeypatch, cells):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(mfcg.mesh, "_cell_lattice", counting)
+    op, _ = build_fem(cells, p=2)
     build_rhs(op)
     assert len(calls) == 1
 
@@ -282,4 +286,36 @@ def test_single_cell_nodes_match_all_cell_lattice():
 
 def test_gauss_lobatto_rhs_matches_loop():
     op, _ = build_fem((3, 2, 2), p=4, quadrature="gauss_lobatto", nq=5)
+    assert_close(build_rhs(op), loop_build_rhs(op))
+
+
+@pytest.mark.parametrize("bp,degree,calls", [
+    ("BP5", 3, 1),  # the diagonal reuses the operator's final tensor
+    ("BP5", 5, 1),
+    ("BP3", 2, 2),  # Gauss points: the diagonal needs its own at p+1
+])
+def test_geometry_computed_once_per_problem(monkeypatch, bp, degree, calls):
+    counted = []
+    original = mfcg.operator.precompute_geometry
+
+    def counting(*args, **kwargs):
+        counted.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mfcg.operator, "precompute_geometry", counting)
+    op, _, minv = assemble_problem(bp, degree, (3, 3, 3))
+    assert len(counted) == calls
+    monkeypatch.setattr(mfcg.operator, "precompute_geometry", original)
+    np.testing.assert_array_equal(minv.inverse_diagonal,
+                                  op.compute_diagonal().inverse_diagonal)
+    assert_close(minv.inverse_diagonal, lapack_diagonal(op))
+
+
+@pytest.mark.parametrize("variant", list(GeometryVariant))
+@pytest.mark.parametrize("quadrature,nq", [("gauss", 5), ("gauss_lobatto", 4)])
+def test_rhs_from_operator_jxw_matches_loop(variant, quadrature, nq):
+    # every variant's w det J gives the same right-hand side
+    affine = variant == GeometryVariant.AFFINE
+    op, _ = build_fem((3, 2, 2), p=3, nq=nq, quadrature=quadrature,
+                      variant=variant, deformed=0.0 if affine else 0.05)
     assert_close(build_rhs(op), loop_build_rhs(op))

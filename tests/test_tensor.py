@@ -461,3 +461,41 @@ def test_identity_skip_equals_general_path(p):
         fast = fn(basis, data)
         np.testing.assert_array_equal(fast, fn(general, data))
         assert not np.shares_memory(fast, data)
+
+
+# ------------------------------------------------ rules and bases built once
+
+
+@pytest.mark.parametrize("p", [1, 3, 6])
+def test_rules_and_bases_are_built_once(p):
+    assert gauss_quadrature(p + 2) is gauss_quadrature(p + 2)
+    assert gauss_lobatto_quadrature(p + 1) is gauss_lobatto_quadrature(p + 1)
+    rule = gauss_quadrature(p + 2)
+    assert lagrange_basis(p, rule) is lagrange_basis(p, rule)
+    # compared by value: an equal rule built elsewhere shares the basis
+    copy = QuadratureRule1D(rule.points.copy(), rule.weights.copy())
+    assert lagrange_basis(p, copy) is lagrange_basis(p, rule)
+    assert lagrange_basis(p, gauss_quadrature(p + 3)) is not lagrange_basis(p, rule)
+    assert lagrange_basis(p + 1, rule) is not lagrange_basis(p, rule)
+
+
+def test_cached_arrays_are_read_only():
+    rule = gauss_lobatto_quadrature(4)
+    basis = lagrange_basis(3, rule)
+    arrays = [rule.points, rule.weights, basis.node_points, basis.shape_values,
+              basis.shape_gradients, basis.collocation,
+              lagrange_basis(3, gauss_quadrature(5)).shape_values]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    before = rule.points.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        rule.points += 1.0
+    np.testing.assert_array_equal(gauss_lobatto_quadrature(4).points, before)
+
+
+def test_rule_copies_its_input():
+    points, weights = np.array([0.25, 0.75]), np.array([0.5, 0.5])
+    rule = QuadratureRule1D(points, weights)
+    points[0] = 0.1  # the caller's array stays writable and is not shared
+    assert rule.points[0] == 0.25
