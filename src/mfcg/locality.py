@@ -120,6 +120,42 @@ class TraceSummary:
 _NON_ROW_TAGS = frozenset({"matvec", "drift_check"})
 
 
+def _union_bytes(region, sid, start, stop, n_regions, streams):
+    """Bytes of the unique ranges that the runs [start, stop) of each
+    (region, stream) group touch, summed per region over vector streams and
+    over metadata streams.
+
+    The runs are sorted by group and start; a running maximum of their
+    stops marks where each union interval ends, so overlapping runs count
+    once.  Each range counts GRAIN_BYTES, and the stream's partial tail its
+    own bytes when the group's union reaches the stream's end."""
+    if len(start) == 0:
+        return np.zeros(n_regions), np.zeros(n_regions)
+    group = region * len(streams) + sid
+    order = np.lexsort((start, group))
+    group, region, sid = group[order], region[order], sid[order]
+    start, stop = start[order], stop[order]
+    begins = np.concatenate(([True], group[1:] != group[:-1]))
+    # lift each group above every earlier one, so that one running maximum
+    # over all runs never carries a stop from one group into the next
+    lift = (np.cumsum(begins) - 1) * (stop.max() - start.min() + 1)
+    lo, reach = start + lift, np.maximum.accumulate(stop + lift)
+    opens = np.flatnonzero(np.concatenate(([True], lo[1:] > reach[:-1])))
+    closes = np.append(opens[1:], len(lo)) - 1
+    begins = np.flatnonzero(begins)
+    n_unique = np.add.reduceat(reach[closes] - lo[opens],
+                               np.searchsorted(opens, begins))
+    sid, region = sid[begins], region[begins]
+    n_ranges = np.array([s.n_ranges for s in streams])
+    tail_extra = np.array([8 * s.range_doubles(s.n_ranges - 1) - GRAIN_BYTES
+                           for s in streams])
+    vector = np.array([s.kind == "vector" for s in streams])[sid]
+    nbytes = GRAIN_BYTES * n_unique + np.where(
+        np.maximum.reduceat(stop, begins) == n_ranges[sid], tail_extra[sid], 0.0)
+    return (np.bincount(region[vector], weights=nbytes[vector], minlength=n_regions),
+            np.bincount(region[~vector], weights=nbytes[~vector], minlength=n_regions))
+
+
 def summarize_trace(recorder: AccessRecorder, n_dofs: int,
                     n_iterations: int) -> TraceSummary:
     """Reduce a recorded trace to doubles per DoF with the model's counting
@@ -128,54 +164,45 @@ def summarize_trace(recorder: AccessRecorder, n_dofs: int,
     iteration 0).  Vector and metadata streams are tallied separately."""
     if n_iterations < 1:
         raise ValueError("need at least one iteration")
-    sid_info = {}
-    for stream in recorder.streams.values():
-        tail = stream.n_ranges - 1
-        sid_info[stream.sid] = (stream.kind, tail,
-                                stream.range_doubles(tail))
-    regions = {}
-    for chunk in recorder.chunks:
-        if not 1 <= chunk.iteration <= n_iterations:
-            continue
-        reg = regions.setdefault(chunk.region, (chunk.tag, [], []))
-        key = chunk.sid * (1 << 40) + chunk.ranges
-        if chunk.mode & READ:
-            reg[1].append(key)
-        if chunk.mode & WRITE:
-            reg[2].append(key)
+    cols = recorder.columns()
+    streams = sorted(recorder.streams.values(), key=lambda s: s.sid)
+    kept = np.flatnonzero((cols.iteration >= 1) & (cols.iteration <= n_iterations))
+    # region instances in order of their first record in the window
+    regions, first_seen, where = np.unique(cols.region[kept], return_index=True,
+                                           return_inverse=True)
+    n_regions = len(regions)
+    run_counts = np.diff(np.append(cols.first, len(cols.start)))
+    record_region = np.full(len(cols.sid), -1)
+    record_region[kept] = where
+    run_record = np.repeat(np.arange(len(cols.sid)), run_counts)
+    run_region = record_region[run_record]
+    in_window = run_region >= 0
+    run_mode = cols.mode[run_record]
+    run_sid = cols.sid[run_record]
 
-    def doubles(keys, want_kind) -> float:
-        if not keys:
-            return 0.0
-        uniq = np.unique(np.concatenate(keys))
-        sids = uniq >> 40
-        rids = uniq & ((1 << 40) - 1)
-        total = 0.0
-        for sid in np.unique(sids):
-            kind, tail, tail_doubles = sid_info[int(sid)]
-            if kind != want_kind:
-                continue
-            mine = rids[sids == sid]
-            total += 64.0 * len(mine)
-            if mine[-1] == tail:
-                total += tail_doubles - 64.0
-        return total
+    def direction(bit):
+        sel = in_window & ((run_mode & bit) != 0)
+        vector, metadata = _union_bytes(run_region[sel], run_sid[sel],
+                                        cols.start[sel], cols.stop[sel],
+                                        n_regions, streams)
+        return vector / 8.0, metadata / 8.0
+
+    reads, meta_reads = direction(READ)
+    writes, meta_writes = direction(WRITE)
 
     per_tag = {}
-    meta_r = meta_w = 0.0
-    for tag, read_keys, write_keys in regions.values():
-        r = doubles(read_keys, "vector")
-        w = doubles(write_keys, "vector")
-        acc = per_tag.setdefault(tag, [0.0, 0.0, 0])
-        acc[0] += r
-        acc[1] += w
+    for i in np.argsort(first_seen):
+        acc = per_tag.setdefault(recorder.region_tag(int(regions[i])), [0.0, 0.0, 0])
+        acc[0] += reads[i]
+        acc[1] += writes[i]
         acc[2] += 1
-        meta_r += doubles(read_keys, "metadata")
-        meta_w += doubles(write_keys, "metadata")
+    meta_r = float(meta_reads.sum())
+    meta_w = float(meta_writes.sum())
 
     scale = 1.0 / (n_dofs * n_iterations)
     tags = {}
     for tag, (r, w, inst) in per_tag.items():
+        r, w = float(r), float(w)
         tags[tag] = TagTally(tag, inst, r * scale, w * scale,
                              r / (n_dofs * inst), w / (n_dofs * inst))
     row_r = sum(t.reads_per_iteration for n, t in tags.items()
@@ -262,9 +289,9 @@ def replay_cache(recorder: AccessRecorder, model: CacheModel, n_dofs: int,
 
     Events arrive at range granularity and every range is touched whole, so
     tracking recency per range with line-weighted sizes is exactly equivalent
-    to a per-line LRU.  A write to a non-resident range incurs a
-    read-for-ownership load; dirty evictions and the final flush count as
-    stores.
+    to a per-line LRU; each recorded run is walked range by range.  A write
+    to a non-resident range incurs a read-for-ownership load; dirty evictions
+    and the final flush count as stores.
     """
     capacity_lines = model.capacity_bytes // model.line_bytes
     lines_of = {}
@@ -279,32 +306,34 @@ def replay_cache(recorder: AccessRecorder, model: CacheModel, n_dofs: int,
     doubles_per_line = model.line_bytes / 8.0
 
     cache = OrderedDict()           # (sid, rid) -> [n_lines, dirty]
+    get, touch, evict = cache.get, cache.move_to_end, cache.popitem
     occupancy = 0
     loads = {"vector": 0, "metadata": 0}
     stores = {"vector": 0, "metadata": 0}
 
-    for chunk in recorder.chunks:
-        sid = chunk.sid
+    for sid, mode, start, stop in recorder.iter_runs():
         kind = kind_of[sid]
         full, tail, tail_lines = lines_of[sid]
-        writes = bool(chunk.mode & WRITE)
-        for rid in chunk.ranges:
-            rid = int(rid)
+        writes = bool(mode & WRITE)
+        missed = 0
+        for rid in range(start, stop):
             key = (sid, rid)
-            n_lines = tail_lines if rid == tail else full
-            entry = cache.get(key)
+            entry = get(key)
             if entry is None:
-                loads[kind] += n_lines
+                n_lines = tail_lines if rid == tail else full
+                missed += n_lines
                 cache[key] = [n_lines, writes]
                 occupancy += n_lines
                 while occupancy > capacity_lines and cache:
-                    old_key, (old_lines, old_dirty) = cache.popitem(last=False)
+                    old_key, (old_lines, old_dirty) = evict(last=False)
                     occupancy -= old_lines
                     if old_dirty:
                         stores[kind_of[old_key[0]]] += old_lines
             else:
-                entry[1] = entry[1] or writes
-                cache.move_to_end(key)
+                if writes:
+                    entry[1] = True
+                touch(key)
+        loads[kind] += missed
 
     for (sid, _), (n_lines, dirty) in cache.items():
         if dirty:

@@ -12,6 +12,7 @@ length.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -107,11 +108,7 @@ def _cell_stream_ranges(cells: np.ndarray, bytes_per_cell: int) -> np.ndarray:
     cells = np.asarray(cells, dtype=np.int64)
     lo = (cells * bytes_per_cell) // trace.GRAIN_BYTES
     hi = -(-((cells + 1) * bytes_per_cell) // trace.GRAIN_BYTES)
-    counts = hi - lo
-    # lo[c], lo[c] + 1, ..., hi[c] - 1 for every cell, concatenated
-    ends = np.cumsum(counts)
-    ranges = np.arange(ends[-1] if len(ends) else 0) + np.repeat(lo - ends + counts, counts)
-    return np.unique(ranges)
+    return np.unique(trace.expand_runs(lo, hi))
 
 
 def _merge_spans(ranges: np.ndarray, range_size: int, n: int):
@@ -191,12 +188,11 @@ class MatrixFreeOperator:
 
         # per-batch caches: cell ids, expanded indices relative to the start
         # of the batch's window (its touched ranges, first to last), the
-        # window start, constraint masks, touched ranges and their dof spans
+        # window start, constraint masks and the dof spans of touched ranges
         self._batch_cells = [np.asarray(cells) for cells in plan.batches]
         self._batch_idx = []
         self._batch_lo = []
         self._batch_cmask = []
-        self._batch_ranges = []
         self._batch_spans = []
         for cells in plan.batches:
             idx = expand_batch(handler, cells)
@@ -206,7 +202,6 @@ class MatrixFreeOperator:
             self._batch_idx.append(idx - lo)
             self._batch_lo.append(lo)
             self._batch_cmask.append(cmask if cmask.any() else None)
-            self._batch_ranges.append(ranges)
             self._batch_spans.append(_merge_spans(ranges, RANGE_SIZE, handler.n_dofs))
         # per batch, the kernel's (coefficients, jxw) where they are data,
         # not work: the final tensor gathered in batch order, contiguous per
@@ -217,7 +212,6 @@ class MatrixFreeOperator:
             self._stored_geometry = [self._batch_geometry(cells, jxw=spec.needs_values)
                                      for cells in self._batch_cells]
         self._zero_spans = self._first_touch_spans()
-        self._geom_ranges, self._idx_ranges = self._metadata_ranges()
         # callback spans per merge_ranges setting: (pre, post) per batch
         self._hook_spans = {
             merge: tuple([self._callback_spans(ranges, merge) for ranges in schedule]
@@ -240,13 +234,20 @@ class MatrixFreeOperator:
         return [(r * RANGE_SIZE, min((r + 1) * RANGE_SIZE, self.n_dofs))
                 for r in np.sort(ranges)]
 
-    def _metadata_ranges(self):
-        """512-byte range ids of the geometry and index streams per batch."""
+    @cached_property
+    def _trace_runs(self):
+        """The runs a recorder stores, built on the first traced application
+        (untraced set-up does without them): per batch, the runs of its
+        src/dst, geometry and cell-index ranges, and the runs of the
+        constrained ranges."""
         dpc_geo = self.geometry.doubles_per_cell * 8
         dpc_idx = 27 * 4
-        geom = [_cell_stream_ranges(cells, dpc_geo) for cells in self.plan.batches]
-        idxm = [_cell_stream_ranges(cells, dpc_idx) for cells in self.plan.batches]
-        return geom, idxm
+        batches = [
+            (trace.runs_of(np.unique((idx + lo) // RANGE_SIZE)),
+             trace.runs_of(_cell_stream_ranges(cells, dpc_geo)),
+             trace.runs_of(_cell_stream_ranges(cells, dpc_idx)))
+            for idx, lo, cells in zip(self._batch_idx, self._batch_lo, self._batch_cells)]
+        return batches, trace.runs_of(np.unique(self._constrained // RANGE_SIZE))
 
     # -- geometry per batch ----------------------------------------------------
 
@@ -353,6 +354,7 @@ class MatrixFreeOperator:
         n_batches = self.plan.n_batches
         rec_src, rec_dst = src_name, dst_name
         if recorder is not None:
+            batch_runs, constrained_runs = self._trace_runs
             recorder.register_dofs(rec_src, self.n_dofs)
             recorder.register_dofs(rec_dst, self.n_dofs)
             recorder.register("geometry", self.geometry.doubles_per_cell * 8
@@ -391,16 +393,16 @@ class MatrixFreeOperator:
             for start, end in spans:
                 dst[start:end] += flat[start - lo:end - lo]
             if recorder is not None:
-                recorder.record_ranges(rec_src, self._batch_ranges[b], trace.READ)
-                recorder.record_ranges(rec_dst, self._batch_ranges[b], trace.READWRITE)
-                recorder.record_ranges("geometry", self._geom_ranges[b], trace.READ)
-                recorder.record_ranges("cell_indices", self._idx_ranges[b], trace.READ)
+                src_dst, geom, indices = batch_runs[b]
+                recorder.record_runs(rec_src, src_dst, trace.READ)
+                recorder.record_runs(rec_dst, src_dst, trace.READWRITE)
+                recorder.record_runs("geometry", geom, trace.READ)
+                recorder.record_runs("cell_indices", indices, trace.READ)
             if b == n_batches - 1 and len(self._constrained):
                 dst[self._constrained] = src[self._constrained]
                 if recorder is not None:
-                    cranges = np.unique(self._constrained // RANGE_SIZE)
-                    recorder.record_ranges(rec_src, cranges, trace.READ)
-                    recorder.record_ranges(rec_dst, cranges, trace.WRITE)
+                    recorder.record_runs(rec_src, constrained_runs, trace.READ)
+                    recorder.record_runs(rec_dst, constrained_runs, trace.WRITE)
             if post_fn is not None:
                 for lo, hi in post_spans[b]:
                     mark = recorder.mark() if (checked and recorder) else None

@@ -23,11 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import trace
-from .dofs import RANGE_SIZE
 from .operator import DiagonalPreconditioner
 
-__all__ = ["SolverBreakdown", "SolverConfig", "SolveResult", "ArrayOperator",
-           "fused_reductions", "solve_cg", "solve_pcg", "solve_pipelined",
+__all__ = ["SolverBreakdown", "SolverConfig", "SolveResult", "fused_reductions",
+           "solve_cg", "solve_pcg", "solve_pipelined",
            "solve_sstep", "solve_combined_cg", "solve_combined_pcg", "solve",
            "VARIANTS"]
 
@@ -70,45 +69,6 @@ class SolveResult:
     region_seconds: dict = field(default_factory=dict)
     matvecs: int = 0
     drift: tuple = ()                # pipelined: (iteration, |true-recurred|)
-
-
-class ArrayOperator:
-    """Adapter giving an explicit (dense or sparse) matrix the matrix-free
-    operator's interface, including the three-phase reference semantics of
-    `apply_with_callbacks`.  Used by the verification suites as the oracle
-    the cell-loop implementation is checked against."""
-
-    def __init__(self, matrix, components: int = 1):
-        self.matrix = matrix
-        self.n_dofs = matrix.shape[0]
-        self.components = components
-
-    def apply(self, src, out=None, recorder=None, src_name="src",
-              dst_name="dst"):
-        result = self.matrix @ src
-        if out is None:
-            out = result
-        else:
-            out[:] = result
-        if recorder is not None:
-            recorder.register_dofs(src_name, self.n_dofs)
-            recorder.register_dofs(dst_name, self.n_dofs)
-            recorder.record_stream(src_name, trace.READ)
-            recorder.record_stream(dst_name, trace.READWRITE)
-        return out
-
-    def apply_with_callbacks(self, src, dst, pre_fn, post_fn, *,
-                             recorder=None, merge_ranges=True, checked=False,
-                             src_name="src", dst_name="dst"):
-        n = self.n_dofs
-        if pre_fn is not None:
-            for lo in range(0, n, RANGE_SIZE):
-                pre_fn(lo, min(lo + RANGE_SIZE, n))
-        self.apply(src, out=dst, recorder=recorder, src_name=src_name,
-                   dst_name=dst_name)
-        if post_fn is not None:
-            for lo in range(0, n, RANGE_SIZE):
-                post_fn(lo, min(lo + RANGE_SIZE, n))
 
 
 def fused_reductions(r, v, p, minv, lo, hi) -> np.ndarray:

@@ -4,24 +4,33 @@ Events are recorded at 512-byte granularity (64 doubles — the same unit as
 the vector-range schedule).  Each traced stream registers once with its byte
 length and a kind: "vector" streams enter the memory-transfer accounting that
 is compared against the analytic model, "metadata" streams (geometry tables,
-index blocks) are kept separate.  Events are stored as compact numpy chunks
-so full-solve traces of ~10^5-DoF problems stay small.
+index blocks) are kept separate.  A record is one touch of a stream: a
+sequence of contiguous range runs [start, stop) in touch order.  Records and
+runs are stored run-length encoded in growable parallel integer columns, so a
+full-vector sweep costs one run whatever the stream's length.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = ["GRAIN_BYTES", "READ", "WRITE", "READWRITE", "Stream",
-           "EventChunk", "AccessRecorder", "ContractViolation"]
+           "EventChunk", "TraceColumns", "AccessRecorder",
+           "ContractViolation", "runs_of", "expand_runs"]
 
 GRAIN_BYTES = 512  # 64 doubles, one schedule range
 
 READ = 1
 WRITE = 2
 READWRITE = 3
+
+assert array("q").itemsize == np.dtype(np.int64).itemsize
 
 
 class ContractViolation(RuntimeError):
@@ -45,14 +54,78 @@ class Stream:
         return (min(lo + GRAIN_BYTES, self.n_bytes) - lo) / 8.0
 
 
+def runs_of(ranges) -> tuple:
+    """(starts, stops) of the ascending contiguous runs of a range-id
+    sequence, in touch order, as int64 `array`s ready for `record_runs`.
+    Duplicate and descending ids start new runs, so expanding the runs gives
+    the sequence back."""
+    ranges = np.asarray(ranges, dtype=np.int64).ravel()
+    if ranges.size == 0:
+        return array("q"), array("q")
+    breaks = np.flatnonzero(np.diff(ranges) != 1) + 1
+    starts = ranges[np.concatenate(([0], breaks))]
+    stops = ranges[np.concatenate((breaks - 1, [ranges.size - 1]))] + 1
+    return array("q", starts.tobytes()), array("q", stops.tobytes())
+
+
+def expand_runs(starts, stops) -> np.ndarray:
+    """The range ids of runs [start, stop), concatenated in order."""
+    starts = np.asarray(starts, dtype=np.int64)
+    counts = np.asarray(stops, dtype=np.int64) - starts
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
+
+
 @dataclass(frozen=True)
 class EventChunk:
+    """One record, read back from the recorder's columns."""
     iteration: int
     region: int  # region-instance id
     tag: str
     sid: int
     mode: int
-    ranges: np.ndarray  # 512-byte range ids within the stream
+    starts: np.ndarray  # runs [start, stop) of 512-byte range ids,
+    stops: np.ndarray   # in touch order
+
+    @property
+    def ranges(self) -> np.ndarray:
+        """The record's range ids within the stream, runs expanded."""
+        return expand_runs(self.starts, self.stops)
+
+
+class TraceColumns(NamedTuple):
+    """The trace as int64 columns: one entry per record (iteration, region,
+    sid, mode, and `first`, the index of its first run; its runs end where
+    the next record's begin) and one per run (start, stop)."""
+    iteration: np.ndarray
+    region: np.ndarray
+    sid: np.ndarray
+    mode: np.ndarray
+    first: np.ndarray
+    start: np.ndarray
+    stop: np.ndarray
+
+
+class _ChunkView(Sequence):
+    """The records of a recorder as a read-only sequence of EventChunks."""
+
+    def __init__(self, recorder: AccessRecorder):
+        self._rec = recorder
+
+    def __len__(self) -> int:
+        return len(self._rec._sid)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        rec = self._rec
+        i = range(len(self))[i]
+        a, b = rec._run_bounds(i)
+        region = rec._region_col[i]
+        return EventChunk(rec._iteration_col[i], region, rec.region_tag(region),
+                          rec._sid[i], rec._mode[i],
+                          np.array(rec._start[a:b], dtype=np.int64),
+                          np.array(rec._stop[a:b], dtype=np.int64))
 
 
 class AccessRecorder:
@@ -69,12 +142,19 @@ class AccessRecorder:
     def __init__(self):
         self.streams = {}
         self._by_sid = {}
-        self.chunks = []
         self.iteration = -1
         self._region = -1
-        self._next_region = 0
-        self._tag = ""
-        self._tags = {}
+        self._tags = []             # region id -> tag
+        # per record
+        self._iteration_col = array("q")
+        self._region_col = array("q")
+        self._sid = array("q")
+        self._mode = array("q")
+        self._first = array("q")
+        # per run
+        self._start = array("q")
+        self._stop = array("q")
+        self.chunks = _ChunkView(self)
 
     # -- setup ------------------------------------------------------------
 
@@ -98,38 +178,56 @@ class AccessRecorder:
         self.iteration = k
 
     def begin_region(self, tag: str) -> int:
-        rid = self._next_region
-        self._next_region += 1
+        rid = len(self._tags)
+        self._tags.append(tag)
         self._region = rid
-        self._tag = tag
-        self._tags[rid] = tag
         return rid
 
     def resume_region(self, rid: int) -> None:
         """Continue recording into an earlier region instance (used when a
         fused vector region brackets a matrix-vector product)."""
+        if not 0 <= rid < len(self._tags):
+            raise KeyError(rid)
         self._region = rid
-        self._tag = self._tags[rid]
+
+    def region_tag(self, rid: int) -> str:
+        """The tag a region instance was opened with ("" outside regions)."""
+        return self._tags[rid] if rid >= 0 else ""
+
+    def _begin_record(self, sid: int, mode: int) -> None:
+        self._iteration_col.append(self.iteration)
+        self._region_col.append(self._region)
+        self._sid.append(sid)
+        self._mode.append(mode)
+        self._first.append(len(self._start))
 
     def record_stream(self, name: str, mode: int) -> None:
         """Record a touch of every range of a stream (a full-vector sweep)."""
         stream = self.streams[name]
-        self.record_ranges(name, np.arange(stream.n_ranges), mode)
+        if stream.n_ranges > 0:
+            self._begin_record(stream.sid, mode)
+            self._start.append(0)
+            self._stop.append(stream.n_ranges)
+
+    def record_runs(self, name: str, runs: tuple, mode: int) -> None:
+        """Record prebuilt (starts, stops) runs, as `runs_of` returns them."""
+        stream = self.streams[name]
+        starts, stops = runs
+        if len(starts):
+            self._begin_record(stream.sid, mode)
+            self._start.extend(starts)
+            self._stop.extend(stops)
 
     def record_ranges(self, name: str, ranges, mode: int) -> None:
-        stream = self.streams[name]
-        ranges = np.asarray(ranges, dtype=np.int64)
-        if ranges.size == 0:
-            return
-        self.chunks.append(EventChunk(self.iteration, self._region, self._tag,
-                                      stream.sid, mode, ranges))
+        """Record range ids touched in the given order."""
+        self.record_runs(name, runs_of(ranges), mode)
 
     def record_span(self, name: str, byte_lo: int, byte_hi: int, mode: int) -> None:
         if byte_hi <= byte_lo:
             return
-        lo = byte_lo // GRAIN_BYTES
-        hi = -(-byte_hi // GRAIN_BYTES)
-        self.record_ranges(name, np.arange(lo, hi), mode)
+        self._begin_record(self.streams[name].sid, mode)
+        self._start.append(byte_lo // GRAIN_BYTES)
+        self._stop.append(-(-byte_hi // GRAIN_BYTES))
 
     def record_dofs(self, name: str, lo: int, hi: int, mode: int) -> None:
         self.record_span(name, 8 * lo, 8 * hi, mode)
@@ -137,22 +235,44 @@ class AccessRecorder:
     # -- inspection ---------------------------------------------------------
 
     def mark(self) -> int:
-        return len(self.chunks)
+        return len(self._sid)
+
+    def _run_bounds(self, i: int) -> tuple:
+        """[first, last + 1) run indices of record i."""
+        end = self._first[i + 1] if i + 1 < len(self._first) else len(self._start)
+        return self._first[i], end
+
+    def iter_runs(self):
+        """(sid, mode, start, stop) of every run, in recording order."""
+        for i in range(len(self._first)):
+            sid = self._sid[i]
+            mode = self._mode[i]
+            for j in range(*self._run_bounds(i)):
+                yield sid, mode, self._start[j], self._stop[j]
+
+    def columns(self) -> TraceColumns:
+        """A copy of the trace's columns as int64 arrays."""
+        return TraceColumns(*(np.frombuffer(col, dtype=np.int64).copy() for col in (
+            self._iteration_col, self._region_col, self._sid, self._mode,
+            self._first, self._start, self._stop)))
 
     def assert_within(self, mark: int, dof_lo: int, dof_hi: int,
                       n_dofs: int) -> None:
         """Check that every dof-length vector event since `mark` stays inside
         the dof span [dof_lo, dof_hi).  Streams of other lengths are scaled
         proportionally (e.g. a scalar diagonal on a 3-component vector)."""
-        for chunk in self.chunks[mark:]:
-            stream = self._by_sid[chunk.sid]
+        for i in range(mark, len(self._sid)):
+            stream = self._by_sid[self._sid[i]]
             if stream.kind != "vector":
                 continue
             scale = stream.n_bytes / (8 * n_dofs)
-            lo = int(np.floor(dof_lo * 8 * scale / GRAIN_BYTES))
-            hi = int(np.ceil(dof_hi * 8 * scale / GRAIN_BYTES))
-            if chunk.ranges.min() < lo or chunk.ranges.max() >= max(hi, lo + 1):
+            lo = math.floor(dof_lo * 8 * scale / GRAIN_BYTES)
+            hi = math.ceil(dof_hi * 8 * scale / GRAIN_BYTES)
+            a, b = self._run_bounds(i)
+            first = min(self._start[a:b])
+            last = max(self._stop[a:b]) - 1
+            if first < lo or last >= max(hi, lo + 1):
                 raise ContractViolation(
                     f"stream {stream.name!r} touched ranges "
-                    f"[{chunk.ranges.min()}, {chunk.ranges.max()}] outside the "
-                    f"scheduled span [{lo}, {hi}) in region {chunk.tag!r}")
+                    f"[{first}, {last}] outside the scheduled span [{lo}, {hi}) "
+                    f"in region {self.region_tag(self._region_col[i])!r}")

@@ -6,6 +6,8 @@ they can arbitrate the instrumented solvers.
 """
 
 import math
+from collections import OrderedDict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +22,7 @@ from mfcg.dofs import (
     expand_cell_indices,
     make_batches,
 )
+from mfcg.locality import CacheReplayResult, TagTally, TraceSummary
 from mfcg.mesh import (
     SYMMETRIC_INDEX,
     GeometryVariant,
@@ -660,3 +663,262 @@ def lapack_diagonal(op):
                        minlength=op.handler.n_nodes)
     diag[np.unique(op.handler.constrained_dofs // op.spec.components)] = 1.0
     return 1.0 / diag
+
+
+# -- explicit-matrix operator -----------------------------------------------------
+
+
+class ArrayOperator:
+    """Adapter giving an explicit (dense or sparse) matrix the matrix-free
+    operator's interface, including the three-phase reference semantics of
+    `apply_with_callbacks`."""
+
+    def __init__(self, matrix, components: int = 1):
+        self.matrix = matrix
+        self.n_dofs = matrix.shape[0]
+        self.components = components
+
+    def apply(self, src, out=None, recorder=None, src_name="src",
+              dst_name="dst"):
+        result = self.matrix @ src
+        if out is None:
+            out = result
+        else:
+            out[:] = result
+        if recorder is not None:
+            recorder.register_dofs(src_name, self.n_dofs)
+            recorder.register_dofs(dst_name, self.n_dofs)
+            recorder.record_stream(src_name, trace.READ)
+            recorder.record_stream(dst_name, trace.READWRITE)
+        return out
+
+    def apply_with_callbacks(self, src, dst, pre_fn, post_fn, *,
+                             recorder=None, merge_ranges=True, checked=False,
+                             src_name="src", dst_name="dst"):
+        n = self.n_dofs
+        if pre_fn is not None:
+            for lo in range(0, n, RANGE_SIZE):
+                pre_fn(lo, min(lo + RANGE_SIZE, n))
+        self.apply(src, out=dst, recorder=recorder, src_name=src_name,
+                   dst_name=dst_name)
+        if post_fn is not None:
+            for lo in range(0, n, RANGE_SIZE):
+                post_fn(lo, min(lo + RANGE_SIZE, n))
+
+
+# -- chunked access trace: one object per record, explicit range ids -------------
+
+
+@dataclass(frozen=True)
+class ChunkEvent:
+    iteration: int
+    region: int
+    tag: str
+    sid: int
+    mode: int
+    ranges: np.ndarray
+
+
+class ChunkRecorder:
+    """The recorder as it stored events before the run-length columns: one
+    ChunkEvent per record, each with its explicit int64 range ids.  Same
+    event API, so solvers and the operator can record into it."""
+
+    def __init__(self):
+        self.streams = {}
+        self._by_sid = {}
+        self.chunks = []
+        self.iteration = -1
+        self._region = -1
+        self._next_region = 0
+        self._tag = ""
+        self._tags = {}
+
+    def register(self, name, n_bytes, kind="vector"):
+        if name in self.streams:
+            stream = self.streams[name]
+            if stream.n_bytes != n_bytes or stream.kind != kind:
+                raise ValueError(f"stream {name!r} re-registered inconsistently")
+            return stream
+        stream = trace.Stream(len(self.streams), name, kind, n_bytes)
+        self.streams[name] = stream
+        self._by_sid[stream.sid] = stream
+        return stream
+
+    def register_dofs(self, name, n_dofs, kind="vector"):
+        return self.register(name, 8 * n_dofs, kind)
+
+    def begin_iteration(self, k):
+        self.iteration = k
+
+    def begin_region(self, tag):
+        rid = self._next_region
+        self._next_region += 1
+        self._region = rid
+        self._tag = tag
+        self._tags[rid] = tag
+        return rid
+
+    def resume_region(self, rid):
+        self._region = rid
+        self._tag = self._tags[rid]
+
+    def record_stream(self, name, mode):
+        stream = self.streams[name]
+        self.record_ranges(name, np.arange(stream.n_ranges), mode)
+
+    def record_ranges(self, name, ranges, mode):
+        stream = self.streams[name]
+        ranges = np.asarray(ranges, dtype=np.int64)
+        if ranges.size == 0:
+            return
+        self.chunks.append(ChunkEvent(self.iteration, self._region, self._tag,
+                                      stream.sid, mode, ranges))
+
+    def record_runs(self, name, runs, mode):
+        ranges = [r for start, stop in zip(*runs) for r in range(start, stop)]
+        self.record_ranges(name, ranges, mode)
+
+    def record_span(self, name, byte_lo, byte_hi, mode):
+        if byte_hi <= byte_lo:
+            return
+        lo = byte_lo // trace.GRAIN_BYTES
+        hi = -(-byte_hi // trace.GRAIN_BYTES)
+        self.record_ranges(name, np.arange(lo, hi), mode)
+
+    def record_dofs(self, name, lo, hi, mode):
+        self.record_span(name, 8 * lo, 8 * hi, mode)
+
+    def mark(self):
+        return len(self.chunks)
+
+    def assert_within(self, mark, dof_lo, dof_hi, n_dofs):
+        for chunk in self.chunks[mark:]:
+            stream = self._by_sid[chunk.sid]
+            if stream.kind != "vector":
+                continue
+            scale = stream.n_bytes / (8 * n_dofs)
+            lo = int(np.floor(dof_lo * 8 * scale / trace.GRAIN_BYTES))
+            hi = int(np.ceil(dof_hi * 8 * scale / trace.GRAIN_BYTES))
+            if chunk.ranges.min() < lo or chunk.ranges.max() >= max(hi, lo + 1):
+                raise trace.ContractViolation(
+                    f"stream {stream.name!r} touched ranges "
+                    f"[{chunk.ranges.min()}, {chunk.ranges.max()}] outside the "
+                    f"scheduled span [{lo}, {hi}) in region {chunk.tag!r}")
+
+
+def chunk_summarize_trace(recorder, n_dofs, n_iterations):
+    """summarize_trace over a ChunkRecorder: per region, np.unique of the
+    concatenated (stream, range) keys of each direction."""
+    if n_iterations < 1:
+        raise ValueError("need at least one iteration")
+    sid_info = {}
+    for stream in recorder.streams.values():
+        tail = stream.n_ranges - 1
+        sid_info[stream.sid] = (stream.kind, tail, stream.range_doubles(tail))
+    regions = {}
+    for chunk in recorder.chunks:
+        if not 1 <= chunk.iteration <= n_iterations:
+            continue
+        reg = regions.setdefault(chunk.region, (chunk.tag, [], []))
+        key = chunk.sid * (1 << 40) + chunk.ranges
+        if chunk.mode & trace.READ:
+            reg[1].append(key)
+        if chunk.mode & trace.WRITE:
+            reg[2].append(key)
+
+    def doubles(keys, want_kind):
+        if not keys:
+            return 0.0
+        uniq = np.unique(np.concatenate(keys))
+        sids = uniq >> 40
+        rids = uniq & ((1 << 40) - 1)
+        total = 0.0
+        for sid in np.unique(sids):
+            kind, tail, tail_doubles = sid_info[int(sid)]
+            if kind != want_kind:
+                continue
+            mine = rids[sids == sid]
+            total += 64.0 * len(mine)
+            if mine[-1] == tail:
+                total += tail_doubles - 64.0
+        return total
+
+    per_tag = {}
+    meta_r = meta_w = 0.0
+    for tag, read_keys, write_keys in regions.values():
+        r = doubles(read_keys, "vector")
+        w = doubles(write_keys, "vector")
+        acc = per_tag.setdefault(tag, [0.0, 0.0, 0])
+        acc[0] += r
+        acc[1] += w
+        acc[2] += 1
+        meta_r += doubles(read_keys, "metadata")
+        meta_w += doubles(write_keys, "metadata")
+
+    scale = 1.0 / (n_dofs * n_iterations)
+    tags = {}
+    for tag, (r, w, inst) in per_tag.items():
+        tags[tag] = TagTally(tag, inst, r * scale, w * scale,
+                             r / (n_dofs * inst), w / (n_dofs * inst))
+    non_row = ("matvec", "drift_check")
+    row_r = sum(t.reads_per_iteration for n, t in tags.items() if n not in non_row)
+    row_w = sum(t.writes_per_iteration for n, t in tags.items() if n not in non_row)
+    mv = tags.get("matvec")
+    return TraceSummary(n_dofs, n_iterations, tags, row_r, row_w,
+                        mv.reads_per_instance if mv else 0.0,
+                        mv.writes_per_instance if mv else 0.0,
+                        meta_r * scale, meta_w * scale)
+
+
+def chunk_replay_cache(recorder, model, n_dofs, n_iterations):
+    """replay_cache over a ChunkRecorder: the same per-range OrderedDict
+    LRU, walking each chunk's explicit range ids."""
+    capacity_lines = model.capacity_bytes // model.line_bytes
+    lines_of = {}
+    kind_of = {}
+    for stream in recorder.streams.values():
+        kind_of[stream.sid] = stream.kind
+        tail = stream.n_ranges - 1
+        full = trace.GRAIN_BYTES // model.line_bytes
+        tail_lines = -(-int(stream.range_doubles(tail) * 8) // model.line_bytes)
+        lines_of[stream.sid] = (full, tail, tail_lines)
+    doubles_per_line = model.line_bytes / 8.0
+
+    cache = OrderedDict()
+    occupancy = 0
+    loads = {"vector": 0, "metadata": 0}
+    stores = {"vector": 0, "metadata": 0}
+    for chunk in recorder.chunks:
+        sid = chunk.sid
+        kind = kind_of[sid]
+        full, tail, tail_lines = lines_of[sid]
+        writes = bool(chunk.mode & trace.WRITE)
+        for rid in chunk.ranges:
+            rid = int(rid)
+            key = (sid, rid)
+            n_lines = tail_lines if rid == tail else full
+            entry = cache.get(key)
+            if entry is None:
+                loads[kind] += n_lines
+                cache[key] = [n_lines, writes]
+                occupancy += n_lines
+                while occupancy > capacity_lines and cache:
+                    old_key, (old_lines, old_dirty) = cache.popitem(last=False)
+                    occupancy -= old_lines
+                    if old_dirty:
+                        stores[kind_of[old_key[0]]] += old_lines
+            else:
+                entry[1] = entry[1] or writes
+                cache.move_to_end(key)
+    for (sid, _), (n_lines, dirty) in cache.items():
+        if dirty:
+            stores[kind_of[sid]] += n_lines
+
+    scale = doubles_per_line / (n_dofs * n_iterations)
+    return CacheReplayResult(
+        model.capacity_bytes,
+        (loads["vector"] + loads["metadata"]) * scale,
+        (stores["vector"] + stores["metadata"]) * scale,
+        loads["vector"] * scale, stores["vector"] * scale,
+        loads["metadata"] * scale, stores["metadata"] * scale)

@@ -30,11 +30,13 @@ from _oracles import (
 )
 from mfcg.bench import assemble_problem, build_rhs
 from mfcg.dofs import (
+    RANGE_SIZE,
     _boundary_nodes,
     _morton_order,
     batch_size,
     compute_range_schedule,
     distribute_dofs,
+    expand_batch,
     make_batches,
     renumber_optimized,
 )
@@ -50,6 +52,7 @@ from mfcg.mesh import (
 )
 from mfcg.operator import _cell_stream_ranges
 from mfcg.tensor import gauss_quadrature, lagrange_basis
+from mfcg.trace import expand_runs
 
 CELLS = [(1, 1, 1), (3, 5, 2), (4, 4, 4), (6, 6, 6)]
 REL = 1e-14
@@ -141,10 +144,18 @@ def test_operator_spans_and_metadata_ranges_match_loops(cells, numbering, varian
     op, _ = build_fem(cells, p=2, comp=3, batch=7, traversal="morton",
                       numbering=numbering, variant=variant)
     assert op._zero_spans == loop_first_touch_spans(op)
-    for cells_b, geom, idxm in zip(op.plan.batches, op._geom_ranges, op._idx_ranges):
+    batch_runs, constrained_runs = op._trace_runs
+    for cells_b, (src_dst, geom, idxm) in zip(op.plan.batches, batch_runs):
         np.testing.assert_array_equal(
-            geom, loop_cell_stream_ranges(cells_b, op.geometry.doubles_per_cell * 8))
-        np.testing.assert_array_equal(idxm, loop_cell_stream_ranges(cells_b, 27 * 4))
+            expand_runs(*src_dst),
+            np.unique(expand_batch(op.handler, cells_b) // RANGE_SIZE))
+        np.testing.assert_array_equal(
+            expand_runs(*geom),
+            loop_cell_stream_ranges(cells_b, op.geometry.doubles_per_cell * 8))
+        np.testing.assert_array_equal(expand_runs(*idxm),
+                                      loop_cell_stream_ranges(cells_b, 27 * 4))
+    np.testing.assert_array_equal(expand_runs(*constrained_runs),
+                                  np.unique(op.handler.constrained_dofs // RANGE_SIZE))
     assert _cell_stream_ranges(np.empty(0, dtype=np.int64), 8).size == 0
 
 

@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import build_fem, dense_cg, dense_pcg, fem_rhs
-from mfcg.solvers import (ArrayOperator, SolverBreakdown, SolverConfig,
-                          SolveResult, fused_reductions, solve, solve_cg,
-                          solve_combined_cg, solve_combined_pcg, solve_pcg,
-                          solve_pipelined, solve_sstep)
+from _oracles import ArrayOperator, build_fem, dense_cg, dense_pcg, fem_rhs
+from mfcg.solvers import (SolverBreakdown, SolverConfig, SolveResult,
+                          fused_reductions, solve, solve_cg, solve_combined_cg,
+                          solve_combined_pcg, solve_pcg, solve_pipelined,
+                          solve_sstep)
 from mfcg.trace import AccessRecorder
 
 ALL_SOLVERS = ["cg", "pcg", "pipelined", "sstep", "combined_cg",
