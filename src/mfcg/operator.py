@@ -1,12 +1,12 @@
 """Matrix-free cell-loop evaluation of mass and Laplace operators, with
 optional pre/post range callbacks interleaved into the batch loop, the
-diagonal preconditioner, and assembly oracles for testing.
+diagonal preconditioner, and a sparse assembly oracle for testing.
 
 Constrained (Dirichlet) unknowns are kept in the system as identity rows:
-the gather zeroes constrained source entries, the scatter drops constrained
-contributions, and the constrained entries of the result are copied straight
-from the source.  This keeps the operator symmetric and the vectors full
-length.
+each batch's DoF map sends constrained entries to a slot that gathers zero
+and is never added back, and the constrained entries of the result are
+copied straight from the source.  This keeps the operator symmetric and the
+vectors full length.
 """
 
 from __future__ import annotations
@@ -183,26 +183,27 @@ class MatrixFreeOperator:
 
         mask = np.zeros(handler.n_dofs, dtype=bool)
         mask[handler.constrained_dofs] = True
-        self._constrained_mask = mask
         self._constrained = handler.constrained_dofs
 
-        # per-batch caches: cell ids, expanded indices relative to the start
-        # of the batch's window (its touched ranges, first to last), the
-        # window start, constraint masks and the dof spans of touched ranges
+        # per batch: its cell ids, the sorted unconstrained DoFs its cells
+        # touch, and the map from each entry of the kernel's (cell,
+        # component, node) layout into them.  Constrained entries are keyed
+        # n_dofs, which sorts past every DoF, so they all map to one extra
+        # slot that gathers zero and is never added back.
+        n1 = spec.degree + 1
         self._batch_cells = [np.asarray(cells) for cells in plan.batches]
-        self._batch_idx = []
-        self._batch_lo = []
-        self._batch_cmask = []
-        self._batch_spans = []
-        for cells in plan.batches:
-            idx = expand_batch(handler, cells)
-            cmask = mask[idx]
-            ranges = np.unique(idx // RANGE_SIZE)
-            lo = int(ranges[0]) * RANGE_SIZE
-            self._batch_idx.append(idx - lo)
-            self._batch_lo.append(lo)
-            self._batch_cmask.append(cmask if cmask.any() else None)
-            self._batch_spans.append(_merge_spans(ranges, RANGE_SIZE, handler.n_dofs))
+        self._batch_dofs = []
+        self._batch_map = []
+        for cells in self._batch_cells:
+            idx = (_expand_scalar(handler, cells)[:, None, :] * self.components
+                   + np.arange(self.components)[:, None])
+            dofs, inverse = np.unique(np.where(mask[idx], handler.n_dofs, idx),
+                                      return_inverse=True)
+            if dofs[-1] == handler.n_dofs:
+                dofs = dofs[:-1]
+            self._batch_dofs.append(dofs)
+            self._batch_map.append(inverse.reshape(len(cells), self.components,
+                                                   n1, n1, n1))
         # per batch, the kernel's (coefficients, jxw) where they are data,
         # not work: the final tensor gathered in batch order, contiguous per
         # entry as the cell loop streams it, and the affine variant's, which
@@ -243,10 +244,10 @@ class MatrixFreeOperator:
         dpc_geo = self.geometry.doubles_per_cell * 8
         dpc_idx = 27 * 4
         batches = [
-            (trace.runs_of(np.unique((idx + lo) // RANGE_SIZE)),
+            (trace.runs_of(np.unique(expand_batch(self.handler, cells) // RANGE_SIZE)),
              trace.runs_of(_cell_stream_ranges(cells, dpc_geo)),
              trace.runs_of(_cell_stream_ranges(cells, dpc_idx)))
-            for idx, lo, cells in zip(self._batch_idx, self._batch_lo, self._batch_cells)]
+            for cells in self._batch_cells]
         return batches, trace.runs_of(np.unique(self._constrained // RANGE_SIZE))
 
     # -- geometry per batch ----------------------------------------------------
@@ -344,10 +345,16 @@ class MatrixFreeOperator:
         order) is identical to running all pre_fn calls, then dst = A src,
         then all post_fn calls.  Callbacks receive dof bounds (lo, hi) and
         must only touch that span; with `checked` and a recorder, recorded
-        events are asserted against the span.
+        events are asserted against the span.  dst must not share memory
+        with src: batches zero and accumulate dst while later batches still
+        read src.
         """
         if len(src) != self.n_dofs or len(dst) != self.n_dofs:
             raise ValueError("vector length does not match handler")
+        if np.may_share_memory(src, dst):
+            raise ValueError("dst shares memory with src")
+        if not np.can_cast(np.float64, dst.dtype, "same_kind"):
+            raise ValueError(f"dst of dtype {dst.dtype} cannot hold the result")
         if checked and recorder is None:
             raise ValueError("checked mode needs a recorder")
         pre_spans, post_spans = self._hook_spans[bool(merge_ranges)]
@@ -361,8 +368,6 @@ class MatrixFreeOperator:
                               * self.handler.n_cells, kind="metadata")
             recorder.register("cell_indices", 27 * 4 * self.handler.n_cells,
                               kind="metadata")
-        comp = self.spec.components
-        n1 = self.spec.degree + 1
         for b in range(n_batches):
             if pre_fn is not None:
                 for lo, hi in pre_spans[b]:
@@ -374,24 +379,15 @@ class MatrixFreeOperator:
                 dst[lo:hi] = 0.0
                 if recorder is not None:
                     recorder.record_dofs(rec_dst, lo, hi, trace.WRITE)
-            idx = self._batch_idx[b]
-            lo = self._batch_lo[b]
-            cmask = self._batch_cmask[b]
-            u = src[lo:][idx]
-            if cmask is not None:
-                u[cmask] = 0.0
-            u = u.reshape(len(idx), -1, comp).transpose(0, 2, 1)
-            u = u.reshape(len(idx), comp, n1, n1, n1)
-            local = self._batch_kernel(b, u)
-            local = local.reshape(len(idx), comp, -1).transpose(0, 2, 1)
-            local = local.reshape(len(idx), -1)
-            if cmask is not None:
-                local[cmask] = 0.0
-            spans = self._batch_spans[b]
-            flat = np.bincount(idx.ravel(), weights=local.ravel(),
-                               minlength=spans[-1][1] - lo)
-            for start, end in spans:
-                dst[start:end] += flat[start - lo:end - lo]
+            dofs = self._batch_dofs[b]
+            inverse = self._batch_map[b]
+            gathered = np.empty(len(dofs) + 1, dtype=src.dtype)
+            np.take(src, dofs, out=gathered[:-1])
+            gathered[-1] = 0.0
+            local = self._batch_kernel(b, gathered.take(inverse))
+            flat = np.bincount(inverse.ravel(), weights=local.ravel(),
+                               minlength=len(gathered))
+            np.add.at(dst, dofs, flat[:-1])
             if recorder is not None:
                 src_dst, geom, indices = batch_runs[b]
                 recorder.record_runs(rec_src, src_dst, trace.READ)
@@ -503,15 +499,3 @@ class MatrixFreeOperator:
             A = scipy.sparse.kron(A, scipy.sparse.identity(spec.components),
                                   format="csr")
         return A.tocsr()
-
-    def assemble_dense(self) -> np.ndarray:
-        """Matrix from unit-vector probes of apply (guarded by size)."""
-        if self.n_dofs > 20000:
-            raise ValueError(f"dense assembly guard: {self.n_dofs} > 20000 DoFs")
-        A = np.empty((self.n_dofs, self.n_dofs))
-        e = np.zeros(self.n_dofs)
-        for j in range(self.n_dofs):
-            e[j] = 1.0
-            A[:, j] = self.apply(e)
-            e[j] = 0.0
-        return A

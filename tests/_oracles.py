@@ -390,6 +390,63 @@ def plumbed_callback_spans(op, ranges, merge):
             for r in np.sort(ranges)]
 
 
+def window_apply(op, src, dst, pre_fn=None, post_fn=None, merge_ranges=True):
+    """`op.apply_with_callbacks` (untraced) with the window scatter it
+    replaced: each batch gathers through node-major indices relative to its
+    first touched range, masks constrained entries on the way in and out,
+    bincounts over its window (first to last touched range) and adds the
+    touched ranges back one merged span at a time."""
+    comp = op.components
+    n1 = op.spec.degree + 1
+    n_batches = op.plan.n_batches
+    constrained = op.handler.constrained_dofs
+    mask = np.zeros(op.n_dofs, dtype=bool)
+    mask[constrained] = True
+    pre_spans, post_spans = op._hook_spans[bool(merge_ranges)]
+    for b, cells in enumerate(op.plan.batches):
+        idx = expand_batch(op.handler, cells)
+        cmask = mask[idx]
+        ranges = np.unique(idx // RANGE_SIZE)
+        lo = int(ranges[0]) * RANGE_SIZE
+        idx = idx - lo
+        spans = _merge_spans(ranges, RANGE_SIZE, op.n_dofs)
+        if pre_fn is not None:
+            for start, end in pre_spans[b]:
+                pre_fn(start, end)
+        for start, end in op._zero_spans[b]:
+            dst[start:end] = 0.0
+        u = src[lo:][idx]
+        u[cmask] = 0.0
+        u = u.reshape(len(idx), -1, comp).transpose(0, 2, 1)
+        u = u.reshape(len(idx), comp, n1, n1, n1)
+        local = op._batch_kernel(b, u)
+        local = local.reshape(len(idx), comp, -1).transpose(0, 2, 1)
+        local = local.reshape(len(idx), -1)
+        local[cmask] = 0.0
+        flat = np.bincount(idx.ravel(), weights=local.ravel(),
+                           minlength=spans[-1][1] - lo)
+        for start, end in spans:
+            dst[start:end] += flat[start - lo:end - lo]
+        if b == n_batches - 1 and len(constrained):
+            dst[constrained] = src[constrained]
+        if post_fn is not None:
+            for start, end in post_spans[b]:
+                post_fn(start, end)
+
+
+def assemble_dense(op):
+    """Matrix of `op` from unit-vector probes of apply (guarded by size)."""
+    if op.n_dofs > 20000:
+        raise ValueError(f"dense assembly guard: {op.n_dofs} > 20000 DoFs")
+    A = np.empty((op.n_dofs, op.n_dofs))
+    e = np.zeros(op.n_dofs)
+    for j in range(op.n_dofs):
+        e[j] = 1.0
+        A[:, j] = op.apply(e)
+        e[j] = 0.0
+    return A
+
+
 # -- problem set-up as first implemented -----------------------------------------
 # Per-cell Python loops and LAPACK inverses/determinants: the oracle for the
 # index-arithmetic numbering, renumbering and schedules, the one-pass

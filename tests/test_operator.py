@@ -12,7 +12,7 @@ from mfcg.mesh import GeometryVariant, build_cartesian_mesh, deform_mesh
 from mfcg.operator import DiagonalPreconditioner, MatrixFreeOperator, OperatorSpec
 from mfcg.trace import READ, WRITE, AccessRecorder, ContractViolation
 
-from _oracles import plumbed_callback_spans
+from _oracles import assemble_dense, plumbed_callback_spans
 
 VARIANTS = [GeometryVariant.QUADRATIC_COMPUTE, GeometryVariant.ISOPARAMETRIC_COMPUTE,
             GeometryVariant.INVERSE_JACOBIAN_LOAD, GeometryVariant.FINAL_TENSOR_LOAD]
@@ -102,14 +102,14 @@ class TestOracleEquivalence:
 
     def test_dense_probe_matches_sparse(self):
         op, _ = build_op(cells=(1, 1, 1), p=2, eq="mass_plus_laplace", scaling=2.0)
-        dense = op.assemble_dense()
+        dense = assemble_dense(op)
         sparse = op.assemble_sparse().toarray()
         np.testing.assert_allclose(dense, sparse, rtol=1e-12, atol=1e-13)
 
     def test_dense_guard(self):
         op, _ = build_op(cells=(4, 4, 4), p=5, comp=3)
         with pytest.raises(ValueError, match="guard"):
-            op.assemble_dense()
+            assemble_dense(op)
 
     @pytest.mark.parametrize("quadrature", ["gauss", "gauss_lobatto"])
     @pytest.mark.parametrize("variant", list(GeometryVariant))
