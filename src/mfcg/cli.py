@@ -423,12 +423,12 @@ def cmd_verify(cfg: Config, name_filter: str = "", mutate: str = "") -> int:
     if mutate == "sign-flip":
         # fault-injection self-test: flip the sign of the gradient
         # integration inside the cell loop and expect the oracle to notice
-        real = operator_mod.integrate_gradients
+        real = operator_mod.integrate_gradients_lanes
 
         def flipped(*args, **kwargs):
             return -real(*args, **kwargs)
 
-        operator_mod.integrate_gradients = flipped
+        operator_mod.integrate_gradients_lanes = flipped
         restore = real
     elif mutate:
         raise ValueError(f"unknown mutation {mutate!r}; have sign-flip")
@@ -445,7 +445,7 @@ def cmd_verify(cfg: Config, name_filter: str = "", mutate: str = "") -> int:
                 failures += not ok
     finally:
         if restore is not None:
-            operator_mod.integrate_gradients = restore
+            operator_mod.integrate_gradients_lanes = restore
     if failures:
         print(f"{failures} propert{'y' if failures == 1 else 'ies'} failed",
               file=sys.stderr)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .tensor import (
     QuadratureRule1D,
-    evaluate_gradients,
+    evaluate_gradients_lanes,
     evaluate_values,
     gauss_lobatto_quadrature,
     lagrange_basis,
@@ -303,11 +303,11 @@ def precompute_geometry(mesh: HexMesh, variant: GeometryVariant,
     if variant == GeometryVariant.INVERSE_JACOBIAN_LOAD:
         inv = np.empty(jac.shape)
         np.divide(adjugate(jac), det[..., None, None], out=inv)
-        payload = {"inverse_jacobian": inv, "jxw": det * weights}
+        payload = {"inverse_jacobian": inv, "jxw": np.ascontiguousarray(det * weights)}
         return GeometryData(variant, quad, payload, 10 * nq**3)
     if variant == GeometryVariant.FINAL_TENSOR_LOAD:
         sym = _final_tensor(jac, det, weights)
-        payload = {"final_tensor": sym, "jxw": det * weights}
+        payload = {"final_tensor": sym, "jxw": np.ascontiguousarray(det * weights)}
         return GeometryData(variant, quad, payload, 7 * nq**3)
     raise ValueError(f"unknown geometry variant {variant}")
 
@@ -328,12 +328,14 @@ def geometry_data(mesh: HexMesh, cell: int, variant: GeometryVariant,
 def compute_jacobians_from_nodes(nodes: np.ndarray, geo_basis, nq: int):
     """On-the-fly Jacobians for a batch of cells from geometry node
     coordinates (n_batch, n_nodes, 3) via sum-factorized differentiation of
-    the geometry polynomial."""
+    the geometry polynomial, with the coordinates and cells innermost as
+    SIMD lanes.  jac (n_batch, n_q^3, 3, 3) and det (n_batch, n_q^3) are
+    views of point-major arrays, with the cells fastest in memory."""
     n_batch = nodes.shape[0]
     npd = geo_basis.degree + 1
-    coords = nodes.transpose(0, 2, 1).reshape(n_batch, 3, npd, npd, npd)
-    g = evaluate_gradients(geo_basis, coords)
-    jac = np.transpose(g.reshape(3, n_batch, 3, nq**3), (1, 3, 2, 0))
+    coords = nodes.transpose(1, 2, 0).reshape(npd, npd, npd, 3, n_batch)
+    g = evaluate_gradients_lanes(geo_basis, coords)
+    jac = np.transpose(g.reshape(3, nq**3, 3, n_batch), (3, 1, 2, 0))
     return jac, _checked_determinant(jac)
 
 

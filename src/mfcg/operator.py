@@ -2,6 +2,12 @@
 optional pre/post range callbacks interleaved into the batch loop, the
 diagonal preconditioner, and a sparse assembly oracle for testing.
 
+The cell kernel holds a batch lanes-last, (z, y, x, cells, components): the
+cells and components are the innermost axis, as SIMD lanes, so each
+sum-factorization sweep is a few GEMMs as wide as the batch (see
+mfcg.tensor).  Geometry the kernel loads is stored in that order; the
+scatter still sums cell by cell.
+
 Constrained (Dirichlet) unknowns are kept in the system as identity rows:
 each batch's DoF map sends constrained entries to a slot that gathers zero
 and is never added back, and the constrained entries of the result are
@@ -36,12 +42,12 @@ from .mesh import (
     symmetric_coefficients,
 )
 from .tensor import (
-    evaluate_gradients,
-    evaluate_values,
+    evaluate_gradients_lanes,
+    evaluate_values_lanes,
     gauss_lobatto_quadrature,
     gauss_quadrature,
-    integrate_gradients,
-    integrate_values,
+    integrate_gradients_lanes,
+    integrate_values_lanes,
     lagrange_basis,
 )
 
@@ -135,18 +141,16 @@ _FLUX_ROWS = tuple(tuple(int(e) for e in row) for row in SYMMETRIC_INDEX)
 def _flux(sym: np.ndarray, grads: np.ndarray) -> np.ndarray:
     """G grad u per quadrature point, straight from the six entries of G.
 
-    grads: (3, n_batch, components, n_q, n_q, n_q); sym: the six entries,
-    (6, n_batch or 1, n_q^3).  The products of each row are summed in
-    gradient order."""
+    grads: (3, n_q, n_q, n_q, n_batch, components); sym: the six entries,
+    (6, n_q, n_q, n_q, n_batch or 1, 1), broadcast over the components.
+    The products of each row are summed in gradient order."""
     flux = np.empty_like(grads)
-    n = grads.shape[1]
-    d0, d1, d2 = grads.reshape(3, n, -1, sym.shape[-1])
-    g = sym.reshape(6, -1, 1, sym.shape[-1])
+    d0, d1, d2 = grads
     product = np.empty_like(d0)
-    for f, (i, k, m) in zip(flux.reshape((3,) + d0.shape), _FLUX_ROWS):
-        np.multiply(g[i], d0, out=f)
-        f += np.multiply(g[k], d1, out=product)
-        f += np.multiply(g[m], d2, out=product)
+    for f, (i, k, m) in zip(flux, _FLUX_ROWS):
+        np.multiply(sym[i], d0, out=f)
+        f += np.multiply(sym[k], d1, out=product)
+        f += np.multiply(sym[m], d2, out=product)
     return flux
 
 
@@ -186,10 +190,12 @@ class MatrixFreeOperator:
         self._constrained = handler.constrained_dofs
 
         # per batch: its cell ids, the sorted unconstrained DoFs its cells
-        # touch, and the map from each entry of the kernel's (cell,
-        # component, node) layout into them.  Constrained entries are keyed
-        # n_dofs, which sorts past every DoF, so they all map to one extra
-        # slot that gathers zero and is never added back.
+        # touch, and the map from each entry of the (cell, component, node)
+        # layout into them.  Constrained entries are keyed n_dofs, which
+        # sorts past every DoF, so they all map to one extra slot that
+        # gathers zero and is never added back.  The map stays cell-major,
+        # the order in which the scatter sums; the gather reads it through
+        # the transposed view that is the kernel's lane order.
         n1 = spec.degree + 1
         self._batch_cells = [np.asarray(cells) for cells in plan.batches]
         self._batch_dofs = []
@@ -205,12 +211,12 @@ class MatrixFreeOperator:
             self._batch_map.append(inverse.reshape(len(cells), self.components,
                                                    n1, n1, n1))
         # per batch, the kernel's (coefficients, jxw) where they are data,
-        # not work: the final tensor gathered in batch order, contiguous per
-        # entry as the cell loop streams it, and the affine variant's, which
-        # every cell shares
+        # not work: the final tensor gathered in batch and lane order,
+        # contiguous per entry as the cell loop streams it, and the affine
+        # variant's, which every cell shares
         self._stored_geometry = None
         if spec.geometry in (GeometryVariant.FINAL_TENSOR_LOAD, GeometryVariant.AFFINE):
-            self._stored_geometry = [self._batch_geometry(cells, jxw=spec.needs_values)
+            self._stored_geometry = [self._kernel_geometry(cells)
                                      for cells in self._batch_cells]
         self._zero_spans = self._first_touch_spans()
         # callback spans per merge_ranges setting: (pre, post) per batch
@@ -291,28 +297,52 @@ class MatrixFreeOperator:
             weights = det * payload["weights"]
         return sym, (weights if jxw else None)
 
+    def _kernel_geometry(self, cells: np.ndarray):
+        """_batch_geometry of `cells` in the kernel's lane order:
+        coefficients (6, n_q, n_q, n_q, n_cells or 1, 1) or None, and jxw
+        (n_q, n_q, n_q, n_cells, 1) if the equation needs values, else
+        None.  The final tensor is gathered straight into contiguous lane
+        order; the other variants' arrays are viewed transposed."""
+        nq = self._nq
+        needs_values = self.spec.needs_values
+        if self.spec.geometry == GeometryVariant.FINAL_TENSOR_LOAD:
+            payload = self.geometry.payload
+            sym = jxw = None
+            if self.spec.needs_gradients:
+                sym = np.ascontiguousarray(payload["final_tensor"].T[:, :, cells])
+            if needs_values:
+                jxw = np.ascontiguousarray(payload["jxw"].T[:, cells])
+        else:
+            sym, jxw = self._batch_geometry(cells, jxw=needs_values)
+            if sym is not None:
+                sym = sym.reshape(6, -1, nq ** 3).transpose(0, 2, 1)
+            if jxw is not None:
+                jxw = jxw.T
+        return (None if sym is None else sym.reshape(6, nq, nq, nq, -1, 1),
+                None if jxw is None else jxw.reshape(nq, nq, nq, -1, 1))
+
     # -- cell kernel -------------------------------------------------------------
 
     def _batch_kernel(self, b: int, u: np.ndarray) -> np.ndarray:
         """Integrate the equation on one batch of cells.
 
-        u, result: (n_batch, components, p+1, p+1, p+1) nodal values.
+        u, result: (p+1, p+1, p+1, n_batch, components) nodal values, the
+        cells and components innermost, as SIMD lanes: each sweep is a few
+        GEMMs as wide as the batch.
         """
         spec = self.spec
-        nb = u.shape[0]
         if self._stored_geometry is not None:
             sym, jxw = self._stored_geometry[b]
         else:
-            sym, jxw = self._batch_geometry(self._batch_cells[b], jxw=spec.needs_values)
+            sym, jxw = self._kernel_geometry(self._batch_cells[b])
         out = None
         if spec.needs_values:
-            nq = self._nq
-            vals = evaluate_values(self.basis, u)
-            vals *= jxw.reshape(nb, 1, nq, nq, nq)
-            out = integrate_values(self.basis, vals)
+            vals = evaluate_values_lanes(self.basis, u)
+            vals *= jxw
+            out = integrate_values_lanes(self.basis, vals)
         if spec.needs_gradients:
-            grads = evaluate_gradients(self.basis, u)
-            lap = integrate_gradients(self.basis, _flux(sym, grads))
+            grads = evaluate_gradients_lanes(self.basis, u)
+            lap = integrate_gradients_lanes(self.basis, _flux(sym, grads))
             if out is None:
                 out = lap
             else:
@@ -384,8 +414,12 @@ class MatrixFreeOperator:
             gathered = np.empty(len(dofs) + 1, dtype=src.dtype)
             np.take(src, dofs, out=gathered[:-1])
             gathered[-1] = 0.0
-            local = self._batch_kernel(b, gathered.take(inverse))
-            flat = np.bincount(inverse.ravel(), weights=local.ravel(),
+            lanes = gathered.take(inverse.transpose(2, 3, 4, 0, 1))
+            local = self._batch_kernel(b, lanes)
+            # summed cell-major, so that every DoF adds the contributions of
+            # its cells in batch order
+            flat = np.bincount(inverse.ravel(),
+                               weights=local.transpose(3, 4, 0, 1, 2).ravel(),
                                minlength=len(gathered))
             np.add.at(dst, dofs, flat[:-1])
             if recorder is not None:

@@ -1,15 +1,26 @@
 """One-dimensional quadrature, Lagrange basis tables, and sum-factorization
 sweeps over tensor-product cells.
 
-Cell data lives in C-ordered numpy arrays indexed ``[z, y, x]`` (x fastest in
-memory, i.e. lexicographic layout); direction 0 is x, 1 is y, 2 is z.  All
-sweeps accept arbitrary leading batch axes, so a whole batch of cells (or the
-three gradient components) can be pushed through one contraction.  Every
-sweep is a small matrix-matrix product on a reshaped view of the tensor (the
-"mxm" form of sum factorization).  Each basis derives its sweep plans (the
-matrices, the skipped directions and the view shapes) once, so a call does
-the products and little else.  Rules and bases are built once per argument
-and are read-only.  The reference cell is the unit cube [0,1]^3.
+Cell data lives in C-ordered numpy arrays whose point axes are indexed
+``[z, y, x]`` (x fastest among them, i.e. lexicographic layout); direction 0
+is x, 1 is y, 2 is z.  A batch of cells comes in one of two layouts:
+
+* cells-first, ``(lead..., z, y, x)``: the public ``evaluate_*`` and
+  ``integrate_*`` functions.  A sweep is one small GEMM per cell and point
+  line ``(lead * outer, n, trail)``.
+* lanes-last, ``(z, y, x, lanes...)``: the ``*_lanes`` functions, which the
+  operator's cell kernel runs with the cells and components innermost, as
+  SIMD lanes (after Kronbichler & Kormann, Computers & Fluids 63, 2012).  A
+  sweep is a few long GEMMs ``(outer, n, trail * lanes)``: one for z, n for
+  y and n^2 for x, whatever the batch size.
+
+Both layouts run the same sweeps, so a lanes-last tensor of one lane is a
+cells-first tensor of one cell.  Every sweep is a small matrix-matrix product
+on a reshaped view of the tensor (the "mxm" form of sum factorization).  Each
+basis derives its sweep plans (the matrices, the skipped directions and the
+view shapes) once, so a call does the products and little else.  Rules and
+bases are built once per argument and are read-only.  The reference cell is
+the unit cube [0,1]^3.
 """
 
 from __future__ import annotations
@@ -30,12 +41,14 @@ __all__ = [
     "lagrange_basis",
     "lagrange_values_1d",
     "lagrange_gradients_1d",
-    "apply_1d",
-    "even_odd_apply",
     "evaluate_values",
     "evaluate_gradients",
     "integrate_values",
     "integrate_gradients",
+    "evaluate_values_lanes",
+    "evaluate_gradients_lanes",
+    "integrate_values_lanes",
+    "integrate_gradients_lanes",
 ]
 
 # A cell tensor is just an ndarray; the alias documents intent in signatures.
@@ -181,17 +194,6 @@ def lagrange_gradients_1d(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _axis(tensor: CellTensor, direction: int, n: int) -> int:
-    """Axis of `direction` in a C-ordered tensor, checked to have extent n."""
-    if direction not in (0, 1, 2):
-        raise ValueError("direction must be 0, 1 or 2")
-    axis = tensor.ndim - 1 - direction
-    if tensor.shape[axis] != n:
-        raise ValueError(f"tensor extent {tensor.shape[axis]} in direction "
-                         f"{direction} does not match matrix extent {n}")
-    return axis
-
-
 def _mxm(matrix: np.ndarray, view: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     """matrix (m, n) times the middle axis of view (lead, n, trail): one GEMM
     if trail is 1, else one (m, n) x (n, trail) GEMM per lead index; written
@@ -231,8 +233,9 @@ class _Matrix1D(NamedTuple):
 
 
 class _Sweep(NamedTuple):
-    """One contraction of a plan: the (lead * outer, n, trail) view of the
-    tensor, for `lead` cells, times `matrix` along its middle axis."""
+    """One contraction of a plan: the (lead * outer, n, trail * lanes) view
+    of a tensor of `lead` cells first or `lanes` cells last, times `matrix`
+    along its middle axis."""
 
     outer: int
     n: int
@@ -272,26 +275,27 @@ def _even_odd(matrix: _Matrix1D, view: np.ndarray, out: np.ndarray = None) -> np
     return out
 
 
-def _contract(sweep: _Sweep, tensor: CellTensor, lead: int, even_odd: bool,
-              out: np.ndarray = None) -> np.ndarray:
-    """One sweep on `lead` cells, into `out` (any shape of the result's
-    size, contiguous) if given."""
+def _contract(sweep: _Sweep, tensor: CellTensor, lead: int, lanes: int,
+              even_odd: bool, out: np.ndarray = None) -> np.ndarray:
+    """One sweep on a (lead, z, y, x, lanes) tensor, into `out` (any shape
+    of the result's size, contiguous) if given: cells-first tensors have
+    lanes 1, lanes-last ones lead 1."""
     outer, n, trail, matrix = sweep
-    view = tensor.reshape(lead * outer, n, trail)
+    view = tensor.reshape(lead * outer, n, trail * lanes)
     if out is not None:
-        out = out.reshape(lead * outer, -1, trail)
+        out = out.reshape(lead * outer, -1, trail * lanes)
     if even_odd:
         return _even_odd(matrix, view, out)
     return _mxm(matrix.matrix, view, out)
 
 
-def _run(sweeps: tuple, tensor: CellTensor, lead: int,
+def _run(sweeps: tuple, tensor: CellTensor, lead: int, lanes: int,
          even_odd: bool) -> np.ndarray:
-    """Apply a plan's sweeps to `lead` cells: the last sweep's product in
-    its (lead * outer, m, trail) shape, or `tensor` itself for an empty
-    plan."""
+    """Apply a plan's sweeps to a (lead, z, y, x, lanes) tensor: the last
+    sweep's product in its (lead * outer, m, trail * lanes) shape, or
+    `tensor` itself for an empty plan."""
     for sweep in sweeps:
-        tensor = _contract(sweep, tensor, lead, even_odd)
+        tensor = _contract(sweep, tensor, lead, lanes, even_odd)
     return tensor
 
 
@@ -376,57 +380,71 @@ def _lagrange_basis(p: int, points: bytes, weights: bytes) -> TensorBasis1D:
                          collocation, bool(np.array_equal(values, np.eye(p + 1))))
 
 
-def apply_1d(matrix: np.ndarray, tensor: CellTensor, direction: int,
-             transpose: bool = False) -> CellTensor:
-    """Contract `matrix` (or its transpose) with `tensor` along the given
-    direction (0 = x = last axis).  Leading batch axes pass through.  The
-    reference contraction: sums in index order of separately rounded
-    products, as a plain loop does (the sweeps' BLAS may fuse them)."""
-    mat = matrix.T if transpose else matrix
-    _axis(tensor, direction, mat.shape[1])
-    spec = ("qi,...i->...q", "qi,...ix->...qx", "qi,...iyx->...qyx")[direction]
-    return np.einsum(spec, mat, tensor)
-
-
-def even_odd_apply(basis: TensorBasis1D, tensor: CellTensor, direction: int,
-                   kind: str = "value", transpose: bool = False) -> CellTensor:
-    """Same contraction as apply_1d with the basis' value or gradient matrix,
-    computed through the even-odd decomposition (about half the
-    multiplications; agrees with apply_1d to reassociation tolerance)."""
-    if kind not in ("value", "gradient"):
-        raise ValueError("kind must be 'value' or 'gradient'")
-    matrix = basis.shape_values if kind == "value" else basis.shape_gradients
-    if transpose:
-        matrix = matrix.T
-    m, n = matrix.shape
-    axis = _axis(tensor, direction, n)
+def _layout(tensor: CellTensor, extent: int, lanes_last: bool) -> tuple:
+    """(lead, lanes, leading shape, trailing shape) of a cell tensor, its
+    cells before the point axes (lead) or after them (lanes); the three
+    point axes must have `extent` points."""
     shape = tensor.shape
-    view = tensor.reshape(prod(shape[:axis]), n, prod(shape[axis + 1:]))
-    out = _even_odd(_Matrix1D.build(matrix, +1 if kind == "value" else -1), view)
-    return out.reshape(shape[:axis] + (m,) + shape[axis + 1:])
+    points = shape[:3] if lanes_last else shape[-3:]
+    if points != (extent,) * 3:
+        raise ValueError(f"cell extents {points} do not match the basis "
+                         f"extent {extent}")
+    if lanes_last:
+        return 1, prod(shape[3:]), (), shape[3:]
+    return prod(shape[:-3]), 1, shape[:-3], ()
 
 
-def _cells(tensor: CellTensor, extent: int) -> tuple:
-    """(leading shape, number of cells) of a tensor whose last three axes
-    must have `extent` points."""
-    shape = tensor.shape
-    if shape[-3:] != (extent,) * 3:
-        raise ValueError(f"cell extents {shape[-3:]} do not match the "
-                         f"basis extent {extent}")
-    lead = shape[:-3]
-    return lead, prod(lead)
+def _values(basis: TensorBasis1D, tensor: CellTensor, transpose: bool,
+            lanes_last: bool, even_odd: bool) -> CellTensor:
+    """Value sweeps to the quadrature points (or back, transposed); a copy
+    under collocation."""
+    n1, nq = basis.degree + 1, len(basis.quadrature)
+    sweeps, n_in, n_out = ((basis._values_t, nq, n1) if transpose
+                           else (basis._values, n1, nq))
+    lead, lanes, before, after = _layout(tensor, n_in, lanes_last)
+    out = _run(sweeps, tensor, lead, lanes, even_odd)
+    if out is tensor:
+        return out.copy()
+    return out.reshape(before + (n_out,) * 3 + after)
+
+
+def _gradients(basis: TensorBasis1D, tensor: CellTensor, lanes_last: bool,
+               even_odd: bool) -> CellTensor:
+    """Reference-space gradients at the quadrature points, stacked on a new
+    leading axis."""
+    nq = len(basis.quadrature)
+    lead, lanes, before, after = _layout(tensor, basis.degree + 1, lanes_last)
+    at_q = _run(basis._to_q, tensor, lead, lanes, even_odd)
+    out = np.empty((3,) + before + (nq,) * 3 + after)
+    flat = out.reshape(3, -1)
+    for c, (*sweeps, last) in enumerate(basis._derivatives):
+        _contract(last, _run(sweeps, at_q, lead, lanes, even_odd), lead, lanes,
+                  even_odd, flat[c])
+    return out
+
+
+def _gradients_t(basis: TensorBasis1D, data: CellTensor, lanes_last: bool,
+                 even_odd: bool) -> CellTensor:
+    """Adjoint of _gradients: the transposed derivatives of the three
+    stacked components summed at the quadrature points, then the transposed
+    value sweeps."""
+    if data.shape[0] != 3:
+        raise ValueError("quad_data must stack 3 gradient components on axis 0")
+    n1 = basis.degree + 1
+    lead, lanes, before, after = _layout(data[0], len(basis.quadrature), lanes_last)
+    d0, d1, d2 = basis._derivatives_t
+    at_q = _run(d0, data[0], lead, lanes, even_odd).reshape(-1)
+    at_q += _run(d1, data[1], lead, lanes, even_odd).reshape(-1)
+    at_q += _run(d2, data[2], lead, lanes, even_odd).reshape(-1)
+    out = _run(basis._to_q_t, at_q, lead, lanes, even_odd)
+    return out.reshape(before + (n1,) * 3 + after)
 
 
 def evaluate_values(basis: TensorBasis1D, cell_dofs: CellTensor,
                     even_odd: bool = False) -> CellTensor:
     """Interpolate nodal coefficients to the quadrature points (value sweeps
     in all three directions; a copy under collocation)."""
-    lead, cells = _cells(cell_dofs, basis.degree + 1)
-    out = _run(basis._values, cell_dofs, cells, even_odd)
-    if out is cell_dofs:
-        return out.copy()
-    nq = len(basis.quadrature.points)
-    return out.reshape(lead + (nq, nq, nq))
+    return _values(basis, cell_dofs, False, False, even_odd)
 
 
 def evaluate_gradients(basis: TensorBasis1D, cell_dofs: CellTensor,
@@ -435,26 +453,14 @@ def evaluate_gradients(basis: TensorBasis1D, cell_dofs: CellTensor,
     three value sweeps, then the collocation derivative in each direction.
     output[c] = d/dx_c of the field, stacked on a new leading axis, each of
     shape (n_q, n_q, n_q) plus any leading batch axes of the input."""
-    lead, cells = _cells(cell_dofs, basis.degree + 1)
-    nq = len(basis.quadrature.points)
-    at_q = _run(basis._to_q, cell_dofs, cells, even_odd)
-    out = np.empty((3,) + lead + (nq, nq, nq))
-    flat = out.reshape(3, cells, nq ** 3)
-    for c, (*sweeps, last) in enumerate(basis._derivatives):
-        _contract(last, _run(sweeps, at_q, cells, even_odd), cells, even_odd, flat[c])
-    return out
+    return _gradients(basis, cell_dofs, False, even_odd)
 
 
 def integrate_values(basis: TensorBasis1D, quad_data: CellTensor,
                      even_odd: bool = False) -> CellTensor:
     """Adjoint of evaluate_values: sum phi_i(x_q) * quad_data[q] over q
     (transposed value sweeps; a copy under collocation)."""
-    lead, cells = _cells(quad_data, len(basis.quadrature.points))
-    out = _run(basis._values_t, quad_data, cells, even_odd)
-    if out is quad_data:
-        return out.copy()
-    n1 = basis.degree + 1
-    return out.reshape(lead + (n1, n1, n1))
+    return _values(basis, quad_data, True, False, even_odd)
 
 
 def integrate_gradients(basis: TensorBasis1D, quad_data: CellTensor,
@@ -463,12 +469,25 @@ def integrate_gradients(basis: TensorBasis1D, quad_data: CellTensor,
     sum_q grad phi_i(x_q) . quad_data[:, q], as transposed collocation
     derivatives summed at the quadrature points, then transposed value
     sweeps.  The three gradient components are stacked on axis 0."""
-    if quad_data.shape[0] != 3:
-        raise ValueError("quad_data must stack 3 gradient components on axis 0")
-    lead, cells = _cells(quad_data[0], len(basis.quadrature.points))
-    d0, d1, d2 = basis._derivatives_t
-    at_q = _run(d0, quad_data[0], cells, even_odd).reshape(cells, -1)
-    at_q += _run(d1, quad_data[1], cells, even_odd).reshape(cells, -1)
-    at_q += _run(d2, quad_data[2], cells, even_odd).reshape(cells, -1)
-    n1 = basis.degree + 1
-    return _run(basis._to_q_t, at_q, cells, even_odd).reshape(lead + (n1, n1, n1))
+    return _gradients_t(basis, quad_data, False, even_odd)
+
+
+def evaluate_values_lanes(basis: TensorBasis1D, tensor: CellTensor) -> CellTensor:
+    """evaluate_values on a lanes-last tensor, (z, y, x) plus lane axes."""
+    return _values(basis, tensor, False, True, False)
+
+
+def evaluate_gradients_lanes(basis: TensorBasis1D, tensor: CellTensor) -> CellTensor:
+    """evaluate_gradients on a lanes-last tensor: (3, n_q, n_q, n_q) plus
+    the lane axes of the input."""
+    return _gradients(basis, tensor, True, False)
+
+
+def integrate_values_lanes(basis: TensorBasis1D, quad_data: CellTensor) -> CellTensor:
+    """integrate_values on a lanes-last tensor."""
+    return _values(basis, quad_data, True, True, False)
+
+
+def integrate_gradients_lanes(basis: TensorBasis1D, quad_data: CellTensor) -> CellTensor:
+    """integrate_gradients on lanes-last tensors stacked on axis 0."""
+    return _gradients_t(basis, quad_data, True, False)

@@ -35,6 +35,8 @@ from mfcg.mesh import (
 )
 from mfcg.operator import MatrixFreeOperator, OperatorSpec, _merge_spans
 from mfcg.tensor import (
+    _even_odd,
+    _Matrix1D,
     evaluate_gradients,
     evaluate_values,
     gauss_lobatto_quadrature,
@@ -135,16 +137,48 @@ def dense_pcg(A, b, minv_full, tol=1e-8, maxit=500):
 # Every sweep an einsum over `...` (or the even-odd split with moveaxis round
 # trips), and each gradient component its own sweep triple: the oracle for
 # the GEMM-shaped sweeps, collocation derivatives and identity skip of
-# mfcg.tensor.
+# mfcg.tensor.  apply_1d is that einsum, with its direction and extent
+# checks; even_odd_apply drives mfcg.tensor's even-odd product on one
+# direction, so that it can be checked against apply_1d.
 
 
-def einsum_apply_1d(matrix, tensor, direction, transpose=False):
+def _axis(tensor, direction, n):
+    """Axis of `direction` in a C-ordered tensor, checked to have extent n."""
+    if direction not in (0, 1, 2):
+        raise ValueError("direction must be 0, 1 or 2")
+    axis = tensor.ndim - 1 - direction
+    if tensor.shape[axis] != n:
+        raise ValueError(f"tensor extent {tensor.shape[axis]} in direction "
+                         f"{direction} does not match matrix extent {n}")
+    return axis
+
+
+def apply_1d(matrix, tensor, direction, transpose=False):
+    """Contract `matrix` (or its transpose) with `tensor` along the given
+    direction (0 = x = last axis).  Leading batch axes pass through.  The
+    reference contraction: sums in index order of separately rounded
+    products, as a plain loop does (the sweeps' BLAS may fuse them)."""
     mat = matrix.T if transpose else matrix
-    if direction == 0:
-        return np.einsum("qi,...i->...q", mat, tensor)
-    if direction == 1:
-        return np.einsum("qi,...ix->...qx", mat, tensor)
-    return np.einsum("qi,...iyx->...qyx", mat, tensor)
+    _axis(tensor, direction, mat.shape[1])
+    spec = ("qi,...i->...q", "qi,...ix->...qx", "qi,...iyx->...qyx")[direction]
+    return np.einsum(spec, mat, tensor)
+
+
+def even_odd_apply(basis, tensor, direction, kind="value", transpose=False):
+    """Same contraction as apply_1d with the basis' value or gradient matrix,
+    computed through mfcg.tensor's even-odd decomposition (about half the
+    multiplications; agrees with apply_1d to reassociation tolerance)."""
+    if kind not in ("value", "gradient"):
+        raise ValueError("kind must be 'value' or 'gradient'")
+    matrix = basis.shape_values if kind == "value" else basis.shape_gradients
+    if transpose:
+        matrix = matrix.T
+    m, n = matrix.shape
+    axis = _axis(tensor, direction, n)
+    shape = tensor.shape
+    view = tensor.reshape(math.prod(shape[:axis]), n, math.prod(shape[axis + 1:]))
+    out = _even_odd(_Matrix1D.build(matrix, +1 if kind == "value" else -1), view)
+    return out.reshape(shape[:axis] + (m,) + shape[axis + 1:])
 
 
 def _even_odd_halves(matrix):
@@ -189,7 +223,7 @@ def _oracle_sweep(basis, tensor, kinds, transpose, even_odd):
             sign = 1 if kind == "value" else -1
             out = even_odd_apply_1d(mat, sign, out, direction, transpose)
         else:
-            out = einsum_apply_1d(mat, out, direction, transpose)
+            out = apply_1d(mat, out, direction, transpose)
     return out
 
 
@@ -382,6 +416,13 @@ def plumbed_batch_kernel(op, b, u):
     return out
 
 
+def cells_first_kernel(op, b, u):
+    """op._batch_kernel on cells-first u, (n_batch, components, p+1, p+1,
+    p+1): transposed into the kernel's lanes-last layout and back."""
+    lanes = np.ascontiguousarray(u.transpose(2, 3, 4, 0, 1))
+    return op._batch_kernel(b, lanes).transpose(3, 4, 0, 1, 2)
+
+
 def plumbed_callback_spans(op, ranges, merge):
     """Per-call callback spans of one schedule entry."""
     if merge:
@@ -419,7 +460,7 @@ def window_apply(op, src, dst, pre_fn=None, post_fn=None, merge_ranges=True):
         u[cmask] = 0.0
         u = u.reshape(len(idx), -1, comp).transpose(0, 2, 1)
         u = u.reshape(len(idx), comp, n1, n1, n1)
-        local = op._batch_kernel(b, u)
+        local = cells_first_kernel(op, b, u)
         local = local.reshape(len(idx), comp, -1).transpose(0, 2, 1)
         local = local.reshape(len(idx), -1)
         local[cmask] = 0.0

@@ -2,6 +2,12 @@
 per-call implementation they replaced (tests/_oracles.py, "plumbed"): the
 same contractions and flux operations in the same order, so the results
 must be bit-identical, and the contraction count per batch is pinned.
+
+The kernel holds a batch lanes-last, (z, y, x, cells, components); the
+plumbed oracle and the public sweeps hold it cells-first.  The kernel's
+inputs are transposed in and its results out (cells_first_kernel), which
+moves values and changes no bits.  The GEMM count per sweep must not grow
+with the batch.
 """
 
 import numpy as np
@@ -12,21 +18,26 @@ from hypothesis import strategies as st
 import mfcg.tensor
 from _oracles import (
     build_fem,
+    cells_first_kernel,
     plumbed_batch_kernel,
     plumbed_evaluate_gradients,
     plumbed_evaluate_values,
     plumbed_integrate_gradients,
     plumbed_integrate_values,
 )
-from mfcg.bench import assemble_problem
+from mfcg.bench import BENCHMARK_PROBLEMS, assemble_problem
 from mfcg.mesh import GeometryVariant
 from mfcg.tensor import (
     evaluate_gradients,
+    evaluate_gradients_lanes,
     evaluate_values,
+    evaluate_values_lanes,
     gauss_lobatto_quadrature,
     gauss_quadrature,
     integrate_gradients,
+    integrate_gradients_lanes,
     integrate_values,
+    integrate_values_lanes,
     lagrange_basis,
 )
 
@@ -56,7 +67,7 @@ def test_kernel_bit_identical_to_plumbed(p, variant):
                                   scaling=0.35)
                 assert [len(c) for c in op.plan.batches] == [3, 1]
                 for b, u in enumerate(_batch_inputs(op, p)):
-                    got = op._batch_kernel(b, u.copy())
+                    got = cells_first_kernel(op, b, u)
                     want = plumbed_batch_kernel(op, b, u.copy())
                     np.testing.assert_array_equal(got, want)
 
@@ -66,7 +77,7 @@ def test_kernel_bit_identical_to_plumbed(p, variant):
 def test_benchmark_problems_bit_identical_to_plumbed(bp, degree):
     op, _, _ = assemble_problem(bp, degree, (3, 3, 3), simd_lanes=4)
     for b, u in enumerate(_batch_inputs(op, degree)):
-        np.testing.assert_array_equal(op._batch_kernel(b, u.copy()),
+        np.testing.assert_array_equal(cells_first_kernel(op, b, u),
                                       plumbed_batch_kernel(op, b, u.copy()))
 
 
@@ -83,7 +94,8 @@ def _rules(p):
        seed=st.integers(0, 2**31 - 1))
 def test_sweeps_bit_identical_to_plumbed(p, rule, batch, comp, even_odd, seed):
     # the last rule has fewer points than nodes: a sweep triple per
-    # gradient component instead of collocation derivatives
+    # gradient component instead of collocation derivatives.  The lanes-last
+    # sweeps run without even-odd, as the cell kernel and the Jacobians do.
     basis = lagrange_basis(p, _rules(p)[rule])
     nq, n1 = len(basis.quadrature), p + 1
     lead = tuple(batch) + (comp,)
@@ -91,16 +103,37 @@ def test_sweeps_bit_identical_to_plumbed(p, rule, batch, comp, even_odd, seed):
     u = rng.standard_normal(lead + (n1,) * 3)
     q = rng.standard_normal(lead + (nq,) * 3)
     qg = rng.standard_normal((3,) + lead + (nq,) * 3)
-    for got, want in ((evaluate_values(basis, u, even_odd),
-                       plumbed_evaluate_values(basis, u, even_odd)),
-                      (evaluate_gradients(basis, u, even_odd),
-                       plumbed_evaluate_gradients(basis, u, even_odd)),
-                      (integrate_values(basis, q, even_odd),
-                       plumbed_integrate_values(basis, q, even_odd)),
-                      (integrate_gradients(basis, qg, even_odd),
-                       plumbed_integrate_gradients(basis, qg, even_odd))):
-        assert got.shape == want.shape
-        np.testing.assert_array_equal(got, want)
+    wants = (plumbed_evaluate_values(basis, u, even_odd),
+             plumbed_evaluate_gradients(basis, u, even_odd),
+             plumbed_integrate_values(basis, q, even_odd),
+             plumbed_integrate_gradients(basis, qg, even_odd))
+    gots = [(evaluate_values(basis, u, even_odd),
+             evaluate_gradients(basis, u, even_odd),
+             integrate_values(basis, q, even_odd),
+             integrate_gradients(basis, qg, even_odd))]
+    if not even_odd:
+        gots.append((
+            _cells_first(evaluate_values_lanes(basis, _lanes_last(u)), wants[0].shape),
+            np.stack([_cells_first(g, wants[1].shape[1:])
+                      for g in evaluate_gradients_lanes(basis, _lanes_last(u))]),
+            _cells_first(integrate_values_lanes(basis, _lanes_last(q)), wants[2].shape),
+            _cells_first(integrate_gradients_lanes(
+                basis, np.stack([_lanes_last(c) for c in qg])), wants[3].shape)))
+    for got in gots:
+        for g, want in zip(got, wants):
+            assert g.shape == want.shape
+            np.testing.assert_array_equal(g, want)
+
+
+def _lanes_last(t):
+    """Cells-first (..., n, n, n) as a contiguous (n, n, n, lanes) tensor."""
+    n = t.shape[-1]
+    return np.ascontiguousarray(t.reshape(-1, n ** 3).T).reshape(n, n, n, -1)
+
+
+def _cells_first(t, shape):
+    """A lanes-last (n, n, n, lanes) tensor back in cells-first `shape`."""
+    return t.reshape(t.shape[0] ** 3, -1).T.reshape(shape)
 
 
 @pytest.mark.parametrize("bp,degree,contractions", [
@@ -122,6 +155,30 @@ def test_contractions_per_batch(monkeypatch, bp, degree, contractions):
     monkeypatch.setattr(mfcg.tensor, "_mxm", counting)
     for b, u in enumerate(_batch_inputs(op, 0)):
         calls.clear()
-        op._batch_kernel(b, u)
+        cells_first_kernel(op, b, u)
         assert len(calls) == contractions
 
+
+@pytest.mark.parametrize("bp,degree", [("BP3", 2), ("BP5", 5)])
+def test_gemms_per_sweep_do_not_grow_with_the_batch(monkeypatch, bp, degree):
+    # lanes-last, the x sweep is the one with the most GEMMs: one per
+    # (z, y) point, each as wide as the batch; cells-first it was one per
+    # (cell, z, y)
+    problem = BENCHMARK_PROBLEMS[bp]
+    nq = problem.n_quadrature(degree)
+    leads = []
+    original = mfcg.tensor._mxm
+
+    def recording(matrix, view, out=None):
+        leads.append(view.shape[0])
+        return original(matrix, view, out)
+
+    monkeypatch.setattr(mfcg.tensor, "_mxm", recording)
+    for batch in (1, 8, 64):
+        op, handler = build_fem((4, 4, 4), p=degree, comp=problem.components,
+                                eq=problem.equation, nq=nq,
+                                quadrature=problem.quadrature_kind, batch=batch)
+        assert max(len(cells) for cells in op.plan.batches) == batch
+        leads.clear()
+        op.apply(np.ones(handler.n_dofs))
+        assert leads and max(leads) <= nq ** 2

@@ -15,10 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from mfcg.tensor import (
     QuadratureRule1D,
-    apply_1d,
     evaluate_gradients,
     evaluate_values,
-    even_odd_apply,
     gauss_lobatto_quadrature,
     gauss_quadrature,
     integrate_gradients,
@@ -29,6 +27,8 @@ from mfcg.tensor import (
 )
 
 from _oracles import (
+    apply_1d,
+    even_odd_apply,
     oracle_evaluate_gradients,
     oracle_evaluate_values,
     oracle_integrate_gradients,
