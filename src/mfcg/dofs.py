@@ -28,7 +28,6 @@ __all__ = [
     "make_batches",
     "renumber_optimized",
     "compute_range_schedule",
-    "expand_cell_indices",
     "expand_batch",
 ]
 
@@ -90,10 +89,6 @@ class RangeSchedule:
     @property
     def n_ranges(self) -> int:
         return len(self.first_touch_batch)
-
-    def range_bounds(self, r: int) -> tuple:
-        lo = r * self.range_size
-        return lo, min(lo + self.range_size, self.n_dofs)
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +188,6 @@ def _expand_scalar(handler: DofHandler, cells: np.ndarray) -> np.ndarray:
     """(len(cells), (p+1)^3) scalar node indices, nodes x fastest."""
     entity, offset = _expansion_template(handler.degree)
     return handler.cell_index_blocks[cells][:, entity].astype(np.int64) + offset
-
-
-def expand_cell_indices(handler: DofHandler, cell: int) -> np.ndarray:
-    """All (p+1)^3 * components global indices of one cell, node-major with
-    interleaved components."""
-    if not 0 <= cell < handler.n_cells:
-        raise IndexError(f"cell index {cell} out of range")
-    return expand_batch(handler, np.array([cell]))[0]
 
 
 def expand_batch(handler: DofHandler, cells) -> np.ndarray:

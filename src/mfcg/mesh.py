@@ -33,8 +33,6 @@ __all__ = [
     "quadratic_geometry_nodes",
     "geometry_data",
     "precompute_geometry",
-    "mesh_to_text",
-    "mesh_from_text",
     "SYMMETRIC_INDEX",
     "symmetric_coefficients",
     "adjugate",
@@ -337,30 +335,3 @@ def compute_jacobians_from_nodes(nodes: np.ndarray, geo_basis, nq: int):
     g = evaluate_gradients_lanes(geo_basis, coords)
     jac = np.transpose(g.reshape(3, nq**3, 3, n_batch), (3, 1, 2, 0))
     return jac, _checked_determinant(jac)
-
-
-def mesh_to_text(mesh: HexMesh) -> str:
-    """Serialize the mesh description as plain key-value lines."""
-    nx, ny, nz = mesh.cells_per_dim
-    ex, ey, ez = mesh.extents
-    return (f"cells = {nx},{ny},{nz}\n"
-            f"extents = {ex!r},{ey!r},{ez!r}\n"
-            f"deformation = {mesh.deformation!r}\n")
-
-
-def mesh_from_text(text: str) -> HexMesh:
-    """Parse the key-value mesh description written by mesh_to_text."""
-    values = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
-    cells = tuple(int(v) for v in values["cells"].split(","))
-    extents = tuple(float(v) for v in values["extents"].split(","))
-    mesh = build_cartesian_mesh(cells, extents)
-    amplitude = float(values.get("deformation", "0.0"))
-    if amplitude != 0.0:
-        mesh = deform_mesh(mesh, amplitude)
-    return mesh

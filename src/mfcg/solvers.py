@@ -1,6 +1,6 @@
 """Conjugate-gradient variants with instrumented vector-access regions.
 
-Five CG formulations share one outward contract (solve Ax = b to a relative
+Six CG formulations share one outward contract (solve Ax = b to a relative
 residual tolerance, x0 = 0): the textbook method, its Jacobi-preconditioned
 form, a pipelined variant with a single reduction sweep per iteration, an
 s-step variant with one reduction cluster per s iterations, and two "merged"
@@ -10,7 +10,9 @@ cell loop through `apply_with_callbacks`.
 Every full-vector operation is wrapped in a named region; with a recorder
 attached, the regions reproduce the analytic memory-transfer model's counting
 unit (unique stream touches per region instance).  Region wall times are
-accumulated per tag on the result.
+accumulated per tag on the result.  One `_Run` per solve holds what the
+variants share: input checks, regions, the history, the scalar guard and the
+result.
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ __all__ = ["SolverBreakdown", "SolverConfig", "SolveResult", "fused_reductions",
 
 VARIANTS = ("cg", "pcg", "pipelined", "sstep", "combined_cg", "combined_pcg")
 
+DRIFT_CHECK_EVERY = 50               # pipelined true-residual check interval
+
+_RZ = "preconditioner product r^T M^-1 r"
+
 
 class SolverBreakdown(RuntimeError):
     """The Krylov recurrence lost positive definiteness or independence."""
@@ -43,9 +49,6 @@ class SolverConfig:
     max_iterations: int = 500
     s: int = 4                       # block size for the s-step variant
     fixed_iterations: int = None     # run exactly this many, no early exit
-    force_x_updates: bool = False    # debug: update x every iteration in the
-                                     # combined variants instead of every other
-    drift_check_every: int = 50      # pipelined true-residual check interval
 
     def __post_init__(self):
         if self.tolerance <= 0:
@@ -92,62 +95,113 @@ def fused_reductions(r, v, p, minv, lo, hi) -> np.ndarray:
 # -- shared plumbing ----------------------------------------------------------
 
 
-@contextmanager
-def _region(rec, times, tag):
-    rid = rec.begin_region(tag) if rec is not None else None
-    t0 = time.perf_counter()
-    yield rid
-    times[tag] = times.get(tag, 0.0) + time.perf_counter() - t0
-
-
-def _record(rec, reads=(), writes=(), rw=()):
-    if rec is None:
-        return
-    for name in reads:
-        rec.record_stream(name, trace.READ)
-    for name in writes:
-        rec.record_stream(name, trace.WRITE)
-    for name in rw:
-        rec.record_stream(name, trace.READWRITE)
-
-
 def _norm(b):
     return float(np.linalg.norm(b))
 
 
-def _trivial_result(n, variant):
-    return SolveResult(np.zeros(n), 0, 0.0, True, variant)
-
-
-def _full_inverse_diagonal(minv, components):
-    if isinstance(minv, DiagonalPreconditioner):
-        return minv.full_vector(components)
-    return np.repeat(np.asarray(minv, dtype=float), components)
-
-
-def _scalar_inverse_diagonal(minv):
+def _inverse_diagonal(minv) -> np.ndarray:
+    """The per-node inverse diagonal of a `DiagonalPreconditioner` or array."""
     if isinstance(minv, DiagonalPreconditioner):
         return minv.inverse_diagonal
     return np.asarray(minv, dtype=float)
 
 
-def _stagnates(fixed: bool, residual: float, tolerance: float) -> bool:
-    """Fixed-iteration runs keep iterating past convergence, where the
-    recurrence scalars degenerate in roundoff.  That is stagnation, not
-    breakdown: the solver freezes the coefficients at zero and keeps
-    streaming the full per-iteration work on the converged iterate."""
-    return fixed and residual < tolerance
+class _Run:
+    """The plumbing one solve shares with every variant: input checks, stream
+    registration, timed and traced regions, the matvec count, the history,
+    the scalar guard and the result.  A zero `b` leaves `bnorm` at 0 and
+    registers nothing; the caller then returns `result(zeros, 0, 0.0)`."""
 
+    def __init__(self, variant, A, b, config, recorder, streams, minv=None):
+        cfg = config or SolverConfig()
+        self.variant = variant
+        self.A = A
+        self.rec = recorder
+        self.n = n = A.n_dofs
+        if len(b) != n:
+            raise ValueError("right-hand side length does not match operator")
+        self.components = getattr(A, "components", 1)
+        self.minv = None             # replicated to full vector length
+        if minv is not None:
+            scalar = _inverse_diagonal(minv)
+            if len(scalar) * self.components != n:
+                raise ValueError("preconditioner length does not match operator")
+            self.minv = np.repeat(scalar, self.components)
+        self.tol = cfg.tolerance
+        self.fixed = cfg.fixed_iterations is not None
+        self.limit = cfg.fixed_iterations or cfg.max_iterations
+        self.unit = "outer step" if variant == "sstep" else "iteration"
+        self.bnorm = _norm(b)
+        self.history = []
+        self.times = {}
+        self.matvecs = 0
+        if recorder is not None and self.bnorm != 0.0:
+            for name in streams:
+                recorder.register_dofs(name, n)
+            recorder.begin_iteration(0)
 
-def _check_preconditioned_product(rz: float, residual: float,
-                                  tolerance: float, k: int) -> None:
-    """r^T M^-1 r must be positive while r is not yet converged; otherwise
-    the preconditioner is not SPD.  Below the tolerance, r^T M^-1 r <= 0 is
-    roundoff on a converged residual (fixed-iteration stagnation)."""
-    if rz <= 0.0 and residual >= tolerance:
-        raise SolverBreakdown(
-            f"PCG breakdown: preconditioned product r^T M^-1 r = {rz:.3e} "
-            f"<= 0 at iteration {k} (preconditioner not SPD)")
+    def begin_iteration(self, k):
+        if self.rec is not None:
+            self.rec.begin_iteration(k)
+
+    @contextmanager
+    def region(self, tag, reads=(), writes=(), rw=(), resume=None):
+        """Time one instance of region `tag` (or continue instance `resume`)
+        and, on exit, record full-vector reads, then writes, then
+        read-writes.  Yields the region id (None untraced)."""
+        rec = self.rec
+        rid = None
+        if rec is not None:
+            if resume is None:
+                rid = rec.begin_region(tag)
+            else:
+                rid = resume
+                rec.resume_region(rid)
+        t0 = time.perf_counter()
+        yield rid
+        if rec is not None:
+            for name in reads:
+                rec.record_stream(name, trace.READ)
+            for name in writes:
+                rec.record_stream(name, trace.WRITE)
+            for name in rw:
+                rec.record_stream(name, trace.READWRITE)
+        self.times[tag] = self.times.get(tag, 0.0) + time.perf_counter() - t0
+
+    def matvec(self, src, dst, src_name, dst_name):
+        with self.region("matvec"):
+            self.A.apply(src, out=dst, recorder=self.rec, src_name=src_name,
+                         dst_name=dst_name)
+            self.matvecs += 1
+
+    def row(self, k, alpha, beta, gamma, residual):
+        self.history.append({"k": k, "alpha": alpha, "beta": beta,
+                             "gamma": gamma, "residual": residual})
+
+    def frozen(self, value, what, k, residual) -> bool:
+        """The scalar guard.  A positive finite `value` passes (False).  A
+        non-finite one raises `SolverBreakdown`.  A non-positive one raises
+        unless `residual` already meets the tolerance: fixed-iteration runs
+        keep iterating past convergence, where the recurrence scalars
+        degenerate in roundoff; that is stagnation, not breakdown, and the
+        caller freezes the step (True) while the full per-iteration
+        traffic goes on."""
+        if not math.isfinite(value):
+            raise SolverBreakdown(f"{self.variant} breakdown: {what} = {value} "
+                                  f"is not finite at {self.unit} {k}")
+        if value > 0.0:
+            return False
+        if residual < self.tol:
+            return True
+        raise SolverBreakdown(f"{self.variant} breakdown: {what} = "
+                              f"{value:.3e} <= 0 at {self.unit} {k}")
+
+    def result(self, x, iterations, residual, drift=()) -> SolveResult:
+        # every variant stops early exactly when the residual meets the
+        # tolerance, so that is also its convergence flag
+        return SolveResult(x, iterations, residual, residual < self.tol,
+                           self.variant, self.history, self.times,
+                           self.matvecs, tuple(drift))
 
 
 # -- standard CG / PCG --------------------------------------------------------
@@ -156,75 +210,38 @@ def _check_preconditioned_product(rz: float, residual: float,
 def solve_cg(A, b, config: SolverConfig = None, *, recorder=None) -> SolveResult:
     """Textbook conjugate gradients; five vector-access regions per iteration
     (p.v, x, r, r.r, p) around one matrix-vector product."""
-    cfg = config or SolverConfig()
-    n = A.n_dofs
-    if len(b) != n:
-        raise ValueError("right-hand side length does not match operator")
-    bnorm = _norm(b)
-    if bnorm == 0.0:
-        return _trivial_result(n, "cg")
-    rec = recorder
-    times = {}
-    if rec is not None:
-        for name in ("x", "r", "p", "v", "b"):
-            rec.register_dofs(name, n)
-        rec.begin_iteration(0)
-    x = np.zeros(n)
-    v = np.empty(n)
-    with _region(rec, times, "init"):
+    run = _Run("cg", A, b, config, recorder, ("x", "r", "p", "v", "b"))
+    if run.bnorm == 0.0:
+        return run.result(np.zeros(run.n), 0, 0.0)
+    x = np.zeros(run.n)
+    v = np.empty(run.n)
+    with run.region("init", reads=("b", "r"), writes=("r", "p")):
         r = b.copy()
         p = r.copy()
         gamma = r @ r
-        _record(rec, reads=("b", "r"), writes=("r", "p"))
-    history = []
-    limit = cfg.fixed_iterations or cfg.max_iterations
-    fixed = cfg.fixed_iterations is not None
-    residual = math.sqrt(gamma) / bnorm
-    converged = False
-    matvecs = 0
-    k = 0
-    for k in range(1, limit + 1):
-        if rec is not None:
-            rec.begin_iteration(k)
-        with _region(rec, times, "matvec"):
-            A.apply(p, out=v, recorder=rec, src_name="p", dst_name="v")
-            matvecs += 1
-        with _region(rec, times, "dot_pv"):
+    residual = math.sqrt(gamma) / run.bnorm
+    for k in range(1, run.limit + 1):
+        run.begin_iteration(k)
+        run.matvec(p, v, "p", "v")
+        with run.region("dot_pv", reads=("p", "v")):
             a = p @ v
-            _record(rec, reads=("p", "v"))
-        if a <= 0.0:
-            if _stagnates(fixed, residual, cfg.tolerance):
-                alpha = 0.0
-            else:
-                raise SolverBreakdown(
-                    f"CG breakdown: p^T A p = {a:.3e} <= 0 at iteration {k}")
-        else:
-            alpha = gamma / a
-        with _region(rec, times, "update_x"):
+        alpha = 0.0 if run.frozen(a, "p^T A p", k, residual) else gamma / a
+        with run.region("update_x", reads=("p",), rw=("x",)):
             x += alpha * p
-            _record(rec, reads=("p",), rw=("x",))
-        with _region(rec, times, "update_r"):
+        with run.region("update_r", reads=("v",), rw=("r",)):
             r -= alpha * v
-            _record(rec, reads=("v",), rw=("r",))
-        with _region(rec, times, "dot_rr"):
+        with run.region("dot_rr", reads=("r",)):
             gamma_new = r @ r
-            _record(rec, reads=("r",))
         beta = gamma_new / gamma if gamma > 0.0 else 0.0
-        residual = math.sqrt(gamma_new) / bnorm
-        history.append({"k": k, "alpha": alpha, "beta": beta,
-                        "gamma": gamma, "residual": residual})
+        residual = math.sqrt(gamma_new) / run.bnorm
+        run.row(k, alpha, beta, gamma, residual)
         gamma = gamma_new
-        if not fixed and residual < cfg.tolerance:
-            converged = True
+        if not run.fixed and residual < run.tol:
             break
-        with _region(rec, times, "update_p"):
+        with run.region("update_p", reads=("r",), rw=("p",)):
             p *= beta
             p += r
-            _record(rec, reads=("r",), rw=("p",))
-    if fixed:
-        converged = residual < cfg.tolerance
-    return SolveResult(x, k, residual, converged, "cg", history, times,
-                       matvecs)
+    return run.result(x, k, residual)
 
 
 def solve_pcg(A, b, minv, config: SolverConfig = None, *,
@@ -232,87 +249,52 @@ def solve_pcg(A, b, minv, config: SolverConfig = None, *,
     """Jacobi-preconditioned CG.  The inverse diagonal is streamed at full
     vector length (replicated per component); termination uses the explicit
     unpreconditioned residual norm, giving seven vector-access regions."""
-    cfg = config or SolverConfig()
-    n = A.n_dofs
-    if len(b) != n:
-        raise ValueError("right-hand side length does not match operator")
-    bnorm = _norm(b)
-    if bnorm == 0.0:
-        return _trivial_result(n, "pcg")
-    mfull = _full_inverse_diagonal(minv, getattr(A, "components", 1))
-    if len(mfull) != n:
-        raise ValueError("preconditioner length does not match operator")
-    rec = recorder
-    times = {}
-    if rec is not None:
-        for name in ("x", "r", "p", "v", "z", "b"):
-            rec.register_dofs(name, n)
-        rec.register_dofs("minv", n)
-        rec.begin_iteration(0)
-    x = np.zeros(n)
-    v = np.empty(n)
-    with _region(rec, times, "init"):
+    if minv is None:
+        raise ValueError("pcg requires a preconditioner")
+    run = _Run("pcg", A, b, config, recorder,
+               ("x", "r", "p", "v", "z", "b", "minv"), minv)
+    if run.bnorm == 0.0:
+        return run.result(np.zeros(run.n), 0, 0.0)
+    mfull = run.minv
+    x = np.zeros(run.n)
+    v = np.empty(run.n)
+    with run.region("init", reads=("b", "minv", "r", "z"),
+                    writes=("r", "z", "p")):
         r = b.copy()
         z = mfull * r
         p = z.copy()
         gamma = r @ z
-        _record(rec, reads=("b", "minv", "r", "z"), writes=("r", "z", "p"))
-    _check_preconditioned_product(gamma, 1.0, cfg.tolerance, 0)
-    history = []
-    limit = cfg.fixed_iterations or cfg.max_iterations
-    fixed = cfg.fixed_iterations is not None
-    residual = _norm(r) / bnorm
-    converged = False
-    matvecs = 0
-    k = 0
-    for k in range(1, limit + 1):
-        if rec is not None:
-            rec.begin_iteration(k)
-        with _region(rec, times, "matvec"):
-            A.apply(p, out=v, recorder=rec, src_name="p", dst_name="v")
-            matvecs += 1
-        with _region(rec, times, "dot_pv"):
+    if gamma <= 0.0:
+        # name the preconditioner before any step; a non-finite product
+        # surfaces as p^T A p at iteration 1
+        run.frozen(gamma, _RZ, 0, 1.0)
+    residual = _norm(r) / run.bnorm
+    for k in range(1, run.limit + 1):
+        run.begin_iteration(k)
+        run.matvec(p, v, "p", "v")
+        with run.region("dot_pv", reads=("p", "v")):
             a = p @ v
-            _record(rec, reads=("p", "v"))
-        if a <= 0.0:
-            if _stagnates(fixed, residual, cfg.tolerance):
-                alpha = 0.0
-            else:
-                raise SolverBreakdown(
-                    f"PCG breakdown: p^T A p = {a:.3e} <= 0 at iteration {k}")
-        else:
-            alpha = gamma / a
-        with _region(rec, times, "update_x"):
+        alpha = 0.0 if run.frozen(a, "p^T A p", k, residual) else gamma / a
+        with run.region("update_x", reads=("p",), rw=("x",)):
             x += alpha * p
-            _record(rec, reads=("p",), rw=("x",))
-        with _region(rec, times, "update_r"):
+        with run.region("update_r", reads=("v",), rw=("r",)):
             r -= alpha * v
-            _record(rec, reads=("v",), rw=("r",))
-        with _region(rec, times, "norm_r"):
-            residual = _norm(r) / bnorm
-            _record(rec, reads=("r",))
-        with _region(rec, times, "apply_prec"):
+        with run.region("norm_r", reads=("r",)):
+            residual = _norm(r) / run.bnorm
+        with run.region("apply_prec", reads=("minv", "r"), writes=("z",)):
             np.multiply(mfull, r, out=z)
-            _record(rec, reads=("minv", "r"), writes=("z",))
-        with _region(rec, times, "dot_rz"):
+        with run.region("dot_rz", reads=("r", "z")):
             gamma_new = r @ z
-            _record(rec, reads=("r", "z"))
-        _check_preconditioned_product(gamma_new, residual, cfg.tolerance, k)
+        run.frozen(gamma_new, _RZ, k, residual)
         beta = gamma_new / gamma if gamma > 0.0 else 0.0
-        history.append({"k": k, "alpha": alpha, "beta": beta,
-                        "gamma": gamma, "residual": residual})
+        run.row(k, alpha, beta, gamma, residual)
         gamma = gamma_new
-        if not fixed and residual < cfg.tolerance:
-            converged = True
+        if not run.fixed and residual < run.tol:
             break
-        with _region(rec, times, "update_p"):
+        with run.region("update_p", reads=("z",), rw=("p",)):
             p *= beta
             p += z
-            _record(rec, reads=("z",), rw=("p",))
-    if fixed:
-        converged = residual < cfg.tolerance
-    return SolveResult(x, k, residual, converged, "pcg", history, times,
-                       matvecs)
+    return run.result(x, k, residual)
 
 
 # -- pipelined CG -------------------------------------------------------------
@@ -323,21 +305,13 @@ def solve_pipelined(A, b, config: SolverConfig = None, *,
     """Pipelined CG (Ghysels/Vanroose recurrence): both reductions and all
     six vector updates share a single fused region per iteration, at the cost
     of three auxiliary vectors.  The recurred residual is checked against the
-    true residual every `drift_check_every` iterations (reported, never
+    true residual every `DRIFT_CHECK_EVERY` iterations (reported, never
     corrected)."""
-    cfg = config or SolverConfig()
-    n = A.n_dofs
-    if len(b) != n:
-        raise ValueError("right-hand side length does not match operator")
-    bnorm = _norm(b)
-    if bnorm == 0.0:
-        return _trivial_result(n, "pipelined")
-    rec = recorder
-    times = {}
-    if rec is not None:
-        for name in ("x", "r", "p", "w", "s", "z", "q", "b", "drift_tmp"):
-            rec.register_dofs(name, n)
-        rec.begin_iteration(0)
+    run = _Run("pipelined", A, b, config, recorder,
+               ("x", "r", "p", "w", "s", "z", "q", "b", "drift_tmp"))
+    n = run.n
+    if run.bnorm == 0.0:
+        return run.result(np.zeros(n), 0, 0.0)
     x = np.zeros(n)
     p = np.zeros(n)
     s = np.zeros(n)
@@ -345,99 +319,63 @@ def solve_pipelined(A, b, config: SolverConfig = None, *,
     q = np.empty(n)
     w = np.empty(n)
     tmp = np.empty(n)
-    matvecs = 0
-    with _region(rec, times, "init"):
+    with run.region("init", reads=("b",), writes=("r",)):
         r = b.copy()
-        _record(rec, reads=("b",), writes=("r",))
-    with _region(rec, times, "matvec"):
-        A.apply(r, out=w, recorder=rec, src_name="r", dst_name="w")
-        matvecs += 1
-    history = []
+    run.matvec(r, w, "r", "w")
     drift = []
-    limit = cfg.fixed_iterations or cfg.max_iterations
-    fixed = cfg.fixed_iterations is not None
     gamma_prev = None
     alpha_prev = None
-    residual = _norm(r) / bnorm
-    converged = False
     stagnant = False
     iterations = 0
-    for k in range(1, limit + 1):
-        if rec is not None:
-            rec.begin_iteration(k)
-        with _region(rec, times, "fused") as rid:
+    for k in range(1, run.limit + 1):
+        run.begin_iteration(k)
+        with run.region("fused", reads=("r", "w")) as rid:
             gamma = r @ r
             delta = w @ r
-            _record(rec, reads=("r", "w"))
-        residual = math.sqrt(gamma) / bnorm
-        if not fixed and residual < cfg.tolerance:
-            converged = True
+        residual = math.sqrt(gamma) / run.bnorm
+        if not run.fixed and residual < run.tol:
             break
         iterations = k
-        with _region(rec, times, "matvec"):
-            A.apply(w, out=q, recorder=rec, src_name="w", dst_name="q")
-            matvecs += 1
-        if stagnant:
-            alpha = 0.0
-            beta = 0.0
-        else:
+        run.matvec(w, q, "w", "q")
+        if not stagnant:
             if gamma_prev is None:
                 beta = 0.0
                 denom = delta
             else:
                 beta = gamma / gamma_prev
                 denom = delta - beta * gamma / alpha_prev
-            if denom <= 0.0:
-                if _stagnates(fixed, residual, cfg.tolerance):
-                    stagnant = True
-                    alpha = 0.0
-                    beta = 0.0
-                else:
-                    raise SolverBreakdown(
-                        f"pipelined CG breakdown: recurrence denominator "
-                        f"{denom:.3e} <= 0 at iteration {k}")
-            else:
-                alpha = gamma / denom
-        if rec is not None:
-            rec.resume_region(rid)
-        t0 = time.perf_counter()
-        z *= beta
-        z += q
-        s *= beta
-        s += w
-        p *= beta
-        p += r
-        x += alpha * p
-        r -= alpha * s
-        w -= alpha * z
-        _record(rec, reads=("q", "w", "r", "s", "z", "p", "x"),
-                rw=("z", "s", "p", "x", "r", "w"))
-        times["fused"] += time.perf_counter() - t0
-        history.append({"k": k, "alpha": alpha, "beta": beta,
-                        "gamma": gamma, "residual": residual})
+            stagnant = run.frozen(denom, "recurrence denominator", k, residual)
+        if stagnant:
+            alpha = 0.0
+            beta = 0.0
+        else:
+            alpha = gamma / denom
+        with run.region("fused", reads=("q", "w", "r", "s", "z", "p", "x"),
+                        rw=("z", "s", "p", "x", "r", "w"), resume=rid):
+            z *= beta
+            z += q
+            s *= beta
+            s += w
+            p *= beta
+            p += r
+            x += alpha * p
+            r -= alpha * s
+            w -= alpha * z
+        run.row(k, alpha, beta, gamma, residual)
         gamma_prev = gamma
         alpha_prev = alpha
-        if cfg.drift_check_every and k % cfg.drift_check_every == 0:
-            with _region(rec, times, "matvec"):
-                A.apply(x, out=tmp, recorder=rec, src_name="x",
-                        dst_name="drift_tmp")
-                matvecs += 1
-            with _region(rec, times, "drift_check"):
+        if k % DRIFT_CHECK_EVERY == 0:
+            run.matvec(x, tmp, "x", "drift_tmp")
+            with run.region("drift_check", reads=("b", "drift_tmp", "r")):
                 true_norm = _norm(b - tmp)
                 recurred = _norm(r)
-                _record(rec, reads=("b", "drift_tmp", "r"))
-            drift.append((k, abs(true_norm - recurred) / bnorm))
+            drift.append((k, abs(true_norm - recurred) / run.bnorm))
     else:
-        iterations = limit
-    if fixed or not converged:
-        with _region(rec, times, "final_norm"):
-            if rec is not None:
-                rec.begin_iteration(iterations + 1)
-            residual = _norm(r) / bnorm
-            _record(rec, reads=("r",))
-        converged = residual < cfg.tolerance
-    return SolveResult(x, iterations, residual, converged, "pipelined",
-                       history, times, matvecs, tuple(drift))
+        iterations = run.limit
+        with run.region("final_norm", reads=("r",)):
+            run.begin_iteration(iterations + 1)
+            residual = _norm(r) / run.bnorm
+    return run.result(x, iterations, residual, drift)
 
 
 # -- s-step CG ----------------------------------------------------------------
@@ -454,52 +392,30 @@ def solve_sstep(A, b, config: SolverConfig = None, *,
     monomial basis is the numerically fragile, bandwidth-friendly choice; W_k
     losing positive definiteness raises a breakdown naming the outer step.
     """
-    cfg = config or SolverConfig()
-    s = cfg.s
+    s = (config or SolverConfig()).s
     if s > 8:
         raise ValueError("s > 8 is not supported: the monomial basis loses "
                          "linear independence in double precision")
-    n = A.n_dofs
-    if len(b) != n:
-        raise ValueError("right-hand side length does not match operator")
-    bnorm = _norm(b)
-    if bnorm == 0.0:
-        return _trivial_result(n, "sstep")
-    rec = recorder
-    times = {}
     t_names = [f"T{j}" for j in range(s + 1)]
     p_names = [f"P{j}" for j in range(s)]
-    if rec is not None:
-        for name in t_names + p_names + ["x", "b", "w"]:
-            rec.register_dofs(name, n)
-        rec.begin_iteration(0)
+    run = _Run("sstep", A, b, config, recorder, t_names + p_names + ["x", "b", "w"])
+    n = run.n
+    if run.bnorm == 0.0:
+        return run.result(np.zeros(n), 0, 0.0)
     T = np.zeros((s + 1, n))   # rows are the block columns; T[0] aliases r
     P = np.zeros((s, n))
     x = np.zeros(n)
     w = np.empty(n)
-    with _region(rec, times, "init"):
+    with run.region("init", reads=("b",), writes=("T0",)):
         T[0] = b
-        _record(rec, reads=("b",), writes=("T0",))
-    history = []
     W_prev = None
-    residual = _norm(T[0]) / bnorm
-    converged = False
-    matvecs = 0
-    if cfg.fixed_iterations is not None:
-        limit = -(-cfg.fixed_iterations // s)
-    else:
-        limit = -(-cfg.max_iterations // s)
-    outer = 0
-    for j in range(1, limit + 1):
-        outer = j
-        if rec is not None:
-            rec.begin_iteration((j - 1) * s + 1)
+    residual = _norm(T[0]) / run.bnorm
+    for j in range(1, -(-run.limit // s) + 1):
+        run.begin_iteration((j - 1) * s + 1)
         for c in range(1, s + 1):
-            with _region(rec, times, "matvec"):
-                A.apply(T[c - 1], out=T[c], recorder=rec,
-                        src_name=t_names[c - 1], dst_name=t_names[c])
-                matvecs += 1
-        with _region(rec, times, "reductions"):
+            run.matvec(T[c - 1], T[c], t_names[c - 1], t_names[c])
+        with run.region("reductions", reads=t_names + (
+                p_names if W_prev is not None else [])):
             G = T[1:] @ T[:s].T          # Q^T R
             g = T[:s] @ T[0]             # R^T r
             if W_prev is None:
@@ -516,8 +432,6 @@ def solve_sstep(A, b, config: SolverConfig = None, *,
                     B = -np.linalg.lstsq(W_prev, PQ, rcond=None)[0]
                 W = G + PQ.T @ B
                 g = g + B.T @ (P @ T[0])
-            _record(rec, reads=tuple(t_names) +
-                    (tuple(p_names) if W_prev is not None else ()))
         W = 0.5 * (W + W.T)
         degenerate = False
         try:
@@ -530,103 +444,70 @@ def solve_sstep(A, b, config: SolverConfig = None, *,
             # otherwise it is a genuine basis breakdown.
             a = np.linalg.lstsq(W, g, rcond=None)[0]
             degenerate = True
-        if _stagnates(cfg.fixed_iterations is not None, residual,
-                      cfg.tolerance):
+        if run.fixed and residual < run.tol:
             # already converged: freeze the iterate, keep the block traffic
             a[:] = 0.0
             degenerate = False
-        with _region(rec, times, "update_p_block"):
-            if B is None:
+        if B is None:
+            with run.region("update_p_block", reads=t_names[:s], writes=p_names):
                 P[:] = T[:s]
-                _record(rec, reads=tuple(t_names[:s]), writes=tuple(p_names))
-            else:
+        else:
+            with run.region("update_p_block", reads=t_names[:s], rw=p_names):
                 P[:] = T[:s] + B.T @ P
-                _record(rec, reads=tuple(t_names[:s]), rw=tuple(p_names))
-        with _region(rec, times, "update_x"):
+        with run.region("update_x", reads=p_names, rw=("x",)):
             x += a @ P
-            _record(rec, reads=tuple(p_names), rw=("x",))
-        with _region(rec, times, "matvec"):
-            A.apply(x, out=w, recorder=rec, src_name="x", dst_name="w")
-            matvecs += 1
-        with _region(rec, times, "recompute_r"):
+        run.matvec(x, w, "x", "w")
+        with run.region("recompute_r", reads=("b", "w"), writes=("T0",)):
             np.subtract(b, w, out=T[0])
             rho = _norm(T[0])
-            _record(rec, reads=("b", "w"), writes=("T0",))
-        residual = rho / bnorm
-        history.append({"k": j * s, "alpha": math.nan, "beta": math.nan,
-                        "gamma": rho * rho, "residual": residual})
+        residual = rho / run.bnorm
+        # rho >= 0, and rho = 0 meets the tolerance: only a non-finite
+        # residual (cholesky passes NaN through) raises here
+        run.frozen(rho, "residual norm", j, residual)
+        run.row(j * s, math.nan, math.nan, rho * rho, residual)
         W_prev = W
-        if residual < cfg.tolerance:
-            if cfg.fixed_iterations is None:
-                converged = True
+        if residual < run.tol:
+            if not run.fixed:
                 break
         elif degenerate:
             raise SolverBreakdown(
                 f"s-step basis breakdown: block Gram matrix not positive "
                 f"definite at outer step {j} (s = {s})")
-    if cfg.fixed_iterations is not None:
-        converged = residual < cfg.tolerance
-    return SolveResult(x, outer * s, residual, converged, "sstep", history,
-                       times, matvecs)
+    return run.result(x, j * s, residual)
 
 
 # -- combined (merged vector operation) variants ------------------------------
 
 
-def _solve_combined(A, b, minv, cfg, rec, variant):
+def _solve_combined(variant, A, b, minv, config, rec):
     """Shared driver for the merged CG/PCG: all vector updates run in the
     operator's pre callback operating on r, p (and x every other iteration),
     all reductions accumulate in the post callback, so each iteration touches
     every vector range exactly once around the cell loop."""
-    n = A.n_dofs
-    if len(b) != n:
-        raise ValueError("right-hand side length does not match operator")
-    bnorm = _norm(b)
-    if bnorm == 0.0:
-        return _trivial_result(n, variant)
-    comp = getattr(A, "components", 1)
-    if minv is None:
-        mrep = None
-        mscale = 1
-    else:
-        mscalar = _scalar_inverse_diagonal(minv)
-        if len(mscalar) * comp != n:
-            raise ValueError("preconditioner length does not match operator")
-        mrep = np.repeat(mscalar, comp)
-        mscale = comp
-    times = {}
-    if rec is not None:
-        rec.register_dofs("x", n)
-        rec.register_dofs("r", n)
-        rec.register_dofs("b", n)
-        if mrep is not None:
-            rec.register_dofs("minv", n // mscale)
-        rec.begin_iteration(0)
+    run = _Run(variant, A, b, config, rec, ("x", "r", "b"), minv)
+    n = run.n
+    if run.bnorm == 0.0:
+        return run.result(np.zeros(n), 0, 0.0)
+    mrep = run.minv
+    mscale = run.components
+    if rec is not None and mrep is not None:
+        rec.register_dofs("minv", n // mscale)
     x = np.zeros(n)
     p = np.zeros(n)
     v = np.zeros(n)
-    with _region(rec, times, "init"):
+    with run.region("init", reads=("b",), writes=("r",)):
         r = b.copy()
-        _record(rec, reads=("b",), writes=("r",))
     alpha_prev = beta_prev = 0.0
     alpha_prev2 = beta_prev2 = 0.0
-    history = []
-    limit = cfg.fixed_iterations or cfg.max_iterations
-    fixed = cfg.fixed_iterations is not None
-    residual = _norm(r) / bnorm
-    converged = False
+    residual = _norm(r) / run.bnorm
     stagnant = False
-    matvecs = 0
-    k = 0
-    last_rid = None
 
     def rec_minv_span(lo, hi):
         if rec is not None and mrep is not None:
             rec.record_dofs("minv", lo // mscale, -(-hi // mscale), trace.READ)
 
-    for k in range(1, limit + 1):
-        if rec is not None:
-            rec.begin_iteration(k)
+    for k in range(1, run.limit + 1):
+        run.begin_iteration(k)
         sums = np.zeros(7)
         am1, bm1 = alpha_prev, beta_prev
         am2, bm2 = alpha_prev2, beta_prev2
@@ -637,10 +518,8 @@ def _solve_combined(A, b, minv, cfg, rec, variant):
             # (post-convergence) iterations and contribute nothing; the
             # divisor identity needs bm2 != 0 only
             live = am1 != 0.0 or am2 != 0.0
-            if k > 1 and live and (cfg.force_x_updates or odd):
-                if cfg.force_x_updates:
-                    x[lo:hi] += am1 * p[lo:hi]
-                elif am2 != 0.0 and bm2 != 0.0:
+            if k > 1 and live and odd:
+                if am2 != 0.0 and bm2 != 0.0:
                     pslice = p[lo:hi]
                     if mrep is None:
                         zslice = r[lo:hi]
@@ -672,43 +551,24 @@ def _solve_combined(A, b, minv, cfg, rec, variant):
                 rec.record_dofs("p", lo, hi, trace.READ)
                 rec_minv_span(lo, hi)
 
-        with _region(rec, times, "iteration") as rid:
-            last_rid = rid
+        with run.region("iteration") as rid:
             A.apply_with_callbacks(p, v, pre, post, recorder=rec,
                                    checked=rec is not None,
                                    src_name="p", dst_name="v")
-            matvecs += 1
+            run.matvecs += 1
         gamma, a, bb, cc, d, e, f = sums
-        if stagnant:
+        if stagnant or gamma == 0.0:
+            # frozen, or r vanished exactly: converged (an early exit
+            # below) or, in a fixed run, frozen from here on
+            stagnant = True
             alpha = 0.0
             beta = 0.0
-            residual = math.sqrt(gamma) / bnorm
-        elif gamma == 0.0:
-            residual = 0.0
-            if fixed:
-                stagnant = True
-                alpha = 0.0
-                beta = 0.0
-            else:
-                converged = True
-                alpha_prev2, beta_prev2 = alpha_prev, beta_prev
-                alpha_prev, beta_prev = 0.0, 0.0
-                history.append({"k": k, "alpha": 0.0, "beta": 0.0,
-                                "gamma": gamma, "residual": residual})
-                break
-        elif mrep is not None and d <= 0.0:
-            raise SolverBreakdown(
-                f"combined PCG: preconditioned product r^T M^-1 r = {d:.3e} "
-                f"<= 0 at iteration {k} (preconditioner not SPD)")
-        elif a <= 0.0:
-            if _stagnates(fixed, residual, cfg.tolerance):
-                stagnant = True
-                alpha = 0.0
-                beta = 0.0
-            else:
-                raise SolverBreakdown(
-                    f"combined CG breakdown: p^T A p = {a:.3e} <= 0 at "
-                    f"iteration {k}")
+            residual = math.sqrt(gamma) / run.bnorm
+        elif ((mrep is not None and run.frozen(d, _RZ, k, residual))
+              or run.frozen(a, "p^T A p", k, residual)):
+            stagnant = True
+            alpha = 0.0
+            beta = 0.0
         else:
             if mrep is None:
                 alpha = gamma / a
@@ -719,52 +579,32 @@ def _solve_combined(A, b, minv, cfg, rec, variant):
                 alpha = d / a
                 beta = (d - 2.0 * alpha * e + alpha * alpha * f) / d
                 stop_sq = gamma - 2.0 * alpha * bb + alpha * alpha * cc
-            residual = math.sqrt(max(stop_sq, 0.0)) / bnorm
-            if beta <= 0.0 and fixed:
+            residual = math.sqrt(max(stop_sq, 0.0)) / run.bnorm
+            if run.fixed:
                 # residual-norm recurrence bottomed out; this step's live
                 # alpha/beta still enter the stored pair for the catch-up
-                if residual < cfg.tolerance:
-                    stagnant = True
-                else:
-                    raise SolverBreakdown(
-                        f"combined recurrence collapsed: beta = {beta:.3e} "
-                        f"<= 0 at iteration {k} before convergence")
-        history.append({"k": k, "alpha": alpha, "beta": beta,
-                        "gamma": gamma, "residual": residual})
+                stagnant = run.frozen(beta, "recurred beta", k, residual)
+        run.row(k, alpha, beta, gamma, residual)
         alpha_prev2, beta_prev2 = alpha_prev, beta_prev
         alpha_prev, beta_prev = alpha, beta
-        if not fixed and residual < cfg.tolerance:
-            converged = True
+        if not run.fixed and residual < run.tol:
             break
-    if fixed:
-        converged = residual < cfg.tolerance
     # finalization: bring x up to the last iterate (the loop leaves it one or
     # two combined steps behind)
-    if rec is not None and last_rid is not None:
-        rec.resume_region(last_rid)
-    t0 = time.perf_counter()
-    if alpha_prev != 0.0 or k > 0:
-        if cfg.force_x_updates or k % 2 == 1:
+    with run.region("iteration", resume=rid):
+        if k % 2 == 1 or alpha_prev2 == 0.0 or beta_prev2 == 0.0:
             x += alpha_prev * p
         else:
-            if alpha_prev2 != 0.0 and beta_prev2 != 0.0:
-                if mrep is None:
-                    z = r
-                else:
-                    z = mrep * r
-                x += alpha_prev * p + (alpha_prev2 / beta_prev2) * (p - z)
-            else:
-                x += alpha_prev * p
+            z = r if mrep is None else mrep * r
+            x += alpha_prev * p + (alpha_prev2 / beta_prev2) * (p - z)
         if rec is not None:
             rec.record_stream("x", trace.READWRITE)
             rec.record_stream("p", trace.READ)
-            if not (cfg.force_x_updates or k % 2 == 1):
+            if k % 2 == 0:
                 rec.record_stream("r", trace.READ)
                 if mrep is not None:
                     rec.record_stream("minv", trace.READ)
-    times["iteration"] = times.get("iteration", 0.0) + time.perf_counter() - t0
-    return SolveResult(x, k, residual, converged, variant, history, times,
-                       matvecs)
+    return run.result(x, k, residual)
 
 
 def solve_combined_cg(A, b, config: SolverConfig = None, *,
@@ -773,8 +613,7 @@ def solve_combined_cg(A, b, config: SolverConfig = None, *,
     cell loop: one fused region per iteration, x updated every other
     iteration through the recurrence identity, termination from the residual
     norm recurrence."""
-    return _solve_combined(A, b, None, config or SolverConfig(), recorder,
-                           "combined_cg")
+    return _solve_combined("combined_cg", A, b, None, config, recorder)
 
 
 def solve_combined_pcg(A, b, minv, config: SolverConfig = None, *,
@@ -784,8 +623,7 @@ def solve_combined_pcg(A, b, minv, config: SolverConfig = None, *,
     read, and the seven reductions of one iteration share the post callback."""
     if minv is None:
         raise ValueError("combined PCG requires a preconditioner")
-    return _solve_combined(A, b, minv, config or SolverConfig(), recorder,
-                           "combined_pcg")
+    return _solve_combined("combined_pcg", A, b, minv, config, recorder)
 
 
 def solve(variant: str, A, b, *, minv=None, config: SolverConfig = None,
@@ -795,20 +633,13 @@ def solve(variant: str, A, b, *, minv=None, config: SolverConfig = None,
     rejected up front: no variant could converge on it."""
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side has non-finite entries")
-    if minv is not None and not np.all(np.isfinite(_scalar_inverse_diagonal(minv))):
+    if minv is not None and not np.all(np.isfinite(_inverse_diagonal(minv))):
         raise ValueError("preconditioner has non-finite entries")
-    if variant == "cg":
-        return solve_cg(A, b, config, recorder=recorder)
-    if variant == "pcg":
-        if minv is None:
-            raise ValueError("pcg requires a preconditioner")
-        return solve_pcg(A, b, minv, config, recorder=recorder)
-    if variant == "pipelined":
-        return solve_pipelined(A, b, config, recorder=recorder)
-    if variant == "sstep":
-        return solve_sstep(A, b, config, recorder=recorder)
-    if variant == "combined_cg":
-        return solve_combined_cg(A, b, config, recorder=recorder)
-    if variant == "combined_pcg":
-        return solve_combined_pcg(A, b, minv, config, recorder=recorder)
-    raise ValueError(f"unknown solver variant {variant!r}")
+    solver = {"cg": solve_cg, "pcg": solve_pcg, "pipelined": solve_pipelined,
+              "sstep": solve_sstep, "combined_cg": solve_combined_cg,
+              "combined_pcg": solve_combined_pcg}.get(variant)
+    if solver is None:
+        raise ValueError(f"unknown solver variant {variant!r}")
+    if variant.endswith("pcg"):
+        return solver(A, b, minv, config, recorder=recorder)
+    return solver(A, b, config, recorder=recorder)

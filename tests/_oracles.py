@@ -19,7 +19,6 @@ from mfcg.dofs import (
     _expand_scalar,
     distribute_dofs,
     expand_batch,
-    expand_cell_indices,
     make_batches,
 )
 from mfcg.locality import CacheReplayResult, TagTally, TraceSummary
@@ -708,6 +707,14 @@ def lapack_geometry(mesh, quad):
     jxw = det * np.einsum("k,j,i->kji", w, w, w).ravel()
     inv = np.linalg.inv(jac)
     return inv, jxw, lapack_symmetric_coefficients(inv, jxw)
+
+
+def expand_cell_indices(handler: DofHandler, cell: int) -> np.ndarray:
+    """All (p+1)^3 * components global indices of one cell, node-major with
+    interleaved components."""
+    if not 0 <= cell < handler.n_cells:
+        raise IndexError(f"cell index {cell} out of range")
+    return expand_batch(handler, np.array([cell]))[0]
 
 
 def loop_build_rhs(op):

@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import expand_cell_indices
 from mfcg.dofs import (
     RANGE_SIZE,
     batch_size,
     compute_range_schedule,
     distribute_dofs,
     expand_batch,
-    expand_cell_indices,
     make_batches,
     renumber_optimized,
 )
@@ -337,13 +337,6 @@ class TestRangeSchedule:
         for r in constrained_ranges:
             assert r in schedule.pre_schedule[0]
             assert r in schedule.post_schedule[plan.n_batches - 1]
-
-    def test_range_bounds(self):
-        mesh = build_cartesian_mesh((2, 1, 1))
-        handler = distribute_dofs(mesh, 3)  # 7*4*4 = 112 dofs
-        schedule = compute_range_schedule(handler, make_batches(mesh, 2))
-        assert schedule.range_bounds(0) == (0, 64)
-        assert schedule.range_bounds(1) == (64, 112)
 
     def test_category_one_range_first_equals_last(self):
         mesh = build_cartesian_mesh((4, 1, 1))

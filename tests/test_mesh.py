@@ -17,8 +17,6 @@ from mfcg.mesh import (
     compute_jacobians_from_nodes,
     deform_mesh,
     geometry_data,
-    mesh_from_text,
-    mesh_to_text,
     precompute_geometry,
     quadratic_geometry_nodes,
 )
@@ -327,26 +325,6 @@ class TestVariants:
                                        gauss_quadrature(nq))
             volumes.append(data.payload["jxw"].sum())
         np.testing.assert_allclose(volumes[0], volumes[1], rtol=1e-13)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-class TestSerialization:
-    def test_roundtrip(self):
-        mesh = deform_mesh(build_cartesian_mesh((3, 4, 5), extents=(1.0, 2.5, 3.25)), 0.03)
-        restored = mesh_from_text(mesh_to_text(mesh))
-        assert restored.cells_per_dim == mesh.cells_per_dim
-        assert restored.extents == mesh.extents
-        assert restored.deformation == mesh.deformation
-        np.testing.assert_array_equal(restored.vertex_coordinates, mesh.vertex_coordinates)
-
-    def test_comments_and_blank_lines(self):
-        text = "# structured brick\n\ncells = 2,2,2\nextents = 1.0,1.0,1.0\n"
-        mesh = mesh_from_text(text)
-        assert mesh.cells_per_dim == (2, 2, 2)
-        assert mesh.deformation == 0.0
 
 
 @settings(max_examples=25, deadline=None)

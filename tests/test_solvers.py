@@ -162,9 +162,8 @@ class TestRecurrenceFidelity:
 
     def test_pipelined_drift_reported(self, fem):
         op, handler, b, minv, dense = fem
-        res = solve_pipelined(op, b, SolverConfig(fixed_iterations=24,
-                                                  drift_check_every=10))
-        assert [k for k, _ in res.drift] == [10, 20]
+        res = solve_pipelined(op, b, SolverConfig(fixed_iterations=110))
+        assert [k for k, _ in res.drift] == [50, 100]
         assert all(d < 1e-8 for _, d in res.drift)
 
 
@@ -247,6 +246,29 @@ class TestBreakdown:
         with pytest.raises(ValueError, match="non-finite"):
             solve(variant, A, np.ones(4), minv=np.array([1.0, np.inf, 1.0, 1.0]))
 
+    @pytest.mark.parametrize("variant", ALL_SOLVERS)
+    @pytest.mark.parametrize("case", ["huge_rhs", "nan_operator"])
+    def test_non_finite_scalar_breaks_down_at_once(self, variant, case):
+        # a finite b whose norm overflows, or an operator that yields NaN,
+        # used to run every variant to the iteration limit and return a NaN
+        # x with converged=False
+        diag = np.diag([2.0, 3.0, 4.0, 5.0])
+        if case == "huge_rhs":
+            A, b = ArrayOperator(diag), np.full(4, 1e200)
+        else:
+            A, b = ArrayOperator(np.where(diag > 0.0, np.nan, 0.0)), np.ones(4)
+        step = "outer step 1" if variant == "sstep" else "iteration 1"
+        with np.errstate(all="ignore"), \
+                pytest.raises(SolverBreakdown, match=step):
+            solve(variant, A, b, minv=np.ones(4))
+
+    def test_pcg_requires_preconditioner(self):
+        # called directly, a None preconditioner used to fail on its length
+        # (or, with n = 1, run on a NaN inverse diagonal)
+        for n in (1, 3):
+            with pytest.raises(ValueError, match="requires a preconditioner"):
+                solve_pcg(ArrayOperator(np.eye(n)), np.ones(n), None)
+
     def test_sstep_s_guard(self):
         A = ArrayOperator(np.eye(4))
         with pytest.raises(ValueError, match="s > 8"):
@@ -281,13 +303,6 @@ class TestConfigAndPlumbing:
         res = solve_cg(op, b, SolverConfig(max_iterations=3))
         assert not res.converged
         assert res.iterations == 3
-
-    def test_force_x_updates_same_solution(self, fem):
-        op, handler, b, minv, dense = fem
-        a = solve_combined_cg(op, b)
-        c = solve_combined_cg(op, b, SolverConfig(force_x_updates=True))
-        np.testing.assert_allclose(c.x, a.x, rtol=1e-9)
-        assert a.iterations == c.iterations
 
     def test_region_seconds_present(self, fem):
         op, handler, b, minv, dense = fem
