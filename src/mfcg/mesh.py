@@ -30,8 +30,6 @@ __all__ = [
     "GeometryData",
     "build_cartesian_mesh",
     "deform_mesh",
-    "quadratic_geometry_nodes",
-    "geometry_data",
     "precompute_geometry",
     "SYMMETRIC_INDEX",
     "symmetric_coefficients",
@@ -154,13 +152,6 @@ def _cell_lattice(mesh: HexMesh, order: np.ndarray, cells=None):
 
 
 _QUADRATIC_ORDER = np.array([0.0, 0.5, 1.0])
-
-
-def quadratic_geometry_nodes(mesh: HexMesh, cell: int) -> np.ndarray:
-    """The 27 tri-quadratic geometry support points of one cell (the deformed
-    {0, 1/2, 1}^3 lattice), shape (27, 3), x fastest."""
-    mesh.cell_coords(cell)  # validates the index
-    return mesh.map_points(_cell_lattice(mesh, _QUADRATIC_ORDER, [cell])[0])
 
 
 def _all_quadratic_nodes(mesh: HexMesh) -> np.ndarray:
@@ -308,19 +299,6 @@ def precompute_geometry(mesh: HexMesh, variant: GeometryVariant,
         payload = {"final_tensor": sym, "jxw": np.ascontiguousarray(det * weights)}
         return GeometryData(variant, quad, payload, 7 * nq**3)
     raise ValueError(f"unknown geometry variant {variant}")
-
-
-def geometry_data(mesh: HexMesh, cell: int, variant: GeometryVariant,
-                  quad: QuadratureRule1D) -> dict:
-    """Per-cell view of the variant's data (see precompute_geometry for the
-    all-cells form the operator consumes)."""
-    mesh.cell_coords(cell)
-    data = precompute_geometry(mesh, variant, quad)
-    if variant == GeometryVariant.AFFINE:
-        return dict(data.payload)  # identical for every cell
-    per_cell = {"nodes", "inverse_jacobian", "jxw", "final_tensor"}
-    return {key: (value[cell] if key in per_cell else value)
-            for key, value in data.payload.items()}
 
 
 def compute_jacobians_from_nodes(nodes: np.ndarray, geo_basis, nq: int):

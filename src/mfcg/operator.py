@@ -9,10 +9,10 @@ mfcg.tensor).  Geometry the kernel loads is stored in that order; the
 scatter still sums cell by cell.
 
 Constrained (Dirichlet) unknowns are kept in the system as identity rows:
-each batch's DoF map sends constrained entries to a slot that gathers zero
-and is never added back, and the constrained entries of the result are
-copied straight from the source.  This keeps the operator symmetric and the
-vectors full length.
+each batch's gather zeroes its constrained entries, its DoF map sends them
+to a slot that is never added back, and the constrained entries of the
+result are copied straight from the source.  This keeps the operator
+symmetric and the vectors full length.
 """
 
 from __future__ import annotations
@@ -192,24 +192,29 @@ class MatrixFreeOperator:
         # per batch: its cell ids, the sorted unconstrained DoFs its cells
         # touch, and the map from each entry of the (cell, component, node)
         # layout into them.  Constrained entries are keyed n_dofs, which
-        # sorts past every DoF, so they all map to one extra slot that
-        # gathers zero and is never added back.  The map stays cell-major,
-        # the order in which the scatter sums; the gather reads it through
-        # the transposed view that is the kernel's lane order.
+        # sorts past every DoF, so they all map to one extra slot that is
+        # never added back.  The map stays cell-major, the order in which
+        # the scatter sums.  The gather takes src through a lane-order copy
+        # of the DoF indices in one pass, then zeroes the constrained lanes.
         n1 = spec.degree + 1
         self._batch_cells = [np.asarray(cells) for cells in plan.batches]
         self._batch_dofs = []
         self._batch_map = []
+        self._batch_src = []
+        self._batch_zero = []
         for cells in self._batch_cells:
             idx = (_expand_scalar(handler, cells)[:, None, :] * self.components
-                   + np.arange(self.components)[:, None])
+                   + np.arange(self.components)[:, None]
+                   ).reshape(len(cells), self.components, n1, n1, n1)
             dofs, inverse = np.unique(np.where(mask[idx], handler.n_dofs, idx),
                                       return_inverse=True)
             if dofs[-1] == handler.n_dofs:
                 dofs = dofs[:-1]
             self._batch_dofs.append(dofs)
-            self._batch_map.append(inverse.reshape(len(cells), self.components,
-                                                   n1, n1, n1))
+            self._batch_map.append(inverse.reshape(idx.shape))
+            lanes = np.ascontiguousarray(idx.transpose(2, 3, 4, 0, 1))
+            self._batch_src.append(lanes)
+            self._batch_zero.append(np.flatnonzero(mask[lanes]))
         # per batch, the kernel's (coefficients, jxw) where they are data,
         # not work: the final tensor gathered in batch and lane order,
         # contiguous per entry as the cell loop streams it, and the affine
@@ -410,17 +415,14 @@ class MatrixFreeOperator:
                 if recorder is not None:
                     recorder.record_dofs(rec_dst, lo, hi, trace.WRITE)
             dofs = self._batch_dofs[b]
-            inverse = self._batch_map[b]
-            gathered = np.empty(len(dofs) + 1, dtype=src.dtype)
-            np.take(src, dofs, out=gathered[:-1])
-            gathered[-1] = 0.0
-            lanes = gathered.take(inverse.transpose(2, 3, 4, 0, 1))
+            lanes = src.take(self._batch_src[b])
+            lanes.reshape(-1)[self._batch_zero[b]] = 0
             local = self._batch_kernel(b, lanes)
             # summed cell-major, so that every DoF adds the contributions of
             # its cells in batch order
-            flat = np.bincount(inverse.ravel(),
+            flat = np.bincount(self._batch_map[b].ravel(),
                                weights=local.transpose(3, 4, 0, 1, 2).ravel(),
-                               minlength=len(gathered))
+                               minlength=len(dofs) + 1)
             np.add.at(dst, dofs, flat[:-1])
             if recorder is not None:
                 src_dst, geom, indices = batch_runs[b]

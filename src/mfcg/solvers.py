@@ -35,6 +35,9 @@ __all__ = ["SolverBreakdown", "SolverConfig", "SolveResult", "fused_reductions",
 VARIANTS = ("cg", "pcg", "pipelined", "sstep", "combined_cg", "combined_pcg")
 
 DRIFT_CHECK_EVERY = 50               # pipelined true-residual check interval
+# solve() rescales a b whose largest entry is below this: its squares, and so
+# ||b|| and the recurrence scalars, would reach the subnormal range
+TINY_RHS = 2.0 ** -400
 
 _RZ = "preconditioner product r^T M^-1 r"
 
@@ -74,22 +77,22 @@ class SolveResult:
     drift: tuple = ()                # pipelined: (iteration, |true-recurred|)
 
 
-def fused_reductions(r, v, p, minv, lo, hi) -> np.ndarray:
+def fused_reductions(r, v, p, minv, lo, hi) -> tuple:
     """Partial sums of the seven merged-PCG reductions over [lo, hi):
-    (r.r, p.v, r.v, v.v, r.Mr, r.Mv, v.Mv).  `minv` is the replicated
-    inverse-diagonal array, or None for the identity (then the last three
-    duplicate the first/third/fourth)."""
+    (r.r, p.v, r.v, v.v, r.Mr, r.Mv, v.Mv), as a tuple.  `minv` is the
+    replicated inverse-diagonal array, or None for the identity (then the
+    last three duplicate the first/third/fourth)."""
     rr = r[lo:hi]
     vv = v[lo:hi]
     pp = p[lo:hi]
+    # ndarray.dot runs the same BLAS ddot as @, with less dispatch
+    rr_rr, rr_vv, vv_vv = rr.dot(rr), rr.dot(vv), vv.dot(vv)
     if minv is None:
-        mr, mv = rr, vv
-    else:
-        m = minv[lo:hi]
-        mr = m * rr
-        mv = m * vv
-    return np.array([rr @ rr, pp @ vv, rr @ vv, vv @ vv,
-                     rr @ mr, rr @ mv, vv @ mv])
+        return rr_rr, pp.dot(vv), rr_vv, vv_vv, rr_rr, rr_vv, vv_vv
+    m = minv[lo:hi]
+    mr = m * rr
+    mv = m * vv
+    return rr_rr, pp.dot(vv), rr_vv, vv_vv, rr.dot(mr), rr.dot(mv), vv.dot(mv)
 
 
 # -- shared plumbing ----------------------------------------------------------
@@ -110,7 +113,9 @@ class _Run:
     """The plumbing one solve shares with every variant: input checks, stream
     registration, timed and traced regions, the matvec count, the history,
     the scalar guard and the result.  A zero `b` leaves `bnorm` at 0 and
-    registers nothing; the caller then returns `result(zeros, 0, 0.0)`."""
+    registers nothing; the caller then returns `result(zeros, 0, 0.0)`.  A
+    nonzero `b` whose norm underflows to 0 raises `ValueError` (`solve`
+    rescales such a `b` first)."""
 
     def __init__(self, variant, A, b, config, recorder, streams, minv=None):
         cfg = config or SolverConfig()
@@ -132,6 +137,9 @@ class _Run:
         self.limit = cfg.fixed_iterations or cfg.max_iterations
         self.unit = "outer step" if variant == "sstep" else "iteration"
         self.bnorm = _norm(b)
+        if self.bnorm == 0.0 and np.any(b):
+            raise ValueError("the norm of the nonzero right-hand side "
+                             "underflows to 0; solve() rescales it")
         self.history = []
         self.times = {}
         self.matvecs = 0
@@ -495,6 +503,11 @@ def _solve_combined(variant, A, b, minv, config, rec):
     x = np.zeros(n)
     p = np.zeros(n)
     v = np.zeros(n)
+    # the spans' temporaries, span by span in place: every element takes
+    # the same operations in the same order as the whole-array expressions
+    # in the comments
+    t1 = np.empty(n)
+    t2 = np.empty(n)
     with run.region("init", reads=("b",), writes=("r",)):
         r = b.copy()
     alpha_prev = beta_prev = 0.0
@@ -508,7 +521,7 @@ def _solve_combined(variant, A, b, minv, config, rec):
 
     for k in range(1, run.limit + 1):
         run.begin_iteration(k)
-        sums = np.zeros(7)
+        sums = [0.0] * 7
         am1, bm1 = alpha_prev, beta_prev
         am2, bm2 = alpha_prev2, beta_prev2
         odd = k % 2 == 1
@@ -518,25 +531,38 @@ def _solve_combined(variant, A, b, minv, config, rec):
             # (post-convergence) iterations and contribute nothing; the
             # divisor identity needs bm2 != 0 only
             live = am1 != 0.0 or am2 != 0.0
+            rs = r[lo:hi]
+            ps = p[lo:hi]
+            s1 = t1[lo:hi]
             if k > 1 and live and odd:
                 if am2 != 0.0 and bm2 != 0.0:
-                    pslice = p[lo:hi]
+                    # x += am1 p + (am2 / bm2) (p - z), z = r or M^-1 r
+                    s2 = t2[lo:hi]
                     if mrep is None:
-                        zslice = r[lo:hi]
+                        np.subtract(ps, rs, out=s2)
                     else:
-                        zslice = mrep[lo:hi] * r[lo:hi]
+                        np.multiply(mrep[lo:hi], rs, out=s2)
                         rec_minv_span(lo, hi)
-                    x[lo:hi] += am1 * pslice + (am2 / bm2) * (pslice - zslice)
+                        np.subtract(ps, s2, out=s2)
+                    s2 *= am2 / bm2
+                    np.multiply(ps, am1, out=s1)
+                    s1 += s2
                 else:
-                    x[lo:hi] += am1 * p[lo:hi]
+                    # x += am1 p
+                    np.multiply(ps, am1, out=s1)
+                x[lo:hi] += s1
                 if rec is not None:
                     rec.record_dofs("x", lo, hi, trace.READWRITE)
                     rec.record_dofs("r", lo, hi, trace.READ)
-            r[lo:hi] -= am1 * v[lo:hi]
+            # r -= am1 v; p = z + bm1 p
+            np.multiply(v[lo:hi], am1, out=s1)
+            rs -= s1
+            ps *= bm1
             if mrep is None:
-                p[lo:hi] = r[lo:hi] + bm1 * p[lo:hi]
+                ps += rs
             else:
-                p[lo:hi] = mrep[lo:hi] * r[lo:hi] + bm1 * p[lo:hi]
+                np.multiply(mrep[lo:hi], rs, out=s1)
+                ps += s1
                 rec_minv_span(lo, hi)
             if rec is not None:
                 rec.record_dofs("r", lo, hi, trace.READWRITE)
@@ -544,7 +570,8 @@ def _solve_combined(variant, A, b, minv, config, rec):
                 rec.record_dofs("p", lo, hi, trace.READWRITE)
 
         def post(lo, hi):
-            sums[:] += fused_reductions(r, v, p, mrep, lo, hi)
+            sums[:] = [total + part for total, part in
+                       zip(sums, fused_reductions(r, v, p, mrep, lo, hi))]
             if rec is not None:
                 rec.record_dofs("r", lo, hi, trace.READ)
                 rec.record_dofs("v", lo, hi, trace.READ)
@@ -630,9 +657,17 @@ def solve(variant: str, A, b, *, minv=None, config: SolverConfig = None,
           recorder=None) -> SolveResult:
     """Dispatch by variant name; `minv` is required for the preconditioned
     variants and ignored by the rest.  A non-finite entry in `b` or `minv` is
-    rejected up front: no variant could converge on it."""
+    rejected up front: no variant could converge on it.  A nonzero `b` whose
+    largest entry is below `TINY_RHS` is solved scaled by an exact power of
+    two, and `x` scaled back exactly; the history's gamma then belongs to
+    the scaled system."""
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side has non-finite entries")
+    shift = 0
+    largest = np.max(np.abs(b), initial=0.0)
+    if 0.0 < largest < TINY_RHS:
+        shift = -int(np.frexp(largest)[1])
+        b = np.ldexp(b, shift)
     if minv is not None and not np.all(np.isfinite(_inverse_diagonal(minv))):
         raise ValueError("preconditioner has non-finite entries")
     solver = {"cg": solve_cg, "pcg": solve_pcg, "pipelined": solve_pipelined,
@@ -641,5 +676,9 @@ def solve(variant: str, A, b, *, minv=None, config: SolverConfig = None,
     if solver is None:
         raise ValueError(f"unknown solver variant {variant!r}")
     if variant.endswith("pcg"):
-        return solver(A, b, minv, config, recorder=recorder)
-    return solver(A, b, config, recorder=recorder)
+        res = solver(A, b, minv, config, recorder=recorder)
+    else:
+        res = solver(A, b, config, recorder=recorder)
+    if shift:
+        res.x = np.ldexp(res.x, -shift)
+    return res

@@ -23,13 +23,15 @@ from mfcg.dofs import (
 )
 from mfcg.locality import CacheReplayResult, TagTally, TraceSummary
 from mfcg.mesh import (
+    _QUADRATIC_ORDER,
     SYMMETRIC_INDEX,
     GeometryVariant,
+    _cell_lattice,
     build_cartesian_mesh,
     compute_jacobians_from_nodes,
     deform_mesh,
     metric_tensor,
-    quadratic_geometry_nodes,
+    precompute_geometry,
     symmetric_coefficients,
 )
 from mfcg.operator import MatrixFreeOperator, OperatorSpec, _merge_spans
@@ -696,6 +698,25 @@ def lapack_symmetric_coefficients(inv, jxw):
     rows = inv[..., (0, 1, 2, 0, 0, 1), :]
     cols = inv[..., (0, 1, 2, 1, 2, 2), :]
     return np.einsum("...aj,...aj->a...", rows, cols) * jxw
+
+
+def quadratic_geometry_nodes(mesh, cell):
+    """The 27 tri-quadratic geometry support points of one cell (the deformed
+    {0, 1/2, 1}^3 lattice), shape (27, 3), x fastest."""
+    mesh.cell_coords(cell)  # validates the index
+    return mesh.map_points(_cell_lattice(mesh, _QUADRATIC_ORDER, [cell])[0])
+
+
+def geometry_data(mesh, cell, variant, quad):
+    """Per-cell view of the variant's data (see precompute_geometry for the
+    all-cells form the operator consumes)."""
+    mesh.cell_coords(cell)
+    data = precompute_geometry(mesh, variant, quad)
+    if variant == GeometryVariant.AFFINE:
+        return dict(data.payload)  # identical for every cell
+    per_cell = {"nodes", "inverse_jacobian", "jxw", "final_tensor"}
+    return {key: (value[cell] if key in per_cell else value)
+            for key, value in data.payload.items()}
 
 
 def lapack_geometry(mesh, quad):

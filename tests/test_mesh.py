@@ -10,15 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import geometry_data, quadratic_geometry_nodes
 from mfcg.mesh import (
     SYMMETRIC_INDEX,
     GeometryVariant,
     build_cartesian_mesh,
     compute_jacobians_from_nodes,
     deform_mesh,
-    geometry_data,
     precompute_geometry,
-    quadratic_geometry_nodes,
 )
 from mfcg.tensor import gauss_quadrature, lagrange_basis
 

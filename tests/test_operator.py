@@ -135,6 +135,25 @@ class TestOracleEquivalence:
 
 
 class TestOperatorProperties:
+    @pytest.mark.parametrize("comp,constrain", [(1, True), (3, True), (1, False)])
+    def test_lane_order_gather_index(self, comp, constrain):
+        # the gather takes src through one lane-order index per batch, then
+        # zeroes the constrained lanes: the same values as reading the
+        # batch's DoFs through the transposed cell-major map
+        op, handler = build_op(cells=(3, 2, 2), comp=comp, constrain=constrain,
+                               batch=4)
+        for b in range(op.plan.n_batches):
+            dofs = op._batch_dofs[b]
+            lane_map = op._batch_map[b].transpose(2, 3, 4, 0, 1)
+            src_index = op._batch_src[b]
+            assert src_index.shape == lane_map.shape
+            assert src_index.flags.c_contiguous
+            free = lane_map != len(dofs)
+            np.testing.assert_array_equal(src_index[free], dofs[lane_map[free]])
+            np.testing.assert_array_equal(op._batch_zero[b],
+                                          np.flatnonzero(~free))
+            assert free.all() != constrain
+
     def test_laplace_annihilates_constants(self):
         op, handler = build_op(eq="laplace", constrain=False)
         v = op.apply(np.ones(handler.n_dofs))

@@ -27,6 +27,7 @@ from _oracles import (
     loop_morton_order,
     loop_range_schedule,
     loop_renumber_optimized,
+    quadratic_geometry_nodes,
 )
 from mfcg.bench import assemble_problem, build_rhs
 from mfcg.dofs import (
@@ -48,7 +49,6 @@ from mfcg.mesh import (
     deform_mesh,
     metric_tensor,
     precompute_geometry,
-    quadratic_geometry_nodes,
 )
 from mfcg.operator import _cell_stream_ranges
 from mfcg.tensor import gauss_quadrature, lagrange_basis

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from _oracles import ArrayOperator, build_fem, dense_cg, dense_pcg, fem_rhs
+from mfcg import solvers
 from mfcg.solvers import (SolverBreakdown, SolverConfig, SolveResult,
                           fused_reductions, solve, solve_cg, solve_combined_cg,
                           solve_combined_pcg, solve_pcg, solve_pipelined,
@@ -262,6 +263,26 @@ class TestBreakdown:
                 pytest.raises(SolverBreakdown, match=step):
             solve(variant, A, b, minv=np.ones(4))
 
+    @pytest.mark.parametrize("variant", ALL_SOLVERS)
+    def test_underflowing_rhs_norm_is_rescaled(self, variant):
+        # ||b|| used to underflow to 0, so every variant took the zero-b exit
+        # and returned x = 0 with converged=True
+        A = ArrayOperator(np.diag([2.0, 3.0, 4.0, 5.0]))
+        b = np.full(4, 1e-200)
+        res = solve(variant, A, b, minv=np.ones(4))
+        assert res.converged and res.iterations > 0
+        np.testing.assert_allclose(res.x, b / np.array([2.0, 3.0, 4.0, 5.0]),
+                                   rtol=1e-9)
+        # an exact power-of-two rescaling: the same solve as for 2^k b
+        shift = -int(np.frexp(1e-200)[1])
+        scaled = solve(variant, A, np.ldexp(b, shift), minv=np.ones(4))
+        np.testing.assert_array_equal(res.x, np.ldexp(scaled.x, -shift))
+        assert res.history == scaled.history
+
+    def test_run_rejects_nonzero_rhs_with_zero_norm(self):
+        with pytest.raises(ValueError, match="underflows"):
+            solve_cg(ArrayOperator(np.diag([2.0, 3.0])), np.full(2, 1e-200))
+
     def test_pcg_requires_preconditioner(self):
         # called directly, a None preconditioner used to fail on its length
         # (or, with n = 1, run on a NaN inverse diagonal)
@@ -310,6 +331,39 @@ class TestConfigAndPlumbing:
         for tag in ("matvec", "dot_pv", "update_x", "update_r", "norm_r",
                     "apply_prec", "dot_rz", "update_p"):
             assert res.region_seconds[tag] >= 0.0
+
+    @pytest.mark.parametrize("variant", ALL_SOLVERS)
+    @pytest.mark.parametrize("rhs", ["fem", "zero", "tiny"])
+    def test_solution_owns_its_buffer(self, fem, variant, rhs):
+        # callers keep x (the benchmark keeps every round's), so a view
+        # into solver scratch would keep that scratch alive too
+        op, handler, b, minv, dense = fem
+        b = {"fem": b, "zero": np.zeros_like(b), "tiny": b * 1e-300}[rhs]
+        res = run_variant(variant, op, b, minv=minv,
+                          cfg=SolverConfig(fixed_iterations=4))
+        assert res.x.base is None and res.x.flags.owndata
+        assert res.x.shape == b.shape
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_region_that_raises_records_nothing(self, traced):
+        rec = AccessRecorder() if traced else None
+        run = solvers._Run("cg", ArrayOperator(np.eye(4)), np.ones(4), None,
+                           rec, ("x", "r"))
+        marks = rec.mark() if traced else None
+        with pytest.raises(ZeroDivisionError):
+            with run.region("boom", reads=("x",), writes=("r",), rw=("x",)):
+                1 / 0
+        assert run.times == {}
+        if traced:
+            assert rec.mark() == marks
+        with run.region("ok", reads=("x",), writes=("r",)) as rid:
+            pass
+        assert list(run.times) == ["ok"] and run.times["ok"] >= 0.0
+        if traced:
+            assert rid is not None and rec.region_tag(rid) == "ok"
+            assert rec.mark() == marks + 2
+        else:
+            assert rid is None
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="unknown"):
