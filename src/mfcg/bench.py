@@ -14,14 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dofs import batch_size, distribute_dofs, expand_batch, make_batches
-from .locality import predict_transfer
-from .mesh import (
-    GeometryVariant,
-    _all_quadratic_nodes,
-    build_cartesian_mesh,
-    deform_mesh,
+from .dofs import (
+    batch_size,
+    distribute_dofs,
+    expand_batch,
+    make_batches,
+    renumber_optimized,
 )
+from .locality import predict_transfer
+from .mesh import GeometryVariant, build_cartesian_mesh, deform_mesh
 from .operator import MatrixFreeOperator, OperatorSpec
 from .solvers import SolverConfig, solve
 from .tensor import evaluate_values, integrate_values, lagrange_basis
@@ -87,10 +88,10 @@ def build_rhs(op: MatrixFreeOperator) -> np.ndarray:
     nq = spec.n_q_1d
     cells = np.arange(mesh.n_cells)
     _, jxw = op._batch_geometry(cells, coefficients=False)
-    coords = _all_quadratic_nodes(mesh).transpose(0, 2, 1).reshape(-1, 3, 3, 3, 3)
+    coords = mesh.quadratic_nodes.transpose(0, 2, 1).reshape(-1, 3, 3, 3, 3)
     pts = evaluate_values(lagrange_basis(2, op.quadrature), coords)  # (cells, 3, nq, nq, nq)
     pts = pts.reshape(-1, 3, nq ** 3).transpose(0, 2, 1)
-    fw = (manufactured_forcing(pts, spec.equation) * jxw).reshape(-1, nq, nq, nq)
+    fw = (manufactured_forcing(pts, spec.equation) * jxw.T).reshape(-1, nq, nq, nq)
     local = integrate_values(op.basis, fw).reshape(mesh.n_cells, -1)
     # one scatter over all cells; bincount adds in cell order
     local = np.repeat(local, spec.components, axis=1)
@@ -132,6 +133,30 @@ def estimate_problem_bytes(n_dofs: int, n_cells: int, nq: int) -> int:
     return 16 * n_dofs * 8 + n_cells * nq ** 3 * 6 * 8
 
 
+def _problem_size(components: int, degree: int, cells) -> tuple:
+    """(n_dofs, n_cells) of a continuous degree-p space on a structured mesh,
+    in closed form: p n + 1 nodes per direction."""
+    return (components * math.prod(degree * n + 1 for n in cells),
+            math.prod(cells))
+
+
+def discretize(components: int, degree: int, cells, *, deform: float,
+               numbering: str, traversal: str, simd_lanes: int):
+    """The (deformed) mesh, its boundary-constrained DoF numbering and batch
+    plan for one configuration: (mesh, handler, plan)."""
+    if numbering not in ("default", "optimized"):
+        raise ValueError(f"unknown numbering {numbering!r}")
+    mesh = build_cartesian_mesh(cells)
+    if deform:
+        mesh = deform_mesh(mesh, deform)
+    handler = distribute_dofs(mesh, degree, components=components,
+                              constrain_boundary=True)
+    plan = make_batches(mesh, batch_size(degree, components, simd_lanes), traversal)
+    if numbering == "optimized":
+        handler = renumber_optimized(handler, plan)
+    return mesh, handler, plan
+
+
 def assemble_problem(bp_id: str, degree: int, cells, *,
                      geometry: GeometryVariant = GeometryVariant.FINAL_TENSOR_LOAD,
                      deform: float = 0.05, numbering: str = "default",
@@ -140,31 +165,23 @@ def assemble_problem(bp_id: str, degree: int, cells, *,
     """Build the operator, manufactured right-hand side, and Jacobi
     preconditioner for one benchmark configuration.
 
-    Returns (op, b, minv).  Raises MemoryError when the coarse size
-    estimate exceeds `memory_limit_bytes`.
+    Returns (op, b, minv).  Raises MemoryError, before allocating anything
+    per cell, when the coarse size estimate exceeds `memory_limit_bytes`.
     """
     problem = BENCHMARK_PROBLEMS.get(bp_id)
     if problem is None:
         raise ValueError(f"unknown benchmark problem {bp_id!r}; "
                          f"expected one of {sorted(BENCHMARK_PROBLEMS)}")
-    mesh = build_cartesian_mesh(cells)
-    if deform:
-        mesh = deform_mesh(mesh, deform)
-    handler = distribute_dofs(mesh, degree, components=problem.components,
-                              constrain_boundary=True)
     spec = problem.operator_spec(degree, geometry)
-    estimate = estimate_problem_bytes(handler.n_dofs, mesh.n_cells, spec.n_q_1d)
+    n_dofs, n_cells = _problem_size(problem.components, degree, cells)
+    estimate = estimate_problem_bytes(n_dofs, n_cells, spec.n_q_1d)
     if estimate > memory_limit_bytes:
         raise MemoryError(
             f"size-too-large: {bp_id} p={degree} cells={tuple(cells)} needs "
             f"~{estimate / 2**20:.0f} MiB > limit {memory_limit_bytes / 2**20:.0f} MiB")
-    plan = make_batches(mesh, batch_size(degree, problem.components, simd_lanes),
-                        traversal)
-    if numbering == "optimized":
-        from .dofs import renumber_optimized
-        handler = renumber_optimized(handler, plan)
-    elif numbering != "default":
-        raise ValueError(f"unknown numbering {numbering!r}")
+    mesh, handler, plan = discretize(
+        problem.components, degree, cells, deform=deform, numbering=numbering,
+        traversal=traversal, simd_lanes=simd_lanes)
     op = MatrixFreeOperator(spec, mesh, handler, plan)
     return op, build_rhs(op), op.compute_diagonal()
 
@@ -176,15 +193,16 @@ def run_benchmark(bp_id: str, degree: int, cells, variant: str, *,
                   simd_lanes: int = 8, s: int = 4,
                   memory_limit_bytes: int = 2 ** 32) -> RunRecord:
     """Time `variant` on one benchmark problem: a fixed iteration count per
-    run, minimum wall time over sequential repeats."""
+    run, minimum wall time over sequential repeats (at least one)."""
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
     op, b, minv = assemble_problem(
         bp_id, degree, cells, geometry=geometry, numbering=numbering,
         traversal=traversal, simd_lanes=simd_lanes,
         memory_limit_bytes=memory_limit_bytes)
     cfg = SolverConfig(fixed_iterations=iterations, s=s)
     best = math.inf
-    result = None
-    for _ in range(max(1, repeats)):
+    for _ in range(repeats):
         start = time.perf_counter()
         result = solve(variant, op, b, minv=minv, config=cfg)
         elapsed = time.perf_counter() - start

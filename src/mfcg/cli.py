@@ -20,21 +20,15 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import operator as operator_mod
-from .bench import BENCHMARK_PROBLEMS, assemble_problem, run_benchmark
-from .dofs import (
-    batch_size,
-    compute_range_schedule,
-    distribute_dofs,
-    make_batches,
-    renumber_optimized,
-)
+from .bench import BENCHMARK_PROBLEMS, assemble_problem, discretize, run_benchmark
+from .dofs import compute_range_schedule
 from .locality import (
     CacheModel,
     liveliness,
     predict_transfer,
     replay_cache,
 )
-from .mesh import GeometryVariant, build_cartesian_mesh, deform_mesh
+from .mesh import GeometryVariant
 from .solvers import VARIANTS, SolverBreakdown, SolverConfig, solve
 from .tensor import evaluate_values, gauss_quadrature, lagrange_basis
 from .trace import AccessRecorder
@@ -62,12 +56,21 @@ class Config:
     out: str = ""
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be at least 1, got {self.iterations}")
+        for key in ("iterations", "repeats"):
+            value = getattr(self, key)
+            if value < 1:
+                raise ValueError(f"{key} must be at least 1, got {value}")
 
 
 _INT_KEYS = {"degree", "iterations", "repeats", "simd_lanes", "cache_bytes",
              "seed"}
+
+
+def _coerce(key: str, value: str):
+    """A config value from its text form, typed as the `Config` field."""
+    if key == "cells":
+        return _parse_cells(value)
+    return int(value) if key in _INT_KEYS else value
 
 
 def parse_config(text: str, base: Config = None) -> Config:
@@ -86,12 +89,7 @@ def parse_config(text: str, base: Config = None) -> Config:
         key, value = key.strip(), value.strip()
         if key not in known:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        if key == "cells":
-            updates[key] = _parse_cells(value)
-        elif key in _INT_KEYS:
-            updates[key] = int(value)
-        else:
-            updates[key] = value
+        updates[key] = _coerce(key, value)
     return replace(cfg, **updates)
 
 
@@ -196,14 +194,9 @@ def cmd_bench(cfg: Config) -> int:
 
 
 def _locality_setup(cfg: Config, numbering: str):
-    problem = BENCHMARK_PROBLEMS[cfg.bp]
-    mesh = deform_mesh(build_cartesian_mesh(cfg.cells), 0.05)
-    handler = distribute_dofs(mesh, cfg.degree, components=problem.components,
-                              constrain_boundary=True)
-    plan = make_batches(mesh, batch_size(cfg.degree, problem.components,
-                                         cfg.simd_lanes), cfg.traversal)
-    if numbering == "optimized":
-        handler = renumber_optimized(handler, plan)
+    _, handler, plan = discretize(
+        BENCHMARK_PROBLEMS[cfg.bp].components, cfg.degree, cfg.cells, deform=0.05,
+        numbering=numbering, traversal=cfg.traversal, simd_lanes=cfg.simd_lanes)
     return handler, plan
 
 
@@ -211,9 +204,6 @@ def cmd_liveliness(cfg: Config) -> int:
     _check_bp(cfg)
     numberings = (("default", "optimized") if cfg.numbering == "both"
                   else (cfg.numbering,))
-    for numbering in numberings:
-        if numbering not in ("default", "optimized"):
-            raise ValueError(f"unknown numbering {cfg.numbering!r}")
     header = ["numbering", "distance", "cumulative_fraction"]
     rows = []
     for numbering in numberings:
@@ -494,17 +484,8 @@ def _config_from_args(args) -> Config:
     if args.config:
         with open(args.config) as fh:
             cfg = parse_config(fh.read(), cfg)
-    overrides = {}
-    for f in fields(Config):
-        value = getattr(args, f.name, None)
-        if value is None:
-            continue
-        if f.name == "cells":
-            overrides[f.name] = _parse_cells(value)
-        elif f.name in _INT_KEYS:
-            overrides[f.name] = int(value)
-        else:
-            overrides[f.name] = value
+    overrides = {f.name: _coerce(f.name, getattr(args, f.name)) for f in fields(Config)
+                 if getattr(args, f.name, None) is not None}
     return replace(cfg, **overrides)
 
 

@@ -56,10 +56,6 @@ class DofHandler:
     def n_nodes(self) -> int:
         return self.n_dofs // self.components
 
-    @property
-    def dofs_per_cell(self) -> int:
-        return (self.degree + 1) ** 3 * self.components
-
 
 @dataclass(frozen=True)
 class BatchPlan:
@@ -191,7 +187,7 @@ def _expand_scalar(handler: DofHandler, cells: np.ndarray) -> np.ndarray:
 
 
 def expand_batch(handler: DofHandler, cells) -> np.ndarray:
-    """(len(cells), dofs_per_cell) global indices for a batch of cells."""
+    """(len(cells), (p+1)^3 * components) global indices for a batch of cells."""
     scalar = _expand_scalar(handler, np.asarray(cells))
     c = handler.components
     if c == 1:

@@ -13,7 +13,7 @@ capacity would actually fetch from RAM.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

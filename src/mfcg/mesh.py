@@ -10,7 +10,7 @@ machine precision.  The affine variant is only valid on undeformed meshes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -56,20 +56,11 @@ class HexMesh:
     cells_per_dim: tuple
     extents: tuple
     deformation: float = 0.0
-    vertex_coordinates: np.ndarray = field(repr=False, compare=False, default=None)
-    cell_vertex_indices: np.ndarray = field(repr=False, compare=False, default=None)
 
     @property
     def n_cells(self) -> int:
         nx, ny, nz = self.cells_per_dim
         return nx * ny * nz
-
-    def cell_coords(self, cell: int) -> tuple:
-        """(cx, cy, cz) lattice coordinates of a lexicographic cell index."""
-        nx, ny, nz = self.cells_per_dim
-        if not 0 <= cell < self.n_cells:
-            raise IndexError(f"cell index {cell} out of range")
-        return cell % nx, (cell // nx) % ny, cell // (nx * ny)
 
     def map_points(self, points: np.ndarray) -> np.ndarray:
         """Apply the deformation map to undeformed coordinates (...,3)."""
@@ -81,7 +72,9 @@ class HexMesh:
         return points + self.deformation * bump
 
     @cached_property
-    def _quadratic_nodes(self) -> np.ndarray:
+    def quadratic_nodes(self) -> np.ndarray:
+        """(n_cells, 27, 3) tri-quadratic nodes of every cell, built once per
+        mesh and shared read-only by the geometry and the right-hand side."""
         nodes = self.map_points(_cell_lattice(self, _QUADRATIC_ORDER))
         nodes.flags.writeable = False
         return nodes
@@ -95,26 +88,14 @@ def build_cartesian_mesh(cells_per_dim, extents=(1.0, 1.0, 1.0)) -> HexMesh:
         raise ValueError("cells_per_dim entries must be >= 1")
     if any(e <= 0 for e in ext):
         raise ValueError("extents must be positive")
-    nx, ny, nz = cells
-    xs = [np.linspace(0.0, ext[d], cells[d] + 1) for d in range(3)]
-    Z, Y, X = np.meshgrid(xs[2], xs[1], xs[0], indexing="ij")
-    vertices = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
-    # vertex id i + (nx+1)(j + (ny+1)k) of each cell's low corner, plus the
-    # offsets of its 8 corners, x fastest
-    k, j, i = np.meshgrid(np.arange(nz), np.arange(ny), np.arange(nx), indexing="ij")
-    dz, dy, dx = np.meshgrid((0, 1), (0, 1), (0, 1), indexing="ij")
-    base = i + (nx + 1) * (j + (ny + 1) * k)
-    corner = dx + (nx + 1) * (dy + (ny + 1) * dz)
-    conn = (base.reshape(-1, 1) + corner.reshape(1, -1)).astype(np.int64)
-    return HexMesh(cells, ext, 0.0, vertices, conn)
+    return HexMesh(cells, ext)
 
 
 def deform_mesh(mesh: HexMesh, amplitude: float) -> HexMesh:
     """Apply x -> x + amplitude * prod_d sin(pi x_d / extent_d) to every
     coordinate.  The bump vanishes on the boundary, so boundary faces stay
     put.  Rejects amplitudes that flip any cell's Jacobian."""
-    new = HexMesh(mesh.cells_per_dim, mesh.extents, mesh.deformation + amplitude,
-                  mesh.vertex_coordinates, mesh.cell_vertex_indices)
+    new = HexMesh(mesh.cells_per_dim, mesh.extents, mesh.deformation + amplitude)
     if amplitude != 0.0:
         try:
             _reference_jacobians(new, gauss_lobatto_quadrature(3))
@@ -154,19 +135,13 @@ def _cell_lattice(mesh: HexMesh, order: np.ndarray, cells=None):
 _QUADRATIC_ORDER = np.array([0.0, 0.5, 1.0])
 
 
-def _all_quadratic_nodes(mesh: HexMesh) -> np.ndarray:
-    """(n_cells, 27, 3) tri-quadratic nodes for every cell, built once per
-    mesh and shared read-only by the geometry and the right-hand side."""
-    return mesh._quadratic_nodes
-
-
 def _reference_jacobians(mesh: HexMesh, quad: QuadratureRule1D):
     """Jacobians of the tri-quadratic cell maps at tensor quadrature points.
 
     Returns (jac, det) with jac of shape (n_cells, n_q^3, 3, 3) where
     jac[c, q, i, j] = d x_i / d ref_j, and det positive (checked).
     """
-    return compute_jacobians_from_nodes(_all_quadratic_nodes(mesh),
+    return compute_jacobians_from_nodes(mesh.quadratic_nodes,
                                         lagrange_basis(2, quad), len(quad))
 
 
@@ -269,7 +244,7 @@ def precompute_geometry(mesh: HexMesh, variant: GeometryVariant,
         payload = {"inverse_jacobian": inv, "det_j": det, "weights": weights}
         return GeometryData(variant, quad, payload, 10)
     if variant == GeometryVariant.QUADRATIC_COMPUTE:
-        payload = {"nodes": _all_quadratic_nodes(mesh), "weights": weights}
+        payload = {"nodes": mesh.quadratic_nodes, "weights": weights}
         return GeometryData(variant, quad, payload, 27 * 3)
     if variant == GeometryVariant.ISOPARAMETRIC_COMPUTE:
         # physical coordinates of the tri-quadratic map at the Gauss-Lobatto
@@ -283,10 +258,10 @@ def precompute_geometry(mesh: HexMesh, variant: GeometryVariant,
         support = gauss_lobatto_quadrature(nq).points
         basis2 = lagrange_basis(2, QuadratureRule1D(support, np.full(len(support), 1.0 / len(support))))
         n_cells = mesh.n_cells
-        coords = _all_quadratic_nodes(mesh).transpose(0, 2, 1).reshape(n_cells, 3, 3, 3, 3)
+        coords = mesh.quadratic_nodes.transpose(0, 2, 1).reshape(n_cells, 3, 3, 3, 3)
         vals = evaluate_values(basis2, coords)  # (cells, coord, s,s,s)
         nodes = vals.reshape(n_cells, 3, -1).transpose(0, 2, 1)
-        payload = {"nodes": nodes, "weights": weights, "n_support": len(support)}
+        payload = {"nodes": nodes, "weights": weights}
         return GeometryData(variant, quad, payload, 3 * len(support) ** 3)
     jac, det = _reference_jacobians(mesh, quad)
     if variant == GeometryVariant.INVERSE_JACOBIAN_LOAD:

@@ -99,15 +99,6 @@ class DiagonalPreconditioner:
 
     inverse_diagonal: np.ndarray  # length n_dofs / components
 
-    def full_vector(self, components: int) -> np.ndarray:
-        """Replicated full-length inverse diagonal (node-major interleave)."""
-        return np.repeat(self.inverse_diagonal, components)
-
-    def apply(self, r: np.ndarray, components: int) -> np.ndarray:
-        if components == 1:
-            return self.inverse_diagonal * r
-        return (r.reshape(-1, components) * self.inverse_diagonal[:, None]).ravel()
-
 
 def _cell_stream_ranges(cells: np.ndarray, bytes_per_cell: int) -> np.ndarray:
     """512-byte range ids covered by the per-cell records of `cells`."""
@@ -117,21 +108,12 @@ def _cell_stream_ranges(cells: np.ndarray, bytes_per_cell: int) -> np.ndarray:
     return np.unique(trace.expand_runs(lo, hi))
 
 
-def _merge_spans(ranges: np.ndarray, range_size: int, n: int):
-    """[(lo, hi), ...] dof spans of sorted range ids, consecutive runs merged."""
-    spans = []
-    if len(ranges) == 0:
-        return spans
-    run_start = prev = int(ranges[0])
-    for r in ranges[1:]:
-        r = int(r)
-        if r == prev + 1:
-            prev = r
-            continue
-        spans.append((run_start * range_size, min((prev + 1) * range_size, n)))
-        run_start = prev = r
-    spans.append((run_start * range_size, min((prev + 1) * range_size, n)))
-    return spans
+def _spans(ranges: np.ndarray, n: int, merge: bool = True) -> list:
+    """[(lo, hi), ...] dof spans of ascending unique range ids: one per run
+    of consecutive ids, or one per range without `merge`."""
+    starts, stops = trace.runs_of(ranges) if merge else (ranges, ranges + 1)
+    return [(int(lo) * RANGE_SIZE, min(int(hi) * RANGE_SIZE, n))
+            for lo, hi in zip(starts, stops)]
 
 
 # SYMMETRIC_INDEX row by row: flux_i = G[i, 0] grad_0 + G[i, 1] grad_1 + G[i, 2] grad_2
@@ -221,30 +203,17 @@ class MatrixFreeOperator:
         # variant's, which every cell shares
         self._stored_geometry = None
         if spec.geometry in (GeometryVariant.FINAL_TENSOR_LOAD, GeometryVariant.AFFINE):
-            self._stored_geometry = [self._kernel_geometry(cells)
+            self._stored_geometry = [self._batch_geometry(cells, jxw=spec.needs_values)
                                      for cells in self._batch_cells]
-        self._zero_spans = self._first_touch_spans()
-        # callback spans per merge_ranges setting: (pre, post) per batch
+        # per batch: the dst spans first written there, and the callback
+        # spans per merge_ranges setting, (pre, post)
+        self._zero_spans = [_spans(ranges, self.n_dofs) for ranges in _group_by(
+            self.schedule.first_touch_batch, plan.n_batches)]
         self._hook_spans = {
-            merge: tuple([self._callback_spans(ranges, merge) for ranges in schedule]
+            merge: tuple([_spans(ranges, self.n_dofs, merge) for ranges in schedule]
                          for schedule in (self.schedule.pre_schedule,
                                           self.schedule.post_schedule))
             for merge in (True, False)}
-
-    # -- construction helpers ------------------------------------------------
-
-    def _first_touch_spans(self):
-        """Per batch: dof spans of dst ranges first written by that batch."""
-        groups = _group_by(self.schedule.first_touch_batch, self.plan.n_batches)
-        return [_merge_spans(ranges, RANGE_SIZE, self.n_dofs) for ranges in groups]
-
-    def _callback_spans(self, ranges: np.ndarray, merge: bool):
-        """Dof spans of one batch's pre or post ranges: merged runs, or one
-        span per range."""
-        if merge:
-            return _merge_spans(np.sort(ranges), RANGE_SIZE, self.n_dofs)
-        return [(r * RANGE_SIZE, min((r + 1) * RANGE_SIZE, self.n_dofs))
-                for r in np.sort(ranges)]
 
     @cached_property
     def _trace_runs(self):
@@ -265,15 +234,16 @@ class MatrixFreeOperator:
 
     def _batch_geometry(self, cells: np.ndarray, coefficients: bool = True,
                         jxw: bool = True):
-        """(coefficients or None, jxw or None) for the cells of one batch.
+        """(coefficients or None, jxw or None) for the cells of one batch, in
+        the kernel's lane order (cells last).
 
         The coefficients are the six distinct entries of the symmetric
         tensor G = J^-1 (w det J) J^-T (see mesh.SYMMETRIC_INDEX), shaped
-        (6, n_cells, n_q^3), or (6, n_q^3) for the affine variant, whose
+        (6, n_q^3, n_cells), or (6, n_q^3, 1) for the affine variant, whose
         cells all share them.  They are loaded (final-tensor variant),
         formed from loaded inverse Jacobians, or computed on the fly from
         geometry node coordinates; only if the equation needs gradients and
-        `coefficients` asks for them.  jxw = w det J, (n_cells, n_q^3), only
+        `coefficients` asks for them.  jxw = w det J, (n_q^3, n_cells), only
         if `jxw` asks for it.
         """
         payload = self.geometry.payload
@@ -282,49 +252,27 @@ class MatrixFreeOperator:
         sym = weights = None
         if variant == GeometryVariant.FINAL_TENSOR_LOAD:
             if coefficients:
-                sym = np.ascontiguousarray(payload["final_tensor"].transpose(2, 0, 1)[:, cells])
+                sym = np.ascontiguousarray(payload["final_tensor"].T[:, :, cells])
             if jxw:
-                weights = payload["jxw"][cells]
+                weights = np.ascontiguousarray(payload["jxw"].T[:, cells])
         elif variant == GeometryVariant.AFFINE:
-            weights = payload["det_j"] * payload["weights"]
+            weights = (payload["det_j"] * payload["weights"])[:, None]
             if coefficients:
-                sym = symmetric_coefficients(payload["inverse_jacobian"][None], weights)
-            weights = np.broadcast_to(weights, (len(cells), weights.shape[-1]))
+                sym = symmetric_coefficients(payload["inverse_jacobian"], weights)
+            weights = np.broadcast_to(weights, (len(weights), len(cells)))
         elif variant == GeometryVariant.INVERSE_JACOBIAN_LOAD:
-            weights = payload["jxw"][cells]
+            weights = payload["jxw"][cells].T
             if coefficients:
-                sym = symmetric_coefficients(payload["inverse_jacobian"][cells], weights)
+                sym = symmetric_coefficients(
+                    payload["inverse_jacobian"][cells].transpose(1, 0, 2, 3), weights)
         else:  # compute variants: differentiate the stored geometry interpolant
             jac, det = compute_jacobians_from_nodes(
                 payload["nodes"][cells], self._geo_basis, self._nq)
+            jac, det = jac.transpose(1, 0, 2, 3), det.T
             if coefficients:
-                sym = metric_tensor(jac, det, payload["weights"])
-            weights = det * payload["weights"]
+                sym = metric_tensor(jac, det, payload["weights"][:, None])
+            weights = det * payload["weights"][:, None]
         return sym, (weights if jxw else None)
-
-    def _kernel_geometry(self, cells: np.ndarray):
-        """_batch_geometry of `cells` in the kernel's lane order:
-        coefficients (6, n_q, n_q, n_q, n_cells or 1, 1) or None, and jxw
-        (n_q, n_q, n_q, n_cells, 1) if the equation needs values, else
-        None.  The final tensor is gathered straight into contiguous lane
-        order; the other variants' arrays are viewed transposed."""
-        nq = self._nq
-        needs_values = self.spec.needs_values
-        if self.spec.geometry == GeometryVariant.FINAL_TENSOR_LOAD:
-            payload = self.geometry.payload
-            sym = jxw = None
-            if self.spec.needs_gradients:
-                sym = np.ascontiguousarray(payload["final_tensor"].T[:, :, cells])
-            if needs_values:
-                jxw = np.ascontiguousarray(payload["jxw"].T[:, cells])
-        else:
-            sym, jxw = self._batch_geometry(cells, jxw=needs_values)
-            if sym is not None:
-                sym = sym.reshape(6, -1, nq ** 3).transpose(0, 2, 1)
-            if jxw is not None:
-                jxw = jxw.T
-        return (None if sym is None else sym.reshape(6, nq, nq, nq, -1, 1),
-                None if jxw is None else jxw.reshape(nq, nq, nq, -1, 1))
 
     # -- cell kernel -------------------------------------------------------------
 
@@ -336,18 +284,20 @@ class MatrixFreeOperator:
         GEMMs as wide as the batch.
         """
         spec = self.spec
+        nq = self._nq
         if self._stored_geometry is not None:
             sym, jxw = self._stored_geometry[b]
         else:
-            sym, jxw = self._kernel_geometry(self._batch_cells[b])
+            sym, jxw = self._batch_geometry(self._batch_cells[b], jxw=spec.needs_values)
         out = None
         if spec.needs_values:
             vals = evaluate_values_lanes(self.basis, u)
-            vals *= jxw
+            vals *= jxw.reshape(nq, nq, nq, -1, 1)
             out = integrate_values_lanes(self.basis, vals)
         if spec.needs_gradients:
             grads = evaluate_gradients_lanes(self.basis, u)
-            lap = integrate_gradients_lanes(self.basis, _flux(sym, grads))
+            lap = integrate_gradients_lanes(
+                self.basis, _flux(sym.reshape(6, nq, nq, nq, -1, 1), grads))
             if out is None:
                 out = lap
             else:
@@ -510,10 +460,10 @@ class MatrixFreeOperator:
         npc = (spec.degree + 1) ** 3
         local = np.zeros((n_cells, npc, npc))
         if spec.needs_values:
-            local += np.einsum("qi,cq,qj->cij", S3, jxw, S3, optimize=True)
+            local += np.einsum("qi,cq,qj->cij", S3, jxw.T, S3, optimize=True)
         if spec.needs_gradients:
             grad = np.stack([tables[0], tables[1], tables[2]])  # (3, nq^3, npc)
-            G = np.moveaxis(sym[SYMMETRIC_INDEX], (0, 1), (-2, -1))
+            G = sym[SYMMETRIC_INDEX].transpose(3, 2, 0, 1)
             Gc = np.broadcast_to(G, (n_cells, nq**3, 3, 3))
             scale = spec.scaling if spec.equation == "mass_plus_laplace" else 1.0
             local += scale * np.einsum("dqi,cqde,eqj->cij", grad, Gc, grad,

@@ -218,10 +218,6 @@ class AccessRecorder:
             self._start.extend(starts)
             self._stop.extend(stops)
 
-    def record_ranges(self, name: str, ranges, mode: int) -> None:
-        """Record range ids touched in the given order."""
-        self.record_runs(name, runs_of(ranges), mode)
-
     def record_span(self, name: str, byte_lo: int, byte_hi: int, mode: int) -> None:
         if byte_hi <= byte_lo:
             return

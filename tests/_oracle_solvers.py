@@ -123,9 +123,7 @@ def _trivial_result(n, variant):
 
 
 def _full_inverse_diagonal(minv, components):
-    if isinstance(minv, DiagonalPreconditioner):
-        return minv.full_vector(components)
-    return np.repeat(np.asarray(minv, dtype=float), components)
+    return np.repeat(_scalar_inverse_diagonal(minv), components)
 
 
 def _scalar_inverse_diagonal(minv):

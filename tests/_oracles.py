@@ -34,7 +34,7 @@ from mfcg.mesh import (
     precompute_geometry,
     symmetric_coefficients,
 )
-from mfcg.operator import MatrixFreeOperator, OperatorSpec, _merge_spans
+from mfcg.operator import MatrixFreeOperator, OperatorSpec
 from mfcg.tensor import (
     _even_odd,
     _Matrix1D,
@@ -424,10 +424,27 @@ def cells_first_kernel(op, b, u):
     return op._batch_kernel(b, lanes).transpose(3, 4, 0, 1, 2)
 
 
+def merge_spans(ranges, range_size, n):
+    """[(lo, hi), ...] dof spans of sorted range ids, consecutive runs merged."""
+    spans = []
+    if len(ranges) == 0:
+        return spans
+    run_start = prev = int(ranges[0])
+    for r in ranges[1:]:
+        r = int(r)
+        if r == prev + 1:
+            prev = r
+            continue
+        spans.append((run_start * range_size, min((prev + 1) * range_size, n)))
+        run_start = prev = r
+    spans.append((run_start * range_size, min((prev + 1) * range_size, n)))
+    return spans
+
+
 def plumbed_callback_spans(op, ranges, merge):
     """Per-call callback spans of one schedule entry."""
     if merge:
-        return _merge_spans(np.sort(ranges), RANGE_SIZE, op.n_dofs)
+        return merge_spans(np.sort(ranges), RANGE_SIZE, op.n_dofs)
     return [(r * RANGE_SIZE, min((r + 1) * RANGE_SIZE, op.n_dofs))
             for r in np.sort(ranges)]
 
@@ -451,7 +468,7 @@ def window_apply(op, src, dst, pre_fn=None, post_fn=None, merge_ranges=True):
         ranges = np.unique(idx // RANGE_SIZE)
         lo = int(ranges[0]) * RANGE_SIZE
         idx = idx - lo
-        spans = _merge_spans(ranges, RANGE_SIZE, op.n_dofs)
+        spans = merge_spans(ranges, RANGE_SIZE, op.n_dofs)
         if pre_fn is not None:
             for start, end in pre_spans[b]:
                 pre_fn(start, end)
@@ -493,24 +510,6 @@ def assemble_dense(op):
 # Per-cell Python loops and LAPACK inverses/determinants: the oracle for the
 # index-arithmetic numbering, renumbering and schedules, the one-pass
 # right-hand side and the closed-form 3x3 geometry.
-
-
-def loop_connectivity(cells):
-    """(n_cells, 8) vertex ids of each cell's corners, x fastest."""
-    nx, ny, nz = cells
-
-    def vid(i, j, k):
-        return i + (nx + 1) * (j + (ny + 1) * k)
-
-    conn = np.empty((nx * ny * nz, 8), dtype=np.int64)
-    cell = 0
-    for k in range(nz):
-        for j in range(ny):
-            for i in range(nx):
-                conn[cell] = [vid(i + dx, j + dy, k + dz)
-                              for dz in (0, 1) for dy in (0, 1) for dx in (0, 1)]
-                cell += 1
-    return conn
 
 
 _ENTITY_WALK = [(sx, sy, sz) for sz in (0, 1, 2) for sy in (0, 1, 2) for sx in (0, 1, 2)]
@@ -672,7 +671,7 @@ def loop_range_schedule(handler, plan):
 
 def loop_first_touch_spans(op):
     first = op.schedule.first_touch_batch
-    return [_merge_spans(np.flatnonzero(first == b), RANGE_SIZE, op.n_dofs)
+    return [merge_spans(np.flatnonzero(first == b), RANGE_SIZE, op.n_dofs)
             for b in range(op.plan.n_batches)]
 
 
@@ -703,14 +702,16 @@ def lapack_symmetric_coefficients(inv, jxw):
 def quadratic_geometry_nodes(mesh, cell):
     """The 27 tri-quadratic geometry support points of one cell (the deformed
     {0, 1/2, 1}^3 lattice), shape (27, 3), x fastest."""
-    mesh.cell_coords(cell)  # validates the index
+    if not 0 <= cell < mesh.n_cells:
+        raise IndexError(f"cell index {cell} out of range")
     return mesh.map_points(_cell_lattice(mesh, _QUADRATIC_ORDER, [cell])[0])
 
 
 def geometry_data(mesh, cell, variant, quad):
     """Per-cell view of the variant's data (see precompute_geometry for the
     all-cells form the operator consumes)."""
-    mesh.cell_coords(cell)
+    if not 0 <= cell < mesh.n_cells:
+        raise IndexError(f"cell index {cell} out of range")
     data = precompute_geometry(mesh, variant, quad)
     if variant == GeometryVariant.AFFINE:
         return dict(data.payload)  # identical for every cell

@@ -5,17 +5,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mfcg.bench
 from mfcg.bench import (
     BENCHMARK_PROBLEMS,
     RunRecord,
+    _problem_size,
     assemble_problem,
     build_rhs,
     manufactured_forcing,
     manufactured_solution,
     run_benchmark,
 )
+from mfcg.dofs import distribute_dofs
 from mfcg.locality import predict_transfer
+from mfcg.mesh import build_cartesian_mesh
 from mfcg.solvers import SolverConfig, solve
 
 from _oracles import build_fem
@@ -159,6 +165,24 @@ class TestAssembleGuards:
         with pytest.raises(MemoryError, match="size-too-large"):
             assemble_problem("BP3", 3, (2, 2, 2), memory_limit_bytes=1024)
 
+    @settings(max_examples=40, deadline=None)
+    @given(cells=st.tuples(*[st.integers(1, 6)] * 3), p=st.integers(1, 6),
+           components=st.sampled_from([1, 3]))
+    def test_closed_form_size_matches_numbering(self, cells, p, components):
+        handler = distribute_dofs(build_cartesian_mesh(cells), p,
+                                  components=components)
+        assert _problem_size(components, p, cells) == (handler.n_dofs,
+                                                        handler.n_cells)
+
+    def test_memory_guard_fires_before_the_mesh(self, monkeypatch):
+        # 99999^3 cells once died in numpy's allocator, not in the guard
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("mesh built before the size guard")
+
+        monkeypatch.setattr(mfcg.bench, "build_cartesian_mesh", no_mesh)
+        with pytest.raises(MemoryError, match="size-too-large"):
+            assemble_problem("BP5", 3, (99999,) * 3)
+
     def test_unknown_numbering(self):
         with pytest.raises(ValueError, match="numbering"):
             assemble_problem("BP3", 3, (2, 2, 2), numbering="fancy")
@@ -193,6 +217,12 @@ class TestRunRecord:
         assert rec.throughput == pytest.approx(
             rec.n_dofs * rec.iterations / rec.wall_time)
         assert rec.final_residual < 1e-6
+
+    @pytest.mark.parametrize("repeats", [0, -1])
+    def test_repeats_below_one_raises(self, repeats):
+        with pytest.raises(ValueError, match="repeats must be at least 1"):
+            run_benchmark("BP5", 3, (2, 2, 2), "cg", iterations=2,
+                          repeats=repeats)
 
     def test_sstep_rounds_to_whole_blocks(self):
         rec = run_benchmark("BP3", 2, (2, 2, 2), "sstep", iterations=10,

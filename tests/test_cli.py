@@ -110,6 +110,22 @@ class TestUsageErrors:
         assert code == 2
         assert "size-too-large" in err
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_repeats_below_one_is_usage_error(self, count, capsys):
+        # bench used to run one repeat silently
+        code, _, err = run_cli(["bench", "--cells", "2", "--degree", "2",
+                                "--variant", "cg", "--iterations", "2",
+                                "--repeats", count], capsys)
+        assert code == 2
+        assert "repeats must be at least 1" in err
+
+    def test_huge_mesh_is_refused_before_allocating(self, capsys):
+        # numpy used to fail first, asking for 7.11 PiB
+        code, _, err = run_cli(["bench", "--cells", "99999", "--variant", "cg",
+                                "--iterations", "1", "--repeats", "1"], capsys)
+        assert code == 2
+        assert "size-too-large" in err
+
     def test_cachesweep_needs_single_variant(self, capsys):
         code, _, err = run_cli(["cachesweep", "--variant", "all",
                                 "--cells", "2", "--degree", "2",

@@ -85,31 +85,6 @@ class TestBuildMesh:
     def test_counts(self):
         mesh = build_cartesian_mesh((2, 3, 4))
         assert mesh.n_cells == 24
-        assert mesh.vertex_coordinates.shape == (3 * 4 * 5, 3)
-        assert mesh.cell_vertex_indices.shape == (24, 8)
-
-    def test_vertex_corners(self):
-        mesh = build_cartesian_mesh((2, 2, 2), extents=(2.0, 4.0, 8.0))
-        coords = mesh.vertex_coordinates
-        np.testing.assert_allclose(coords.min(axis=0), [0, 0, 0])
-        np.testing.assert_allclose(coords.max(axis=0), [2, 4, 8])
-
-    def test_connectivity_x_fastest(self):
-        mesh = build_cartesian_mesh((2, 2, 2))
-        first = mesh.vertex_coordinates[mesh.cell_vertex_indices[0]]
-        # local corner l = dx + 2 dy + 4 dz on the unit sub-cube
-        expected = 0.5 * np.array([[dx, dy, dz]
-                                   for dz in (0, 1) for dy in (0, 1) for dx in (0, 1)])
-        np.testing.assert_allclose(first, expected)
-
-    def test_cell_coords_roundtrip(self):
-        mesh = build_cartesian_mesh((3, 4, 5))
-        nx, ny, _ = mesh.cells_per_dim
-        for cell in range(mesh.n_cells):
-            cx, cy, cz = mesh.cell_coords(cell)
-            assert cell == cx + nx * (cy + ny * cz)
-        with pytest.raises(IndexError):
-            mesh.cell_coords(mesh.n_cells)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mfcg.dofs import RANGE_SIZE, distribute_dofs, make_batches
 from mfcg.mesh import GeometryVariant, build_cartesian_mesh, deform_mesh
-from mfcg.operator import DiagonalPreconditioner, MatrixFreeOperator, OperatorSpec
+from mfcg.operator import MatrixFreeOperator, OperatorSpec
 from mfcg.trace import READ, WRITE, AccessRecorder, ContractViolation
 
 from _oracles import assemble_dense, plumbed_callback_spans
@@ -259,12 +259,6 @@ class TestDiagonal:
         diag = op.compute_diagonal()
         assert np.all(diag.inverse_diagonal > 0.0)
         assert np.all(np.isfinite(diag.inverse_diagonal))
-
-    def test_full_vector_replication(self):
-        pre = DiagonalPreconditioner(np.array([2.0, 3.0]))
-        np.testing.assert_array_equal(pre.full_vector(3), [2, 2, 2, 3, 3, 3])
-        r = np.arange(6.0)
-        np.testing.assert_allclose(pre.apply(r, 3), pre.full_vector(3) * r)
 
 
 class TestCallbacks:

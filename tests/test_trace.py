@@ -75,7 +75,7 @@ def replay_ops(rec, streams, ops):
         elif op[0] == "resume":
             rec.resume_region(op[1])
         elif op[0] == "ranges":
-            rec.record_ranges(op[1], np.array(op[2], dtype=np.int64), op[3])
+            rec.record_runs(op[1], runs_of(op[2]), op[3])
         elif op[0] == "span":
             rec.record_span(*op[1:])
         elif op[0] == "dofs":
