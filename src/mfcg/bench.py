@@ -22,7 +22,7 @@ from .dofs import (
     renumber_optimized,
 )
 from .locality import predict_transfer
-from .mesh import GeometryVariant, build_cartesian_mesh, deform_mesh
+from .mesh import GeometryVariant, build_cartesian_mesh, deform_mesh, validate_cells
 from .operator import MatrixFreeOperator, OperatorSpec
 from .solvers import SolverConfig, solve
 from .tensor import evaluate_values, integrate_values, lagrange_basis
@@ -127,17 +127,23 @@ class RunRecord:
                          pred.reads_per_dof, pred.writes_per_dof)
 
 
-def estimate_problem_bytes(n_dofs: int, n_cells: int, nq: int) -> int:
-    """Coarse allocation estimate: solver working vectors plus the largest
-    geometry payload (symmetric final tensor, 6 doubles per point)."""
-    return 16 * n_dofs * 8 + n_cells * nq ** 3 * 6 * 8
-
-
 def _problem_size(components: int, degree: int, cells) -> tuple:
     """(n_dofs, n_cells) of a continuous degree-p space on a structured mesh,
     in closed form: p n + 1 nodes per direction."""
     return (components * math.prod(degree * n + 1 for n in cells),
             math.prod(cells))
+
+
+def estimate_problem_bytes(components: int, degree: int, cells, n_q_1d: int) -> int:
+    """Coarse allocation estimate from the closed-form sizes: 16 solver
+    working vectors; per quadrature point the geometry the operator holds
+    (7 cell-major doubles and the 9 entries of G in lane order) and the
+    set-up Jacobians (9); per (cell, component, node) entry the three int64
+    batch maps."""
+    n_dofs, n_cells = _problem_size(components, degree, cells)
+    points = n_cells * n_q_1d ** 3
+    entries = n_cells * components * (degree + 1) ** 3
+    return 8 * (16 * n_dofs + (7 + 9 + 9) * points + 3 * entries)
 
 
 def discretize(components: int, degree: int, cells, *, deform: float,
@@ -172,12 +178,12 @@ def assemble_problem(bp_id: str, degree: int, cells, *,
     if problem is None:
         raise ValueError(f"unknown benchmark problem {bp_id!r}; "
                          f"expected one of {sorted(BENCHMARK_PROBLEMS)}")
+    cells = validate_cells(cells)
     spec = problem.operator_spec(degree, geometry)
-    n_dofs, n_cells = _problem_size(problem.components, degree, cells)
-    estimate = estimate_problem_bytes(n_dofs, n_cells, spec.n_q_1d)
+    estimate = estimate_problem_bytes(problem.components, degree, cells, spec.n_q_1d)
     if estimate > memory_limit_bytes:
         raise MemoryError(
-            f"size-too-large: {bp_id} p={degree} cells={tuple(cells)} needs "
+            f"size-too-large: {bp_id} p={degree} cells={cells} needs "
             f"~{estimate / 2**20:.0f} MiB > limit {memory_limit_bytes / 2**20:.0f} MiB")
     mesh, handler, plan = discretize(
         problem.components, degree, cells, deform=deform, numbering=numbering,

@@ -29,6 +29,7 @@ __all__ = [
     "GeometryVariant",
     "GeometryData",
     "build_cartesian_mesh",
+    "validate_cells",
     "deform_mesh",
     "precompute_geometry",
     "SYMMETRIC_INDEX",
@@ -80,12 +81,19 @@ class HexMesh:
         return nodes
 
 
+def validate_cells(cells_per_dim) -> tuple:
+    """cells_per_dim as a tuple of ints; raises ValueError unless it holds
+    exactly three integers, each at least 1."""
+    cells = tuple(cells_per_dim)
+    if len(cells) != 3 or any(int(c) != c or c < 1 for c in cells):
+        raise ValueError(f"cells_per_dim must be three integers >= 1, got {cells}")
+    return tuple(int(c) for c in cells)
+
+
 def build_cartesian_mesh(cells_per_dim, extents=(1.0, 1.0, 1.0)) -> HexMesh:
     """Uniform axis-aligned mesh of the brick [0,extents]^3."""
-    cells = tuple(int(c) for c in cells_per_dim)
+    cells = validate_cells(cells_per_dim)
     ext = tuple(float(e) for e in extents)
-    if any(c < 1 for c in cells):
-        raise ValueError("cells_per_dim entries must be >= 1")
     if any(e <= 0 for e in ext):
         raise ValueError("extents must be positive")
     return HexMesh(cells, ext)

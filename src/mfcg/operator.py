@@ -116,26 +116,6 @@ def _spans(ranges: np.ndarray, n: int, merge: bool = True) -> list:
             for lo, hi in zip(starts, stops)]
 
 
-# SYMMETRIC_INDEX row by row: flux_i = G[i, 0] grad_0 + G[i, 1] grad_1 + G[i, 2] grad_2
-_FLUX_ROWS = tuple(tuple(int(e) for e in row) for row in SYMMETRIC_INDEX)
-
-
-def _flux(sym: np.ndarray, grads: np.ndarray) -> np.ndarray:
-    """G grad u per quadrature point, straight from the six entries of G.
-
-    grads: (3, n_q, n_q, n_q, n_batch, components); sym: the six entries,
-    (6, n_q, n_q, n_q, n_batch or 1, 1), broadcast over the components.
-    The products of each row are summed in gradient order."""
-    flux = np.empty_like(grads)
-    d0, d1, d2 = grads
-    product = np.empty_like(d0)
-    for f, (i, k, m) in zip(flux, _FLUX_ROWS):
-        np.multiply(sym[i], d0, out=f)
-        f += np.multiply(sym[k], d1, out=product)
-        f += np.multiply(sym[m], d2, out=product)
-    return flux
-
-
 class MatrixFreeOperator:
     """v = A u evaluated batch by batch with sum-factorized cell kernels."""
 
@@ -197,10 +177,10 @@ class MatrixFreeOperator:
             lanes = np.ascontiguousarray(idx.transpose(2, 3, 4, 0, 1))
             self._batch_src.append(lanes)
             self._batch_zero.append(np.flatnonzero(mask[lanes]))
-        # per batch, the kernel's (coefficients, jxw) where they are data,
-        # not work: the final tensor gathered in batch and lane order,
-        # contiguous per entry as the cell loop streams it, and the affine
-        # variant's, which every cell shares
+        # per batch, the kernel's (G, jxw) where they are data, not work:
+        # the final tensor gathered in batch and lane order, contiguous per
+        # entry as the cell loop streams it, and the affine variant's, which
+        # every cell shares
         self._stored_geometry = None
         if spec.geometry in (GeometryVariant.FINAL_TENSOR_LOAD, GeometryVariant.AFFINE):
             self._stored_geometry = [self._batch_geometry(cells, jxw=spec.needs_values)
@@ -234,17 +214,17 @@ class MatrixFreeOperator:
 
     def _batch_geometry(self, cells: np.ndarray, coefficients: bool = True,
                         jxw: bool = True):
-        """(coefficients or None, jxw or None) for the cells of one batch, in
-        the kernel's lane order (cells last).
+        """(G or None, jxw or None) for the cells of one batch, in the
+        kernel's lane order (cells last).
 
-        The coefficients are the six distinct entries of the symmetric
-        tensor G = J^-1 (w det J) J^-T (see mesh.SYMMETRIC_INDEX), shaped
-        (6, n_q^3, n_cells), or (6, n_q^3, 1) for the affine variant, whose
-        cells all share them.  They are loaded (final-tensor variant),
-        formed from loaded inverse Jacobians, or computed on the fly from
-        geometry node coordinates; only if the equation needs gradients and
-        `coefficients` asks for them.  jxw = w det J, (n_q^3, n_cells), only
-        if `jxw` asks for it.
+        G = J^-1 (w det J) J^-T is the symmetric 3x3 tensor with all nine
+        entries (G[i, k] is distinct entry SYMMETRIC_INDEX[i, k]), shaped
+        (3, 3, n_q^3, n_cells), or (3, 3, n_q^3, 1) for the affine variant,
+        whose cells all share it.  Its six distinct entries are loaded
+        (final-tensor variant), formed from loaded inverse Jacobians, or
+        computed on the fly from geometry node coordinates; only if the
+        equation needs gradients and `coefficients` asks for them.
+        jxw = w det J, (n_q^3, n_cells), only if `jxw` asks for it.
         """
         payload = self.geometry.payload
         variant = self.spec.geometry
@@ -252,7 +232,7 @@ class MatrixFreeOperator:
         sym = weights = None
         if variant == GeometryVariant.FINAL_TENSOR_LOAD:
             if coefficients:
-                sym = np.ascontiguousarray(payload["final_tensor"].T[:, :, cells])
+                sym = payload["final_tensor"].T[:, :, cells]
             if jxw:
                 weights = np.ascontiguousarray(payload["jxw"].T[:, cells])
         elif variant == GeometryVariant.AFFINE:
@@ -272,7 +252,10 @@ class MatrixFreeOperator:
             if coefficients:
                 sym = metric_tensor(jac, det, payload["weights"][:, None])
             weights = det * payload["weights"][:, None]
-        return sym, (weights if jxw else None)
+        # take writes G in C order, which the kernel's reshape and einsum
+        # need: fancy indexing kept the strides of the transposed payload
+        G = None if sym is None else np.take(sym, SYMMETRIC_INDEX, axis=0)
+        return G, (weights if jxw else None)
 
     # -- cell kernel -------------------------------------------------------------
 
@@ -286,18 +269,21 @@ class MatrixFreeOperator:
         spec = self.spec
         nq = self._nq
         if self._stored_geometry is not None:
-            sym, jxw = self._stored_geometry[b]
+            G, jxw = self._stored_geometry[b]
         else:
-            sym, jxw = self._batch_geometry(self._batch_cells[b], jxw=spec.needs_values)
+            G, jxw = self._batch_geometry(self._batch_cells[b], jxw=spec.needs_values)
         out = None
         if spec.needs_values:
             vals = evaluate_values_lanes(self.basis, u)
             vals *= jxw.reshape(nq, nq, nq, -1, 1)
             out = integrate_values_lanes(self.basis, vals)
         if spec.needs_gradients:
+            # flux_i = G[i, 0] grad_0 + G[i, 1] grad_1 + G[i, 2] grad_2 in
+            # one pass over the points, G broadcast over the components
             grads = evaluate_gradients_lanes(self.basis, u)
-            lap = integrate_gradients_lanes(
-                self.basis, _flux(sym.reshape(6, nq, nq, nq, -1, 1), grads))
+            flux = np.einsum("ij...,j...->i...",
+                             G.reshape(3, 3, nq, nq, nq, -1, 1), grads)
+            lap = integrate_gradients_lanes(self.basis, flux)
             if out is None:
                 out = lap
             else:
@@ -456,15 +442,14 @@ class MatrixFreeOperator:
                   2: np.kron(np.kron(D1, S1), S1)}
         n_cells = self.handler.n_cells
         cells = np.arange(n_cells)
-        sym, jxw = self._batch_geometry(cells)
+        G, jxw = self._batch_geometry(cells)
         npc = (spec.degree + 1) ** 3
         local = np.zeros((n_cells, npc, npc))
         if spec.needs_values:
             local += np.einsum("qi,cq,qj->cij", S3, jxw.T, S3, optimize=True)
         if spec.needs_gradients:
             grad = np.stack([tables[0], tables[1], tables[2]])  # (3, nq^3, npc)
-            G = sym[SYMMETRIC_INDEX].transpose(3, 2, 0, 1)
-            Gc = np.broadcast_to(G, (n_cells, nq**3, 3, 3))
+            Gc = np.broadcast_to(G.transpose(3, 2, 0, 1), (n_cells, nq**3, 3, 3))
             scale = spec.scaling if spec.equation == "mass_plus_laplace" else 1.0
             local += scale * np.einsum("dqi,cqde,eqj->cij", grad, Gc, grad,
                                        optimize=True)

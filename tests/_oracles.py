@@ -39,10 +39,14 @@ from mfcg.tensor import (
     _even_odd,
     _Matrix1D,
     evaluate_gradients,
+    evaluate_gradients_lanes,
     evaluate_values,
+    evaluate_values_lanes,
     gauss_lobatto_quadrature,
     gauss_quadrature,
+    integrate_gradients_lanes,
     integrate_values,
+    integrate_values_lanes,
     lagrange_basis,
     lagrange_gradients_1d,
 )
@@ -422,6 +426,54 @@ def cells_first_kernel(op, b, u):
     p+1): transposed into the kernel's lanes-last layout and back."""
     lanes = np.ascontiguousarray(u.transpose(2, 3, 4, 0, 1))
     return op._batch_kernel(b, lanes).transpose(3, 4, 0, 1, 2)
+
+
+# SYMMETRIC_INDEX row by row: flux_i = G[i, 0] grad_0 + G[i, 1] grad_1 + G[i, 2] grad_2
+_FLUX_ROWS = tuple(tuple(int(e) for e in row) for row in SYMMETRIC_INDEX)
+
+
+def flux(sym, grads):
+    """G grad u per quadrature point, straight from the six entries of G in
+    15 elementwise passes: the operator's flux before it was one einsum.
+
+    grads: (3, n_q, n_q, n_q, n_batch, components); sym: the six entries,
+    (6, n_q, n_q, n_q, n_batch or 1, 1), broadcast over the components.
+    The products of each row are summed in gradient order, starting from
+    the first product, so a row of three -0.0 products gives -0.0."""
+    out = np.empty_like(grads)
+    d0, d1, d2 = grads
+    product = np.empty_like(d0)
+    for f, (i, k, m) in zip(out, _FLUX_ROWS):
+        np.multiply(sym[i], d0, out=f)
+        f += np.multiply(sym[k], d1, out=product)
+        f += np.multiply(sym[m], d2, out=product)
+    return out
+
+
+def flux_batch_kernel(op, b, u):
+    """op._batch_kernel on lanes-last u, with `flux` on the six distinct
+    entries of the operator's G in place of its einsum."""
+    spec = op.spec
+    nq = op._nq
+    if op._stored_geometry is not None:
+        G, jxw = op._stored_geometry[b]
+    else:
+        G, jxw = op._batch_geometry(op._batch_cells[b], jxw=spec.needs_values)
+    out = None
+    if spec.needs_values:
+        vals = evaluate_values_lanes(op.basis, u)
+        vals *= jxw.reshape(nq, nq, nq, -1, 1)
+        out = integrate_values_lanes(op.basis, vals)
+    if spec.needs_gradients:
+        grads = evaluate_gradients_lanes(op.basis, u)
+        sym = G[(0, 1, 2, 0, 0, 1), (0, 1, 2, 1, 2, 2)]
+        lap = integrate_gradients_lanes(
+            op.basis, flux(sym.reshape(6, nq, nq, nq, -1, 1), grads))
+        if out is None:
+            out = lap
+        else:
+            out += spec.scaling * lap
+    return out
 
 
 def merge_spans(ranges, range_size, n):

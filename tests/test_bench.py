@@ -2,6 +2,7 @@
 harness."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from mfcg.bench import (
     _problem_size,
     assemble_problem,
     build_rhs,
+    estimate_problem_bytes,
     manufactured_forcing,
     manufactured_solution,
     run_benchmark,
@@ -182,6 +184,27 @@ class TestAssembleGuards:
         monkeypatch.setattr(mfcg.bench, "build_cartesian_mesh", no_mesh)
         with pytest.raises(MemoryError, match="size-too-large"):
             assemble_problem("BP5", 3, (99999,) * 3)
+
+    @pytest.mark.parametrize("cells", [(-99999, -99999, 4), (0, 2, 2),
+                                       (2, 2), (2, 2.5, 2)])
+    def test_invalid_cells_refused_before_the_size_guard(self, cells):
+        # (-99999, -99999, 4) used to be refused as size-too-large
+        with pytest.raises(ValueError, match="three integers >= 1"):
+            assemble_problem("BP5", 3, cells)
+
+    @pytest.mark.parametrize("n", [8, 12])
+    @pytest.mark.parametrize("bp", sorted(BENCHMARK_PROBLEMS))
+    def test_estimate_within_twice_the_measured_peak(self, bp, n):
+        problem = BENCHMARK_PROBLEMS[bp]
+        tracemalloc.start()
+        try:
+            assemble_problem(bp, 3, (n,) * 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        estimate = estimate_problem_bytes(problem.components, 3, (n,) * 3,
+                                          problem.n_quadrature(3))
+        assert peak / 2 <= estimate <= 2 * peak
 
     def test_unknown_numbering(self):
         with pytest.raises(ValueError, match="numbering"):

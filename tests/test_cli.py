@@ -126,6 +126,13 @@ class TestUsageErrors:
         assert code == 2
         assert "size-too-large" in err
 
+    def test_invalid_cells_is_usage_error(self, capsys):
+        # used to be refused as size-too-large, before the cells were checked
+        code, _, err = run_cli(["bench", "--cells=-99999,-99999,4", "--variant",
+                                "cg", "--iterations", "1", "--repeats", "1"], capsys)
+        assert code == 2
+        assert "cells_per_dim must be three integers >= 1" in err
+
     def test_cachesweep_needs_single_variant(self, capsys):
         code, _, err = run_cli(["cachesweep", "--variant", "all",
                                 "--cells", "2", "--degree", "2",

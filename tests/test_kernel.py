@@ -1,7 +1,13 @@
 """The cell kernel and the sum-factorization sweep plans against the
 per-call implementation they replaced (tests/_oracles.py, "plumbed"): the
-same contractions and flux operations in the same order, so the results
-must be bit-identical, and the contraction count per batch is pinned.
+same contractions, and the flux products of each row summed in the same
+order, so the results must be identical up to the sign of zero, and the
+contraction count per batch is pinned.
+
+The flux is one einsum over the nine entries of G.  einsum starts each sum
+at +0.0, where the 15-pass oracle (`flux`) starts at the first product, so
+a row of three -0.0 products is +0.0 here and -0.0 there; the scatter's
+bincount also starts at +0.0, so `apply` is bit-identical to the oracle.
 
 The kernel holds a batch lanes-last, (z, y, x, cells, components); the
 plumbed oracle and the public sweeps hold it cells-first.  The kernel's
@@ -10,15 +16,20 @@ moves values and changes no bits.  The GEMM count per sweep must not grow
 with the batch.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mfcg.operator
 import mfcg.tensor
 from _oracles import (
     build_fem,
     cells_first_kernel,
+    flux,
+    flux_batch_kernel,
     plumbed_batch_kernel,
     plumbed_evaluate_gradients,
     plumbed_evaluate_values,
@@ -26,7 +37,7 @@ from _oracles import (
     plumbed_integrate_values,
 )
 from mfcg.bench import BENCHMARK_PROBLEMS, assemble_problem
-from mfcg.mesh import GeometryVariant
+from mfcg.mesh import SYMMETRIC_INDEX, GeometryVariant
 from mfcg.tensor import (
     evaluate_gradients,
     evaluate_gradients_lanes,
@@ -44,6 +55,8 @@ from mfcg.tensor import (
 EQUATIONS = ("mass", "laplace", "mass_plus_laplace")
 # Gauss at p+2 points (BP1-BP4) and Gauss-Lobatto collocation (BP5)
 QUADRATURES = (("gauss", 2), ("gauss_lobatto", 1))
+# the kernel's flux, flux_i = sum_j G[i, j] grad_j (pinned per batch below)
+FLUX = "ij...,j...->i..."
 
 
 def _batch_inputs(op, seed):
@@ -182,3 +195,83 @@ def test_gemms_per_sweep_do_not_grow_with_the_batch(monkeypatch, bp, degree):
         leads.clear()
         op.apply(np.ones(handler.n_dofs))
         assert leads and max(leads) <= nq ** 2
+
+
+def _signed_zeros(rng, a, share):
+    """Overwrite about `share` of a's entries with +0.0 or -0.0."""
+    hit = rng.random(a.shape) < share
+    a[hit] = np.copysign(0.0, rng.standard_normal(int(hit.sum())))
+
+
+@settings(max_examples=150, deadline=None)
+@given(nq=st.integers(2, 8), lanes=st.integers(1, 300),
+       comp=st.sampled_from([1, 3]), shared=st.booleans(),
+       share=st.sampled_from([0.0, 0.3, 0.9]), seed=st.integers(0, 2**31 - 1))
+def test_einsum_flux_matches_fifteen_pass_flux(nq, lanes, comp, shared, share, seed):
+    # shared: one G for every lane, as the affine variant stores it
+    rng = np.random.default_rng(seed)
+    sym = rng.standard_normal((6, nq, nq, nq, 1 if shared else lanes, 1))
+    grads = rng.standard_normal((3, nq, nq, nq, lanes, comp))
+    _signed_zeros(rng, sym, share)
+    _signed_zeros(rng, grads, share)
+    want = flux(sym, grads)
+    got = np.einsum(FLUX, np.take(sym, SYMMETRIC_INDEX, axis=0), grads)
+    np.testing.assert_array_equal(got, want)
+    nonzero = want != 0.0
+    np.testing.assert_array_equal(got.view(np.uint64)[nonzero],
+                                  want.view(np.uint64)[nonzero])
+
+
+def _signed_zero_vectors(n, seed):
+    """A random vector with a +0.0 block and a -0.0 block, all +0.0 and
+    all -0.0."""
+    x = np.random.default_rng(seed).standard_normal(n)
+    x[: n // 3] = 0.0
+    x[n // 2: n // 2 + n // 4] = -0.0
+    return [x, np.zeros(n), np.full(n, -0.0)]
+
+
+@pytest.mark.parametrize("variant", list(GeometryVariant))
+def test_apply_bit_identical_to_fifteen_pass_flux(monkeypatch, variant):
+    affine = variant == GeometryVariant.AFFINE
+    for eq in EQUATIONS:
+        for quadrature, offset in QUADRATURES:
+            for comp in (1, 3):
+                op, handler = build_fem((3, 2, 2), p=2, comp=comp, eq=eq,
+                                        nq=2 + offset, quadrature=quadrature,
+                                        variant=variant,
+                                        deformed=0.0 if affine else 0.05,
+                                        scaling=0.35)
+                inputs = _signed_zero_vectors(handler.n_dofs, comp)
+                gots = [op.apply(x) for x in inputs]
+                with monkeypatch.context() as m:
+                    m.setattr(op, "_batch_kernel", partial(flux_batch_kernel, op))
+                    wants = [op.apply(x) for x in inputs]
+                for got, want in zip(gots, wants):
+                    np.testing.assert_array_equal(got.view(np.uint64),
+                                                  want.view(np.uint64))
+
+
+@pytest.mark.parametrize("variant", list(GeometryVariant))
+@pytest.mark.parametrize("eq,einsums", [("mass", 0), ("laplace", 1),
+                                        ("mass_plus_laplace", 1)])
+def test_one_flux_einsum_per_batch(monkeypatch, variant, eq, einsums):
+    affine = variant == GeometryVariant.AFFINE
+    op, _ = build_fem((2, 1, 2), p=2, comp=3, eq=eq, variant=variant,
+                      deformed=0.0 if affine else 0.05)
+    subscripts = []
+    original = np.einsum
+
+    def recording(*args, **kwargs):
+        subscripts.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", recording)
+    for b, u in enumerate(_batch_inputs(op, 0)):
+        subscripts.clear()
+        cells_first_kernel(op, b, u)
+        assert subscripts == [FLUX] * einsums
+
+
+def test_operator_has_no_fifteen_pass_flux():
+    assert not hasattr(mfcg.operator, "_flux")
