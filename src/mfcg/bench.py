@@ -117,15 +117,6 @@ class RunRecord:
     reads_per_dof: float     # modeled doubles per DoF per iteration
     writes_per_dof: float
 
-    @staticmethod
-    def from_run(bp_id, degree, cells, n_dofs, variant, iterations,
-                 wall_time, final_residual, s=None) -> "RunRecord":
-        pred = predict_transfer(variant, s=s)
-        return RunRecord(bp_id, degree, tuple(cells), n_dofs, variant,
-                         iterations, wall_time,
-                         n_dofs * iterations / wall_time, final_residual,
-                         pred.reads_per_dof, pred.writes_per_dof)
-
 
 def _problem_size(components: int, degree: int, cells) -> tuple:
     """(n_dofs, n_cells) of a continuous degree-p space on a structured mesh,
@@ -196,23 +187,23 @@ def run_benchmark(bp_id: str, degree: int, cells, variant: str, *,
                   iterations: int = 100, repeats: int = 8,
                   geometry: GeometryVariant = GeometryVariant.FINAL_TENSOR_LOAD,
                   numbering: str = "default", traversal: str = "morton",
-                  simd_lanes: int = 8, s: int = 4,
-                  memory_limit_bytes: int = 2 ** 32) -> RunRecord:
+                  simd_lanes: int = 8) -> RunRecord:
     """Time `variant` on one benchmark problem: a fixed iteration count per
-    run, minimum wall time over sequential repeats (at least one)."""
+    run, minimum wall time over sequential repeats (at least one); s-step
+    runs blocks of the default `SolverConfig().s`."""
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
     op, b, minv = assemble_problem(
         bp_id, degree, cells, geometry=geometry, numbering=numbering,
-        traversal=traversal, simd_lanes=simd_lanes,
-        memory_limit_bytes=memory_limit_bytes)
-    cfg = SolverConfig(fixed_iterations=iterations, s=s)
+        traversal=traversal, simd_lanes=simd_lanes)
+    cfg = SolverConfig(fixed_iterations=iterations)
     best = math.inf
     for _ in range(repeats):
         start = time.perf_counter()
         result = solve(variant, op, b, minv=minv, config=cfg)
         elapsed = time.perf_counter() - start
         best = min(best, elapsed)
-    return RunRecord.from_run(bp_id, degree, cells, op.n_dofs, variant,
-                              result.iterations, best, result.residual,
-                              s=s if variant == "sstep" else None)
+    pred = predict_transfer(variant, s=cfg.s if variant == "sstep" else None)
+    return RunRecord(bp_id, degree, tuple(cells), op.n_dofs, variant, result.iterations,
+                     best, op.n_dofs * result.iterations / best, result.residual,
+                     pred.reads_per_dof, pred.writes_per_dof)

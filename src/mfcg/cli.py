@@ -229,8 +229,9 @@ def cmd_cachesweep(cfg: Config) -> int:
         numbering=cfg.numbering, traversal=cfg.traversal,
         simd_lanes=cfg.simd_lanes)
     recorder = AccessRecorder()
-    solve(variants[0], op, b, minv=minv, recorder=recorder,
-          config=SolverConfig(fixed_iterations=cfg.iterations))
+    solved = solve(variants[0], op, b, minv=minv, recorder=recorder,
+                   config=SolverConfig(fixed_iterations=cfg.iterations))
+    # per iteration run (s-step runs whole blocks); a zero b runs and records none
     capacities = sorted(set(SWEEP_CAPACITIES) | {cfg.cache_bytes})
     header = ["capacity_bytes", "loads_per_dof", "stores_per_dof",
               "vector_loads_per_dof", "vector_stores_per_dof",
@@ -238,7 +239,7 @@ def cmd_cachesweep(cfg: Config) -> int:
     rows = []
     for capacity in capacities:
         res = replay_cache(recorder, CacheModel(capacity), op.n_dofs,
-                           cfg.iterations)
+                           max(solved.iterations, 1))
         rows.append([capacity, repr(res.loads_per_dof), repr(res.stores_per_dof),
                      repr(res.vector_loads_per_dof),
                      repr(res.vector_stores_per_dof),

@@ -70,17 +70,15 @@ class BatchPlan:
         return len(self.batches)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RangeSchedule:
     """First/last touching batch of every 64-entry vector range, and the
     derived per-batch pre/post work lists."""
 
-    range_size: int
-    n_dofs: int
-    first_touch_batch: np.ndarray = field(repr=False, compare=False)
-    last_touch_batch: np.ndarray = field(repr=False, compare=False)
-    pre_schedule: tuple = field(repr=False, compare=False)
-    post_schedule: tuple = field(repr=False, compare=False)
+    first_touch_batch: np.ndarray = field(repr=False)
+    last_touch_batch: np.ndarray = field(repr=False)
+    pre_schedule: tuple = field(repr=False)
+    post_schedule: tuple = field(repr=False)
 
     @property
     def n_ranges(self) -> int:
@@ -353,8 +351,7 @@ def compute_range_schedule(handler: DofHandler, plan: BatchPlan) -> RangeSchedul
         constrained_ranges = np.unique(handler.constrained_dofs // RANGE_SIZE)
         pre_batch[constrained_ranges] = 0
         post_batch[constrained_ranges] = n_batches - 1
-    return RangeSchedule(RANGE_SIZE, handler.n_dofs, first, last,
-                         _group_by(pre_batch, n_batches),
+    return RangeSchedule(first, last, _group_by(pre_batch, n_batches),
                          _group_by(post_batch, n_batches))
 
 

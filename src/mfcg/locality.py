@@ -22,8 +22,8 @@ from .trace import GRAIN_BYTES, READ, WRITE, AccessRecorder
 
 __all__ = ["TransferPrediction", "predict_transfer", "TagTally",
            "TraceSummary", "summarize_trace", "LivelinessReport",
-           "liveliness", "CacheModel", "CacheReplayResult", "replay_cache",
-           "data_in_flight"]
+           "liveliness", "LINE_BYTES", "CacheModel", "CacheReplayResult",
+           "replay_cache"]
 
 
 # -- analytic transfer model --------------------------------------------------
@@ -81,14 +81,6 @@ def predict_transfer(variant: str, s: int = None) -> TransferPrediction:
     if variant == "matvec":
         return TransferPrediction("matvec", 0.0, 0.0, 2.0, 1.0)
     raise ValueError(f"unknown variant {variant!r}")
-
-
-def data_in_flight(p: int, components: int, batch_cells: int) -> int:
-    """Bytes of unique data per vector touched by one cell batch: each cell
-    owns p^3 interior-equivalent DoFs per component, eight bytes each."""
-    if p < 1 or components < 1 or batch_cells < 1:
-        raise ValueError("inputs must be positive")
-    return batch_cells * components * p ** 3 * 8
 
 
 # -- trace summaries -----------------------------------------------------------
@@ -256,19 +248,18 @@ def liveliness(schedule: RangeSchedule) -> LivelinessReport:
 
 # -- LRU cache replay ----------------------------------------------------------
 
+LINE_BYTES = 64  # cache line of the replay model, eight doubles
+
 
 @dataclass(frozen=True)
 class CacheModel:
-    """Fully-associative LRU cache with write-allocate and read-for-ownership
-    accounting; capacity reasoning only, deliberately hardware-independent."""
+    """Fully-associative LRU cache of LINE_BYTES lines, write-allocate and
+    read-for-ownership accounting; capacity reasoning only, hardware-neutral."""
     capacity_bytes: int
-    line_bytes: int = 64
 
     def __post_init__(self):
         if self.capacity_bytes < 0:
             raise ValueError("capacity must be non-negative")
-        if self.line_bytes < 8 or self.line_bytes % 8:
-            raise ValueError("line size must be a positive multiple of 8")
 
 
 @dataclass(frozen=True)
@@ -293,17 +284,16 @@ def replay_cache(recorder: AccessRecorder, model: CacheModel, n_dofs: int,
     to a non-resident range incurs a read-for-ownership load; dirty evictions
     and the final flush count as stores.
     """
-    capacity_lines = model.capacity_bytes // model.line_bytes
+    capacity_lines = model.capacity_bytes // LINE_BYTES
     lines_of = {}
     kind_of = {}
     for stream in recorder.streams.values():
         kind_of[stream.sid] = stream.kind
         tail = stream.n_ranges - 1
-        full = GRAIN_BYTES // model.line_bytes
-        tail_lines = -(-int(stream.range_doubles(tail) * 8)
-                       // model.line_bytes)
+        full = GRAIN_BYTES // LINE_BYTES
+        tail_lines = -(-int(stream.range_doubles(tail) * 8) // LINE_BYTES)
         lines_of[stream.sid] = (full, tail, tail_lines)
-    doubles_per_line = model.line_bytes / 8.0
+    doubles_per_line = LINE_BYTES / 8.0
 
     cache = OrderedDict()           # (sid, rid) -> [n_lines, dirty]
     get, touch, evict = cache.get, cache.move_to_end, cache.popitem

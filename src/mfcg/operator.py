@@ -108,10 +108,10 @@ def _cell_stream_ranges(cells: np.ndarray, bytes_per_cell: int) -> np.ndarray:
     return np.unique(trace.expand_runs(lo, hi))
 
 
-def _spans(ranges: np.ndarray, n: int, merge: bool = True) -> list:
-    """[(lo, hi), ...] dof spans of ascending unique range ids: one per run
-    of consecutive ids, or one per range without `merge`."""
-    starts, stops = trace.runs_of(ranges) if merge else (ranges, ranges + 1)
+def _spans(ranges: np.ndarray, n: int) -> list:
+    """[(lo, hi), ...] dof spans of ascending unique range ids, one per run
+    of consecutive ids."""
+    starts, stops = trace.runs_of(ranges)
     return [(int(lo) * RANGE_SIZE, min(int(hi) * RANGE_SIZE, n))
             for lo, hi in zip(starts, stops)]
 
@@ -185,15 +185,12 @@ class MatrixFreeOperator:
         if spec.geometry in (GeometryVariant.FINAL_TENSOR_LOAD, GeometryVariant.AFFINE):
             self._stored_geometry = [self._batch_geometry(cells, jxw=spec.needs_values)
                                      for cells in self._batch_cells]
-        # per batch: the dst spans first written there, and the callback
-        # spans per merge_ranges setting, (pre, post)
+        # per batch: the dst spans first written there, and the (pre, post) callback spans
         self._zero_spans = [_spans(ranges, self.n_dofs) for ranges in _group_by(
             self.schedule.first_touch_batch, plan.n_batches)]
-        self._hook_spans = {
-            merge: tuple([_spans(ranges, self.n_dofs, merge) for ranges in schedule]
-                         for schedule in (self.schedule.pre_schedule,
-                                          self.schedule.post_schedule))
-            for merge in (True, False)}
+        self._hook_spans = tuple([_spans(ranges, self.n_dofs) for ranges in schedule]
+                                 for schedule in (self.schedule.pre_schedule,
+                                                  self.schedule.post_schedule))
 
     @cached_property
     def _trace_runs(self):
@@ -304,8 +301,6 @@ class MatrixFreeOperator:
     def apply_with_callbacks(self, src: np.ndarray, dst: np.ndarray,
                              pre_fn=None, post_fn=None, *,
                              recorder: trace.AccessRecorder = None,
-                             merge_ranges: bool = True,
-                             checked: bool = False,
                              src_name: str = "src", dst_name: str = "dst") -> None:
         """Batched operator application with range callbacks interleaved.
 
@@ -315,8 +310,8 @@ class MatrixFreeOperator:
         result (and any scalars accumulated by post_fn, up to summation
         order) is identical to running all pre_fn calls, then dst = A src,
         then all post_fn calls.  Callbacks receive dof bounds (lo, hi) and
-        must only touch that span; with `checked` and a recorder, recorded
-        events are asserted against the span.  dst must not share memory
+        must only touch that span; with a recorder, the events each callback
+        records are asserted against its span.  dst must not share memory
         with src: batches zero and accumulate dst while later batches still
         read src.
         """
@@ -326,9 +321,7 @@ class MatrixFreeOperator:
             raise ValueError("dst shares memory with src")
         if not np.can_cast(np.float64, dst.dtype, "same_kind"):
             raise ValueError(f"dst of dtype {dst.dtype} cannot hold the result")
-        if checked and recorder is None:
-            raise ValueError("checked mode needs a recorder")
-        pre_spans, post_spans = self._hook_spans[bool(merge_ranges)]
+        pre_spans, post_spans = self._hook_spans
         n_batches = self.plan.n_batches
         rec_src, rec_dst = src_name, dst_name
         if recorder is not None:
@@ -342,7 +335,7 @@ class MatrixFreeOperator:
         for b in range(n_batches):
             if pre_fn is not None:
                 for lo, hi in pre_spans[b]:
-                    mark = recorder.mark() if (checked and recorder) else None
+                    mark = recorder.mark() if recorder is not None else None
                     pre_fn(lo, hi)
                     if mark is not None:
                         recorder.assert_within(mark, lo, hi, self.n_dofs)
@@ -373,7 +366,7 @@ class MatrixFreeOperator:
                     recorder.record_runs(rec_dst, constrained_runs, trace.WRITE)
             if post_fn is not None:
                 for lo, hi in post_spans[b]:
-                    mark = recorder.mark() if (checked and recorder) else None
+                    mark = recorder.mark() if recorder is not None else None
                     post_fn(lo, hi)
                     if mark is not None:
                         recorder.assert_within(mark, lo, hi, self.n_dofs)

@@ -580,7 +580,6 @@ def _solve_combined(variant, A, b, minv, config, rec):
 
         with run.region("iteration") as rid:
             A.apply_with_callbacks(p, v, pre, post, recorder=rec,
-                                   checked=rec is not None,
                                    src_name="p", dst_name="v")
             run.matvecs += 1
         gamma, a, bb, cc, d, e, f = sums
@@ -656,11 +655,15 @@ def solve_combined_pcg(A, b, minv, config: SolverConfig = None, *,
 def solve(variant: str, A, b, *, minv=None, config: SolverConfig = None,
           recorder=None) -> SolveResult:
     """Dispatch by variant name; `minv` is required for the preconditioned
-    variants and ignored by the rest.  A non-finite entry in `b` or `minv` is
-    rejected up front: no variant could converge on it.  A nonzero `b` whose
-    largest entry is below `TINY_RHS` is solved scaled by an exact power of
-    two, and `x` scaled back exactly; the history's gamma then belongs to
-    the scaled system."""
+    variants and ignored by the rest.  `b` is solved as float64 (a complex
+    `b` is refused).  A non-finite entry in `b` or `minv` is rejected up
+    front: no variant could converge on it.  A nonzero `b` whose largest
+    entry is below `TINY_RHS` is solved scaled by an exact power of two, and
+    `x` scaled back exactly; the history's gamma then belongs to the scaled
+    system."""
+    if np.iscomplexobj(b):
+        raise ValueError("right-hand side must be real")
+    b = np.asarray(b, dtype=np.float64)
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side has non-finite entries")
     shift = 0

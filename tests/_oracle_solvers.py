@@ -676,7 +676,6 @@ def _solve_combined(A, b, minv, cfg, rec, variant):
         with _region(rec, times, "iteration") as rid:
             last_rid = rid
             A.apply_with_callbacks(p, v, pre, post, recorder=rec,
-                                   checked=rec is not None,
                                    src_name="p", dst_name="v")
             matvecs += 1
         gamma, a, bb, cc, d, e, f = sums

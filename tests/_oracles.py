@@ -21,7 +21,7 @@ from mfcg.dofs import (
     expand_batch,
     make_batches,
 )
-from mfcg.locality import CacheReplayResult, TagTally, TraceSummary
+from mfcg.locality import LINE_BYTES, CacheReplayResult, TagTally, TraceSummary
 from mfcg.mesh import (
     _QUADRATIC_ORDER,
     SYMMETRIC_INDEX,
@@ -493,15 +493,12 @@ def merge_spans(ranges, range_size, n):
     return spans
 
 
-def plumbed_callback_spans(op, ranges, merge):
+def plumbed_callback_spans(op, ranges):
     """Per-call callback spans of one schedule entry."""
-    if merge:
-        return merge_spans(np.sort(ranges), RANGE_SIZE, op.n_dofs)
-    return [(r * RANGE_SIZE, min((r + 1) * RANGE_SIZE, op.n_dofs))
-            for r in np.sort(ranges)]
+    return merge_spans(np.sort(ranges), RANGE_SIZE, op.n_dofs)
 
 
-def window_apply(op, src, dst, pre_fn=None, post_fn=None, merge_ranges=True):
+def window_apply(op, src, dst, pre_fn=None, post_fn=None):
     """`op.apply_with_callbacks` (untraced) with the window scatter it
     replaced: each batch gathers through node-major indices relative to its
     first touched range, masks constrained entries on the way in and out,
@@ -513,7 +510,7 @@ def window_apply(op, src, dst, pre_fn=None, post_fn=None, merge_ranges=True):
     constrained = op.handler.constrained_dofs
     mask = np.zeros(op.n_dofs, dtype=bool)
     mask[constrained] = True
-    pre_spans, post_spans = op._hook_spans[bool(merge_ranges)]
+    pre_spans, post_spans = op._hook_spans
     for b, cells in enumerate(op.plan.batches):
         idx = expand_batch(op.handler, cells)
         cmask = mask[idx]
@@ -872,8 +869,7 @@ class ArrayOperator:
         return out
 
     def apply_with_callbacks(self, src, dst, pre_fn, post_fn, *,
-                             recorder=None, merge_ranges=True, checked=False,
-                             src_name="src", dst_name="dst"):
+                             recorder=None, src_name="src", dst_name="dst"):
         n = self.n_dofs
         if pre_fn is not None:
             for lo in range(0, n, RANGE_SIZE):
@@ -1053,16 +1049,16 @@ def chunk_summarize_trace(recorder, n_dofs, n_iterations):
 def chunk_replay_cache(recorder, model, n_dofs, n_iterations):
     """replay_cache over a ChunkRecorder: the same per-range OrderedDict
     LRU, walking each chunk's explicit range ids."""
-    capacity_lines = model.capacity_bytes // model.line_bytes
+    capacity_lines = model.capacity_bytes // LINE_BYTES
     lines_of = {}
     kind_of = {}
     for stream in recorder.streams.values():
         kind_of[stream.sid] = stream.kind
         tail = stream.n_ranges - 1
-        full = trace.GRAIN_BYTES // model.line_bytes
-        tail_lines = -(-int(stream.range_doubles(tail) * 8) // model.line_bytes)
+        full = trace.GRAIN_BYTES // LINE_BYTES
+        tail_lines = -(-int(stream.range_doubles(tail) * 8) // LINE_BYTES)
         lines_of[stream.sid] = (full, tail, tail_lines)
-    doubles_per_line = model.line_bytes / 8.0
+    doubles_per_line = LINE_BYTES / 8.0
 
     cache = OrderedDict()
     occupancy = 0

@@ -352,7 +352,6 @@ def test_12_callback_sequential_equivalence():
         av = rng.uniform(0.5, 2.0, n)
         bv = rng.uniform(-1.0, 1.0, n)
         cv = rng.uniform(0.5, 1.5, n)
-        merge = bool(trial % 2)
 
         def run(fused):
             src, dst, acc = u0.copy(), np.empty(n), [0.0]
@@ -365,8 +364,7 @@ def test_12_callback_sequential_equivalence():
                 dst[lo:hi] *= cv[lo:hi]
 
             if fused:
-                op.apply_with_callbacks(src, dst, pre, post,
-                                        merge_ranges=merge)
+                op.apply_with_callbacks(src, dst, pre, post)
             else:
                 for lo in range(0, n, RANGE_SIZE):
                     pre(lo, min(lo + RANGE_SIZE, n))

@@ -57,15 +57,13 @@ def assert_matches_window(op, seed, traced=False):
     if rec is not None:
         rec.begin_region("matvec")
     np.testing.assert_array_equal(op.apply(u, recorder=rec), want)
-    for merge in (True, False):
-        pre, post, got = payload_callbacks(n, seed)
-        op.apply_with_callbacks(got[0], got[1], pre, post, merge_ranges=merge,
-                                recorder=rec)
-        pre, post, ref = payload_callbacks(n, seed)
-        window_apply(op, ref[0], ref[1], pre, post, merge_ranges=merge)
-        np.testing.assert_array_equal(got[0], ref[0])
-        np.testing.assert_array_equal(got[1], ref[1])
-        assert got[2] == ref[2]
+    pre, post, got = payload_callbacks(n, seed)
+    op.apply_with_callbacks(got[0], got[1], pre, post, recorder=rec)
+    pre, post, ref = payload_callbacks(n, seed)
+    window_apply(op, ref[0], ref[1], pre, post)
+    np.testing.assert_array_equal(got[0], ref[0])
+    np.testing.assert_array_equal(got[1], ref[1])
+    assert got[2] == ref[2]
 
 
 @pytest.mark.parametrize("traced", [False, True])

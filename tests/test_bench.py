@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import mfcg.bench
 from mfcg.bench import (
     BENCHMARK_PROBLEMS,
-    RunRecord,
     _problem_size,
     assemble_problem,
     build_rhs,
@@ -219,16 +218,16 @@ class TestAssembleGuards:
 
 class TestRunRecord:
     def test_throughput_invariant(self):
-        rec = RunRecord.from_run("BP3", 3, (2, 2, 2), 1000, "cg", 50, 0.25,
-                                 1e-9)
-        assert rec.throughput == 1000 * 50 / 0.25
+        rec = run_benchmark("BP3", 2, (2, 2, 2), "cg", iterations=5, repeats=1)
+        assert rec.throughput == rec.n_dofs * rec.iterations / rec.wall_time
         pred = predict_transfer("cg")
         assert rec.reads_per_dof == pred.reads_per_dof
         assert rec.writes_per_dof == pred.writes_per_dof
 
     def test_sstep_record_uses_s(self):
-        rec = RunRecord.from_run("BP3", 3, (2, 2, 2), 1000, "sstep", 48, 1.0,
-                                 1e-9, s=4)
+        rec = run_benchmark("BP3", 2, (2, 2, 2), "sstep", iterations=4,
+                            repeats=1)
+        assert SolverConfig().s == 4
         assert rec.reads_per_dof == pytest.approx(5 + 4 / 4 + 2)
 
     def test_run_benchmark_smoke(self):
@@ -249,5 +248,5 @@ class TestRunRecord:
 
     def test_sstep_rounds_to_whole_blocks(self):
         rec = run_benchmark("BP3", 2, (2, 2, 2), "sstep", iterations=10,
-                            repeats=1, s=4)
+                            repeats=1)
         assert rec.iterations == 12   # 3 blocks of 4

@@ -297,6 +297,29 @@ class TestCachesweep:
         _, rows = read_csv(out)
         assert any(int(r[0]) == 100000 for r in rows)
 
+    def test_sstep_normalised_by_iterations_run(self, tmp_path, capsys):
+        # s=4 runs whole blocks, so 10 requested iterations run 12; the
+        # rows used to divide by 10 and read 12/10 of the 12-iteration rows
+        rows = {}
+        for count in ("10", "12"):
+            out = tmp_path / f"sweep{count}.csv"
+            code, _, _ = run_cli(["cachesweep", "--bp", "BP3", "--degree", "2",
+                                  "--cells", "3", "--variant", "sstep",
+                                  "--iterations", count, "--out", str(out)],
+                                 capsys)
+            assert code == 0
+            rows[count] = read_csv(out)[1]
+        assert rows["10"] == rows["12"]
+
+    def test_zero_rhs_gives_zero_rows(self, tmp_path, capsys):
+        # one p=1 cell has no interior DoF: b is zero and no iteration runs
+        out = tmp_path / "sweep.csv"
+        code, _, _ = run_cli(["cachesweep", "--degree", "1", "--cells", "1",
+                              "--out", str(out)], capsys)
+        assert code == 0
+        _, rows = read_csv(out)
+        assert rows and all(r[1:] == ["0.0"] * 6 for r in rows)
+
 
 class TestTransferModelCsv:
     def test_table_contents(self, capsys):

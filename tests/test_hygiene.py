@@ -1,5 +1,5 @@
-"""Source hygiene of the mfcg package: every exported name exists, and no
-module imports a name it never uses."""
+"""Source hygiene of the mfcg package: every exported name exists and is
+used, and no module imports a name it never uses."""
 
 import ast
 import importlib
@@ -12,6 +12,10 @@ import mfcg
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(mfcg.__path__))
 SOURCES = sorted(Path(mfcg.__file__).parent.glob("*.py"))
+# the benchmark harness, the one client of the package outside it; its
+# tests, like the package's, do not keep a name alive
+PERFBENCH = sorted(p for p in (Path(__file__).parents[1] / "perfbench").glob("*.py")
+                   if not p.name.startswith("test_"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -19,6 +23,15 @@ def test_all_names_resolve(name):
     module = importlib.import_module(f"mfcg.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"mfcg.{name}.__all__ names missing attributes: {missing}"
+
+
+def _exports(tree: ast.Module) -> list:
+    """The `__all__` names of a parsed module, [] without one."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return ast.literal_eval(node.value)
+    return []
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -33,10 +46,7 @@ def _unused_imports(tree: ast.Module) -> list:
                 bound = alias.asname or alias.name.split(".")[0]
                 imported.setdefault(bound, node.lineno)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            used |= set(ast.literal_eval(node.value))
+    used |= set(_exports(tree))
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
@@ -50,3 +60,34 @@ def test_unused_import_check_sees_a_dead_name():
     tree = ast.parse("from __future__ import annotations\n"
                      "import os\nfrom math import pi, tau\nx = pi\n")
     assert _unused_imports(tree) == [(2, "os"), (3, "tau")]
+
+
+def _unreferenced_exports(modules: dict, others=()) -> list:
+    """(module, name) of each `__all__` name of the parsed `modules` (name ->
+    tree) that no expression in them or in `others` loads, by name or as an
+    attribute: its definition, imports and `__all__` do not count."""
+    loaded = set()
+    for tree in [*modules.values(), *others]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+    return sorted((module, name) for module, tree in modules.items()
+                  for name in _exports(tree) if name not in loaded)
+
+
+def test_every_export_is_used():
+    assert PERFBENCH, "perfbench sources not found"
+    modules = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    others = [ast.parse(path.read_text()) for path in PERFBENCH]
+    unused = _unreferenced_exports(modules, others)
+    assert not unused, f"__all__ names nothing in src/mfcg or perfbench uses: {unused}"
+
+
+def test_export_check_sees_a_dead_name():
+    module = ast.parse('__all__ = ["used", "dead", "local", "attr"]\n'
+                       "def used(): pass\ndef dead(): pass\n"
+                       "def local(): pass\nattr = local()\n")
+    client = ast.parse("from m import dead, used\nimport m\nused()\nm.attr\n")
+    assert _unreferenced_exports({"m": module}, [client]) == [("m", "dead")]

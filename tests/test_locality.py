@@ -6,8 +6,8 @@ from _oracles import build_fem, fem_rhs
 
 from mfcg.dofs import (batch_size, compute_range_schedule, distribute_dofs,
                        make_batches, renumber_optimized)
-from mfcg.locality import (CacheModel, data_in_flight, liveliness,
-                           predict_transfer, replay_cache, summarize_trace)
+from mfcg.locality import (CacheModel, liveliness, predict_transfer,
+                           replay_cache, summarize_trace)
 from mfcg.mesh import build_cartesian_mesh, deform_mesh
 from mfcg.solvers import SolverConfig, solve
 from mfcg.trace import (GRAIN_BYTES, READ, READWRITE, WRITE, AccessRecorder)
@@ -64,19 +64,6 @@ class TestTransferModel:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             predict_transfer("bicgstab")
-
-
-class TestDataInFlight:
-    def test_frozen_values(self):
-        assert data_in_flight(5, 3, 16) == 48000
-        assert data_in_flight(1, 1, 1) == 8
-        assert data_in_flight(5, 1, 32) == 32000
-
-    def test_positive_inputs(self):
-        with pytest.raises(ValueError):
-            data_in_flight(0, 1, 1)
-        with pytest.raises(ValueError):
-            data_in_flight(3, 1, 0)
 
 
 # -- trace summaries ----------------------------------------------------------
@@ -302,8 +289,6 @@ class TestCacheReplay:
     def test_model_validation(self):
         with pytest.raises(ValueError):
             CacheModel(-1)
-        with pytest.raises(ValueError):
-            CacheModel(1024, line_bytes=12)
 
     def fem_trace(self, numbering="default", iters=10):
         op, handler = build_fem(cells=(4, 4, 4), batch=8, traversal="morton",

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mfcg.dofs import RANGE_SIZE, distribute_dofs, make_batches
 from mfcg.mesh import GeometryVariant, build_cartesian_mesh, deform_mesh
 from mfcg.operator import MatrixFreeOperator, OperatorSpec
-from mfcg.trace import READ, WRITE, AccessRecorder, ContractViolation
+from mfcg.trace import READ, READWRITE, WRITE, AccessRecorder, ContractViolation
 
 from _oracles import assemble_dense, plumbed_callback_spans
 
@@ -290,8 +290,10 @@ class TestCallbacks:
         ref = op.apply(u)
         assert abs(acc[0] - ref @ ref) <= 1e-13 * abs(ref @ ref)
 
-    @pytest.mark.parametrize("merge", [False, True])
-    def test_randomized_payload_sequential_equivalence(self, merge):
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_randomized_payload_sequential_equivalence(self, traced):
+        # traced, every callback span is checked against the events the
+        # payload records, which must leave the results unchanged
         op, handler = build_op(cells=(3, 2, 2), p=2, batch=4, traversal="morton")
         n = handler.n_dofs
         rng = np.random.default_rng(17)
@@ -306,16 +308,24 @@ class TestCallbacks:
                 src = u0.copy()
                 dst = np.empty(n)
                 scal = [0.0]
+                rec = AccessRecorder() if traced and fused else None
+                if rec is not None:
+                    rec.register_dofs("u", n)
+                    rec.begin_region("iteration")
 
                 def pre(lo, hi):
                     src[lo:hi] = av[lo:hi] * src[lo:hi] + bv[lo:hi]
+                    if rec is not None:
+                        rec.record_dofs("u", lo, hi, READWRITE)
 
                 def post(lo, hi):
                     scal[0] += float(dst[lo:hi] @ w[lo:hi])
                     dst[lo:hi] *= cv[lo:hi]
+                    if rec is not None:
+                        rec.record_dofs("u", lo, hi, READ)
 
                 if fused:
-                    op.apply_with_callbacks(src, dst, pre, post, merge_ranges=merge)
+                    op.apply_with_callbacks(src, dst, pre, post, recorder=rec)
                 else:
                     for lo in range(0, n, RANGE_SIZE):
                         pre(lo, min(lo + RANGE_SIZE, n))
@@ -326,29 +336,33 @@ class TestCallbacks:
 
             s1, d1, a1 = run(True)
             s2, d2, a2 = run(False)
-            # elementwise payloads: vector state is bit-identical whether
-            # ranges are merged or not; only the scalar sum reassociates
+            # elementwise payloads: vector state is bit-identical to the
+            # three-phase run; only the scalar sum reassociates
             np.testing.assert_array_equal(s1, s2)
             np.testing.assert_array_equal(d1, d2)
             assert abs(a1 - a2) <= 1e-13 * max(abs(a2), 1.0)
 
-    @pytest.mark.parametrize("merge", [False, True])
+    @pytest.mark.parametrize("traced", [False, True])
     @pytest.mark.parametrize("constrain", [False, True])
-    def test_callback_spans_built_once(self, merge, constrain):
+    def test_callback_spans_built_once(self, traced, constrain):
         # the spans handed to the callbacks, recorded during an apply,
-        # equal the per-call merge of the schedule's ranges
+        # equal the per-call merge of the schedule's ranges, with or without
+        # a recorder checking them
         op, handler = build_op(cells=(3, 3, 2), p=2, comp=3, batch=4,
                                traversal="morton", constrain=constrain)
         schedule = op.schedule
         seen = {"pre": [], "post": []}
+        rec = AccessRecorder() if traced else None
+        if rec is not None:
+            rec.begin_region("iteration")
         op.apply_with_callbacks(np.zeros(handler.n_dofs), np.empty(handler.n_dofs),
                                 lambda lo, hi: seen["pre"].append((lo, hi)),
                                 lambda lo, hi: seen["post"].append((lo, hi)),
-                                merge_ranges=merge)
+                                recorder=rec)
         for kind, ranges in (("pre", schedule.pre_schedule),
                              ("post", schedule.post_schedule)):
             want = [span for r in ranges
-                    for span in plumbed_callback_spans(op, r, merge)]
+                    for span in plumbed_callback_spans(op, r)]
             assert seen[kind] == want
 
     def test_checked_mode_catches_out_of_range(self):
@@ -365,7 +379,7 @@ class TestCallbacks:
 
         rec.begin_region("iteration")
         with pytest.raises(ContractViolation):
-            op.apply_with_callbacks(src, dst, rogue, None, recorder=rec, checked=True)
+            op.apply_with_callbacks(src, dst, rogue, None, recorder=rec)
 
     def test_checked_mode_accepts_in_range(self):
         op, handler = build_op(cells=(2, 2, 1), p=2, batch=2, constrain=False)
@@ -376,7 +390,7 @@ class TestCallbacks:
         rec.begin_region("iteration")
         op.apply_with_callbacks(src, dst,
                                 lambda lo, hi: rec.record_dofs("r", lo, hi, READ),
-                                None, recorder=rec, checked=True)
+                                None, recorder=rec)
 
 
 class TestTraceAccounting:

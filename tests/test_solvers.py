@@ -344,6 +344,24 @@ class TestConfigAndPlumbing:
         assert res.x.base is None and res.x.flags.owndata
         assert res.x.shape == b.shape
 
+    @pytest.mark.parametrize("variant", ALL_SOLVERS)
+    def test_integer_and_list_rhs_solve_as_float(self, fem, variant):
+        # an int64 b used to fail in every variant but sstep on the first
+        # in-place update, and a list b on its first array method
+        op, handler, b, minv, dense = fem
+        b_int = np.rint(b * 1000).astype(np.int64)
+        want = run_variant(variant, op, b_int.astype(np.float64), minv=minv,
+                           cfg=SolverConfig(fixed_iterations=4)).x
+        for rhs in (b_int, b_int.tolist()):
+            got = run_variant(variant, op, rhs, minv=minv,
+                              cfg=SolverConfig(fixed_iterations=4)).x
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_complex_rhs_refused(self):
+        with pytest.raises(ValueError, match="real"):
+            solve("cg", ArrayOperator(np.eye(2)), np.ones(2, dtype=complex))
+
     @pytest.mark.parametrize("traced", [False, True])
     def test_region_that_raises_records_nothing(self, traced):
         rec = AccessRecorder() if traced else None
