@@ -88,7 +88,7 @@ def build_rhs(op: MatrixFreeOperator) -> np.ndarray:
     nq = spec.n_q_1d
     cells = np.arange(mesh.n_cells)
     _, jxw = op._batch_geometry(cells, coefficients=False)
-    coords = mesh.quadratic_nodes.transpose(0, 2, 1).reshape(-1, 3, 3, 3, 3)
+    coords = mesh.quadratic_nodes.transpose(2, 1, 0).reshape(-1, 3, 3, 3, 3)
     pts = evaluate_values(lagrange_basis(2, op.quadrature), coords)  # (cells, 3, nq, nq, nq)
     pts = pts.reshape(-1, 3, nq ** 3).transpose(0, 2, 1)
     fw = (manufactured_forcing(pts, spec.equation) * jxw.T).reshape(-1, nq, nq, nq)
@@ -128,9 +128,9 @@ def _problem_size(components: int, degree: int, cells) -> tuple:
 def estimate_problem_bytes(components: int, degree: int, cells, n_q_1d: int) -> int:
     """Coarse allocation estimate from the closed-form sizes: 16 solver
     working vectors; per quadrature point the geometry the operator holds
-    (7 cell-major doubles and the 9 entries of G in lane order) and the
-    set-up Jacobians (9); per (cell, component, node) entry the three int64
-    batch maps."""
+    (the 7 doubles of the final tensor and w det J, and the 9 entries of G
+    per batch, all with the cells last) and the set-up Jacobians (9); per
+    (cell, component, node) entry the three int64 batch maps."""
     n_dofs, n_cells = _problem_size(components, degree, cells)
     points = n_cells * n_q_1d ** 3
     entries = n_cells * components * (degree + 1) ** 3
@@ -156,11 +156,13 @@ def discretize(components: int, degree: int, cells, *, deform: float,
 
 def assemble_problem(bp_id: str, degree: int, cells, *,
                      geometry: GeometryVariant = GeometryVariant.FINAL_TENSOR_LOAD,
-                     deform: float = 0.05, numbering: str = "default",
+                     deform: float = None, numbering: str = "default",
                      traversal: str = "morton", simd_lanes: int = 8,
                      memory_limit_bytes: int = 2 ** 32):
     """Build the operator, manufactured right-hand side, and Jacobi
-    preconditioner for one benchmark configuration.
+    preconditioner for one benchmark configuration.  The mesh is deformed
+    by `deform`, by default 0.05, or 0 for the affine geometry, which is
+    defined only on undeformed meshes.
 
     Returns (op, b, minv).  Raises MemoryError, before allocating anything
     per cell, when the coarse size estimate exceeds `memory_limit_bytes`.
@@ -176,6 +178,8 @@ def assemble_problem(bp_id: str, degree: int, cells, *,
         raise MemoryError(
             f"size-too-large: {bp_id} p={degree} cells={cells} needs "
             f"~{estimate / 2**20:.0f} MiB > limit {memory_limit_bytes / 2**20:.0f} MiB")
+    if deform is None:
+        deform = 0.0 if geometry == GeometryVariant.AFFINE else 0.05
     mesh, handler, plan = discretize(
         problem.components, degree, cells, deform=deform, numbering=numbering,
         traversal=traversal, simd_lanes=simd_lanes)

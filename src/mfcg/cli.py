@@ -60,6 +60,8 @@ class Config:
             value = getattr(self, key)
             if value < 1:
                 raise ValueError(f"{key} must be at least 1, got {value}")
+        if self.cache_bytes < 0:
+            raise ValueError(f"cache_bytes must be non-negative, got {self.cache_bytes}")
 
 
 _INT_KEYS = {"degree", "iterations", "repeats", "simd_lanes", "cache_bytes",

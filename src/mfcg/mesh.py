@@ -74,9 +74,11 @@ class HexMesh:
 
     @cached_property
     def quadratic_nodes(self) -> np.ndarray:
-        """(n_cells, 27, 3) tri-quadratic nodes of every cell, built once per
-        mesh and shared read-only by the geometry and the right-hand side."""
-        nodes = self.map_points(_cell_lattice(self, _QUADRATIC_ORDER))
+        """(27, 3, n_cells) tri-quadratic nodes of every cell, cells last,
+        built once per mesh and shared read-only by the geometry and the
+        right-hand side."""
+        points = self.map_points(_cell_lattice(self, _QUADRATIC_ORDER))
+        nodes = np.ascontiguousarray(points.transpose(1, 2, 0))
         nodes.flags.writeable = False
         return nodes
 
@@ -94,19 +96,22 @@ def build_cartesian_mesh(cells_per_dim, extents=(1.0, 1.0, 1.0)) -> HexMesh:
     """Uniform axis-aligned mesh of the brick [0,extents]^3."""
     cells = validate_cells(cells_per_dim)
     ext = tuple(float(e) for e in extents)
-    if any(e <= 0 for e in ext):
-        raise ValueError("extents must be positive")
+    if not all(np.isfinite(e) and e > 0 for e in ext):
+        raise ValueError(f"extents must be finite and positive, got {ext}")
     return HexMesh(cells, ext)
 
 
 def deform_mesh(mesh: HexMesh, amplitude: float) -> HexMesh:
     """Apply x -> x + amplitude * prod_d sin(pi x_d / extent_d) to every
     coordinate.  The bump vanishes on the boundary, so boundary faces stay
-    put.  Rejects amplitudes that flip any cell's Jacobian."""
+    put.  Rejects amplitudes that are not finite or flip any cell's Jacobian."""
+    if not np.isfinite(amplitude):
+        raise ValueError(f"deformation amplitude must be finite, got {amplitude}")
     new = HexMesh(mesh.cells_per_dim, mesh.extents, mesh.deformation + amplitude)
     if amplitude != 0.0:
         try:
-            _reference_jacobians(new, gauss_lobatto_quadrature(3))
+            compute_jacobians_from_nodes(
+                new.quadratic_nodes, lagrange_basis(2, gauss_lobatto_quadrature(3)), 3)
         except ValueError as err:
             raise ValueError(
                 f"deformation amplitude {new.deformation} produces a "
@@ -143,46 +148,36 @@ def _cell_lattice(mesh: HexMesh, order: np.ndarray, cells=None):
 _QUADRATIC_ORDER = np.array([0.0, 0.5, 1.0])
 
 
-def _reference_jacobians(mesh: HexMesh, quad: QuadratureRule1D):
-    """Jacobians of the tri-quadratic cell maps at tensor quadrature points.
-
-    Returns (jac, det) with jac of shape (n_cells, n_q^3, 3, 3) where
-    jac[c, q, i, j] = d x_i / d ref_j, and det positive (checked).
-    """
-    return compute_jacobians_from_nodes(mesh.quadratic_nodes,
-                                        lagrange_basis(2, quad), len(quad))
-
-
 # -- closed-form 3x3 algebra ---------------------------------------------------
-# Entry by entry on (..., 3, 3) stacks, so every operation streams whole
+# Entry by entry on (3, 3, ...) stacks, so every operation streams whole
 # arrays of quadrature points instead of looping over LAPACK calls.
 
 
 def _cofactor(jac: np.ndarray, i: int, k: int) -> np.ndarray:
-    """Signed cofactor of entry (i, k) of (..., 3, 3) matrices."""
+    """Signed cofactor of entry (i, k) of (3, 3, ...) matrices."""
     i1, i2, k1, k2 = (i + 1) % 3, (i + 2) % 3, (k + 1) % 3, (k + 2) % 3
-    return jac[..., i1, k1] * jac[..., i2, k2] - jac[..., i1, k2] * jac[..., i2, k1]
+    return jac[i1, k1] * jac[i2, k2] - jac[i1, k2] * jac[i2, k1]
 
 
 def _checked_determinant(jac: np.ndarray) -> np.ndarray:
     """det J by cofactor expansion along the first row; raises ValueError
     unless every determinant is positive."""
-    det = jac[..., 0, 0] * _cofactor(jac, 0, 0)
-    det += jac[..., 0, 1] * _cofactor(jac, 0, 1)
-    det += jac[..., 0, 2] * _cofactor(jac, 0, 2)
+    det = jac[0, 0] * _cofactor(jac, 0, 0)
+    det += jac[0, 1] * _cofactor(jac, 0, 1)
+    det += jac[0, 2] * _cofactor(jac, 0, 2)
     if not np.min(det) > 0.0:
         raise ValueError(f"degenerate cell: min det J = {np.min(det):.3e}")
     return det
 
 
 def adjugate(jac: np.ndarray) -> np.ndarray:
-    """adj J = det(J) J^-1 of (..., 3, 3) matrices: entry (k, i) is the
-    cofactor of J_ik.  Stored entry-major, so each entry is contiguous."""
-    adj = np.empty((3, 3) + jac.shape[:-2])
+    """adj J = det(J) J^-1 of (3, 3, ...) matrices: entry (k, i) is the
+    cofactor of J_ik, each entry contiguous."""
+    adj = np.empty(jac.shape)
     for i in range(3):
         for k in range(3):
             adj[k, i] = _cofactor(jac, i, k)
-    return np.moveaxis(adj, (0, 1), (-2, -1))
+    return adj
 
 
 @dataclass(frozen=True)
@@ -192,8 +187,12 @@ class GeometryData:
     Depending on the variant the payload holds geometry node coordinates
     (compute variants), precomputed inverse Jacobians plus w_q det J, the
     final symmetric coefficient tensor plus w_q det J, or a single affine
-    J^-1 / det J per mesh.  `doubles_per_cell` records the data volume the
-    variant streams per cell so the locality analysis can model transfer.
+    J^-1 / det J per mesh.  Per-cell arrays hold the entry axes first and
+    the cells last, the kernel's lane order: "nodes" (n_nodes, 3, n_cells),
+    "inverse_jacobian" (3, 3, n_q^3, n_cells), "final_tensor" (6, n_q^3,
+    n_cells), "jxw" (n_q^3, n_cells).  `doubles_per_cell` records the data
+    volume the variant streams per cell so the locality analysis can model
+    transfer.
     """
 
     variant: GeometryVariant
@@ -211,13 +210,13 @@ _SYMMETRIC_COLS = (0, 1, 2, 1, 2, 2)
 
 def symmetric_coefficients(m: np.ndarray, scale) -> np.ndarray:
     """The six distinct entries of m m^T * scale on a new leading axis, in
-    SYMMETRIC_INDEX order: m (..., 3, 3) and scale (...) give (6, ...).
+    SYMMETRIC_INDEX order: m (3, 3, ...) and scale (...) give (6, ...).
     With m = J^-1 and scale = w det J this is G = J^-1 (w det J) J^-T."""
-    out = np.empty((6,) + np.broadcast_shapes(m.shape[:-2], np.shape(scale)))
+    out = np.empty((6,) + np.broadcast_shapes(m.shape[2:], np.shape(scale)))
     for entry, a, b in zip(out, _SYMMETRIC_ROWS, _SYMMETRIC_COLS):
-        dot = m[..., a, 0] * m[..., b, 0]
-        dot += m[..., a, 1] * m[..., b, 1]
-        dot += m[..., a, 2] * m[..., b, 2]
+        dot = m[a, 0] * m[b, 0]
+        dot += m[a, 1] * m[b, 1]
+        dot += m[a, 2] * m[b, 2]
         np.multiply(dot, scale, out=entry)
     return out
 
@@ -226,11 +225,6 @@ def metric_tensor(jac: np.ndarray, det: np.ndarray, weights: np.ndarray) -> np.n
     """The six entries of G = J^-1 (w det J) J^-T = adj(J) adj(J)^T (w / det J)
     in closed form, shaped (6, ...)."""
     return symmetric_coefficients(adjugate(jac), weights / det)
-
-
-def _final_tensor(jac, det, weights):
-    """J^-1 (w det J) J^-T as symmetric 6-storage (xx,yy,zz,xy,xz,yz)."""
-    return np.ascontiguousarray(np.moveaxis(metric_tensor(jac, det, weights), 0, -1))
 
 
 def _tensor_weights(quad: QuadratureRule1D) -> np.ndarray:
@@ -266,33 +260,32 @@ def precompute_geometry(mesh: HexMesh, variant: GeometryVariant,
         support = gauss_lobatto_quadrature(nq).points
         basis2 = lagrange_basis(2, QuadratureRule1D(support, np.full(len(support), 1.0 / len(support))))
         n_cells = mesh.n_cells
-        coords = mesh.quadratic_nodes.transpose(0, 2, 1).reshape(n_cells, 3, 3, 3, 3)
+        coords = mesh.quadratic_nodes.transpose(2, 1, 0).reshape(n_cells, 3, 3, 3, 3)
         vals = evaluate_values(basis2, coords)  # (cells, coord, s,s,s)
-        nodes = vals.reshape(n_cells, 3, -1).transpose(0, 2, 1)
-        payload = {"nodes": nodes, "weights": weights}
-        return GeometryData(variant, quad, payload, 3 * len(support) ** 3)
-    jac, det = _reference_jacobians(mesh, quad)
+        nodes = np.ascontiguousarray(vals.reshape(n_cells, 3, -1).transpose(2, 1, 0))
+        return GeometryData(variant, quad, {"nodes": nodes, "weights": weights},
+                            3 * len(support) ** 3)
+    jac, det = compute_jacobians_from_nodes(mesh.quadratic_nodes, lagrange_basis(2, quad), nq)
+    adj = adjugate(jac)
+    del jac  # held on, J would set the memory peak of set-up
+    jxw = det * weights[:, None]
     if variant == GeometryVariant.INVERSE_JACOBIAN_LOAD:
-        inv = np.empty(jac.shape)
-        np.divide(adjugate(jac), det[..., None, None], out=inv)
-        payload = {"inverse_jacobian": inv, "jxw": np.ascontiguousarray(det * weights)}
-        return GeometryData(variant, quad, payload, 10 * nq**3)
+        adj /= det
+        return GeometryData(variant, quad, {"inverse_jacobian": adj, "jxw": jxw}, 10 * nq**3)
     if variant == GeometryVariant.FINAL_TENSOR_LOAD:
-        sym = _final_tensor(jac, det, weights)
-        payload = {"final_tensor": sym, "jxw": np.ascontiguousarray(det * weights)}
-        return GeometryData(variant, quad, payload, 7 * nq**3)
+        sym = symmetric_coefficients(adj, weights[:, None] / det)
+        return GeometryData(variant, quad, {"final_tensor": sym, "jxw": jxw}, 7 * nq**3)
     raise ValueError(f"unknown geometry variant {variant}")
 
 
 def compute_jacobians_from_nodes(nodes: np.ndarray, geo_basis, nq: int):
     """On-the-fly Jacobians for a batch of cells from geometry node
-    coordinates (n_batch, n_nodes, 3) via sum-factorized differentiation of
+    coordinates (n_nodes, 3, n_batch) via sum-factorized differentiation of
     the geometry polynomial, with the coordinates and cells innermost as
-    SIMD lanes.  jac (n_batch, n_q^3, 3, 3) and det (n_batch, n_q^3) are
-    views of point-major arrays, with the cells fastest in memory."""
-    n_batch = nodes.shape[0]
+    SIMD lanes.  jac[i, j] = d x_i / d ref_j, (3, 3, n_q^3, n_batch), is a
+    view of the sweep output; det, (n_q^3, n_batch), is checked positive."""
+    n_batch = nodes.shape[-1]
     npd = geo_basis.degree + 1
-    coords = nodes.transpose(1, 2, 0).reshape(npd, npd, npd, 3, n_batch)
-    g = evaluate_gradients_lanes(geo_basis, coords)
-    jac = np.transpose(g.reshape(3, nq**3, 3, n_batch), (3, 1, 2, 0))
+    g = evaluate_gradients_lanes(geo_basis, nodes.reshape(npd, npd, npd, 3, n_batch))
+    jac = g.reshape(3, nq**3, 3, n_batch).transpose(2, 0, 1, 3)
     return jac, _checked_determinant(jac)

@@ -229,28 +229,25 @@ class MatrixFreeOperator:
         sym = weights = None
         if variant == GeometryVariant.FINAL_TENSOR_LOAD:
             if coefficients:
-                sym = payload["final_tensor"].T[:, :, cells]
+                sym = np.take(payload["final_tensor"], cells, axis=-1)
             if jxw:
-                weights = np.ascontiguousarray(payload["jxw"].T[:, cells])
+                weights = np.take(payload["jxw"], cells, axis=-1)
         elif variant == GeometryVariant.AFFINE:
             weights = (payload["det_j"] * payload["weights"])[:, None]
             if coefficients:
                 sym = symmetric_coefficients(payload["inverse_jacobian"], weights)
             weights = np.broadcast_to(weights, (len(weights), len(cells)))
         elif variant == GeometryVariant.INVERSE_JACOBIAN_LOAD:
-            weights = payload["jxw"][cells].T
+            weights = np.take(payload["jxw"], cells, axis=-1)
             if coefficients:
                 sym = symmetric_coefficients(
-                    payload["inverse_jacobian"][cells].transpose(1, 0, 2, 3), weights)
+                    np.take(payload["inverse_jacobian"], cells, axis=-1), weights)
         else:  # compute variants: differentiate the stored geometry interpolant
             jac, det = compute_jacobians_from_nodes(
-                payload["nodes"][cells], self._geo_basis, self._nq)
-            jac, det = jac.transpose(1, 0, 2, 3), det.T
+                np.take(payload["nodes"], cells, axis=-1), self._geo_basis, self._nq)
             if coefficients:
                 sym = metric_tensor(jac, det, payload["weights"][:, None])
             weights = det * payload["weights"][:, None]
-        # take writes G in C order, which the kernel's reshape and einsum
-        # need: fancy indexing kept the strides of the transposed payload
         G = None if sym is None else np.take(sym, SYMMETRIC_INDEX, axis=0)
         return G, (weights if jxw else None)
 
@@ -386,28 +383,26 @@ class MatrixFreeOperator:
             geo = self.geometry  # already the final tensor at these points
         else:
             geo = precompute_geometry(self.mesh, GeometryVariant.FINAL_TENSOR_LOAD, rule)
-        jxw = geo.payload["jxw"]
         n_cells = self.handler.n_cells
-        diag_loc = np.zeros((n_cells, n1, n1, n1))
+        diag_loc = np.zeros((n1, n1, n1, n_cells))
         if self.spec.needs_values:
-            diag_loc += jxw.reshape(n_cells, n1, n1, n1)
+            diag_loc += geo.payload["jxw"].reshape(n1, n1, n1, n_cells)
         if self.spec.needs_gradients:
-            # G[i, k] as strided views of the stored six entries
-            sym = geo.payload["final_tensor"].reshape(n_cells, n1, n1, n1, 6)
-            G = [[sym[..., e] for e in row] for row in SYMMETRIC_INDEX]
+            xx, yy, zz, xy, xz, yz = geo.payload["final_tensor"].reshape(6, n1, n1, n1, n_cells)
             D2 = basis.shape_gradients ** 2
-            lap = np.einsum("qi,ckjq->ckji", D2, G[0][0])
-            lap += np.einsum("qj,ckqi->ckji", D2, G[1][1])
-            lap += np.einsum("qk,cqji->ckji", D2, G[2][2])
+            lap = np.einsum("qi,kjqc->kjic", D2, xx)
+            lap += np.einsum("qj,kqic->kjic", D2, yy)
+            lap += np.einsum("qk,qjic->kjic", D2, zz)
             dd = np.diag(basis.shape_gradients)
-            dx = dd[None, None, None, :]
-            dy = dd[None, None, :, None]
-            dz = dd[None, :, None, None]
-            lap += 2.0 * (dx * dy * G[0][1] + dx * dz * G[0][2] + dy * dz * G[1][2])
+            dx = dd[None, None, :, None]
+            dy = dd[None, :, None, None]
+            dz = dd[:, None, None, None]
+            lap += 2.0 * (dx * dy * xy + dx * dz * xz + dy * dz * yz)
             scale = self.spec.scaling if self.spec.equation == "mass_plus_laplace" else 1.0
             diag_loc += scale * lap
+        # summed cell-major, so that every node adds its cells in cell order
         scalar_idx = _expand_scalar(self.handler, np.arange(n_cells))
-        diag = np.bincount(scalar_idx.ravel(), weights=diag_loc.reshape(n_cells, -1).ravel(),
+        diag = np.bincount(scalar_idx.ravel(), weights=diag_loc.transpose(3, 0, 1, 2).ravel(),
                            minlength=self.handler.n_nodes)
         constrained_nodes = np.unique(self._constrained // self.spec.components) \
             if len(self._constrained) else np.empty(0, dtype=np.int64)

@@ -54,8 +54,8 @@ class SolverConfig:
     fixed_iterations: int = None     # run exactly this many, no early exit
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not self.tolerance > 0:
+            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if self.s < 1:

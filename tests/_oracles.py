@@ -373,17 +373,18 @@ def plumbed_batch_geometry(op, cells):
     if variant == GeometryVariant.FINAL_TENSOR_LOAD:
         sym = None
         if op.spec.needs_gradients:
-            sym = payload["final_tensor"].transpose(2, 0, 1)[:, cells]
-        return sym, payload["jxw"][cells]
+            sym = payload["final_tensor"][:, :, cells].transpose(0, 2, 1)
+        return sym, payload["jxw"][:, cells].T
     if variant == GeometryVariant.AFFINE:
-        inv = payload["inverse_jacobian"][None]
+        inv = payload["inverse_jacobian"]
         jxw = payload["det_j"] * payload["weights"]
     elif variant == GeometryVariant.INVERSE_JACOBIAN_LOAD:
-        inv = payload["inverse_jacobian"][cells]
-        jxw = payload["jxw"][cells]
+        inv = payload["inverse_jacobian"][..., cells].transpose(0, 1, 3, 2)
+        jxw = payload["jxw"][:, cells].T
     else:
         jac, det = compute_jacobians_from_nodes(
-            payload["nodes"][cells], op._geo_basis, len(op.quadrature))
+            payload["nodes"][..., cells], op._geo_basis, len(op.quadrature))
+        jac, det = jac.transpose(0, 1, 3, 2), det.T
         sym = None
         if op.spec.needs_gradients:
             sym = metric_tensor(jac, det, payload["weights"])
@@ -741,6 +742,12 @@ def lapack_jacobians(nodes, geo_basis, nq):
     return jac, np.linalg.det(jac)
 
 
+def matrix_stack(entries):
+    """(..., 3, 3) matrices of a (3, 3, ...) entry-major stack, as LAPACK
+    takes them."""
+    return np.moveaxis(entries, (0, 1), (-2, -1))
+
+
 def lapack_symmetric_coefficients(inv, jxw):
     """Six entries of J^-1 (w det J) J^-T by fancy-indexed rows and columns."""
     rows = inv[..., (0, 1, 2, 0, 0, 1), :]
@@ -765,7 +772,7 @@ def geometry_data(mesh, cell, variant, quad):
     if variant == GeometryVariant.AFFINE:
         return dict(data.payload)  # identical for every cell
     per_cell = {"nodes", "inverse_jacobian", "jxw", "final_tensor"}
-    return {key: (value[cell] if key in per_cell else value)
+    return {key: (value[..., cell] if key in per_cell else value)
             for key, value in data.payload.items()}
 
 

@@ -22,7 +22,7 @@ from mfcg.bench import (
 )
 from mfcg.dofs import distribute_dofs
 from mfcg.locality import predict_transfer
-from mfcg.mesh import build_cartesian_mesh
+from mfcg.mesh import GeometryVariant, build_cartesian_mesh
 from mfcg.solvers import SolverConfig, solve
 
 from _oracles import build_fem
@@ -204,6 +204,16 @@ class TestAssembleGuards:
         estimate = estimate_problem_bytes(problem.components, 3, (n,) * 3,
                                           problem.n_quadrature(3))
         assert peak / 2 <= estimate <= 2 * peak
+
+    def test_affine_refuses_an_explicit_deformation(self):
+        # the affine geometry defaults to an undeformed mesh, but an
+        # explicit deformation is still refused
+        op, _, _ = assemble_problem("BP3", 2, (2, 2, 2),
+                                    geometry=GeometryVariant.AFFINE)
+        assert op.mesh.deformation == 0.0
+        with pytest.raises(ValueError, match="requires an undeformed mesh"):
+            assemble_problem("BP3", 2, (2, 2, 2), geometry=GeometryVariant.AFFINE,
+                             deform=0.05)
 
     def test_unknown_numbering(self):
         with pytest.raises(ValueError, match="numbering"):

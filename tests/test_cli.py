@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+import mfcg.cli
 from mfcg.cli import Config, emit_config, main, parse_config
 
 
@@ -132,6 +133,26 @@ class TestUsageErrors:
                                 "cg", "--iterations", "1", "--repeats", "1"], capsys)
         assert code == 2
         assert "cells_per_dim must be three integers >= 1" in err
+
+    def test_negative_cache_bytes_is_usage_error(self, capsys, monkeypatch):
+        # used to be refused by the cache model only after the traced solve
+        def no_setup(*args, **kwargs):
+            raise AssertionError("set-up ran before cache_bytes was checked")
+
+        monkeypatch.setattr(mfcg.cli, "assemble_problem", no_setup)
+        code, _, err = run_cli(["cachesweep", "--cells", "2", "--degree", "2",
+                                "--variant", "cg", "--cache-bytes", "-5"], capsys)
+        assert code == 2
+        assert "cache_bytes must be non-negative, got -5" in err
+
+    @pytest.mark.parametrize("command", ["bench", "cachesweep"])
+    def test_affine_geometry_runs(self, command, capsys):
+        # the CLI's mesh used to be deformed for every geometry, so affine,
+        # defined only on undeformed meshes, always exited 2
+        code, out, err = run_cli([command, "--geometry", "affine", "--cells", "2",
+                                  "--iterations", "4", "--repeats", "1"], capsys)
+        assert code == 0, err
+        assert out
 
     def test_cachesweep_needs_single_variant(self, capsys):
         code, _, err = run_cli(["cachesweep", "--variant", "all",

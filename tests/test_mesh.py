@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import geometry_data, quadratic_geometry_nodes
+from _oracles import geometry_data, matrix_stack, quadratic_geometry_nodes
 from mfcg.mesh import (
     SYMMETRIC_INDEX,
     GeometryVariant,
@@ -92,6 +92,13 @@ class TestBuildMesh:
         with pytest.raises(ValueError):
             build_cartesian_mesh((1, 1, 1), extents=(1.0, -1.0, 1.0))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_extents_rejected(self, value):
+        # a NaN extent used to build a mesh that failed later, as a
+        # "degenerate cell"
+        with pytest.raises(ValueError, match=f"finite and positive, got .*{value}"):
+            build_cartesian_mesh((2, 2, 2), extents=(value, 1.0, 1.0))
+
 
 # ---------------------------------------------------------------------------
 # deformation
@@ -120,6 +127,12 @@ class TestDeformation:
     def test_excessive_amplitude_rejected(self):
         with pytest.raises(ValueError, match="Jacobian"):
             deform_mesh(build_cartesian_mesh((2, 2, 2)), 5.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_amplitude_rejected(self, value):
+        # NaN used to be reported as a non-positive Jacobian, min det J = nan
+        with pytest.raises(ValueError, match=f"amplitude must be finite, got {value}"):
+            deform_mesh(build_cartesian_mesh((2, 2, 2)), value)
 
     def test_affine_requires_undeformed(self):
         mesh = deform_mesh(build_cartesian_mesh((2, 2, 2)), 0.05)
@@ -162,7 +175,7 @@ class TestJacobians:
             nodes = quadratic_geometry_nodes(mesh, cell)
             for q in range(0, nq**3, max(1, nq**3 // 9)):
                 expected = oracle_jacobian(nodes, lattice[q])
-                np.testing.assert_allclose(np.linalg.inv(inv[cell, q]), expected,
+                np.testing.assert_allclose(np.linalg.inv(inv[:, :, q, cell]), expected,
                                            rtol=1e-12, atol=1e-13)
 
     def test_matches_finite_differences(self):
@@ -187,7 +200,7 @@ class TestJacobians:
                             for k in range(3) for j in range(3) for i in range(3)])
         nodes = quadratic_geometry_nodes(mesh, 13)
         dets = np.array([np.linalg.det(oracle_jacobian(nodes, p)) for p in lattice])
-        np.testing.assert_allclose(data.payload["jxw"][13], dets * weights, rtol=1e-12)
+        np.testing.assert_allclose(data.payload["jxw"][:, 13], dets * weights, rtol=1e-12)
 
     def test_on_the_fly_matches_precomputed(self):
         mesh = deform_mesh(build_cartesian_mesh((2, 2, 2)), 0.06)
@@ -196,9 +209,10 @@ class TestJacobians:
         data = precompute_geometry(mesh, GeometryVariant.QUADRATIC_COMPUTE, quad)
         jac, det = compute_jacobians_from_nodes(data.payload["nodes"], basis, len(quad))
         ref = precompute_geometry(mesh, GeometryVariant.INVERSE_JACOBIAN_LOAD, quad)
-        np.testing.assert_allclose(np.linalg.inv(jac), ref.payload["inverse_jacobian"],
+        np.testing.assert_allclose(np.linalg.inv(matrix_stack(jac)),
+                                   matrix_stack(ref.payload["inverse_jacobian"]),
                                    rtol=1e-12, atol=1e-14)
-        weights = data.payload["weights"]
+        weights = data.payload["weights"][:, None]
         np.testing.assert_allclose(det * weights, ref.payload["jxw"], rtol=1e-12)
 
 
@@ -228,10 +242,10 @@ class TestVariants:
         final = precompute_geometry(mesh, GeometryVariant.FINAL_TENSOR_LOAD, quad)
         inv = load.payload["inverse_jacobian"]
         jxw = load.payload["jxw"]
-        full = np.einsum("cqij,cqkj,cq->cqik", inv, inv, jxw)
+        full = np.einsum("ijqc,kjqc,qc->ikqc", inv, inv, jxw)
         sym = final.payload["final_tensor"]
         for a, (i, k) in enumerate([(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]):
-            np.testing.assert_allclose(sym[..., a], full[..., i, k], rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(sym[a], full[i, k], rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(final.payload["jxw"], jxw)
 
     def test_isoparametric_reproduces_quadratic_map(self):
@@ -239,7 +253,7 @@ class TestVariants:
         quad = gauss_quadrature(4)
         data = precompute_geometry(mesh, GeometryVariant.ISOPARAMETRIC_COMPUTE, quad)
         nodes = data.payload["nodes"]
-        assert nodes.shape == (8, 4**3, 3)
+        assert nodes.shape == (4**3, 3, 8)
         from mfcg.tensor import gauss_lobatto_quadrature
         support = gauss_lobatto_quadrature(4).points
         cell_nodes = quadratic_geometry_nodes(mesh, 2)
@@ -248,7 +262,7 @@ class TestVariants:
             for j in range(4):
                 for i in range(4):
                     ref = np.array([support[i], support[j], support[k]])
-                    np.testing.assert_allclose(nodes[2, q], oracle_map(cell_nodes, ref),
+                    np.testing.assert_allclose(nodes[q, :, 2], oracle_map(cell_nodes, ref),
                                                atol=1e-13)
                     q += 1
 
@@ -261,7 +275,8 @@ class TestVariants:
         basis = lagrange_basis(len(quad) - 1, quad)
         jac, det = compute_jacobians_from_nodes(iso.payload["nodes"], basis, len(quad))
         ref = precompute_geometry(mesh, GeometryVariant.INVERSE_JACOBIAN_LOAD, quad)
-        np.testing.assert_allclose(np.linalg.inv(jac), ref.payload["inverse_jacobian"],
+        np.testing.assert_allclose(np.linalg.inv(matrix_stack(jac)),
+                                   matrix_stack(ref.payload["inverse_jacobian"]),
                                    rtol=1e-10, atol=1e-12)
 
     def test_doubles_per_cell(self):
@@ -281,8 +296,9 @@ class TestVariants:
         quad = gauss_quadrature(3)
         full = precompute_geometry(mesh, GeometryVariant.FINAL_TENSOR_LOAD, quad)
         view = geometry_data(mesh, 5, GeometryVariant.FINAL_TENSOR_LOAD, quad)
-        np.testing.assert_array_equal(view["final_tensor"], full.payload["final_tensor"][5])
-        np.testing.assert_array_equal(view["jxw"], full.payload["jxw"][5])
+        np.testing.assert_array_equal(view["final_tensor"],
+                                      full.payload["final_tensor"][..., 5])
+        np.testing.assert_array_equal(view["jxw"], full.payload["jxw"][..., 5])
 
     def test_undeformed_volume(self):
         mesh = build_cartesian_mesh((3, 2, 2), extents=(1.0, 2.0, 1.5))

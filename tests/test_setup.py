@@ -26,6 +26,7 @@ from _oracles import (
     loop_morton_order,
     loop_range_schedule,
     loop_renumber_optimized,
+    matrix_stack,
     quadratic_geometry_nodes,
 )
 from mfcg.bench import assemble_problem, build_rhs
@@ -174,22 +175,23 @@ def test_geometry_matches_lapack(cells, nq):
     quad = gauss_quadrature(nq)
     inv, jxw, sym = lapack_geometry(mesh, quad)
     final = precompute_geometry(mesh, GeometryVariant.FINAL_TENSOR_LOAD, quad).payload
-    assert_close(final["jxw"], jxw)
-    assert_close(np.moveaxis(final["final_tensor"], -1, 0), sym)
+    assert_close(final["jxw"].T, jxw)
+    assert_close(final["final_tensor"].transpose(0, 2, 1), sym)
     loaded = precompute_geometry(mesh, GeometryVariant.INVERSE_JACOBIAN_LOAD, quad).payload
-    assert_close(loaded["inverse_jacobian"], inv)
-    assert_close(loaded["jxw"], jxw)
+    assert_close(matrix_stack(loaded["inverse_jacobian"]).transpose(1, 0, 2, 3), inv)
+    assert_close(loaded["jxw"].T, jxw)
 
 
 def test_adjugate_and_metric_tensor_on_random_matrices():
     rng = np.random.default_rng(3)
     jac = rng.standard_normal((50, 8, 3, 3)) + 3.0 * np.eye(3)
     det = np.linalg.det(jac)
-    assert_close(adjugate(jac), np.linalg.inv(jac) * det[..., None, None])
+    entries = np.moveaxis(jac, (-2, -1), (0, 1))
+    assert_close(matrix_stack(adjugate(entries)), np.linalg.inv(jac) * det[..., None, None])
     weights = rng.uniform(0.5, 1.0, 8)
     inv = np.linalg.inv(jac)
     want = np.einsum("...ak,...bk->...ab", inv, inv) * (det * weights)[..., None, None]
-    got = metric_tensor(jac, det, weights)
+    got = metric_tensor(entries, det, weights)
     for e, (a, b) in enumerate([(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]):
         assert_close(got[e], want[..., a, b], rel=1e-13)
 
@@ -206,6 +208,31 @@ def test_batch_geometry_matches_lapack(variant):
         assert_close(got_G, sym[:, cells].transpose(0, 2, 1)[SYMMETRIC_INDEX])
 
 
+@pytest.mark.parametrize("variant", list(GeometryVariant))
+def test_geometry_is_stored_cells_last(variant):
+    # one layout from set-up to kernel: per-point payload arrays end in
+    # (n_q^3, n_cells), node arrays are (n_nodes, 3, n_cells), and the
+    # kernel's G is a C-contiguous (3, 3, n_q^3, n_batch): a G with
+    # transposed strides once made the flux 3.5x slower
+    affine = variant == GeometryVariant.AFFINE
+    op, _ = build_fem((3, 2, 2), p=2, variant=variant, batch=5,
+                      deformed=0.0 if affine else 0.05)
+    n_cells, points = op.mesh.n_cells, len(op.quadrature) ** 3
+    arrays = [("nodes", op.mesh.quadratic_nodes)] + list(op.geometry.payload.items())
+    for key, value in arrays:
+        if key == "nodes":
+            assert value.shape[1:] == (3, n_cells)
+        elif key in ("inverse_jacobian", "final_tensor", "jxw") and not affine:
+            assert value.shape[-2:] == (points, n_cells)
+        else:
+            continue
+        assert value.flags.c_contiguous, key
+    for cells in op.plan.batches:
+        G, _ = op._batch_geometry(np.asarray(cells))
+        assert G.shape == (3, 3, points, 1 if affine else len(cells))
+        assert G.flags.c_contiguous
+
+
 @pytest.mark.parametrize("eq,comp", [("laplace", 1), ("mass", 3),
                                      ("mass_plus_laplace", 1)])
 @pytest.mark.parametrize("p", [1, 3, 5])
@@ -216,18 +243,18 @@ def test_diagonal_matches_lapack(eq, comp, p):
 
 def test_degenerate_jacobian_raises():
     mesh = build_cartesian_mesh((2, 1, 1))
-    nodes = np.stack([quadratic_geometry_nodes(mesh, c) for c in range(2)])
+    nodes = np.stack([quadratic_geometry_nodes(mesh, c) for c in range(2)], axis=-1)
     basis = lagrange_basis(2, gauss_quadrature(3))
     flat = nodes.copy()
-    flat[1, :, 2] = 0.0  # second cell collapsed to zero thickness
+    flat[:, 2, 1] = 0.0  # second cell collapsed to zero thickness
     with pytest.raises(ValueError, match="degenerate"):
         compute_jacobians_from_nodes(flat, basis, 3)
     mirrored = nodes.copy()
-    mirrored[0, :, 0] *= -1.0  # inverted orientation: det J < 0
+    mirrored[:, 0, 0] *= -1.0  # inverted orientation: det J < 0
     with pytest.raises(ValueError, match="degenerate"):
         compute_jacobians_from_nodes(mirrored, basis, 3)
     nan = nodes.copy()
-    nan[0, 4, 1] = np.nan
+    nan[4, 1, 0] = np.nan
     with pytest.raises(ValueError, match="degenerate"):
         compute_jacobians_from_nodes(nan, basis, 3)
     with pytest.raises(ValueError, match="non-positive Jacobian"):
@@ -238,10 +265,10 @@ def test_closed_form_determinant_matches_lapack():
     mesh = deform_mesh(build_cartesian_mesh((4, 4, 4)), 0.05)
     nodes = np.stack([quadratic_geometry_nodes(mesh, c) for c in range(mesh.n_cells)])
     basis = lagrange_basis(2, gauss_quadrature(5))
-    jac, det = compute_jacobians_from_nodes(nodes, basis, 5)
+    jac, det = compute_jacobians_from_nodes(nodes.transpose(1, 2, 0), basis, 5)
     want_jac, want_det = lapack_jacobians(nodes, basis, 5)
-    np.testing.assert_array_equal(jac, want_jac)
-    assert_close(det, want_det)
+    np.testing.assert_array_equal(matrix_stack(jac).transpose(1, 0, 2, 3), want_jac)
+    assert_close(det.T, want_det)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +310,7 @@ def test_single_cell_nodes_match_all_cell_lattice():
     mesh = deform_mesh(build_cartesian_mesh((3, 5, 2)), 0.05)
     every = mesh.quadratic_nodes
     for cell in (0, 7, mesh.n_cells - 1):
-        np.testing.assert_array_equal(quadratic_geometry_nodes(mesh, cell), every[cell])
+        np.testing.assert_array_equal(quadratic_geometry_nodes(mesh, cell), every[..., cell])
     with pytest.raises(IndexError):
         quadratic_geometry_nodes(mesh, mesh.n_cells)
 

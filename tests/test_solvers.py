@@ -305,6 +305,12 @@ class TestConfigAndPlumbing:
         with pytest.raises(ValueError):
             SolverConfig(s=0)
 
+    def test_nan_tolerance_rejected(self):
+        # a NaN tolerance can never be met: cg used to run every iteration
+        # and report converged=False
+        with pytest.raises(ValueError, match="tolerance must be positive, got nan"):
+            SolverConfig(tolerance=np.nan)
+
     @pytest.mark.parametrize("count", [0, -3])
     def test_fixed_iterations_below_one_rejected(self, count):
         # 0 used to fall through `fixed_iterations or max_iterations` and
