@@ -86,8 +86,9 @@ def build_rhs(op: MatrixFreeOperator) -> np.ndarray:
     are zeroed (g = 0)."""
     spec, mesh, handler = op.spec, op.mesh, op.handler
     nq = spec.n_q_1d
-    cells = np.arange(mesh.n_cells)
-    _, jxw = op._batch_geometry(cells, coefficients=False)
+    jxw = np.empty((nq ** 3, mesh.n_cells))
+    for b, cells in enumerate(op._batch_cells):
+        jxw[:, cells] = op._batch_geometry(b, coefficients=False)[1]
     coords = mesh.quadratic_nodes.transpose(2, 1, 0).reshape(-1, 3, 3, 3, 3)
     pts = evaluate_values(lagrange_basis(2, op.quadrature), coords)  # (cells, 3, nq, nq, nq)
     pts = pts.reshape(-1, 3, nq ** 3).transpose(0, 2, 1)
@@ -95,7 +96,7 @@ def build_rhs(op: MatrixFreeOperator) -> np.ndarray:
     local = integrate_values(op.basis, fw).reshape(mesh.n_cells, -1)
     # one scatter over all cells; bincount adds in cell order
     local = np.repeat(local, spec.components, axis=1)
-    idx = expand_batch(handler, cells)
+    idx = expand_batch(handler, np.arange(mesh.n_cells))
     b = np.bincount(idx.ravel(), weights=local.ravel(), minlength=handler.n_dofs)
     b[handler.constrained_dofs] = 0.0
     return b
@@ -127,10 +128,10 @@ def _problem_size(components: int, degree: int, cells) -> tuple:
 
 def estimate_problem_bytes(components: int, degree: int, cells, n_q_1d: int) -> int:
     """Coarse allocation estimate from the closed-form sizes: 16 solver
-    working vectors; per quadrature point the geometry the operator holds
-    (the 7 doubles of the final tensor and w det J, and the 9 entries of G
-    per batch, all with the cells last) and the set-up Jacobians (9); per
-    (cell, component, node) entry the three int64 batch maps."""
+    working vectors; per quadrature point the 7 payload and 9 per-batch G
+    doubles, alive together while the operator builds its per-batch store,
+    and the 9 set-up Jacobians; per (cell, component, node) entry the
+    three int64 batch maps."""
     n_dofs, n_cells = _problem_size(components, degree, cells)
     points = n_cells * n_q_1d ** 3
     entries = n_cells * components * (degree + 1) ** 3

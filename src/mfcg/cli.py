@@ -60,8 +60,10 @@ class Config:
             value = getattr(self, key)
             if value < 1:
                 raise ValueError(f"{key} must be at least 1, got {value}")
-        if self.cache_bytes < 0:
-            raise ValueError(f"cache_bytes must be non-negative, got {self.cache_bytes}")
+        for key in ("cache_bytes", "seed"):
+            value = getattr(self, key)
+            if value < 0:
+                raise ValueError(f"{key} must be non-negative, got {value}")
 
 
 _INT_KEYS = {"degree", "iterations", "repeats", "simd_lanes", "cache_bytes",
@@ -93,17 +95,6 @@ def parse_config(text: str, base: Config = None) -> Config:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         updates[key] = _coerce(key, value)
     return replace(cfg, **updates)
-
-
-def emit_config(cfg: Config) -> str:
-    """Canonical text form; parse_config(emit_config(c)) == c."""
-    lines = []
-    for f in fields(Config):
-        value = getattr(cfg, f.name)
-        if f.name == "cells":
-            value = ",".join(str(c) for c in value)
-        lines.append(f"{f.name}={value}")
-    return "\n".join(lines) + "\n"
 
 
 def _parse_cells(value: str) -> tuple:

@@ -5,8 +5,11 @@ diagonal preconditioner, and a sparse assembly oracle for testing.
 The cell kernel holds a batch lanes-last, (z, y, x, cells, components): the
 cells and components are the innermost axis, as SIMD lanes, so each
 sum-factorization sweep is a few GEMMs as wide as the batch (see
-mfcg.tensor).  Geometry the kernel loads is stored in that order; the
-scatter still sums cell by cell.
+mfcg.tensor).  The geometry is held once, per batch, in that order: G's
+nine entries and w det J for the final-tensor and affine variants (10
+doubles per point; the transfer model's `doubles_per_cell` counts the
+final tensor's 7), J^-1 and w det J, or the geometry nodes.  The scatter
+still sums cell by cell.
 
 Constrained (Dirichlet) unknowns are kept in the system as identity rows:
 each batch's gather zeroes its constrained entries, its DoF map sends them
@@ -17,7 +20,7 @@ symmetric and the vectors full length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -33,6 +36,8 @@ from .dofs import (
     expand_batch,
 )
 from .mesh import (
+    _SYMMETRIC_COLS,
+    _SYMMETRIC_ROWS,
     SYMMETRIC_INDEX,
     GeometryVariant,
     HexMesh,
@@ -136,7 +141,6 @@ class MatrixFreeOperator:
         else:
             self.quadrature = gauss_lobatto_quadrature(spec.n_q_1d)
         self.basis = lagrange_basis(spec.degree, self.quadrature)
-        self.geometry = precompute_geometry(mesh, spec.geometry, self.quadrature)
         self._geo_basis = None
         if spec.geometry == GeometryVariant.QUADRATIC_COMPUTE:
             self._geo_basis = lagrange_basis(2, self.quadrature)
@@ -146,20 +150,29 @@ class MatrixFreeOperator:
         self._nq = len(self.quadrature)
         self.n_dofs = handler.n_dofs
         self.components = spec.components
+        self._batch_cells = [np.asarray(cells) for cells in plan.batches]
+
+        # the geometry is held once, per batch, as the kernel streams it;
+        # the payload keeps only the quadrature weights, which no cell owns
+        geometry = precompute_geometry(mesh, spec.geometry, self.quadrature)
+        self._batch_store = [self._gather_geometry(geometry.payload, cells)
+                             for cells in self._batch_cells]
+        self.geometry = replace(geometry, payload={
+            key: value for key, value in geometry.payload.items() if key == "weights"})
+        del geometry  # held on, its per-cell arrays would set the memory peak
 
         mask = np.zeros(handler.n_dofs, dtype=bool)
         mask[handler.constrained_dofs] = True
         self._constrained = handler.constrained_dofs
 
-        # per batch: its cell ids, the sorted unconstrained DoFs its cells
-        # touch, and the map from each entry of the (cell, component, node)
-        # layout into them.  Constrained entries are keyed n_dofs, which
-        # sorts past every DoF, so they all map to one extra slot that is
-        # never added back.  The map stays cell-major, the order in which
-        # the scatter sums.  The gather takes src through a lane-order copy
-        # of the DoF indices in one pass, then zeroes the constrained lanes.
+        # per batch: the sorted unconstrained DoFs its cells touch, and the
+        # map from each entry of the (cell, component, node) layout into
+        # them.  Constrained entries are keyed n_dofs, which sorts past
+        # every DoF, so they all map to one extra slot that is never added
+        # back.  The map stays cell-major, the order in which the scatter
+        # sums.  The gather takes src through a lane-order copy of the DoF
+        # indices in one pass, then zeroes the constrained lanes.
         n1 = spec.degree + 1
-        self._batch_cells = [np.asarray(cells) for cells in plan.batches]
         self._batch_dofs = []
         self._batch_map = []
         self._batch_src = []
@@ -177,14 +190,6 @@ class MatrixFreeOperator:
             lanes = np.ascontiguousarray(idx.transpose(2, 3, 4, 0, 1))
             self._batch_src.append(lanes)
             self._batch_zero.append(np.flatnonzero(mask[lanes]))
-        # per batch, the kernel's (G, jxw) where they are data, not work:
-        # the final tensor gathered in batch and lane order, contiguous per
-        # entry as the cell loop streams it, and the affine variant's, which
-        # every cell shares
-        self._stored_geometry = None
-        if spec.geometry in (GeometryVariant.FINAL_TENSOR_LOAD, GeometryVariant.AFFINE):
-            self._stored_geometry = [self._batch_geometry(cells, jxw=spec.needs_values)
-                                     for cells in self._batch_cells]
         # per batch: the dst spans first written there, and the (pre, post) callback spans
         self._zero_spans = [_spans(ranges, self.n_dofs) for ranges in _group_by(
             self.schedule.first_touch_batch, plan.n_batches)]
@@ -209,47 +214,47 @@ class MatrixFreeOperator:
 
     # -- geometry per batch ----------------------------------------------------
 
-    def _batch_geometry(self, cells: np.ndarray, coefficients: bool = True,
-                        jxw: bool = True):
-        """(G or None, jxw or None) for the cells of one batch, in the
-        kernel's lane order (cells last).
+    def _gather_geometry(self, payload: dict, cells: np.ndarray) -> dict:
+        """One batch's share of the payload, cells last and C-contiguous:
+        the geometry nodes, or J^-1 or G (expanded to its nine entries, only
+        if the equation needs gradients) and w det J; the affine variant's
+        one G and w det J are formed here and copied to every cell."""
+        if self.spec.geometry == GeometryVariant.AFFINE:
+            jxw = (payload["det_j"] * payload["weights"])[:, None]
+            payload = {"final_tensor": symmetric_coefficients(payload["inverse_jacobian"], jxw),
+                       "jxw": jxw}
+            cells = np.zeros_like(cells)
+        store = {key: np.take(payload[key], cells, axis=-1)
+                 for key in ("nodes", "inverse_jacobian", "jxw") if key in payload}
+        if "final_tensor" in payload and self.spec.needs_gradients:
+            store["G"] = np.take(np.take(payload["final_tensor"], cells, axis=-1),
+                                 SYMMETRIC_INDEX, axis=0)
+        return store
 
-        G = J^-1 (w det J) J^-T is the symmetric 3x3 tensor with all nine
-        entries (G[i, k] is distinct entry SYMMETRIC_INDEX[i, k]), shaped
-        (3, 3, n_q^3, n_cells), or (3, 3, n_q^3, 1) for the affine variant,
-        whose cells all share it.  Its six distinct entries are loaded
-        (final-tensor variant), formed from loaded inverse Jacobians, or
-        computed on the fly from geometry node coordinates; only if the
-        equation needs gradients and `coefficients` asks for them.
-        jxw = w det J, (n_q^3, n_cells), only if `jxw` asks for it.
-        """
-        payload = self.geometry.payload
-        variant = self.spec.geometry
+    def _batch_geometry(self, b: int, coefficients: bool = True):
+        """(G, jxw) of batch b, cells last.  G = J^-1 (w det J) J^-T with
+        all nine entries, (3, 3, n_q^3, n_b), is None unless the equation
+        needs gradients, and coefficients=False skips forming it; jxw =
+        w det J, (n_q^3, n_b).  The final-tensor and affine variants read
+        both from the batch's store, the inverse-Jacobian variant forms G
+        from the stored J^-1, and the compute variants form both from the
+        stored geometry nodes."""
+        store = self._batch_store[b]
         coefficients = coefficients and self.spec.needs_gradients
-        sym = weights = None
-        if variant == GeometryVariant.FINAL_TENSOR_LOAD:
+        sym = None
+        if "inverse_jacobian" in store:
+            jxw = store["jxw"]
             if coefficients:
-                sym = np.take(payload["final_tensor"], cells, axis=-1)
-            if jxw:
-                weights = np.take(payload["jxw"], cells, axis=-1)
-        elif variant == GeometryVariant.AFFINE:
-            weights = (payload["det_j"] * payload["weights"])[:, None]
+                sym = symmetric_coefficients(store["inverse_jacobian"], jxw)
+        elif "nodes" in store:  # compute variants: differentiate the geometry interpolant
+            weights = self.geometry.payload["weights"][:, None]
+            jac, det = compute_jacobians_from_nodes(store["nodes"], self._geo_basis, self._nq)
             if coefficients:
-                sym = symmetric_coefficients(payload["inverse_jacobian"], weights)
-            weights = np.broadcast_to(weights, (len(weights), len(cells)))
-        elif variant == GeometryVariant.INVERSE_JACOBIAN_LOAD:
-            weights = np.take(payload["jxw"], cells, axis=-1)
-            if coefficients:
-                sym = symmetric_coefficients(
-                    np.take(payload["inverse_jacobian"], cells, axis=-1), weights)
-        else:  # compute variants: differentiate the stored geometry interpolant
-            jac, det = compute_jacobians_from_nodes(
-                np.take(payload["nodes"], cells, axis=-1), self._geo_basis, self._nq)
-            if coefficients:
-                sym = metric_tensor(jac, det, payload["weights"][:, None])
-            weights = det * payload["weights"][:, None]
-        G = None if sym is None else np.take(sym, SYMMETRIC_INDEX, axis=0)
-        return G, (weights if jxw else None)
+                sym = metric_tensor(jac, det, weights)
+            jxw = det * weights
+        else:  # final-tensor and affine variants: G is stored
+            return store.get("G"), store["jxw"]
+        return (None if sym is None else np.take(sym, SYMMETRIC_INDEX, axis=0)), jxw
 
     # -- cell kernel -------------------------------------------------------------
 
@@ -262,10 +267,7 @@ class MatrixFreeOperator:
         """
         spec = self.spec
         nq = self._nq
-        if self._stored_geometry is not None:
-            G, jxw = self._stored_geometry[b]
-        else:
-            G, jxw = self._batch_geometry(self._batch_cells[b], jxw=spec.needs_values)
+        G, jxw = self._batch_geometry(b)
         out = None
         if spec.needs_values:
             vals = evaluate_values_lanes(self.basis, u)
@@ -278,10 +280,7 @@ class MatrixFreeOperator:
             flux = np.einsum("ij...,j...->i...",
                              G.reshape(3, 3, nq, nq, nq, -1, 1), grads)
             lap = integrate_gradients_lanes(self.basis, flux)
-            if out is None:
-                out = lap
-            else:
-                out += spec.scaling * lap
+            out = lap if out is None else out + spec.scaling * lap
         return out
 
     # -- application ------------------------------------------------------------
@@ -374,42 +373,53 @@ class MatrixFreeOperator:
         """Inverse diagonal of the scalar operator, assembled with (p+1)-point
         collocation (Gauss-Lobatto nodes = quadrature points), replicated per
         component on application.  Constrained entries are 1."""
-        p = self.spec.degree
-        n1 = p + 1
-        rule = gauss_lobatto_quadrature(n1)
-        basis = lagrange_basis(p, rule)
+        n1 = self.spec.degree + 1
+        basis = lagrange_basis(n1 - 1, gauss_lobatto_quadrature(n1))
+        n_cells = self.handler.n_cells
         if (self.spec.geometry == GeometryVariant.FINAL_TENSOR_LOAD
                 and self.spec.quadrature_kind == "gauss_lobatto"):
-            geo = self.geometry  # already the final tensor at these points
+            # the operator's own final tensor is at these points: batch by
+            # batch, each cell's nodal values written in cell order
+            diag_loc = np.empty((n1, n1, n1, n_cells))
+            for b, cells in enumerate(self._batch_cells):
+                G, jxw = self._batch_geometry(b)
+                sym = None if G is None else [
+                    G[i, k] for i, k in zip(_SYMMETRIC_ROWS, _SYMMETRIC_COLS)]
+                diag_loc[..., cells] = self._local_diagonal(basis, sym, jxw)
         else:
-            geo = precompute_geometry(self.mesh, GeometryVariant.FINAL_TENSOR_LOAD, rule)
-        n_cells = self.handler.n_cells
-        diag_loc = np.zeros((n1, n1, n1, n_cells))
+            geo = precompute_geometry(self.mesh, GeometryVariant.FINAL_TENSOR_LOAD,
+                                      basis.quadrature).payload
+            diag_loc = self._local_diagonal(basis, geo["final_tensor"], geo["jxw"])
+        # summed cell-major, so that every node adds its cells in cell order
+        scalar_idx = _expand_scalar(self.handler, np.arange(n_cells))
+        diag = np.bincount(scalar_idx.ravel(), weights=diag_loc.transpose(3, 0, 1, 2).ravel(),
+                           minlength=self.handler.n_nodes)
+        diag[np.unique(self._constrained // self.spec.components)] = 1.0
+        if np.any(~np.isfinite(diag)) or np.any(diag <= 0.0):
+            raise ValueError("operator diagonal is not positive definite")
+        return DiagonalPreconditioner(1.0 / diag)
+
+    def _local_diagonal(self, basis, sym, jxw) -> np.ndarray:
+        """The diagonal on each cell, (p+1, p+1, p+1, n_cells), from the six
+        entries of the final tensor, each ((p+1)^3, n_cells), and w det J at
+        the Gauss-Lobatto nodes of `basis`."""
+        n1 = basis.degree + 1
+        shape = (n1, n1, n1, jxw.shape[-1])
+        diag = np.zeros(shape)
         if self.spec.needs_values:
-            diag_loc += geo.payload["jxw"].reshape(n1, n1, n1, n_cells)
+            diag += jxw.reshape(shape)
         if self.spec.needs_gradients:
-            xx, yy, zz, xy, xz, yz = geo.payload["final_tensor"].reshape(6, n1, n1, n1, n_cells)
+            xx, yy, zz, xy, xz, yz = (entry.reshape(shape) for entry in sym)
             D2 = basis.shape_gradients ** 2
             lap = np.einsum("qi,kjqc->kjic", D2, xx)
             lap += np.einsum("qj,kqic->kjic", D2, yy)
             lap += np.einsum("qk,qjic->kjic", D2, zz)
             dd = np.diag(basis.shape_gradients)
-            dx = dd[None, None, :, None]
-            dy = dd[None, :, None, None]
-            dz = dd[:, None, None, None]
+            dx, dy, dz = dd[None, None, :, None], dd[None, :, None, None], dd[:, None, None, None]
             lap += 2.0 * (dx * dy * xy + dx * dz * xz + dy * dz * yz)
             scale = self.spec.scaling if self.spec.equation == "mass_plus_laplace" else 1.0
-            diag_loc += scale * lap
-        # summed cell-major, so that every node adds its cells in cell order
-        scalar_idx = _expand_scalar(self.handler, np.arange(n_cells))
-        diag = np.bincount(scalar_idx.ravel(), weights=diag_loc.transpose(3, 0, 1, 2).ravel(),
-                           minlength=self.handler.n_nodes)
-        constrained_nodes = np.unique(self._constrained // self.spec.components) \
-            if len(self._constrained) else np.empty(0, dtype=np.int64)
-        diag[constrained_nodes] = 1.0
-        if np.any(~np.isfinite(diag)) or np.any(diag <= 0.0):
-            raise ValueError("operator diagonal is not positive definite")
-        return DiagonalPreconditioner(1.0 / diag)
+            diag += scale * lap
+        return diag
 
     # -- assembly oracles --------------------------------------------------------
 
@@ -421,27 +431,23 @@ class MatrixFreeOperator:
         import scipy.sparse
 
         spec = self.spec
-        nq = len(self.quadrature)
         S1 = self.basis.shape_values
         D1 = self.basis.shape_gradients
         S3 = np.kron(np.kron(S1, S1), S1)
-        tables = {0: np.kron(np.kron(S1, S1), D1),
-                  1: np.kron(np.kron(S1, D1), S1),
-                  2: np.kron(np.kron(D1, S1), S1)}
+        grad = np.stack([np.kron(np.kron(S1, S1), D1), np.kron(np.kron(S1, D1), S1),
+                         np.kron(np.kron(D1, S1), S1)])  # (3, nq^3, npc)
         n_cells = self.handler.n_cells
-        cells = np.arange(n_cells)
-        G, jxw = self._batch_geometry(cells)
         npc = (spec.degree + 1) ** 3
+        scale = spec.scaling if spec.equation == "mass_plus_laplace" else 1.0
         local = np.zeros((n_cells, npc, npc))
-        if spec.needs_values:
-            local += np.einsum("qi,cq,qj->cij", S3, jxw.T, S3, optimize=True)
-        if spec.needs_gradients:
-            grad = np.stack([tables[0], tables[1], tables[2]])  # (3, nq^3, npc)
-            Gc = np.broadcast_to(G.transpose(3, 2, 0, 1), (n_cells, nq**3, 3, 3))
-            scale = spec.scaling if spec.equation == "mass_plus_laplace" else 1.0
-            local += scale * np.einsum("dqi,cqde,eqj->cij", grad, Gc, grad,
-                                       optimize=True)
-        scalar_idx = _expand_scalar(self.handler, cells)
+        for b, cells in enumerate(self._batch_cells):
+            G, jxw = self._batch_geometry(b)
+            if spec.needs_values:
+                local[cells] += np.einsum("qi,qc,qj->cij", S3, jxw, S3, optimize=True)
+            if spec.needs_gradients:
+                local[cells] += scale * np.einsum("dqi,deqc,eqj->cij", grad, G, grad,
+                                                  optimize=True)
+        scalar_idx = _expand_scalar(self.handler, np.arange(n_cells))
         rows = np.repeat(scalar_idx, npc, axis=1).ravel()
         cols = np.tile(scalar_idx, (1, npc)).ravel()
         n_nodes = self.handler.n_nodes

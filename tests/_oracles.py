@@ -367,8 +367,9 @@ def plumbed_integrate_gradients(basis, quad_data, even_odd=False):
 
 
 def plumbed_batch_geometry(op, cells):
-    """(six entries or None, jxw) of a batch, derived from the payload."""
-    payload = op.geometry.payload
+    """(six entries or None, jxw) of a batch, derived from the variant's
+    own geometry data for all cells."""
+    payload = precompute_geometry(op.mesh, op.spec.geometry, op.quadrature).payload
     variant = op.spec.geometry
     if variant == GeometryVariant.FINAL_TENSOR_LOAD:
         sym = None
@@ -456,10 +457,7 @@ def flux_batch_kernel(op, b, u):
     entries of the operator's G in place of its einsum."""
     spec = op.spec
     nq = op._nq
-    if op._stored_geometry is not None:
-        G, jxw = op._stored_geometry[b]
-    else:
-        G, jxw = op._batch_geometry(op._batch_cells[b], jxw=spec.needs_values)
+    G, jxw = op._batch_geometry(b)
     out = None
     if spec.needs_values:
         vals = evaluate_values_lanes(op.basis, u)

@@ -1,12 +1,13 @@
 """Command-line harness: config handling, subcommands, CSV contracts."""
 
 import csv
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import mfcg.cli
-from mfcg.cli import Config, emit_config, main, parse_config
+from mfcg.cli import Config, main, parse_config
 
 
 def run_cli(args, capsys):
@@ -22,17 +23,31 @@ def read_csv(path):
 
 
 class TestConfig:
+    # every key of Config, in its text form, as a config file holds it
+    DEFAULT_TEXT = ("bp=BP5\ndegree=3\ncells=4,4,4\ngeometry=final_tensor_load\n"
+                    "variant=cg\niterations=100\nrepeats=8\nnumbering=default\n"
+                    "traversal=morton\nsimd_lanes=8\ncache_bytes=262144\nseed=0\n"
+                    "out=\n")
+    CUSTOM = Config(bp="BP2", degree=5, cells=(2, 4, 8), variant="all",
+                    iterations=7, repeats=3, numbering="optimized",
+                    traversal="lexicographic", simd_lanes=4,
+                    cache_bytes=1 << 20, seed=42, out="/tmp/x.csv",
+                    geometry="affine")
+    CUSTOM_TEXT = ("bp=BP2\ndegree=5\ncells=2,4,8\ngeometry=affine\nvariant=all\n"
+                   "iterations=7\nrepeats=3\nnumbering=optimized\n"
+                   "traversal=lexicographic\nsimd_lanes=4\ncache_bytes=1048576\n"
+                   "seed=42\nout=/tmp/x.csv\n")
+
     def test_round_trip_default(self):
-        cfg = Config()
-        assert parse_config(emit_config(cfg)) == cfg
+        # parsed on top of a config that differs from the default in every
+        # key, so that every key of the text must be read
+        default = Config()
+        assert all(getattr(self.CUSTOM, f.name) != getattr(default, f.name)
+                   for f in fields(Config))
+        assert parse_config(self.DEFAULT_TEXT, self.CUSTOM) == default
 
     def test_round_trip_custom(self):
-        cfg = Config(bp="BP2", degree=5, cells=(2, 4, 8), variant="all",
-                     iterations=7, repeats=3, numbering="optimized",
-                     traversal="lexicographic", simd_lanes=4,
-                     cache_bytes=1 << 20, seed=42, out="/tmp/x.csv",
-                     geometry="affine")
-        assert parse_config(emit_config(cfg)) == cfg
+        assert parse_config(self.CUSTOM_TEXT) == self.CUSTOM
 
     def test_comments_and_blanks(self):
         cfg = parse_config("# comment\n\ndegree=4  # trailing\n")
@@ -144,6 +159,12 @@ class TestUsageErrors:
                                 "--variant", "cg", "--cache-bytes", "-5"], capsys)
         assert code == 2
         assert "cache_bytes must be non-negative, got -5" in err
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        # used to fail the oracle suite inside the random generator
+        code, _, err = run_cli(["verify", "--seed", "-1"], capsys)
+        assert code == 2
+        assert "seed must be non-negative, got -1" in err
 
     @pytest.mark.parametrize("command", ["bench", "cachesweep"])
     def test_affine_geometry_runs(self, command, capsys):

@@ -1,5 +1,6 @@
-"""Source hygiene of the mfcg package: every exported name exists and is
-used, and no module imports a name it never uses."""
+"""Source hygiene of the mfcg package: every exported name exists, every
+exported name and public function and method is used, and no module
+imports a name it never uses."""
 
 import ast
 import importlib
@@ -12,10 +13,12 @@ import mfcg
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(mfcg.__path__))
 SOURCES = sorted(Path(mfcg.__file__).parent.glob("*.py"))
-# the benchmark harness, the one client of the package outside it; its
-# tests, like the package's, do not keep a name alive
-PERFBENCH = sorted(p for p in (Path(__file__).parents[1] / "perfbench").glob("*.py")
-                   if not p.name.startswith("test_"))
+# the clients of the package outside it: the benchmark harness, and the
+# acceptance criteria, which are the behaviour contract; the other tests,
+# the harness's included, do not keep a name alive
+CLIENTS = sorted(p for p in (Path(__file__).parents[1] / "perfbench").glob("*.py")
+                 if not p.name.startswith("test_")) + [
+    Path(__file__).parent / "test_acceptance.py"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -62,8 +65,20 @@ def test_unused_import_check_sees_a_dead_name():
     assert _unused_imports(tree) == [(2, "os"), (3, "tau")]
 
 
-def _unreferenced_exports(modules: dict, others=()) -> list:
-    """(module, name) of each `__all__` name of the parsed `modules` (name ->
+def _public_names(tree: ast.Module) -> list:
+    """The `__all__` names of a parsed module, its public top-level
+    functions and the public methods of its top-level classes."""
+    names = set(_exports(tree))
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        names.update(m.name for m in members
+                     if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     and not m.name.startswith("_"))
+    return sorted(names)
+
+
+def _unreferenced_names(modules: dict, others=()) -> list:
+    """(module, name) of each public name of the parsed `modules` (name ->
     tree) that no expression in them or in `others` loads, by name or as an
     attribute: its definition, imports and `__all__` do not count."""
     loaded = set()
@@ -74,15 +89,16 @@ def _unreferenced_exports(modules: dict, others=()) -> list:
             elif isinstance(node, ast.Attribute):
                 loaded.add(node.attr)
     return sorted((module, name) for module, tree in modules.items()
-                  for name in _exports(tree) if name not in loaded)
+                  for name in _public_names(tree) if name not in loaded)
 
 
 def test_every_export_is_used():
-    assert PERFBENCH, "perfbench sources not found"
+    assert all(path.exists() for path in CLIENTS) and len(CLIENTS) > 1, CLIENTS
     modules = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
-    others = [ast.parse(path.read_text()) for path in PERFBENCH]
-    unused = _unreferenced_exports(modules, others)
-    assert not unused, f"__all__ names nothing in src/mfcg or perfbench uses: {unused}"
+    others = [ast.parse(path.read_text()) for path in CLIENTS]
+    unused = _unreferenced_names(modules, others)
+    assert not unused, ("public names nothing in src/mfcg, perfbench or the "
+                        f"acceptance tests uses: {unused}")
 
 
 def test_export_check_sees_a_dead_name():
@@ -90,4 +106,20 @@ def test_export_check_sees_a_dead_name():
                        "def used(): pass\ndef dead(): pass\n"
                        "def local(): pass\nattr = local()\n")
     client = ast.parse("from m import dead, used\nimport m\nused()\nm.attr\n")
-    assert _unreferenced_exports({"m": module}, [client]) == [("m", "dead")]
+    assert _unreferenced_names({"m": module}, [client]) == [("m", "dead")]
+
+
+def test_export_check_sees_a_dead_function_and_method():
+    # public functions and methods count without an `__all__`; private
+    # ones, dunders and nested functions do not
+    module = ast.parse("def helper(): pass\ndef orphan(): pass\n"
+                       "def _private(): pass\n"
+                       "class Box:\n"
+                       "    def __init__(self): pass\n"
+                       "    def size(self): pass\n"
+                       "    def stale(self):\n"
+                       "        def inner(): pass\n"
+                       "        return inner\n")
+    client = ast.parse("from m import Box, helper\nhelper()\nBox().size()\n")
+    assert _unreferenced_names({"m": module}, [client]) == [("m", "orphan"),
+                                                            ("m", "stale")]

@@ -202,8 +202,8 @@ def test_adjugate_and_metric_tensor_on_random_matrices():
 def test_batch_geometry_matches_lapack(variant):
     op, _ = build_fem((3, 2, 2), p=3, variant=variant, batch=5)
     _, jxw, sym = lapack_geometry(op.mesh, op.quadrature)
-    for cells in op.plan.batches:
-        got_G, got_jxw = op._batch_geometry(np.asarray(cells))
+    for b, cells in enumerate(op.plan.batches):
+        got_G, got_jxw = op._batch_geometry(b)
         assert_close(got_jxw, jxw[cells].T)
         assert_close(got_G, sym[:, cells].transpose(0, 2, 1)[SYMMETRIC_INDEX])
 
@@ -218,7 +218,8 @@ def test_geometry_is_stored_cells_last(variant):
     op, _ = build_fem((3, 2, 2), p=2, variant=variant, batch=5,
                       deformed=0.0 if affine else 0.05)
     n_cells, points = op.mesh.n_cells, len(op.quadrature) ** 3
-    arrays = [("nodes", op.mesh.quadratic_nodes)] + list(op.geometry.payload.items())
+    payload = precompute_geometry(op.mesh, variant, op.quadrature).payload
+    arrays = [("nodes", op.mesh.quadratic_nodes)] + list(payload.items())
     for key, value in arrays:
         if key == "nodes":
             assert value.shape[1:] == (3, n_cells)
@@ -227,10 +228,47 @@ def test_geometry_is_stored_cells_last(variant):
         else:
             continue
         assert value.flags.c_contiguous, key
-    for cells in op.plan.batches:
-        G, _ = op._batch_geometry(np.asarray(cells))
-        assert G.shape == (3, 3, points, 1 if affine else len(cells))
+    for b, cells in enumerate(op.plan.batches):
+        G, _ = op._batch_geometry(b)
+        assert G.shape == (3, 3, points, len(cells))
         assert G.flags.c_contiguous
+
+
+@pytest.mark.parametrize("variant", list(GeometryVariant))
+def test_geometry_is_held_once_per_batch(monkeypatch, variant):
+    # the operator holds its geometry once, per batch: every array
+    # C-contiguous with the batch's cells on its last axis, and no per-cell
+    # array left in the payload; the kernel reads G and jxw from one
+    # _batch_geometry(b) call per batch, as stored for the final-tensor and
+    # affine variants
+    affine = variant == GeometryVariant.AFFINE
+    op, handler = build_fem((3, 2, 2), p=2, variant=variant, batch=5,
+                            deformed=0.0 if affine else 0.05)
+    points = len(op.quadrature) ** 3
+    assert points != op.mesh.n_cells
+    for b, cells in enumerate(op.plan.batches):
+        store = op._batch_store[b]
+        assert store
+        for key, value in store.items():
+            assert value.flags.c_contiguous, key
+            assert value.shape[-1] == len(cells), key
+        G, jxw = op._batch_geometry(b)
+        assert G.shape == (3, 3, points, len(cells))
+        assert jxw.shape == (points, len(cells))
+        if variant in (GeometryVariant.FINAL_TENSOR_LOAD, GeometryVariant.AFFINE):
+            assert G is store["G"] and jxw is store["jxw"]
+    for key, value in op.geometry.payload.items():
+        assert op.mesh.n_cells not in np.shape(value), key
+    calls = []
+    original = op._batch_geometry
+
+    def counting(b, *args, **kwargs):
+        calls.append(b)
+        return original(b, *args, **kwargs)
+
+    monkeypatch.setattr(op, "_batch_geometry", counting)
+    op.apply(np.ones(handler.n_dofs))
+    assert calls == list(range(op.plan.n_batches))
 
 
 @pytest.mark.parametrize("eq,comp", [("laplace", 1), ("mass", 3),
