@@ -25,7 +25,7 @@ from .locality import predict_transfer
 from .mesh import GeometryVariant, build_cartesian_mesh, deform_mesh, validate_cells
 from .operator import MatrixFreeOperator, OperatorSpec
 from .solvers import SolverConfig, solve
-from .tensor import evaluate_values, integrate_values, lagrange_basis
+from .tensor import evaluate_values_lanes, integrate_values_lanes, lagrange_basis
 
 
 @dataclass(frozen=True)
@@ -86,14 +86,18 @@ def build_rhs(op: MatrixFreeOperator) -> np.ndarray:
     are zeroed (g = 0)."""
     spec, mesh, handler = op.spec, op.mesh, op.handler
     nq = spec.n_q_1d
-    jxw = np.empty((nq ** 3, mesh.n_cells))
+    geo_basis = lagrange_basis(2, op.quadrature)
+    # batch by batch, lanes-last: the points from the batch's geometry
+    # nodes, w det J from the operator's store, each cell's row written in
+    # cell order
+    local = np.empty((mesh.n_cells, (spec.degree + 1) ** 3))
     for b, cells in enumerate(op._batch_cells):
-        jxw[:, cells] = op._batch_geometry(b, coefficients=False)[1]
-    coords = mesh.quadratic_nodes.transpose(2, 1, 0).reshape(-1, 3, 3, 3, 3)
-    pts = evaluate_values(lagrange_basis(2, op.quadrature), coords)  # (cells, 3, nq, nq, nq)
-    pts = pts.reshape(-1, 3, nq ** 3).transpose(0, 2, 1)
-    fw = (manufactured_forcing(pts, spec.equation) * jxw.T).reshape(-1, nq, nq, nq)
-    local = integrate_values(op.basis, fw).reshape(mesh.n_cells, -1)
+        nodes = np.take(mesh.quadratic_nodes, cells, axis=-1).reshape(3, 3, 3, 3, -1)
+        pts = evaluate_values_lanes(geo_basis, nodes)  # (nq, nq, nq, 3, n_b)
+        jxw = op._batch_geometry(b, coefficients=False)[1]
+        fw = manufactured_forcing(np.moveaxis(pts, 3, -1), spec.equation)
+        fw *= jxw.reshape(nq, nq, nq, -1)
+        local[cells] = integrate_values_lanes(op.basis, fw).reshape(-1, len(cells)).T
     # one scatter over all cells; bincount adds in cell order
     local = np.repeat(local, spec.components, axis=1)
     idx = expand_batch(handler, np.arange(mesh.n_cells))
@@ -127,29 +131,41 @@ def _problem_size(components: int, degree: int, cells) -> tuple:
 
 
 def estimate_problem_bytes(components: int, degree: int, cells, n_q_1d: int) -> int:
-    """Coarse allocation estimate from the closed-form sizes: 16 solver
-    working vectors; per quadrature point the 7 payload and 9 per-batch G
-    doubles, alive together while the operator builds its per-batch store,
-    and the 9 set-up Jacobians; per (cell, component, node) entry the
-    three int64 batch maps."""
+    """Coarse allocation estimate from the closed-form sizes: what a problem
+    holds, that is 16 solver working vectors, the per-batch geometry store
+    (G's nine entries and w det J per quadrature point) and the three int64
+    batch maps per (cell, component, node) entry, plus the transient of one
+    batch's geometry set-up, about 22 doubles per point of a batch of the
+    default width."""
     n_dofs, n_cells = _problem_size(components, degree, cells)
-    points = n_cells * n_q_1d ** 3
+    points = n_q_1d ** 3
     entries = n_cells * components * (degree + 1) ** 3
-    return 8 * (16 * n_dofs + (7 + 9 + 9) * points + 3 * entries)
+    batch = min(n_cells, batch_size(degree, components, 8))
+    return 8 * (16 * n_dofs + 10 * n_cells * points + 3 * entries + 22 * batch * points)
 
 
-def discretize(components: int, degree: int, cells, *, deform: float,
-               numbering: str, traversal: str, simd_lanes: int):
+def discretize(problem: BenchmarkProblem, degree: int, cells, *, deform: float,
+               numbering: str, traversal: str, simd_lanes: int,
+               memory_limit_bytes: int = 2 ** 32):
     """The (deformed) mesh, its boundary-constrained DoF numbering and batch
-    plan for one configuration: (mesh, handler, plan)."""
+    plan for one configuration: (mesh, handler, plan).  Raises MemoryError,
+    before allocating anything per cell, when the coarse size estimate of
+    the problem exceeds `memory_limit_bytes`."""
     if numbering not in ("default", "optimized"):
         raise ValueError(f"unknown numbering {numbering!r}")
+    cells = validate_cells(cells)
+    estimate = estimate_problem_bytes(problem.components, degree, cells,
+                                      problem.n_quadrature(degree))
+    if estimate > memory_limit_bytes:
+        raise MemoryError(
+            f"size-too-large: {problem.bp_id} p={degree} cells={cells} needs "
+            f"~{estimate / 2**20:.0f} MiB > limit {memory_limit_bytes / 2**20:.0f} MiB")
     mesh = build_cartesian_mesh(cells)
     if deform:
         mesh = deform_mesh(mesh, deform)
-    handler = distribute_dofs(mesh, degree, components=components,
+    handler = distribute_dofs(mesh, degree, components=problem.components,
                               constrain_boundary=True)
-    plan = make_batches(mesh, batch_size(degree, components, simd_lanes), traversal)
+    plan = make_batches(mesh, batch_size(degree, problem.components, simd_lanes), traversal)
     if numbering == "optimized":
         handler = renumber_optimized(handler, plan)
     return mesh, handler, plan
@@ -174,16 +190,12 @@ def assemble_problem(bp_id: str, degree: int, cells, *,
                          f"expected one of {sorted(BENCHMARK_PROBLEMS)}")
     cells = validate_cells(cells)
     spec = problem.operator_spec(degree, geometry)
-    estimate = estimate_problem_bytes(problem.components, degree, cells, spec.n_q_1d)
-    if estimate > memory_limit_bytes:
-        raise MemoryError(
-            f"size-too-large: {bp_id} p={degree} cells={cells} needs "
-            f"~{estimate / 2**20:.0f} MiB > limit {memory_limit_bytes / 2**20:.0f} MiB")
     if deform is None:
         deform = 0.0 if geometry == GeometryVariant.AFFINE else 0.05
     mesh, handler, plan = discretize(
-        problem.components, degree, cells, deform=deform, numbering=numbering,
-        traversal=traversal, simd_lanes=simd_lanes)
+        problem, degree, cells, deform=deform, numbering=numbering,
+        traversal=traversal, simd_lanes=simd_lanes,
+        memory_limit_bytes=memory_limit_bytes)
     op = MatrixFreeOperator(spec, mesh, handler, plan)
     return op, build_rhs(op), op.compute_diagonal()
 

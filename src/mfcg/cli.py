@@ -56,7 +56,7 @@ class Config:
     out: str = ""
 
     def __post_init__(self):
-        for key in ("iterations", "repeats"):
+        for key in ("degree", "iterations", "repeats", "simd_lanes"):
             value = getattr(self, key)
             if value < 1:
                 raise ValueError(f"{key} must be at least 1, got {value}")
@@ -188,7 +188,7 @@ def cmd_bench(cfg: Config) -> int:
 
 def _locality_setup(cfg: Config, numbering: str):
     _, handler, plan = discretize(
-        BENCHMARK_PROBLEMS[cfg.bp].components, cfg.degree, cfg.cells, deform=0.05,
+        BENCHMARK_PROBLEMS[cfg.bp], cfg.degree, cfg.cells, deform=0.05,
         numbering=numbering, traversal=cfg.traversal, simd_lanes=cfg.simd_lanes)
     return handler, plan
 

@@ -63,22 +63,12 @@ class HexMesh:
         nx, ny, nz = self.cells_per_dim
         return nx * ny * nz
 
-    def map_points(self, points: np.ndarray) -> np.ndarray:
-        """Apply the deformation map to undeformed coordinates (...,3)."""
-        points = np.asarray(points, dtype=float)
-        if self.deformation == 0.0:
-            return points.copy()
-        scaled = np.pi * points / np.asarray(self.extents)
-        bump = np.prod(np.sin(scaled), axis=-1, keepdims=True)
-        return points + self.deformation * bump
-
     @cached_property
     def quadratic_nodes(self) -> np.ndarray:
         """(27, 3, n_cells) tri-quadratic nodes of every cell, cells last,
         built once per mesh and shared read-only by the geometry and the
         right-hand side."""
-        points = self.map_points(_cell_lattice(self, _QUADRATIC_ORDER))
-        nodes = np.ascontiguousarray(points.transpose(1, 2, 0))
+        nodes = _quadratic_lattice(self)
         nodes.flags.writeable = False
         return nodes
 
@@ -119,30 +109,40 @@ def deform_mesh(mesh: HexMesh, amplitude: float) -> HexMesh:
     return new
 
 
-def _lattice_coords(cells_per_dim, cells=None) -> tuple:
-    """(cx, cy, cz) lattice coordinates of lexicographic cell indices, of
-    every cell when `cells` is None."""
+def _lattice_coords(cells_per_dim) -> tuple:
+    """(cx, cy, cz) lattice coordinates of every cell, in lexicographic
+    cell order."""
     nx, ny, nz = cells_per_dim
-    if cells is None:
-        cells = np.arange(nx * ny * nz, dtype=np.int64)
-    cells = np.asarray(cells, dtype=np.int64)
+    cells = np.arange(nx * ny * nz, dtype=np.int64)
     return cells % nx, (cells // nx) % ny, cells // (nx * ny)
 
 
-def _cell_lattice(mesh: HexMesh, order: np.ndarray, cells=None):
-    """Undeformed physical coordinates of per-cell tensor lattices.
-
-    `order` holds the 1D reference positions in [0,1]; returns an array of
-    shape (len(cells), len(order)^3, 3) in lexicographic x-fastest point
-    order, for every cell when `cells` is None.
-    """
-    hx, hy, hz = (mesh.extents[d] / mesh.cells_per_dim[d] for d in range(3))
-    cx, cy, cz = _lattice_coords(mesh.cells_per_dim, cells)
-    origin = np.stack([cx * hx, cy * hy, cz * hz], axis=1)
-    t = np.asarray(order, dtype=float)
-    TZ, TY, TX = np.meshgrid(t, t, t, indexing="ij")
-    local = np.stack([TX.ravel() * hx, TY.ravel() * hy, TZ.ravel() * hz], axis=1)
-    return origin[:, None, :] + local[None, :, :]
+def _quadratic_lattice(mesh: HexMesh) -> np.ndarray:
+    """The (27, 3, n_cells) tri-quadratic nodes of every cell: the
+    {0, 1/2, 1}^3 lattice of each cell, x fastest, pushed through the
+    deformation x -> x + a prod_d sin(pi x_d / extent_d).  The map is
+    separable, so each direction's coordinates and sines are computed once
+    per line of cells (3 n_d of each) and broadcast over the lattice."""
+    n = mesh.cells_per_dim
+    coords, sines = [], []
+    for d in range(3):
+        # (t, c_d) of lattice position t in cell c_d, as a view on the
+        # (t_z, t_y, t_x, c_z, c_y, c_x) axes of the lattice
+        h = mesh.extents[d] / n[d]
+        x = (np.arange(n[d]) * h)[:, None] + (_QUADRATIC_ORDER * h)[None, :]
+        shape = [1] * 6
+        shape[2 - d], shape[5 - d] = 3, n[d]
+        coords.append(x.T.reshape(shape))
+        sines.append(np.sin(np.pi * x / mesh.extents[d]).T.reshape(shape))
+    nodes = np.empty((3, 3, 3, 3) + n[::-1])
+    if mesh.deformation == 0.0:
+        for d in range(3):
+            nodes[:, :, :, d] = coords[d]
+    else:
+        bump = mesh.deformation * (sines[0] * sines[1] * sines[2])
+        for d in range(3):
+            nodes[:, :, :, d] = coords[d] + bump
+    return nodes.reshape(27, 3, mesh.n_cells)
 
 
 _QUADRATIC_ORDER = np.array([0.0, 0.5, 1.0])
@@ -153,18 +153,22 @@ _QUADRATIC_ORDER = np.array([0.0, 0.5, 1.0])
 # arrays of quadrature points instead of looping over LAPACK calls.
 
 
-def _cofactor(jac: np.ndarray, i: int, k: int) -> np.ndarray:
-    """Signed cofactor of entry (i, k) of (3, 3, ...) matrices."""
+def _cofactor(jac: np.ndarray, i: int, k: int, out: np.ndarray = None) -> np.ndarray:
+    """Signed cofactor of entry (i, k) of (3, 3, ...) matrices, written
+    into `out` if given."""
     i1, i2, k1, k2 = (i + 1) % 3, (i + 2) % 3, (k + 1) % 3, (k + 2) % 3
-    return jac[i1, k1] * jac[i2, k2] - jac[i1, k2] * jac[i2, k1]
+    out = np.multiply(jac[i1, k1], jac[i2, k2], out=out)
+    out -= jac[i1, k2] * jac[i2, k1]
+    return out
 
 
-def _checked_determinant(jac: np.ndarray) -> np.ndarray:
-    """det J by cofactor expansion along the first row; raises ValueError
-    unless every determinant is positive."""
-    det = jac[0, 0] * _cofactor(jac, 0, 0)
-    det += jac[0, 1] * _cofactor(jac, 0, 1)
-    det += jac[0, 2] * _cofactor(jac, 0, 2)
+def _checked_determinant(jac: np.ndarray, cofactors) -> np.ndarray:
+    """det J by cofactor expansion along the first row, given the cofactors
+    of that row (the first column of adj J); raises ValueError unless every
+    determinant is positive."""
+    det = jac[0, 0] * cofactors[0]
+    det += jac[0, 1] * cofactors[1]
+    det += jac[0, 2] * cofactors[2]
     if not np.min(det) > 0.0:
         raise ValueError(f"degenerate cell: min det J = {np.min(det):.3e}")
     return det
@@ -176,7 +180,7 @@ def adjugate(jac: np.ndarray) -> np.ndarray:
     adj = np.empty(jac.shape)
     for i in range(3):
         for k in range(3):
-            adj[k, i] = _cofactor(jac, i, k)
+            _cofactor(jac, i, k, adj[k, i])
     return adj
 
 
@@ -233,8 +237,10 @@ def _tensor_weights(quad: QuadratureRule1D) -> np.ndarray:
 
 
 def precompute_geometry(mesh: HexMesh, variant: GeometryVariant,
-                        quad: QuadratureRule1D) -> GeometryData:
-    """Build the geometry data of one variant for all cells at once."""
+                        quad: QuadratureRule1D, cells=None) -> GeometryData:
+    """Build the geometry data of one variant for the cells `cells`, in
+    that order on the last axis of every per-cell array, or for all cells
+    at once when `cells` is None."""
     nq = len(quad)
     weights = _tensor_weights(quad)
     if variant == GeometryVariant.AFFINE:
@@ -245,9 +251,11 @@ def precompute_geometry(mesh: HexMesh, variant: GeometryVariant,
         det = float(np.prod(h))
         payload = {"inverse_jacobian": inv, "det_j": det, "weights": weights}
         return GeometryData(variant, quad, payload, 10)
+    nodes = mesh.quadratic_nodes
+    if cells is not None:
+        nodes = np.take(nodes, cells, axis=-1)
     if variant == GeometryVariant.QUADRATIC_COMPUTE:
-        payload = {"nodes": mesh.quadratic_nodes, "weights": weights}
-        return GeometryData(variant, quad, payload, 27 * 3)
+        return GeometryData(variant, quad, {"nodes": nodes, "weights": weights}, 27 * 3)
     if variant == GeometryVariant.ISOPARAMETRIC_COMPUTE:
         # physical coordinates of the tri-quadratic map at the Gauss-Lobatto
         # lattice of n_q points per direction; the operator differentiates
@@ -259,14 +267,15 @@ def precompute_geometry(mesh: HexMesh, variant: GeometryVariant,
             raise ValueError("isoparametric geometry needs >= 2 points/dir")
         support = gauss_lobatto_quadrature(nq).points
         basis2 = lagrange_basis(2, QuadratureRule1D(support, np.full(len(support), 1.0 / len(support))))
-        n_cells = mesh.n_cells
-        coords = mesh.quadratic_nodes.transpose(2, 1, 0).reshape(n_cells, 3, 3, 3, 3)
+        n_cells = nodes.shape[-1]
+        coords = nodes.transpose(2, 1, 0).reshape(n_cells, 3, 3, 3, 3)
         vals = evaluate_values(basis2, coords)  # (cells, coord, s,s,s)
         nodes = np.ascontiguousarray(vals.reshape(n_cells, 3, -1).transpose(2, 1, 0))
         return GeometryData(variant, quad, {"nodes": nodes, "weights": weights},
                             3 * len(support) ** 3)
-    jac, det = compute_jacobians_from_nodes(mesh.quadratic_nodes, lagrange_basis(2, quad), nq)
+    jac = _jacobians(nodes, lagrange_basis(2, quad), nq)
     adj = adjugate(jac)
+    det = _checked_determinant(jac, adj[:, 0])
     del jac  # held on, J would set the memory peak of set-up
     jxw = det * weights[:, None]
     if variant == GeometryVariant.INVERSE_JACOBIAN_LOAD:
@@ -278,14 +287,20 @@ def precompute_geometry(mesh: HexMesh, variant: GeometryVariant,
     raise ValueError(f"unknown geometry variant {variant}")
 
 
-def compute_jacobians_from_nodes(nodes: np.ndarray, geo_basis, nq: int):
-    """On-the-fly Jacobians for a batch of cells from geometry node
-    coordinates (n_nodes, 3, n_batch) via sum-factorized differentiation of
-    the geometry polynomial, with the coordinates and cells innermost as
-    SIMD lanes.  jac[i, j] = d x_i / d ref_j, (3, 3, n_q^3, n_batch), is a
-    view of the sweep output; det, (n_q^3, n_batch), is checked positive."""
+def _jacobians(nodes: np.ndarray, geo_basis, nq: int) -> np.ndarray:
+    """jac[i, j] = d x_i / d ref_j, (3, 3, n_q^3, n_batch), of a batch of
+    cells from geometry node coordinates (n_nodes, 3, n_batch) via
+    sum-factorized differentiation of the geometry polynomial, with the
+    coordinates and cells innermost as SIMD lanes: a view of the sweep
+    output."""
     n_batch = nodes.shape[-1]
     npd = geo_basis.degree + 1
     g = evaluate_gradients_lanes(geo_basis, nodes.reshape(npd, npd, npd, 3, n_batch))
-    jac = g.reshape(3, nq**3, 3, n_batch).transpose(2, 0, 1, 3)
-    return jac, _checked_determinant(jac)
+    return g.reshape(3, nq**3, 3, n_batch).transpose(2, 0, 1, 3)
+
+
+def compute_jacobians_from_nodes(nodes: np.ndarray, geo_basis, nq: int):
+    """On-the-fly Jacobians and their determinants for a batch of cells
+    (see _jacobians): det, (n_q^3, n_batch), is checked positive."""
+    jac = _jacobians(nodes, geo_basis, nq)
+    return jac, _checked_determinant(jac, [_cofactor(jac, 0, k) for k in range(3)])

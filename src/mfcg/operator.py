@@ -152,14 +152,15 @@ class MatrixFreeOperator:
         self.components = spec.components
         self._batch_cells = [np.asarray(cells) for cells in plan.batches]
 
-        # the geometry is held once, per batch, as the kernel streams it;
-        # the payload keeps only the quadrature weights, which no cell owns
-        geometry = precompute_geometry(mesh, spec.geometry, self.quadrature)
-        self._batch_store = [self._gather_geometry(geometry.payload, cells)
-                             for cells in self._batch_cells]
+        # the geometry is computed batch by batch and held once, per batch,
+        # as the kernel streams it; the payload keeps only the quadrature
+        # weights, which no cell owns
+        self._batch_store = []
+        for cells in self._batch_cells:
+            geometry = precompute_geometry(mesh, spec.geometry, self.quadrature, cells)
+            self._batch_store.append(self._geometry_store(geometry.payload, len(cells)))
         self.geometry = replace(geometry, payload={
             key: value for key, value in geometry.payload.items() if key == "weights"})
-        del geometry  # held on, its per-cell arrays would set the memory peak
 
         mask = np.zeros(handler.n_dofs, dtype=bool)
         mask[handler.constrained_dofs] = True
@@ -214,21 +215,21 @@ class MatrixFreeOperator:
 
     # -- geometry per batch ----------------------------------------------------
 
-    def _gather_geometry(self, payload: dict, cells: np.ndarray) -> dict:
-        """One batch's share of the payload, cells last and C-contiguous:
+    def _geometry_store(self, payload: dict, n_cells: int) -> dict:
+        """One batch's store from its payload, cells last and C-contiguous:
         the geometry nodes, or J^-1 or G (expanded to its nine entries, only
         if the equation needs gradients) and w det J; the affine variant's
-        one G and w det J are formed here and copied to every cell."""
+        one G and w det J are formed here and copied to each of the
+        batch's `n_cells` cells."""
         if self.spec.geometry == GeometryVariant.AFFINE:
             jxw = (payload["det_j"] * payload["weights"])[:, None]
-            payload = {"final_tensor": symmetric_coefficients(payload["inverse_jacobian"], jxw),
-                       "jxw": jxw}
-            cells = np.zeros_like(cells)
-        store = {key: np.take(payload[key], cells, axis=-1)
-                 for key in ("nodes", "inverse_jacobian", "jxw") if key in payload}
+            payload = {key: np.repeat(value, n_cells, axis=-1) for key, value in (
+                ("final_tensor", symmetric_coefficients(payload["inverse_jacobian"], jxw)),
+                ("jxw", jxw))}
+        store = {key: payload[key] for key in ("nodes", "inverse_jacobian", "jxw")
+                 if key in payload}
         if "final_tensor" in payload and self.spec.needs_gradients:
-            store["G"] = np.take(np.take(payload["final_tensor"], cells, axis=-1),
-                                 SYMMETRIC_INDEX, axis=0)
+            store["G"] = np.take(payload["final_tensor"], SYMMETRIC_INDEX, axis=0)
         return store
 
     def _batch_geometry(self, b: int, coefficients: bool = True):

@@ -26,7 +26,6 @@ from mfcg.mesh import (
     _QUADRATIC_ORDER,
     SYMMETRIC_INDEX,
     GeometryVariant,
-    _cell_lattice,
     build_cartesian_mesh,
     compute_jacobians_from_nodes,
     deform_mesh,
@@ -753,12 +752,59 @@ def lapack_symmetric_coefficients(inv, jxw):
     return np.einsum("...aj,...aj->a...", rows, cols) * jxw
 
 
+def map_points(mesh, points):
+    """The mesh's deformation map applied point by point to undeformed
+    coordinates (..., 3)."""
+    points = np.asarray(points, dtype=float)
+    if mesh.deformation == 0.0:
+        return points.copy()
+    scaled = np.pi * points / np.asarray(mesh.extents)
+    bump = np.prod(np.sin(scaled), axis=-1, keepdims=True)
+    return points + mesh.deformation * bump
+
+
+def cell_lattice(mesh, order, cells=None):
+    """Undeformed physical coordinates of per-cell tensor lattices.
+
+    `order` holds the 1D reference positions in [0,1]; returns an array of
+    shape (len(cells), len(order)^3, 3) in lexicographic x-fastest point
+    order, for every cell when `cells` is None.
+    """
+    hx, hy, hz = (mesh.extents[d] / mesh.cells_per_dim[d] for d in range(3))
+    nx, ny, _ = mesh.cells_per_dim
+    cells = np.arange(mesh.n_cells) if cells is None else np.asarray(cells, dtype=np.int64)
+    cx, cy, cz = cells % nx, (cells // nx) % ny, cells // (nx * ny)
+    origin = np.stack([cx * hx, cy * hy, cz * hz], axis=1)
+    t = np.asarray(order, dtype=float)
+    TZ, TY, TX = np.meshgrid(t, t, t, indexing="ij")
+    local = np.stack([TX.ravel() * hx, TY.ravel() * hy, TZ.ravel() * hz], axis=1)
+    return origin[:, None, :] + local[None, :, :]
+
+
 def quadratic_geometry_nodes(mesh, cell):
     """The 27 tri-quadratic geometry support points of one cell (the deformed
     {0, 1/2, 1}^3 lattice), shape (27, 3), x fastest."""
     if not 0 <= cell < mesh.n_cells:
         raise IndexError(f"cell index {cell} out of range")
-    return mesh.map_points(_cell_lattice(mesh, _QUADRATIC_ORDER, [cell])[0])
+    return map_points(mesh, cell_lattice(mesh, _QUADRATIC_ORDER, [cell])[0])
+
+
+def gather_geometry(op, payload, cells):
+    """One batch's store gathered from a whole-mesh payload, cells last and
+    C-contiguous: the geometry nodes, or J^-1 or G (expanded to its nine
+    entries, only if the equation needs gradients) and w det J; the affine
+    variant's one G and w det J are formed here and copied to every cell."""
+    if op.spec.geometry == GeometryVariant.AFFINE:
+        jxw = (payload["det_j"] * payload["weights"])[:, None]
+        payload = {"final_tensor": symmetric_coefficients(payload["inverse_jacobian"], jxw),
+                   "jxw": jxw}
+        cells = np.zeros_like(cells)
+    store = {key: np.take(payload[key], cells, axis=-1)
+             for key in ("nodes", "inverse_jacobian", "jxw") if key in payload}
+    if "final_tensor" in payload and op.spec.needs_gradients:
+        store["G"] = np.take(np.take(payload["final_tensor"], cells, axis=-1),
+                             SYMMETRIC_INDEX, axis=0)
+    return store
 
 
 def geometry_data(mesh, cell, variant, quad):
@@ -813,6 +859,27 @@ def loop_build_rhs(op):
     b = np.zeros(handler.n_dofs)
     for cell in range(mesh.n_cells):
         b[expand_cell_indices(handler, cell)] += np.repeat(local[cell], spec.components)
+    b[handler.constrained_dofs] = 0.0
+    return b
+
+
+def cells_first_build_rhs(op):
+    """Right-hand side in one cells-first pass over the whole mesh: the
+    points of all cells at once, w det J read from the operator's store
+    into cell order, one bincount scatter in cell order."""
+    spec, mesh, handler = op.spec, op.mesh, op.handler
+    nq = spec.n_q_1d
+    jxw = np.empty((nq ** 3, mesh.n_cells))
+    for b, cells in enumerate(op._batch_cells):
+        jxw[:, cells] = op._batch_geometry(b, coefficients=False)[1]
+    coords = mesh.quadratic_nodes.transpose(2, 1, 0).reshape(-1, 3, 3, 3, 3)
+    pts = evaluate_values(lagrange_basis(2, op.quadrature), coords)  # (cells, 3, nq, nq, nq)
+    pts = pts.reshape(-1, 3, nq ** 3).transpose(0, 2, 1)
+    fw = (manufactured_forcing(pts, spec.equation) * jxw.T).reshape(-1, nq, nq, nq)
+    local = integrate_values(op.basis, fw).reshape(mesh.n_cells, -1)
+    local = np.repeat(local, spec.components, axis=1)
+    idx = expand_batch(handler, np.arange(mesh.n_cells))
+    b = np.bincount(idx.ravel(), weights=local.ravel(), minlength=handler.n_dofs)
     b[handler.constrained_dofs] = 0.0
     return b
 

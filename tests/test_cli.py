@@ -160,6 +160,29 @@ class TestUsageErrors:
         assert code == 2
         assert "cache_bytes must be non-negative, got -5" in err
 
+    @pytest.mark.parametrize("command", ["verify", "liveliness", "bench"])
+    @pytest.mark.parametrize("key", ["degree", "simd-lanes"])
+    def test_degree_and_lanes_below_one_are_usage_errors(self, command, key, capsys,
+                                                         monkeypatch):
+        # verify --degree 0 used to exit 1, as a crashed schedule suite
+        def no_setup(*args, **kwargs):
+            raise AssertionError("set-up ran before the config was checked")
+
+        for name in ("assemble_problem", "discretize", "run_benchmark"):
+            monkeypatch.setattr(mfcg.cli, name, no_setup)
+        code, out, err = run_cli([command, f"--{key}", "0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {key.replace('-', '_')} must be at least 1, got 0\n"
+
+    def test_huge_mesh_refused_on_the_locality_path(self, capsys):
+        # liveliness used to report numpy's failure to allocate 7.11 PiB
+        code, out, err = run_cli(["liveliness", "--cells", "99999"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: size-too-large: BP5 p=3 cells=(99999, 99999, 99999)")
+        assert err.count("\n") == 1
+
     def test_negative_seed_is_usage_error(self, capsys):
         # used to fail the oracle suite inside the random generator
         code, _, err = run_cli(["verify", "--seed", "-1"], capsys)

@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import geometry_data, matrix_stack, quadratic_geometry_nodes
+from _oracles import (
+    cell_lattice,
+    geometry_data,
+    map_points,
+    matrix_stack,
+    quadratic_geometry_nodes,
+)
 from mfcg.mesh import (
     SYMMETRIC_INDEX,
     GeometryVariant,
@@ -106,23 +112,26 @@ class TestBuildMesh:
 
 class TestDeformation:
     def test_zero_amplitude_is_identity(self):
-        mesh = build_cartesian_mesh((2, 2, 2))
-        pts = np.random.default_rng(0).random((10, 3))
-        np.testing.assert_array_equal(mesh.map_points(pts), pts)
+        mesh = deform_mesh(build_cartesian_mesh((2, 3, 2)), 0.0)
+        lattice = cell_lattice(mesh, [0.0, 0.5, 1.0]).transpose(1, 2, 0)
+        np.testing.assert_array_equal(mesh.quadratic_nodes, lattice)
 
     def test_boundary_preserved(self):
         mesh = deform_mesh(build_cartesian_mesh((3, 3, 3), extents=(1.0, 2.0, 3.0)), 0.08)
-        rng = np.random.default_rng(1)
+        lattice = cell_lattice(mesh, [0.0, 0.5, 1.0]).transpose(1, 2, 0)
+        nodes = mesh.quadratic_nodes
         for d in range(3):
             for value in (0.0, mesh.extents[d]):
-                pts = rng.random((20, 3)) * np.array(mesh.extents)
-                pts[:, d] = value
-                np.testing.assert_allclose(mesh.map_points(pts), pts, atol=1e-15)
+                face = lattice[:, d] == value
+                assert face.any()
+                for c in range(3):
+                    np.testing.assert_allclose(nodes[:, c][face], lattice[:, c][face],
+                                               atol=1e-15)
 
     def test_interior_moves(self):
         mesh = deform_mesh(build_cartesian_mesh((2, 2, 2)), 0.05)
         center = np.array([0.5, 0.5, 0.5])
-        np.testing.assert_allclose(mesh.map_points(center), center + 0.05, atol=1e-15)
+        np.testing.assert_allclose(mesh.quadratic_nodes[26, :, 0], center + 0.05, atol=1e-15)
 
     def test_excessive_amplitude_rejected(self):
         with pytest.raises(ValueError, match="Jacobian"):
@@ -160,7 +169,7 @@ class TestQuadraticNodes:
         mesh = deform_mesh(base, 0.06)
         nodes = quadratic_geometry_nodes(mesh, 3)
         undeformed = quadratic_geometry_nodes(base, 3)
-        np.testing.assert_allclose(nodes, mesh.map_points(undeformed), atol=1e-15)
+        np.testing.assert_allclose(nodes, map_points(mesh, undeformed), atol=1e-15)
 
 
 class TestJacobians:

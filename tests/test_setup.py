@@ -15,6 +15,8 @@ import mfcg.mesh
 import mfcg.operator
 from _oracles import (
     build_fem,
+    cells_first_build_rhs,
+    gather_geometry,
     lapack_diagonal,
     lapack_geometry,
     lapack_jacobians,
@@ -326,31 +328,61 @@ def test_rhs_matches_per_cell_loop(bp, degree, cells, numbering):
     assert_close(b, loop_build_rhs(op))
 
 
+def bits(a):
+    """The bytes of a float64 array as uint64, for bit-exact comparisons."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("bp,degree,cells", [
+    ("BP1", 2, (3, 5, 4)),
+    ("BP2", 2, (4, 4, 4)),
+    ("BP3", 2, (10, 10, 10)),
+    ("BP4", 3, (3, 5, 2)),
+    ("BP5", 3, (6, 6, 6)),
+    ("BP5", 5, (4, 4, 4)),
+])
+def test_rhs_is_bit_identical_to_cells_first_pass(bp, degree, cells):
+    # batch by batch and lanes-last, with every cell's row written in cell
+    # order, the right-hand side keeps every operation of the one-pass
+    # cells-first formulation, and so every bit
+    op, b, _ = assemble_problem(bp, degree, cells, simd_lanes=1)
+    assert op.plan.n_batches > 1
+    np.testing.assert_array_equal(bits(b), bits(cells_first_build_rhs(op)))
+
+
 @pytest.mark.parametrize("cells", [(2, 2, 2), (5, 4, 3)])
 def test_rhs_builds_the_lattice_once(monkeypatch, cells):
     # the lattice of all cells is built once per mesh, by the first set-up
     # step that needs it (here the deformation check), and shared by the
     # geometry and the right-hand side
-    calls = []
-    original = mfcg.mesh._cell_lattice
+    meshes = []
+    original = mfcg.mesh._quadratic_lattice
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(mesh):
+        meshes.append(mesh)
+        return original(mesh)
 
-    monkeypatch.setattr(mfcg.mesh, "_cell_lattice", counting)
+    monkeypatch.setattr(mfcg.mesh, "_quadratic_lattice", counting)
     op, _ = build_fem(cells, p=2)
     build_rhs(op)
-    assert len(calls) == 1
+    assert len(meshes) == 1 and meshes[0] is op.mesh
 
 
 def test_single_cell_nodes_match_all_cell_lattice():
-    mesh = deform_mesh(build_cartesian_mesh((3, 5, 2)), 0.05)
-    every = mesh.quadratic_nodes
-    for cell in (0, 7, mesh.n_cells - 1):
-        np.testing.assert_array_equal(quadratic_geometry_nodes(mesh, cell), every[..., cell])
-    with pytest.raises(IndexError):
-        quadratic_geometry_nodes(mesh, mesh.n_cells)
+    # the separable all-cell lattice equals, bit for bit, the per-point map
+    # of each cell's own lattice, deformed or not, on unit and other extents
+    for cells, extents, amplitude in [((3, 5, 2), (1.0, 1.0, 1.0), 0.05),
+                                      ((3, 5, 2), (2.0, 1.0, 0.5), 0.0),
+                                      ((3, 5, 2), (2.0, 1.0, 0.5), 0.05),
+                                      ((2, 3, 4), (3.0, 0.7, 1.3), 0.05),
+                                      ((7, 1, 2), (1.0, 2.0, 3.0), 0.05)]:
+        mesh = deform_mesh(build_cartesian_mesh(cells, extents), amplitude)
+        every = mesh.quadratic_nodes
+        for cell in range(mesh.n_cells):
+            np.testing.assert_array_equal(bits(quadratic_geometry_nodes(mesh, cell)),
+                                          bits(every[..., cell]))
+        with pytest.raises(IndexError):
+            quadratic_geometry_nodes(mesh, mesh.n_cells)
 
 
 def test_gauss_lobatto_rhs_matches_loop():
@@ -358,26 +390,55 @@ def test_gauss_lobatto_rhs_matches_loop():
     assert_close(build_rhs(op), loop_build_rhs(op))
 
 
-@pytest.mark.parametrize("bp,degree,calls", [
+@pytest.mark.parametrize("bp,degree,rules", [
     ("BP5", 3, 1),  # the diagonal reuses the operator's final tensor
     ("BP5", 5, 1),
     ("BP3", 2, 2),  # Gauss points: the diagonal needs its own at p+1
 ])
-def test_geometry_computed_once_per_problem(monkeypatch, bp, degree, calls):
-    counted = []
+def test_geometry_computed_once_per_problem(monkeypatch, bp, degree, rules):
+    # each cell's geometry is computed once per quadrature rule: the
+    # operator's calls, one per batch, and the diagonal's whole-mesh call
+    # together cover every cell exactly once per rule
+    counted = {}
     original = mfcg.operator.precompute_geometry
 
-    def counting(*args, **kwargs):
-        counted.append(args[1])
-        return original(*args, **kwargs)
+    def counting(mesh, variant, quad, cells=None):
+        key = quad.points.tobytes()
+        covered = np.arange(mesh.n_cells) if cells is None else np.asarray(cells)
+        counted[key] = np.concatenate([counted.get(key, covered[:0]), covered])
+        return original(mesh, variant, quad, cells)
 
     monkeypatch.setattr(mfcg.operator, "precompute_geometry", counting)
-    op, _, minv = assemble_problem(bp, degree, (3, 3, 3))
-    assert len(counted) == calls
+    op, _, minv = assemble_problem(bp, degree, (5, 5, 5), simd_lanes=1)
+    assert op.plan.n_batches > 1
+    assert len(counted) == rules
+    for covered in counted.values():
+        np.testing.assert_array_equal(np.sort(covered), np.arange(op.mesh.n_cells))
     monkeypatch.setattr(mfcg.operator, "precompute_geometry", original)
     np.testing.assert_array_equal(minv.inverse_diagonal,
                                   op.compute_diagonal().inverse_diagonal)
     assert_close(minv.inverse_diagonal, lapack_diagonal(op))
+
+
+@pytest.mark.parametrize("variant", list(GeometryVariant))
+@pytest.mark.parametrize("eq", ["laplace", "mass"])
+def test_batch_store_is_bit_identical_to_gathered_payload(variant, eq):
+    # computing each batch's geometry straight into its store keeps every
+    # bit of the whole-mesh payload gathered per batch; 24 cells in Morton
+    # order, in batches of 5, leave unsorted batches and an uneven last one
+    affine = variant == GeometryVariant.AFFINE
+    op, _ = build_fem((3, 2, 4), p=3, eq=eq, variant=variant, batch=5,
+                      traversal="morton", deformed=0.0 if affine else 0.05)
+    assert [len(cells) for cells in op.plan.batches] == [5, 5, 5, 5, 4]
+    assert any(np.any(np.diff(cells) < 0) for cells in op.plan.batches)
+    payload = precompute_geometry(op.mesh, variant, op.quadrature).payload
+    for b, cells in enumerate(op.plan.batches):
+        want = gather_geometry(op, payload, np.asarray(cells))
+        got = op._batch_store[b]
+        assert sorted(got) == sorted(want)
+        for key in want:
+            assert got[key].shape == want[key].shape, key
+            np.testing.assert_array_equal(bits(got[key]), bits(want[key]), err_msg=key)
 
 
 @pytest.mark.parametrize("variant", list(GeometryVariant))
