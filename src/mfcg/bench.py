@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dofs import (
-    batch_size,
-    distribute_dofs,
-    expand_batch,
-    make_batches,
-    renumber_optimized,
-)
+from .dofs import batch_size, distribute_dofs, make_batches, renumber_optimized
 from .locality import predict_transfer
 from .mesh import GeometryVariant, build_cartesian_mesh, deform_mesh, validate_cells
 from .operator import MatrixFreeOperator, OperatorSpec
@@ -98,10 +92,8 @@ def build_rhs(op: MatrixFreeOperator) -> np.ndarray:
         fw = manufactured_forcing(np.moveaxis(pts, 3, -1), spec.equation)
         fw *= jxw.reshape(nq, nq, nq, -1)
         local[cells] = integrate_values_lanes(op.basis, fw).reshape(-1, len(cells)).T
-    # one scatter over all cells; bincount adds in cell order
-    local = np.repeat(local, spec.components, axis=1)
-    idx = expand_batch(handler, np.arange(mesh.n_cells))
-    b = np.bincount(idx.ravel(), weights=local.ravel(), minlength=handler.n_dofs)
+    # every component of a node adds the same values in the same cell order
+    b = np.repeat(op.node_sum(local), spec.components)
     b[handler.constrained_dofs] = 0.0
     return b
 
@@ -130,18 +122,23 @@ def _problem_size(components: int, degree: int, cells) -> tuple:
             math.prod(cells))
 
 
-def estimate_problem_bytes(components: int, degree: int, cells, n_q_1d: int) -> int:
+def estimate_problem_bytes(components: int, degree: int, cells, n_q_1d: int, *,
+                           gradients: bool = False) -> int:
     """Coarse allocation estimate from the closed-form sizes: what a problem
-    holds, that is 16 solver working vectors, the per-batch geometry store
-    (G's nine entries and w det J per quadrature point) and the three int64
-    batch maps per (cell, component, node) entry, plus the transient of one
-    batch's geometry set-up, about 22 doubles per point of a batch of the
-    default width."""
+    holds, that is 12 vectors (b and the largest solver working set, s-step
+    at s = 4: its 5 + 4 basis vectors, x and w), the mesh's 81 tri-quadratic
+    node coordinates per cell, the per-batch geometry store (w det J per
+    quadrature point, plus G's nine entries if the operator needs
+    `gradients`) and the three int64 batch maps per (cell, component, node)
+    entry, plus the transient of one batch's geometry set-up, about 22
+    doubles per point of a batch of the default width."""
     n_dofs, n_cells = _problem_size(components, degree, cells)
     points = n_q_1d ** 3
     entries = n_cells * components * (degree + 1) ** 3
     batch = min(n_cells, batch_size(degree, components, 8))
-    return 8 * (16 * n_dofs + 10 * n_cells * points + 3 * entries + 22 * batch * points)
+    store = 10 if gradients else 1
+    return 8 * (12 * n_dofs + (81 + store * points) * n_cells + 3 * entries
+                + 22 * batch * points)
 
 
 def discretize(problem: BenchmarkProblem, degree: int, cells, *, deform: float,
@@ -155,7 +152,8 @@ def discretize(problem: BenchmarkProblem, degree: int, cells, *, deform: float,
         raise ValueError(f"unknown numbering {numbering!r}")
     cells = validate_cells(cells)
     estimate = estimate_problem_bytes(problem.components, degree, cells,
-                                      problem.n_quadrature(degree))
+                                      problem.n_quadrature(degree),
+                                      gradients=problem.equation == "laplace")
     if estimate > memory_limit_bytes:
         raise MemoryError(
             f"size-too-large: {problem.bp_id} p={degree} cells={cells} needs "

@@ -36,6 +36,14 @@ from .trace import AccessRecorder
 # capacities for the cache sweep: 32 KiB ... 64 MiB, powers of two
 SWEEP_CAPACITIES = tuple(2 ** k for k in range(15, 27))
 
+# per named key of `Config`: its name in messages and its known values
+_CHOICES = {
+    "bp": ("benchmark problem", tuple(sorted(BENCHMARK_PROBLEMS))),
+    "geometry": ("geometry", tuple(v.value for v in GeometryVariant)),
+    "numbering": ("numbering", ("default", "optimized", "both")),
+    "traversal": ("traversal", ("lexicographic", "morton")),
+}
+
 
 @dataclass(frozen=True)
 class Config:
@@ -64,6 +72,12 @@ class Config:
             value = getattr(self, key)
             if value < 0:
                 raise ValueError(f"{key} must be non-negative, got {value}")
+        for key, (name, known) in _CHOICES.items():
+            value = getattr(self, key)
+            if value not in known:
+                raise ValueError(f"unknown {name} {value!r}; expected one of "
+                                 f"{', '.join(known)}")
+        _variant_list(self)
 
 
 _INT_KEYS = {"degree", "iterations", "repeats", "simd_lanes", "cache_bytes",
@@ -107,14 +121,6 @@ def _parse_cells(value: str) -> tuple:
     return tuple(int(p) for p in parts)
 
 
-def _geometry_variant(cfg: Config) -> GeometryVariant:
-    try:
-        return GeometryVariant(cfg.geometry)
-    except ValueError:
-        names = ", ".join(v.value for v in GeometryVariant)
-        raise ValueError(f"unknown geometry {cfg.geometry!r}; expected one of {names}")
-
-
 def _variant_list(cfg: Config) -> list:
     names = (list(VARIANTS) if cfg.variant == "all"
              else [v.strip() for v in cfg.variant.split(",") if v.strip()])
@@ -125,12 +131,6 @@ def _variant_list(cfg: Config) -> list:
     if not names:
         raise ValueError("empty variant list")
     return names
-
-
-def _check_bp(cfg: Config) -> None:
-    if cfg.bp not in BENCHMARK_PROBLEMS:
-        raise ValueError(f"unknown benchmark problem {cfg.bp!r}; expected "
-                         f"one of {', '.join(sorted(BENCHMARK_PROBLEMS))}")
 
 
 def _write_csv(cfg: Config, header, rows) -> None:
@@ -156,8 +156,6 @@ def _fmt(value) -> str:
 
 
 def cmd_bench(cfg: Config) -> int:
-    _check_bp(cfg)
-    geometry = _geometry_variant(cfg)
     variants = _variant_list(cfg)
     header = ["bp", "degree", "cells", "n_dofs", "variant", "iterations",
               "wall_time_s", "throughput_dofs_per_s", "final_residual",
@@ -167,7 +165,8 @@ def cmd_bench(cfg: Config) -> int:
     for variant in variants:
         rec = run_benchmark(cfg.bp, cfg.degree, cfg.cells, variant,
                             iterations=cfg.iterations, repeats=cfg.repeats,
-                            geometry=geometry, numbering=cfg.numbering,
+                            geometry=GeometryVariant(cfg.geometry),
+                            numbering=cfg.numbering,
                             traversal=cfg.traversal, simd_lanes=cfg.simd_lanes)
         walls[variant] = rec.wall_time
         rows.append([rec.bp_id, rec.degree,
@@ -194,7 +193,6 @@ def _locality_setup(cfg: Config, numbering: str):
 
 
 def cmd_liveliness(cfg: Config) -> int:
-    _check_bp(cfg)
     numberings = (("default", "optimized") if cfg.numbering == "both"
                   else (cfg.numbering,))
     header = ["numbering", "distance", "cumulative_fraction"]
@@ -212,13 +210,12 @@ def cmd_liveliness(cfg: Config) -> int:
 
 
 def cmd_cachesweep(cfg: Config) -> int:
-    _check_bp(cfg)
     variants = _variant_list(cfg)
     if len(variants) != 1:
         raise ValueError("cachesweep traces a single solver variant; "
                          f"got {cfg.variant!r}")
     op, b, minv = assemble_problem(
-        cfg.bp, cfg.degree, cfg.cells, geometry=_geometry_variant(cfg),
+        cfg.bp, cfg.degree, cfg.cells, geometry=GeometryVariant(cfg.geometry),
         numbering=cfg.numbering, traversal=cfg.traversal,
         simd_lanes=cfg.simd_lanes)
     recorder = AccessRecorder()
@@ -334,7 +331,6 @@ def _suite_scalar_trace(cfg: Config):
 def _suite_schedule(cfg: Config):
     """Structural soundness of the pre/post range schedule and the optimized
     renumbering permutation."""
-    _check_bp(cfg)
     checks = []
     for numbering in ("default", "optimized"):
         handler, plan = _locality_setup(cfg, numbering)

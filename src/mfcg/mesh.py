@@ -35,7 +35,7 @@ __all__ = [
     "SYMMETRIC_INDEX",
     "symmetric_coefficients",
     "adjugate",
-    "metric_tensor",
+    "jacobian_adjugate",
 ]
 
 
@@ -100,7 +100,7 @@ def deform_mesh(mesh: HexMesh, amplitude: float) -> HexMesh:
     new = HexMesh(mesh.cells_per_dim, mesh.extents, mesh.deformation + amplitude)
     if amplitude != 0.0:
         try:
-            compute_jacobians_from_nodes(
+            jacobian_adjugate(
                 new.quadratic_nodes, lagrange_basis(2, gauss_lobatto_quadrature(3)), 3)
         except ValueError as err:
             raise ValueError(
@@ -225,22 +225,15 @@ def symmetric_coefficients(m: np.ndarray, scale) -> np.ndarray:
     return out
 
 
-def metric_tensor(jac: np.ndarray, det: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The six entries of G = J^-1 (w det J) J^-T = adj(J) adj(J)^T (w / det J)
-    in closed form, shaped (6, ...)."""
-    return symmetric_coefficients(adjugate(jac), weights / det)
-
-
 def _tensor_weights(quad: QuadratureRule1D) -> np.ndarray:
     w = quad.weights
     return np.einsum("k,j,i->kji", w, w, w).ravel()
 
 
 def precompute_geometry(mesh: HexMesh, variant: GeometryVariant,
-                        quad: QuadratureRule1D, cells=None) -> GeometryData:
+                        quad: QuadratureRule1D, cells) -> GeometryData:
     """Build the geometry data of one variant for the cells `cells`, in
-    that order on the last axis of every per-cell array, or for all cells
-    at once when `cells` is None."""
+    that order on the last axis of every per-cell array."""
     nq = len(quad)
     weights = _tensor_weights(quad)
     if variant == GeometryVariant.AFFINE:
@@ -251,9 +244,7 @@ def precompute_geometry(mesh: HexMesh, variant: GeometryVariant,
         det = float(np.prod(h))
         payload = {"inverse_jacobian": inv, "det_j": det, "weights": weights}
         return GeometryData(variant, quad, payload, 10)
-    nodes = mesh.quadratic_nodes
-    if cells is not None:
-        nodes = np.take(nodes, cells, axis=-1)
+    nodes = np.take(mesh.quadratic_nodes, cells, axis=-1)
     if variant == GeometryVariant.QUADRATIC_COMPUTE:
         return GeometryData(variant, quad, {"nodes": nodes, "weights": weights}, 27 * 3)
     if variant == GeometryVariant.ISOPARAMETRIC_COMPUTE:
@@ -273,10 +264,7 @@ def precompute_geometry(mesh: HexMesh, variant: GeometryVariant,
         nodes = np.ascontiguousarray(vals.reshape(n_cells, 3, -1).transpose(2, 1, 0))
         return GeometryData(variant, quad, {"nodes": nodes, "weights": weights},
                             3 * len(support) ** 3)
-    jac = _jacobians(nodes, lagrange_basis(2, quad), nq)
-    adj = adjugate(jac)
-    det = _checked_determinant(jac, adj[:, 0])
-    del jac  # held on, J would set the memory peak of set-up
+    adj, det = jacobian_adjugate(nodes, lagrange_basis(2, quad), nq)
     jxw = det * weights[:, None]
     if variant == GeometryVariant.INVERSE_JACOBIAN_LOAD:
         adj /= det
@@ -299,8 +287,11 @@ def _jacobians(nodes: np.ndarray, geo_basis, nq: int) -> np.ndarray:
     return g.reshape(3, nq**3, 3, n_batch).transpose(2, 0, 1, 3)
 
 
-def compute_jacobians_from_nodes(nodes: np.ndarray, geo_basis, nq: int):
-    """On-the-fly Jacobians and their determinants for a batch of cells
-    (see _jacobians): det, (n_q^3, n_batch), is checked positive."""
+def jacobian_adjugate(nodes: np.ndarray, geo_basis, nq: int):
+    """(adj J, det J) of a batch of cells from its geometry nodes (see
+    _jacobians): adj J (3, 3, n_q^3, n_batch) and det J (n_q^3, n_batch),
+    checked positive.  J itself is dropped on return: held on, it would set
+    the memory peak of set-up."""
     jac = _jacobians(nodes, geo_basis, nq)
-    return jac, _checked_determinant(jac, [_cofactor(jac, 0, k) for k in range(3)])
+    adj = adjugate(jac)
+    return adj, _checked_determinant(jac, adj[:, 0])

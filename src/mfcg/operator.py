@@ -33,7 +33,6 @@ from .dofs import (
     _expand_scalar,
     _group_by,
     compute_range_schedule,
-    expand_batch,
 )
 from .mesh import (
     _SYMMETRIC_COLS,
@@ -41,8 +40,7 @@ from .mesh import (
     SYMMETRIC_INDEX,
     GeometryVariant,
     HexMesh,
-    compute_jacobians_from_nodes,
-    metric_tensor,
+    jacobian_adjugate,
     precompute_geometry,
     symmetric_coefficients,
 )
@@ -207,10 +205,10 @@ class MatrixFreeOperator:
         dpc_geo = self.geometry.doubles_per_cell * 8
         dpc_idx = 27 * 4
         batches = [
-            (trace.runs_of(np.unique(expand_batch(self.handler, cells) // RANGE_SIZE)),
+            (trace.runs_of(np.unique(src // RANGE_SIZE)),
              trace.runs_of(_cell_stream_ranges(cells, dpc_geo)),
              trace.runs_of(_cell_stream_ranges(cells, dpc_idx)))
-            for cells in self._batch_cells]
+            for src, cells in zip(self._batch_src, self._batch_cells)]
         return batches, trace.runs_of(np.unique(self._constrained // RANGE_SIZE))
 
     # -- geometry per batch ----------------------------------------------------
@@ -249,9 +247,9 @@ class MatrixFreeOperator:
                 sym = symmetric_coefficients(store["inverse_jacobian"], jxw)
         elif "nodes" in store:  # compute variants: differentiate the geometry interpolant
             weights = self.geometry.payload["weights"][:, None]
-            jac, det = compute_jacobians_from_nodes(store["nodes"], self._geo_basis, self._nq)
+            adj, det = jacobian_adjugate(store["nodes"], self._geo_basis, self._nq)
             if coefficients:
-                sym = metric_tensor(jac, det, weights)
+                sym = symmetric_coefficients(adj, weights / det)
             jxw = det * weights
         else:  # final-tensor and affine variants: G is stored
             return store.get("G"), store["jxw"]
@@ -376,29 +374,35 @@ class MatrixFreeOperator:
         component on application.  Constrained entries are 1."""
         n1 = self.spec.degree + 1
         basis = lagrange_basis(n1 - 1, gauss_lobatto_quadrature(n1))
-        n_cells = self.handler.n_cells
-        if (self.spec.geometry == GeometryVariant.FINAL_TENSOR_LOAD
-                and self.spec.quadrature_kind == "gauss_lobatto"):
-            # the operator's own final tensor is at these points: batch by
-            # batch, each cell's nodal values written in cell order
-            diag_loc = np.empty((n1, n1, n1, n_cells))
-            for b, cells in enumerate(self._batch_cells):
+        # the store holds the final tensor at these points only for a
+        # final-tensor operator with Gauss-Lobatto collocation; every other
+        # configuration computes it for the batch's cells
+        stored = (self.spec.geometry == GeometryVariant.FINAL_TENSOR_LOAD
+                  and self.spec.quadrature_kind == "gauss_lobatto")
+        local = np.empty((self.handler.n_cells, n1 ** 3))
+        for b, cells in enumerate(self._batch_cells):
+            if stored:
                 G, jxw = self._batch_geometry(b)
                 sym = None if G is None else [
                     G[i, k] for i, k in zip(_SYMMETRIC_ROWS, _SYMMETRIC_COLS)]
-                diag_loc[..., cells] = self._local_diagonal(basis, sym, jxw)
-        else:
-            geo = precompute_geometry(self.mesh, GeometryVariant.FINAL_TENSOR_LOAD,
-                                      basis.quadrature).payload
-            diag_loc = self._local_diagonal(basis, geo["final_tensor"], geo["jxw"])
-        # summed cell-major, so that every node adds its cells in cell order
-        scalar_idx = _expand_scalar(self.handler, np.arange(n_cells))
-        diag = np.bincount(scalar_idx.ravel(), weights=diag_loc.transpose(3, 0, 1, 2).ravel(),
-                           minlength=self.handler.n_nodes)
+            else:
+                geo = precompute_geometry(self.mesh, GeometryVariant.FINAL_TENSOR_LOAD,
+                                          basis.quadrature, cells).payload
+                sym, jxw = geo["final_tensor"], geo["jxw"]
+            local[cells] = self._local_diagonal(basis, sym, jxw).reshape(-1, len(cells)).T
+        diag = self.node_sum(local)
         diag[np.unique(self._constrained // self.spec.components)] = 1.0
         if np.any(~np.isfinite(diag)) or np.any(diag <= 0.0):
             raise ValueError("operator diagonal is not positive definite")
         return DiagonalPreconditioner(1.0 / diag)
+
+    def node_sum(self, local: np.ndarray) -> np.ndarray:
+        """Per scalar node, the sum of a cell-ordered (n_cells, (p+1)^3)
+        array of nodal values: one bincount over all cells, so that every
+        node adds its cells in cell order."""
+        scalar_idx = _expand_scalar(self.handler, np.arange(self.handler.n_cells))
+        return np.bincount(scalar_idx.ravel(), weights=local.ravel(),
+                           minlength=self.handler.n_nodes)
 
     def _local_diagonal(self, basis, sym, jxw) -> np.ndarray:
         """The diagonal on each cell, (p+1, p+1, p+1, n_cells), from the six

@@ -27,9 +27,8 @@ from mfcg.mesh import (
     SYMMETRIC_INDEX,
     GeometryVariant,
     build_cartesian_mesh,
-    compute_jacobians_from_nodes,
     deform_mesh,
-    metric_tensor,
+    jacobian_adjugate,
     precompute_geometry,
     symmetric_coefficients,
 )
@@ -366,28 +365,27 @@ def plumbed_integrate_gradients(basis, quad_data, even_odd=False):
 
 
 def plumbed_batch_geometry(op, cells):
-    """(six entries or None, jxw) of a batch, derived from the variant's
-    own geometry data for all cells."""
-    payload = precompute_geometry(op.mesh, op.spec.geometry, op.quadrature).payload
+    """(six entries or None, jxw) of a batch, cells first, derived from the
+    variant's own geometry data for the batch's cells."""
+    payload = precompute_geometry(op.mesh, op.spec.geometry, op.quadrature, cells).payload
     variant = op.spec.geometry
     if variant == GeometryVariant.FINAL_TENSOR_LOAD:
         sym = None
         if op.spec.needs_gradients:
-            sym = payload["final_tensor"][:, :, cells].transpose(0, 2, 1)
-        return sym, payload["jxw"][:, cells].T
+            sym = payload["final_tensor"].transpose(0, 2, 1)
+        return sym, payload["jxw"].T
     if variant == GeometryVariant.AFFINE:
         inv = payload["inverse_jacobian"]
         jxw = payload["det_j"] * payload["weights"]
     elif variant == GeometryVariant.INVERSE_JACOBIAN_LOAD:
-        inv = payload["inverse_jacobian"][..., cells].transpose(0, 1, 3, 2)
-        jxw = payload["jxw"][:, cells].T
+        inv = payload["inverse_jacobian"].transpose(0, 1, 3, 2)
+        jxw = payload["jxw"].T
     else:
-        jac, det = compute_jacobians_from_nodes(
-            payload["nodes"][..., cells], op._geo_basis, len(op.quadrature))
-        jac, det = jac.transpose(0, 1, 3, 2), det.T
+        adj, det = jacobian_adjugate(payload["nodes"], op._geo_basis, len(op.quadrature))
+        adj, det = adj.transpose(0, 1, 3, 2), det.T
         sym = None
         if op.spec.needs_gradients:
-            sym = metric_tensor(jac, det, payload["weights"])
+            sym = symmetric_coefficients(adj, payload["weights"] / det)
         return sym, det * payload["weights"]
     sym = symmetric_coefficients(inv, jxw) if op.spec.needs_gradients else None
     return sym, np.broadcast_to(jxw, (len(cells), jxw.shape[-1]))
@@ -812,7 +810,7 @@ def geometry_data(mesh, cell, variant, quad):
     all-cells form the operator consumes)."""
     if not 0 <= cell < mesh.n_cells:
         raise IndexError(f"cell index {cell} out of range")
-    data = precompute_geometry(mesh, variant, quad)
+    data = precompute_geometry(mesh, variant, quad, np.arange(mesh.n_cells))
     if variant == GeometryVariant.AFFINE:
         return dict(data.payload)  # identical for every cell
     per_cell = {"nodes", "inverse_jacobian", "jxw", "final_tensor"}
@@ -882,6 +880,24 @@ def cells_first_build_rhs(op):
     b = np.bincount(idx.ravel(), weights=local.ravel(), minlength=handler.n_dofs)
     b[handler.constrained_dofs] = 0.0
     return b
+
+
+def whole_mesh_diagonal(op):
+    """Inverse operator diagonal as first written: the final tensor at the
+    Gauss-Lobatto collocation points computed for the whole mesh at once,
+    the diagonal of every cell from it in one pass, and one bincount over
+    all cells in cell order."""
+    n1 = op.spec.degree + 1
+    basis = lagrange_basis(n1 - 1, gauss_lobatto_quadrature(n1))
+    n_cells = op.handler.n_cells
+    geo = precompute_geometry(op.mesh, GeometryVariant.FINAL_TENSOR_LOAD,
+                              basis.quadrature, np.arange(n_cells)).payload
+    diag_loc = op._local_diagonal(basis, geo["final_tensor"], geo["jxw"])
+    scalar_idx = _expand_scalar(op.handler, np.arange(n_cells))
+    diag = np.bincount(scalar_idx.ravel(), weights=diag_loc.transpose(3, 0, 1, 2).ravel(),
+                       minlength=op.handler.n_nodes)
+    diag[np.unique(op.handler.constrained_dofs // op.spec.components)] = 1.0
+    return 1.0 / diag
 
 
 def lapack_diagonal(op):

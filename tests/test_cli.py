@@ -175,6 +175,29 @@ class TestUsageErrors:
         assert out == ""
         assert err == f"error: {key.replace('-', '_')} must be at least 1, got 0\n"
 
+    @pytest.mark.parametrize("args,message", [
+        (["verify", "--bp", "BP9"], "unknown benchmark problem 'BP9'"),
+        (["verify", "--traversal", "zigzag", "--filter", "schedule"],
+         "unknown traversal 'zigzag'"),
+        (["verify", "--geometry", "bogus", "--filter", "schedule"],
+         "unknown geometry 'bogus'"),
+        (["liveliness", "--numbering", "reversed"], "unknown numbering 'reversed'"),
+        (["bench", "--variant", "cg,gmres"], "unknown solver variant 'gmres'"),
+    ])
+    def test_unknown_names_are_usage_errors(self, args, message, capsys, monkeypatch):
+        # verify used to exit 1 for --bp BP9 and --traversal zigzag, as a
+        # crashed schedule suite, and 0 for --geometry bogus, which it never read
+        def no_setup(*args, **kwargs):
+            raise AssertionError("set-up ran before the config was checked")
+
+        for name in ("assemble_problem", "discretize", "run_benchmark"):
+            monkeypatch.setattr(mfcg.cli, name, no_setup)
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {message}; expected one of ")
+        assert err.count("\n") == 1
+
     def test_huge_mesh_refused_on_the_locality_path(self, capsys):
         # liveliness used to report numpy's failure to allocate 7.11 PiB
         code, out, err = run_cli(["liveliness", "--cells", "99999"], capsys)

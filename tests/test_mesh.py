@@ -21,11 +21,16 @@ from mfcg.mesh import (
     SYMMETRIC_INDEX,
     GeometryVariant,
     build_cartesian_mesh,
-    compute_jacobians_from_nodes,
     deform_mesh,
+    jacobian_adjugate,
     precompute_geometry,
 )
 from mfcg.tensor import gauss_quadrature, lagrange_basis
+
+
+def mesh_geometry(mesh, variant, quad):
+    """The variant's geometry data for every cell of `mesh`, in cell order."""
+    return precompute_geometry(mesh, variant, quad, np.arange(mesh.n_cells))
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +151,7 @@ class TestDeformation:
     def test_affine_requires_undeformed(self):
         mesh = deform_mesh(build_cartesian_mesh((2, 2, 2)), 0.05)
         with pytest.raises(ValueError, match="undeformed"):
-            precompute_geometry(mesh, GeometryVariant.AFFINE, gauss_quadrature(3))
+            mesh_geometry(mesh, GeometryVariant.AFFINE, gauss_quadrature(3))
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +182,7 @@ class TestJacobians:
     def test_matches_analytic_oracle(self, nq):
         mesh = deform_mesh(build_cartesian_mesh((2, 2, 2), extents=(1.0, 1.5, 2.0)), 0.07)
         quad = gauss_quadrature(nq)
-        data = precompute_geometry(mesh, GeometryVariant.INVERSE_JACOBIAN_LOAD, quad)
+        data = mesh_geometry(mesh, GeometryVariant.INVERSE_JACOBIAN_LOAD, quad)
         inv = data.payload["inverse_jacobian"]
         lattice = quad_lattice(nq)
         for cell in (0, 3, 7):
@@ -202,7 +207,7 @@ class TestJacobians:
     def test_jxw_positive_and_consistent(self):
         mesh = deform_mesh(build_cartesian_mesh((3, 3, 3)), 0.05)
         quad = gauss_quadrature(3)
-        data = precompute_geometry(mesh, GeometryVariant.INVERSE_JACOBIAN_LOAD, quad)
+        data = mesh_geometry(mesh, GeometryVariant.INVERSE_JACOBIAN_LOAD, quad)
         assert np.all(data.payload["jxw"] > 0.0)
         lattice = quad_lattice(3)
         weights = np.array([quad.weights[i] * quad.weights[j] * quad.weights[k]
@@ -215,10 +220,10 @@ class TestJacobians:
         mesh = deform_mesh(build_cartesian_mesh((2, 2, 2)), 0.06)
         quad = gauss_quadrature(4)
         basis = lagrange_basis(2, quad)
-        data = precompute_geometry(mesh, GeometryVariant.QUADRATIC_COMPUTE, quad)
-        jac, det = compute_jacobians_from_nodes(data.payload["nodes"], basis, len(quad))
-        ref = precompute_geometry(mesh, GeometryVariant.INVERSE_JACOBIAN_LOAD, quad)
-        np.testing.assert_allclose(np.linalg.inv(matrix_stack(jac)),
+        data = mesh_geometry(mesh, GeometryVariant.QUADRATIC_COMPUTE, quad)
+        adj, det = jacobian_adjugate(data.payload["nodes"], basis, len(quad))
+        ref = mesh_geometry(mesh, GeometryVariant.INVERSE_JACOBIAN_LOAD, quad)
+        np.testing.assert_allclose(matrix_stack(adj / det),
                                    matrix_stack(ref.payload["inverse_jacobian"]),
                                    rtol=1e-12, atol=1e-14)
         weights = data.payload["weights"][:, None]
@@ -232,7 +237,7 @@ class TestJacobians:
 class TestVariants:
     def test_affine_payload(self):
         mesh = build_cartesian_mesh((2, 4, 8), extents=(1.0, 1.0, 1.0))
-        data = precompute_geometry(mesh, GeometryVariant.AFFINE, gauss_quadrature(2))
+        data = mesh_geometry(mesh, GeometryVariant.AFFINE, gauss_quadrature(2))
         np.testing.assert_allclose(data.payload["inverse_jacobian"],
                                    np.diag([2.0, 4.0, 8.0]))
         np.testing.assert_allclose(data.payload["det_j"], 0.5 * 0.25 * 0.125)
@@ -247,8 +252,8 @@ class TestVariants:
     def test_final_tensor_matches_inverse_jacobian(self):
         mesh = deform_mesh(build_cartesian_mesh((2, 2, 2)), 0.07)
         quad = gauss_quadrature(3)
-        load = precompute_geometry(mesh, GeometryVariant.INVERSE_JACOBIAN_LOAD, quad)
-        final = precompute_geometry(mesh, GeometryVariant.FINAL_TENSOR_LOAD, quad)
+        load = mesh_geometry(mesh, GeometryVariant.INVERSE_JACOBIAN_LOAD, quad)
+        final = mesh_geometry(mesh, GeometryVariant.FINAL_TENSOR_LOAD, quad)
         inv = load.payload["inverse_jacobian"]
         jxw = load.payload["jxw"]
         full = np.einsum("ijqc,kjqc,qc->ikqc", inv, inv, jxw)
@@ -260,7 +265,7 @@ class TestVariants:
     def test_isoparametric_reproduces_quadratic_map(self):
         mesh = deform_mesh(build_cartesian_mesh((2, 2, 2)), 0.05)
         quad = gauss_quadrature(4)
-        data = precompute_geometry(mesh, GeometryVariant.ISOPARAMETRIC_COMPUTE, quad)
+        data = mesh_geometry(mesh, GeometryVariant.ISOPARAMETRIC_COMPUTE, quad)
         nodes = data.payload["nodes"]
         assert nodes.shape == (4**3, 3, 8)
         from mfcg.tensor import gauss_lobatto_quadrature
@@ -280,11 +285,11 @@ class TestVariants:
         # differentiating it gives identical Jacobians
         mesh = deform_mesh(build_cartesian_mesh((2, 2, 2)), 0.05)
         quad = gauss_quadrature(3)
-        iso = precompute_geometry(mesh, GeometryVariant.ISOPARAMETRIC_COMPUTE, quad)
+        iso = mesh_geometry(mesh, GeometryVariant.ISOPARAMETRIC_COMPUTE, quad)
         basis = lagrange_basis(len(quad) - 1, quad)
-        jac, det = compute_jacobians_from_nodes(iso.payload["nodes"], basis, len(quad))
-        ref = precompute_geometry(mesh, GeometryVariant.INVERSE_JACOBIAN_LOAD, quad)
-        np.testing.assert_allclose(np.linalg.inv(matrix_stack(jac)),
+        adj, det = jacobian_adjugate(iso.payload["nodes"], basis, len(quad))
+        ref = mesh_geometry(mesh, GeometryVariant.INVERSE_JACOBIAN_LOAD, quad)
+        np.testing.assert_allclose(matrix_stack(adj / det),
                                    matrix_stack(ref.payload["inverse_jacobian"]),
                                    rtol=1e-10, atol=1e-12)
 
@@ -298,12 +303,12 @@ class TestVariants:
             GeometryVariant.FINAL_TENSOR_LOAD: 7 * 64,
         }
         for variant, size in sizes.items():
-            assert precompute_geometry(mesh, variant, quad).doubles_per_cell == size
+            assert mesh_geometry(mesh, variant, quad).doubles_per_cell == size
 
     def test_per_cell_view(self):
         mesh = deform_mesh(build_cartesian_mesh((2, 2, 2)), 0.04)
         quad = gauss_quadrature(3)
-        full = precompute_geometry(mesh, GeometryVariant.FINAL_TENSOR_LOAD, quad)
+        full = mesh_geometry(mesh, GeometryVariant.FINAL_TENSOR_LOAD, quad)
         view = geometry_data(mesh, 5, GeometryVariant.FINAL_TENSOR_LOAD, quad)
         np.testing.assert_array_equal(view["final_tensor"],
                                       full.payload["final_tensor"][..., 5])
@@ -312,7 +317,7 @@ class TestVariants:
     def test_undeformed_volume(self):
         mesh = build_cartesian_mesh((3, 2, 2), extents=(1.0, 2.0, 1.5))
         quad = gauss_quadrature(2)
-        data = precompute_geometry(mesh, GeometryVariant.INVERSE_JACOBIAN_LOAD, quad)
+        data = mesh_geometry(mesh, GeometryVariant.INVERSE_JACOBIAN_LOAD, quad)
         np.testing.assert_allclose(data.payload["jxw"].sum(), 3.0, rtol=1e-13)
 
     def test_deformed_volume_quadrature_independent(self):
@@ -320,8 +325,8 @@ class TestVariants:
         mesh = deform_mesh(build_cartesian_mesh((2, 2, 2)), 0.08)
         volumes = []
         for nq in (4, 6):
-            data = precompute_geometry(mesh, GeometryVariant.INVERSE_JACOBIAN_LOAD,
-                                       gauss_quadrature(nq))
+            data = mesh_geometry(mesh, GeometryVariant.INVERSE_JACOBIAN_LOAD,
+                                 gauss_quadrature(nq))
             volumes.append(data.payload["jxw"].sum())
         np.testing.assert_allclose(volumes[0], volumes[1], rtol=1e-13)
 
@@ -331,6 +336,6 @@ class TestVariants:
        amplitude=st.floats(0.0, 0.1))
 def test_deformation_keeps_cells_valid(nx, ny, nz, amplitude):
     mesh = deform_mesh(build_cartesian_mesh((nx, ny, nz)), amplitude)
-    data = precompute_geometry(mesh, GeometryVariant.INVERSE_JACOBIAN_LOAD,
-                               gauss_quadrature(3))
+    data = mesh_geometry(mesh, GeometryVariant.INVERSE_JACOBIAN_LOAD,
+                         gauss_quadrature(3))
     assert np.all(data.payload["jxw"] > 0.0)

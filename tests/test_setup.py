@@ -6,6 +6,8 @@ right-hand side change only the 3x3 algebra (closed-form cofactors instead
 of LAPACK) and must agree to 1e-14 relative to the largest entry.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,7 @@ from _oracles import (
     loop_renumber_optimized,
     matrix_stack,
     quadratic_geometry_nodes,
+    whole_mesh_diagonal,
 )
 from mfcg.bench import assemble_problem, build_rhs
 from mfcg.dofs import (
@@ -46,12 +49,13 @@ from mfcg.dofs import (
 from mfcg.mesh import (
     SYMMETRIC_INDEX,
     GeometryVariant,
+    _jacobians,
     adjugate,
     build_cartesian_mesh,
-    compute_jacobians_from_nodes,
     deform_mesh,
-    metric_tensor,
+    jacobian_adjugate,
     precompute_geometry,
+    symmetric_coefficients,
 )
 from mfcg.operator import _cell_stream_ranges
 from mfcg.tensor import gauss_quadrature, lagrange_basis
@@ -176,10 +180,12 @@ def test_geometry_matches_lapack(cells, nq):
     mesh = deform_mesh(build_cartesian_mesh(cells), 0.05)
     quad = gauss_quadrature(nq)
     inv, jxw, sym = lapack_geometry(mesh, quad)
-    final = precompute_geometry(mesh, GeometryVariant.FINAL_TENSOR_LOAD, quad).payload
+    every = np.arange(mesh.n_cells)
+    final = precompute_geometry(mesh, GeometryVariant.FINAL_TENSOR_LOAD, quad, every).payload
     assert_close(final["jxw"].T, jxw)
     assert_close(final["final_tensor"].transpose(0, 2, 1), sym)
-    loaded = precompute_geometry(mesh, GeometryVariant.INVERSE_JACOBIAN_LOAD, quad).payload
+    loaded = precompute_geometry(mesh, GeometryVariant.INVERSE_JACOBIAN_LOAD, quad,
+                                 every).payload
     assert_close(matrix_stack(loaded["inverse_jacobian"]).transpose(1, 0, 2, 3), inv)
     assert_close(loaded["jxw"].T, jxw)
 
@@ -193,7 +199,7 @@ def test_adjugate_and_metric_tensor_on_random_matrices():
     weights = rng.uniform(0.5, 1.0, 8)
     inv = np.linalg.inv(jac)
     want = np.einsum("...ak,...bk->...ab", inv, inv) * (det * weights)[..., None, None]
-    got = metric_tensor(entries, det, weights)
+    got = symmetric_coefficients(adjugate(entries), weights / det)
     for e, (a, b) in enumerate([(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]):
         assert_close(got[e], want[..., a, b], rel=1e-13)
 
@@ -220,7 +226,8 @@ def test_geometry_is_stored_cells_last(variant):
     op, _ = build_fem((3, 2, 2), p=2, variant=variant, batch=5,
                       deformed=0.0 if affine else 0.05)
     n_cells, points = op.mesh.n_cells, len(op.quadrature) ** 3
-    payload = precompute_geometry(op.mesh, variant, op.quadrature).payload
+    payload = precompute_geometry(op.mesh, variant, op.quadrature,
+                                  np.arange(n_cells)).payload
     arrays = [("nodes", op.mesh.quadratic_nodes)] + list(payload.items())
     for key, value in arrays:
         if key == "nodes":
@@ -288,15 +295,15 @@ def test_degenerate_jacobian_raises():
     flat = nodes.copy()
     flat[:, 2, 1] = 0.0  # second cell collapsed to zero thickness
     with pytest.raises(ValueError, match="degenerate"):
-        compute_jacobians_from_nodes(flat, basis, 3)
+        jacobian_adjugate(flat, basis, 3)
     mirrored = nodes.copy()
     mirrored[:, 0, 0] *= -1.0  # inverted orientation: det J < 0
     with pytest.raises(ValueError, match="degenerate"):
-        compute_jacobians_from_nodes(mirrored, basis, 3)
+        jacobian_adjugate(mirrored, basis, 3)
     nan = nodes.copy()
     nan[4, 1, 0] = np.nan
     with pytest.raises(ValueError, match="degenerate"):
-        compute_jacobians_from_nodes(nan, basis, 3)
+        jacobian_adjugate(nan, basis, 3)
     with pytest.raises(ValueError, match="non-positive Jacobian"):
         deform_mesh(mesh, 5.0)
 
@@ -305,7 +312,8 @@ def test_closed_form_determinant_matches_lapack():
     mesh = deform_mesh(build_cartesian_mesh((4, 4, 4)), 0.05)
     nodes = np.stack([quadratic_geometry_nodes(mesh, c) for c in range(mesh.n_cells)])
     basis = lagrange_basis(2, gauss_quadrature(5))
-    jac, det = compute_jacobians_from_nodes(nodes.transpose(1, 2, 0), basis, 5)
+    jac = _jacobians(nodes.transpose(1, 2, 0), basis, 5)
+    _, det = jacobian_adjugate(nodes.transpose(1, 2, 0), basis, 5)
     want_jac, want_det = lapack_jacobians(nodes, basis, 5)
     np.testing.assert_array_equal(matrix_stack(jac).transpose(1, 0, 2, 3), want_jac)
     assert_close(det.T, want_det)
@@ -331,6 +339,33 @@ def test_rhs_matches_per_cell_loop(bp, degree, cells, numbering):
 def bits(a):
     """The bytes of a float64 array as uint64, for bit-exact comparisons."""
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("bp", ["BP1", "BP2", "BP3", "BP4", "BP5"])
+@pytest.mark.parametrize("variant", list(GeometryVariant))
+def test_diagonal_is_bit_identical_to_whole_mesh_pass(bp, variant):
+    # batch by batch, from the operator's store (BP5 with the final tensor)
+    # or from each batch's own Gauss-Lobatto geometry, the diagonal keeps
+    # every bit of the whole-mesh pass; Morton batches are unsorted
+    op, _, minv = assemble_problem(bp, 3, (4, 4, 4), geometry=variant, simd_lanes=1)
+    assert op.plan.n_batches > 1
+    np.testing.assert_array_equal(bits(minv.inverse_diagonal), bits(whole_mesh_diagonal(op)))
+
+
+@pytest.mark.parametrize("bp,bound", [("BP1", 1.5), ("BP2", 1.3), ("BP3", 1.3),
+                                      ("BP4", 1.3), ("BP5", 1.3)])
+def test_setup_peak_is_bounded_by_what_it_holds(bp, bound):
+    # every per-cell array is built batch by batch; the diagonal's whole-mesh
+    # Gauss-Lobatto geometry used to take the peak of BP1-BP4 to 1.6-3.8x
+    # what the problem holds at this size
+    tracemalloc.start()
+    try:
+        problem = assemble_problem(bp, 3, (12, 12, 12))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del problem  # held until measured
+    assert peak <= bound * held, peak / held
 
 
 @pytest.mark.parametrize("bp,degree,cells", [
@@ -397,14 +432,14 @@ def test_gauss_lobatto_rhs_matches_loop():
 ])
 def test_geometry_computed_once_per_problem(monkeypatch, bp, degree, rules):
     # each cell's geometry is computed once per quadrature rule: the
-    # operator's calls, one per batch, and the diagonal's whole-mesh call
-    # together cover every cell exactly once per rule
+    # operator's calls and the diagonal's, one per batch each, cover every
+    # cell exactly once per rule
     counted = {}
     original = mfcg.operator.precompute_geometry
 
-    def counting(mesh, variant, quad, cells=None):
+    def counting(mesh, variant, quad, cells):
         key = quad.points.tobytes()
-        covered = np.arange(mesh.n_cells) if cells is None else np.asarray(cells)
+        covered = np.asarray(cells)
         counted[key] = np.concatenate([counted.get(key, covered[:0]), covered])
         return original(mesh, variant, quad, cells)
 
@@ -431,7 +466,8 @@ def test_batch_store_is_bit_identical_to_gathered_payload(variant, eq):
                       traversal="morton", deformed=0.0 if affine else 0.05)
     assert [len(cells) for cells in op.plan.batches] == [5, 5, 5, 5, 4]
     assert any(np.any(np.diff(cells) < 0) for cells in op.plan.batches)
-    payload = precompute_geometry(op.mesh, variant, op.quadrature).payload
+    payload = precompute_geometry(op.mesh, variant, op.quadrature,
+                                  np.arange(op.mesh.n_cells)).payload
     for b, cells in enumerate(op.plan.batches):
         want = gather_geometry(op, payload, np.asarray(cells))
         got = op._batch_store[b]
