@@ -28,7 +28,7 @@ from .locality import (
     predict_transfer,
     replay_cache,
 )
-from .mesh import GeometryVariant
+from .mesh import GeometryVariant, validate_cells
 from .solvers import VARIANTS, SolverBreakdown, SolverConfig, solve
 from .tensor import evaluate_values, gauss_quadrature, lagrange_basis
 from .trace import AccessRecorder
@@ -72,6 +72,7 @@ class Config:
             value = getattr(self, key)
             if value < 0:
                 raise ValueError(f"{key} must be non-negative, got {value}")
+        validate_cells(self.cells)
         for key, (name, known) in _CHOICES.items():
             value = getattr(self, key)
             if value not in known:

@@ -19,7 +19,7 @@ import numpy as np
 from .tensor import (
     QuadratureRule1D,
     evaluate_gradients_lanes,
-    evaluate_values,
+    evaluate_values_lanes,
     gauss_lobatto_quadrature,
     lagrange_basis,
 )
@@ -91,17 +91,25 @@ def build_cartesian_mesh(cells_per_dim, extents=(1.0, 1.0, 1.0)) -> HexMesh:
     return HexMesh(cells, ext)
 
 
+# cells per block of `deform_mesh`'s Jacobian check, which bounds its
+# transient arrays (J, adj J, the sweeps) independently of the mesh size
+DEFORM_CHECK_CELLS = 512
+
+
 def deform_mesh(mesh: HexMesh, amplitude: float) -> HexMesh:
     """Apply x -> x + amplitude * prod_d sin(pi x_d / extent_d) to every
     coordinate.  The bump vanishes on the boundary, so boundary faces stay
-    put.  Rejects amplitudes that are not finite or flip any cell's Jacobian."""
+    put.  Rejects amplitudes that are not finite or flip any cell's Jacobian,
+    checked in blocks of `DEFORM_CHECK_CELLS` cells."""
     if not np.isfinite(amplitude):
         raise ValueError(f"deformation amplitude must be finite, got {amplitude}")
     new = HexMesh(mesh.cells_per_dim, mesh.extents, mesh.deformation + amplitude)
     if amplitude != 0.0:
+        nodes = new.quadratic_nodes
+        basis = lagrange_basis(2, gauss_lobatto_quadrature(3))
         try:
-            jacobian_adjugate(
-                new.quadratic_nodes, lagrange_basis(2, gauss_lobatto_quadrature(3)), 3)
+            for lo in range(0, new.n_cells, DEFORM_CHECK_CELLS):
+                jacobian_adjugate(nodes[..., lo:lo + DEFORM_CHECK_CELLS], basis, 3)
         except ValueError as err:
             raise ValueError(
                 f"deformation amplitude {new.deformation} produces a "
@@ -259,9 +267,9 @@ def precompute_geometry(mesh: HexMesh, variant: GeometryVariant,
         support = gauss_lobatto_quadrature(nq).points
         basis2 = lagrange_basis(2, QuadratureRule1D(support, np.full(len(support), 1.0 / len(support))))
         n_cells = nodes.shape[-1]
-        coords = nodes.transpose(2, 1, 0).reshape(n_cells, 3, 3, 3, 3)
-        vals = evaluate_values(basis2, coords)  # (cells, coord, s,s,s)
-        nodes = np.ascontiguousarray(vals.reshape(n_cells, 3, -1).transpose(2, 1, 0))
+        # (s, s, s, coord, cells): the coordinates and cells are the lanes
+        vals = evaluate_values_lanes(basis2, nodes.reshape(3, 3, 3, 3, n_cells))
+        nodes = vals.reshape(-1, 3, n_cells)
         return GeometryData(variant, quad, {"nodes": nodes, "weights": weights},
                             3 * len(support) ** 3)
     adj, det = jacobian_adjugate(nodes, lagrange_basis(2, quad), nq)

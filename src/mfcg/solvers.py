@@ -1,18 +1,21 @@
 """Conjugate-gradient variants with instrumented vector-access regions.
 
-Six CG formulations share one outward contract (solve Ax = b to a relative
-residual tolerance, x0 = 0): the textbook method, its Jacobi-preconditioned
-form, a pipelined variant with a single reduction sweep per iteration, an
-s-step variant with one reduction cluster per s iterations, and two "merged"
-variants that interleave every vector update and reduction with the operator's
-cell loop through `apply_with_callbacks`.
+`solve(variant, A, b, ...)` is the one entry.  Six CG formulations share one
+outward contract (solve Ax = b to a relative residual tolerance, x0 = 0) and
+run on four recurrences: the textbook method (`_standard`: cg, or pcg with a
+Jacobi preconditioner), a pipelined variant with a single reduction sweep per
+iteration (`_pipelined`), an s-step variant with one reduction cluster per s
+iterations (`_sstep`), and the "merged" method that interleaves every vector
+update and reduction with the operator's cell loop through
+`apply_with_callbacks` (`_combined`: combined_cg, or combined_pcg with
+Jacobi).
 
 Every full-vector operation is wrapped in a named region; with a recorder
 attached, the regions reproduce the analytic memory-transfer model's counting
 unit (unique stream touches per region instance).  Region wall times are
 accumulated per tag on the result.  One `_Run` per solve holds what the
-variants share: input checks, regions, the history, the scalar guard and the
-result.
+recurrences share: input checks, stream registration, regions, the history,
+the scalar guard and the result.
 """
 
 from __future__ import annotations
@@ -28,11 +31,7 @@ from . import trace
 from .operator import DiagonalPreconditioner
 
 __all__ = ["SolverBreakdown", "SolverConfig", "SolveResult", "fused_reductions",
-           "solve_cg", "solve_pcg", "solve_pipelined",
-           "solve_sstep", "solve_combined_cg", "solve_combined_pcg", "solve",
-           "VARIANTS"]
-
-VARIANTS = ("cg", "pcg", "pipelined", "sstep", "combined_cg", "combined_pcg")
+           "solve", "VARIANTS"]
 
 DRIFT_CHECK_EVERY = 50               # pipelined true-residual check interval
 # solve() rescales a b whose largest entry is below this: its squares, and so
@@ -60,6 +59,9 @@ class SolverConfig:
             raise ValueError("max_iterations must be at least 1")
         if self.s < 1:
             raise ValueError("s must be at least 1")
+        if self.s > 8:
+            raise ValueError("s > 8 is not supported: the monomial basis loses "
+                             "linear independence in double precision")
         if self.fixed_iterations is not None and self.fixed_iterations < 1:
             raise ValueError("fixed_iterations must be at least 1")
 
@@ -110,14 +112,14 @@ def _inverse_diagonal(minv) -> np.ndarray:
 
 
 class _Run:
-    """The plumbing one solve shares with every variant: input checks, stream
-    registration, timed and traced regions, the matvec count, the history,
-    the scalar guard and the result.  A zero `b` leaves `bnorm` at 0 and
-    registers nothing; the caller then returns `result(zeros, 0, 0.0)`.  A
-    nonzero `b` whose norm underflows to 0 raises `ValueError` (`solve`
-    rescales such a `b` first)."""
+    """The plumbing one solve shares with every recurrence: input checks,
+    stream registration, timed and traced regions, the matvec count, the
+    history, the scalar guard and the result.  A preconditioned variant's
+    `minv` is checked (present, of matching length, finite) and replicated
+    to full vector length; any other variant ignores it."""
 
-    def __init__(self, variant, A, b, config, recorder, streams, minv=None):
+    def __init__(self, variant, A, b, config=None, recorder=None, minv=None,
+                 preconditioned=False):
         cfg = config or SolverConfig()
         self.variant = variant
         self.A = A
@@ -127,26 +129,32 @@ class _Run:
             raise ValueError("right-hand side length does not match operator")
         self.components = getattr(A, "components", 1)
         self.minv = None             # replicated to full vector length
-        if minv is not None:
+        if preconditioned:
+            if minv is None:
+                raise ValueError(f"{variant} requires a preconditioner")
             scalar = _inverse_diagonal(minv)
             if len(scalar) * self.components != n:
                 raise ValueError("preconditioner length does not match operator")
+            if not np.all(np.isfinite(scalar)):
+                raise ValueError("preconditioner has non-finite entries")
             self.minv = np.repeat(scalar, self.components)
         self.tol = cfg.tolerance
+        self.s = cfg.s
         self.fixed = cfg.fixed_iterations is not None
         self.limit = cfg.fixed_iterations or cfg.max_iterations
         self.unit = "outer step" if variant == "sstep" else "iteration"
         self.bnorm = _norm(b)
-        if self.bnorm == 0.0 and np.any(b):
-            raise ValueError("the norm of the nonzero right-hand side "
-                             "underflows to 0; solve() rescales it")
         self.history = []
         self.times = {}
         self.matvecs = 0
-        if recorder is not None and self.bnorm != 0.0:
-            for name in streams:
-                recorder.register_dofs(name, n)
-            recorder.begin_iteration(0)
+
+    def register(self, names):
+        """Register the full-length streams `names` in that order, which
+        fixes their stream ids, and open iteration 0."""
+        if self.rec is not None:
+            for name in names:
+                self.rec.register_dofs(name, self.n)
+            self.rec.begin_iteration(0)
 
     def begin_iteration(self, k):
         if self.rec is not None:
@@ -215,19 +223,36 @@ class _Run:
 # -- standard CG / PCG --------------------------------------------------------
 
 
-def solve_cg(A, b, config: SolverConfig = None, *, recorder=None) -> SolveResult:
-    """Textbook conjugate gradients; five vector-access regions per iteration
-    (p.v, x, r, r.r, p) around one matrix-vector product."""
-    run = _Run("cg", A, b, config, recorder, ("x", "r", "p", "v", "b"))
-    if run.bnorm == 0.0:
-        return run.result(np.zeros(run.n), 0, 0.0)
+def _standard(run, b):
+    """Textbook conjugate gradients, Jacobi-preconditioned when `run.minv` is
+    set.  cg has five vector-access regions per iteration (p.v, x, r, r.r,
+    p) around one matrix-vector product, and z aliases r.  pcg streams the
+    inverse diagonal at full vector length (replicated per component) and
+    terminates on the explicit unpreconditioned residual norm, giving seven
+    regions (norm_r, apply_prec and dot_rz in place of dot_rr)."""
+    m = run.minv
+    run.register(("x", "r", "p", "v", "b") if m is None
+                 else ("x", "r", "p", "v", "z", "b", "minv"))
     x = np.zeros(run.n)
     v = np.empty(run.n)
-    with run.region("init", reads=("b", "r"), writes=("r", "p")):
-        r = b.copy()
-        p = r.copy()
-        gamma = r @ r
-    residual = math.sqrt(gamma) / run.bnorm
+    if m is None:
+        with run.region("init", reads=("b", "r"), writes=("r", "p")):
+            r = z = b.copy()
+            p = r.copy()
+            gamma = r @ r
+        residual = math.sqrt(gamma) / run.bnorm
+    else:
+        with run.region("init", reads=("b", "minv", "r", "z"),
+                        writes=("r", "z", "p")):
+            r = b.copy()
+            z = m * r
+            p = z.copy()
+            gamma = r @ z
+        if gamma <= 0.0:
+            # name the preconditioner before any step; a non-finite product
+            # surfaces as p^T A p at iteration 1
+            run.frozen(gamma, _RZ, 0, 1.0)
+        residual = _norm(r) / run.bnorm
     for k in range(1, run.limit + 1):
         run.begin_iteration(k)
         run.matvec(p, v, "p", "v")
@@ -238,68 +263,25 @@ def solve_cg(A, b, config: SolverConfig = None, *, recorder=None) -> SolveResult
             x += alpha * p
         with run.region("update_r", reads=("v",), rw=("r",)):
             r -= alpha * v
-        with run.region("dot_rr", reads=("r",)):
-            gamma_new = r @ r
-        beta = gamma_new / gamma if gamma > 0.0 else 0.0
-        residual = math.sqrt(gamma_new) / run.bnorm
-        run.row(k, alpha, beta, gamma, residual)
-        gamma = gamma_new
-        if not run.fixed and residual < run.tol:
-            break
-        with run.region("update_p", reads=("r",), rw=("p",)):
-            p *= beta
-            p += r
-    return run.result(x, k, residual)
-
-
-def solve_pcg(A, b, minv, config: SolverConfig = None, *,
-              recorder=None) -> SolveResult:
-    """Jacobi-preconditioned CG.  The inverse diagonal is streamed at full
-    vector length (replicated per component); termination uses the explicit
-    unpreconditioned residual norm, giving seven vector-access regions."""
-    if minv is None:
-        raise ValueError("pcg requires a preconditioner")
-    run = _Run("pcg", A, b, config, recorder,
-               ("x", "r", "p", "v", "z", "b", "minv"), minv)
-    if run.bnorm == 0.0:
-        return run.result(np.zeros(run.n), 0, 0.0)
-    mfull = run.minv
-    x = np.zeros(run.n)
-    v = np.empty(run.n)
-    with run.region("init", reads=("b", "minv", "r", "z"),
-                    writes=("r", "z", "p")):
-        r = b.copy()
-        z = mfull * r
-        p = z.copy()
-        gamma = r @ z
-    if gamma <= 0.0:
-        # name the preconditioner before any step; a non-finite product
-        # surfaces as p^T A p at iteration 1
-        run.frozen(gamma, _RZ, 0, 1.0)
-    residual = _norm(r) / run.bnorm
-    for k in range(1, run.limit + 1):
-        run.begin_iteration(k)
-        run.matvec(p, v, "p", "v")
-        with run.region("dot_pv", reads=("p", "v")):
-            a = p @ v
-        alpha = 0.0 if run.frozen(a, "p^T A p", k, residual) else gamma / a
-        with run.region("update_x", reads=("p",), rw=("x",)):
-            x += alpha * p
-        with run.region("update_r", reads=("v",), rw=("r",)):
-            r -= alpha * v
-        with run.region("norm_r", reads=("r",)):
-            residual = _norm(r) / run.bnorm
-        with run.region("apply_prec", reads=("minv", "r"), writes=("z",)):
-            np.multiply(mfull, r, out=z)
-        with run.region("dot_rz", reads=("r", "z")):
-            gamma_new = r @ z
-        run.frozen(gamma_new, _RZ, k, residual)
+        if m is None:
+            with run.region("dot_rr", reads=("r",)):
+                gamma_new = r @ r
+            residual = math.sqrt(gamma_new) / run.bnorm
+        else:
+            with run.region("norm_r", reads=("r",)):
+                residual = _norm(r) / run.bnorm
+            with run.region("apply_prec", reads=("minv", "r"), writes=("z",)):
+                np.multiply(m, r, out=z)
+            with run.region("dot_rz", reads=("r", "z")):
+                gamma_new = r @ z
+            run.frozen(gamma_new, _RZ, k, residual)
         beta = gamma_new / gamma if gamma > 0.0 else 0.0
         run.row(k, alpha, beta, gamma, residual)
         gamma = gamma_new
         if not run.fixed and residual < run.tol:
             break
-        with run.region("update_p", reads=("z",), rw=("p",)):
+        with run.region("update_p", reads=("r" if m is None else "z",),
+                        rw=("p",)):
             p *= beta
             p += z
     return run.result(x, k, residual)
@@ -308,18 +290,14 @@ def solve_pcg(A, b, minv, config: SolverConfig = None, *,
 # -- pipelined CG -------------------------------------------------------------
 
 
-def solve_pipelined(A, b, config: SolverConfig = None, *,
-                    recorder=None) -> SolveResult:
+def _pipelined(run, b):
     """Pipelined CG (Ghysels/Vanroose recurrence): both reductions and all
     six vector updates share a single fused region per iteration, at the cost
     of three auxiliary vectors.  The recurred residual is checked against the
     true residual every `DRIFT_CHECK_EVERY` iterations (reported, never
     corrected)."""
-    run = _Run("pipelined", A, b, config, recorder,
-               ("x", "r", "p", "w", "s", "z", "q", "b", "drift_tmp"))
+    run.register(("x", "r", "p", "w", "s", "z", "q", "b", "drift_tmp"))
     n = run.n
-    if run.bnorm == 0.0:
-        return run.result(np.zeros(n), 0, 0.0)
     x = np.zeros(n)
     p = np.zeros(n)
     s = np.zeros(n)
@@ -389,27 +367,22 @@ def solve_pipelined(A, b, config: SolverConfig = None, *,
 # -- s-step CG ----------------------------------------------------------------
 
 
-def solve_sstep(A, b, config: SolverConfig = None, *,
-                recorder=None) -> SolveResult:
+def _sstep(run, b):
     """s-step CG on the monomial block basis T = [r, Ar, ..., A^s r].
 
     One reduction cluster serves s iterations; the search block satisfies
     P_k = R_k + P_{k-1} B_k with B_k = -W_{k-1}^{-1} P_{k-1}^T Q_k, where
     R_k/Q_k are the first/last s columns of T_k and W_k = P_k^T A P_k.  The
     residual is recomputed explicitly as b - Ax after every outer step.  The
-    monomial basis is the numerically fragile, bandwidth-friendly choice; W_k
-    losing positive definiteness raises a breakdown naming the outer step.
+    monomial basis is the numerically fragile, bandwidth-friendly choice
+    (`SolverConfig` refuses s > 8); W_k losing positive definiteness raises a
+    breakdown naming the outer step.
     """
-    s = (config or SolverConfig()).s
-    if s > 8:
-        raise ValueError("s > 8 is not supported: the monomial basis loses "
-                         "linear independence in double precision")
+    s = run.s
     t_names = [f"T{j}" for j in range(s + 1)]
     p_names = [f"P{j}" for j in range(s)]
-    run = _Run("sstep", A, b, config, recorder, t_names + p_names + ["x", "b", "w"])
+    run.register(t_names + p_names + ["x", "b", "w"])
     n = run.n
-    if run.bnorm == 0.0:
-        return run.result(np.zeros(n), 0, 0.0)
     T = np.zeros((s + 1, n))   # rows are the block columns; T[0] aliases r
     P = np.zeros((s, n))
     x = np.zeros(n)
@@ -484,18 +457,22 @@ def solve_sstep(A, b, config: SolverConfig = None, *,
     return run.result(x, j * s, residual)
 
 
-# -- combined (merged vector operation) variants ------------------------------
+# -- combined (merged vector operation) CG / PCG ------------------------------
 
 
-def _solve_combined(variant, A, b, minv, config, rec):
-    """Shared driver for the merged CG/PCG: all vector updates run in the
-    operator's pre callback operating on r, p (and x every other iteration),
-    all reductions accumulate in the post callback, so each iteration touches
-    every vector range exactly once around the cell loop."""
-    run = _Run(variant, A, b, config, rec, ("x", "r", "b"), minv)
+def _combined(run, b):
+    """Merged CG, or merged Jacobi-PCG when `run.minv` is set: all vector
+    updates run in the operator's pre callback operating on r, p (and x every
+    other iteration), all reductions accumulate in the post callback, so each
+    iteration touches every vector range exactly once around the cell loop.
+    x is updated every other iteration through the recurrence identity, and
+    termination comes from the residual norm recurrence.  The preconditioned
+    residual is never materialized: the scalar inverse diagonal is re-applied
+    on the fly wherever z would be read."""
+    A = run.A
+    rec = run.rec
+    run.register(("x", "r", "b"))
     n = run.n
-    if run.bnorm == 0.0:
-        return run.result(np.zeros(n), 0, 0.0)
     mrep = run.minv
     mscale = run.components
     if rec is not None and mrep is not None:
@@ -633,33 +610,28 @@ def _solve_combined(variant, A, b, minv, config, rec):
     return run.result(x, k, residual)
 
 
-def solve_combined_cg(A, b, config: SolverConfig = None, *,
-                      recorder=None) -> SolveResult:
-    """CG with every vector update and reduction merged into the operator's
-    cell loop: one fused region per iteration, x updated every other
-    iteration through the recurrence identity, termination from the residual
-    norm recurrence."""
-    return _solve_combined("combined_cg", A, b, None, config, recorder)
-
-
-def solve_combined_pcg(A, b, minv, config: SolverConfig = None, *,
-                       recorder=None) -> SolveResult:
-    """Merged Jacobi-PCG: the preconditioned residual is never materialized;
-    the scalar inverse diagonal is re-applied on the fly wherever z would be
-    read, and the seven reductions of one iteration share the post callback."""
-    if minv is None:
-        raise ValueError("combined PCG requires a preconditioner")
-    return _solve_combined("combined_pcg", A, b, minv, config, recorder)
+# variant -> (recurrence, Jacobi-preconditioned)
+_DRIVERS = {
+    "cg": (_standard, False),
+    "pcg": (_standard, True),
+    "pipelined": (_pipelined, False),
+    "sstep": (_sstep, False),
+    "combined_cg": (_combined, False),
+    "combined_pcg": (_combined, True),
+}
+VARIANTS = tuple(_DRIVERS)
 
 
 def solve(variant: str, A, b, *, minv=None, config: SolverConfig = None,
           recorder=None) -> SolveResult:
-    """Dispatch by variant name; `minv` is required for the preconditioned
-    variants and ignored by the rest.  `b` is solved as float64 (a complex
-    `b` is refused).  A non-finite entry in `b` or `minv` is rejected up
-    front: no variant could converge on it.  A nonzero `b` whose largest
-    entry is below `TINY_RHS` is solved scaled by an exact power of two, and
-    `x` scaled back exactly; the history's gamma then belongs to the scaled
+    """Solve Ax = b from x0 = 0 with the named variant; `minv` is required
+    for the preconditioned variants and ignored by the rest.  `b` is solved
+    as float64 (a complex `b` is refused).  A non-finite entry in `b`, or in
+    the `minv` of a preconditioned variant, is rejected up front: no variant
+    could converge on it.  A zero `b`
+    returns x = 0 after 0 iterations.  A nonzero `b` whose largest entry is
+    below `TINY_RHS` is solved scaled by an exact power of two, and `x`
+    scaled back exactly; the history's gamma then belongs to the scaled
     system."""
     if np.iscomplexobj(b):
         raise ValueError("right-hand side must be real")
@@ -671,17 +643,13 @@ def solve(variant: str, A, b, *, minv=None, config: SolverConfig = None,
     if 0.0 < largest < TINY_RHS:
         shift = -int(np.frexp(largest)[1])
         b = np.ldexp(b, shift)
-    if minv is not None and not np.all(np.isfinite(_inverse_diagonal(minv))):
-        raise ValueError("preconditioner has non-finite entries")
-    solver = {"cg": solve_cg, "pcg": solve_pcg, "pipelined": solve_pipelined,
-              "sstep": solve_sstep, "combined_cg": solve_combined_cg,
-              "combined_pcg": solve_combined_pcg}.get(variant)
-    if solver is None:
+    if variant not in _DRIVERS:
         raise ValueError(f"unknown solver variant {variant!r}")
-    if variant.endswith("pcg"):
-        res = solver(A, b, minv, config, recorder=recorder)
-    else:
-        res = solver(A, b, config, recorder=recorder)
+    driver, preconditioned = _DRIVERS[variant]
+    run = _Run(variant, A, b, config, recorder, minv, preconditioned)
+    if run.bnorm == 0.0:
+        return run.result(np.zeros(run.n), 0, 0.0)
+    res = driver(run, b)
     if shift:
         res.x = np.ldexp(res.x, -shift)
     return res

@@ -1,13 +1,22 @@
 """Command-line harness: config handling, subcommands, CSV contracts."""
 
+import contextlib
 import csv
+import io
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mfcg.cli
+from mfcg.bench import BENCHMARK_PROBLEMS
 from mfcg.cli import Config, main, parse_config
+from mfcg.mesh import GeometryVariant
+from mfcg.solvers import VARIANTS
 
 
 def run_cli(args, capsys):
@@ -148,6 +157,21 @@ class TestUsageErrors:
                                 "cg", "--iterations", "1", "--repeats", "1"], capsys)
         assert code == 2
         assert "cells_per_dim must be three integers >= 1" in err
+
+    @pytest.mark.parametrize("cells", ["0", "2,0,2"])
+    def test_cells_below_one_are_usage_errors(self, cells, capsys, monkeypatch):
+        # verify used to exit 1, as a crashed schedule suite
+        def no_setup(*args, **kwargs):
+            raise AssertionError("set-up ran before the config was checked")
+
+        for name in ("assemble_problem", "discretize", "run_benchmark"):
+            monkeypatch.setattr(mfcg.cli, name, no_setup)
+        code, out, err = run_cli(["verify", "--cells", cells, "--filter",
+                                  "schedule"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cells_per_dim must be three integers >= 1")
+        assert err.count("\n") == 1
 
     def test_negative_cache_bytes_is_usage_error(self, capsys, monkeypatch):
         # used to be refused by the cache model only after the traced solve
@@ -438,3 +462,72 @@ class TestHelp:
     def test_subcommand_help(self, capsys):
         assert main(["bench", "--help"]) == 0
         assert "--config" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# generated: every command under every small config works or fails fast
+
+# the frozen CSV header of each command that writes one, as README.md states it
+FROZEN_HEADERS = dict(re.findall(
+    r"^`([a-z-]+)`:\n\n```\n(.+)\n```",
+    (Path(__file__).parents[1] / "README.md").read_text(), re.M))
+
+COMMANDS = (("verify",), ("verify", "--mutate", "sign-flip"), ("bench",),
+            ("liveliness",), ("cachesweep",), ("transfer-model",))
+
+# per Config key: its values inside a small size budget, as flag text
+IN_RANGE = {
+    "bp": st.sampled_from(sorted(BENCHMARK_PROBLEMS)),
+    "degree": st.integers(1, 6).map(str),
+    "cells": st.one_of(st.integers(1, 3).map(str),
+                       st.lists(st.integers(1, 3), min_size=3, max_size=3)
+                       .map(lambda c: ",".join(map(str, c)))),
+    "geometry": st.sampled_from([v.value for v in GeometryVariant]),
+    "variant": st.sampled_from(VARIANTS + ("all",)),
+    "iterations": st.integers(1, 8).map(str),
+    "repeats": st.integers(1, 2).map(str),
+    "numbering": st.sampled_from(["default", "optimized", "both"]),
+    "traversal": st.sampled_from(["lexicographic", "morton"]),
+    "simd_lanes": st.integers(1, 8).map(str),
+    "cache_bytes": st.integers(0, 1 << 20).map(str),
+    "seed": st.integers(0, 2 ** 32 - 1).map(str),
+}
+# and one value out of its range
+OUT_OF_RANGE = {"bp": "BP9", "degree": "0", "cells": "2,0,2", "geometry": "bogus",
+                "variant": "gmres", "iterations": "0", "repeats": "0",
+                "numbering": "reversed", "traversal": "zigzag", "simd_lanes": "0",
+                "cache_bytes": "-1", "seed": "-1"}
+# a small in-range config, the base of each key's explicit out-of-range example
+SMALL = dict(bp="BP5", degree="2", cells="2", geometry="final_tensor_load",
+             variant="cg", iterations="2", repeats="1", numbering="default",
+             traversal="morton", simd_lanes="8", cache_bytes="262144", seed="0")
+
+
+def _each_key_out_of_range(test):
+    """`test` with one explicit example per key, that key out of its range:
+    drawn, some keys' values would never be reached out of range."""
+    for key in OUT_OF_RANGE:
+        test = example(values=SMALL, bad=key)(test)
+    return test
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@_each_key_out_of_range
+@given(values=st.fixed_dictionaries(IN_RANGE),
+       bad=st.none() | st.sampled_from(sorted(OUT_OF_RANGE)))
+def test_every_config_works_or_fails_fast(values, bad):
+    if bad is not None:
+        values = {**values, bad: OUT_OF_RANGE[bad]}
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
+    for command in COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*command, *flags])
+        out, err = out.getvalue(), err.getvalue()
+        assert "Traceback" not in err
+        mutated = command[1:] == ("--mutate", "sign-flip")
+        assert code in ((0, 1, 2) if mutated else (0, 2)), (command, out + err)
+        if code == 2:
+            assert sum(line.startswith("error:") for line in err.splitlines()) == 1, err
+        elif code == 0 and command[0] != "verify":
+            assert out.splitlines()[0] == FROZEN_HEADERS[command[0]]

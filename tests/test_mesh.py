@@ -5,6 +5,8 @@ quadratic Lagrange polynomials on {0, 1/2, 1} evaluated pointwise, plus a
 central finite-difference cross-check of the analytic derivatives.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,6 +143,18 @@ class TestDeformation:
     def test_excessive_amplitude_rejected(self):
         with pytest.raises(ValueError, match="Jacobian"):
             deform_mesh(build_cartesian_mesh((2, 2, 2)), 5.0)
+
+    def test_check_peak_is_bounded_by_the_nodes(self):
+        # the Jacobian check used to form J and adj J for every cell at
+        # once: a peak of 7.7x the nodes at 20^3
+        base = build_cartesian_mesh((20, 20, 20))
+        tracemalloc.start()
+        try:
+            mesh = deform_mesh(base, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * mesh.quadratic_nodes.nbytes
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_amplitude_rejected(self, value):

@@ -9,9 +9,7 @@ import pytest
 from _oracles import ArrayOperator, build_fem, dense_cg, dense_pcg, fem_rhs
 from mfcg import solvers
 from mfcg.solvers import (SolverBreakdown, SolverConfig, SolveResult,
-                          fused_reductions, solve, solve_cg, solve_combined_cg,
-                          solve_combined_pcg, solve_pcg, solve_pipelined,
-                          solve_sstep)
+                          fused_reductions, solve)
 from mfcg.trace import AccessRecorder
 
 ALL_SOLVERS = ["cg", "pcg", "pipelined", "sstep", "combined_cg",
@@ -35,8 +33,7 @@ class TestHandWorkedExample:
     # A = diag(2, 4), b = (2, 4): alpha_1 = 20/72 = 5/18, beta_1 = 4/81,
     # alpha_2 = 9/20, x = (1, 1) after exactly two iterations
     def test_cg_scalar_trace(self):
-        res = solve_cg(ArrayOperator(np.diag([2.0, 4.0])),
-                       np.array([2.0, 4.0]))
+        res = solve("cg", ArrayOperator(np.diag([2.0, 4.0])), np.array([2.0, 4.0]))
         assert res.iterations == 2
         assert res.converged
         np.testing.assert_allclose(res.x, [1.0, 1.0], rtol=1e-14)
@@ -66,7 +63,7 @@ class TestHandWorkedExample:
 class TestDenseOracleEquivalence:
     def test_cg_matches_oracle_exactly(self, fem):
         op, handler, b, minv, dense = fem
-        res = solve_cg(op, b)
+        res = solve("cg", op, b)
         ref = dense_cg(dense, b)
         assert res.iterations == ref["iterations"]
         np.testing.assert_allclose(
@@ -75,7 +72,7 @@ class TestDenseOracleEquivalence:
 
     def test_pcg_matches_oracle_exactly(self, fem):
         op, handler, b, minv, dense = fem
-        res = solve_pcg(op, b, minv)
+        res = solve("pcg", op, b, minv=minv)
         ref = dense_pcg(dense, b, minv.inverse_diagonal)
         assert res.iterations == ref["iterations"]
         np.testing.assert_allclose(
@@ -96,7 +93,7 @@ class TestDenseOracleEquivalence:
 
     def test_combined_pcg(self, fem):
         op, handler, b, minv, dense = fem
-        res = solve_combined_pcg(op, b, minv)
+        res = solve("combined_pcg", op, b, minv=minv)
         ref = dense_pcg(dense, b, minv.inverse_diagonal)
         assert res.converged
         assert abs(res.iterations - ref["iterations"]) <= 1
@@ -107,8 +104,8 @@ class TestScalarTraceEquivalence:
     def test_pipelined_first_ten(self, fem):
         op, handler, b, minv, dense = fem
         cfg = SolverConfig(fixed_iterations=10)
-        ref = solve_cg(op, b, cfg)
-        res = solve_pipelined(op, b, cfg)
+        ref = solve("cg", op, b, config=cfg)
+        res = solve("pipelined", op, b, config=cfg)
         for h1, h2 in zip(ref.history, res.history):
             assert abs(h1["alpha"] - h2["alpha"]) <= 1e-8 * abs(h1["alpha"])
             assert abs(h1["gamma"] - h2["gamma"]) <= 1e-8 * h1["gamma"]
@@ -116,8 +113,8 @@ class TestScalarTraceEquivalence:
     def test_combined_cg_first_ten(self, fem):
         op, handler, b, minv, dense = fem
         cfg = SolverConfig(fixed_iterations=10)
-        ref = solve_cg(op, b, cfg)
-        res = solve_combined_cg(op, b, cfg)
+        ref = solve("cg", op, b, config=cfg)
+        res = solve("combined_cg", op, b, config=cfg)
         for h1, h2 in zip(ref.history, res.history):
             assert abs(h1["alpha"] - h2["alpha"]) <= 1e-8 * abs(h1["alpha"])
             assert abs(h1["beta"] - h2["beta"]) <= 1e-8 * abs(h1["beta"])
@@ -125,8 +122,8 @@ class TestScalarTraceEquivalence:
     def test_combined_pcg_first_ten(self, fem):
         op, handler, b, minv, dense = fem
         cfg = SolverConfig(fixed_iterations=10)
-        ref = solve_pcg(op, b, minv, cfg)
-        res = solve_combined_pcg(op, b, minv, cfg)
+        ref = solve("pcg", op, b, minv=minv, config=cfg)
+        res = solve("combined_pcg", op, b, minv=minv, config=cfg)
         for h1, h2 in zip(ref.history, res.history):
             assert abs(h1["alpha"] - h2["alpha"]) <= 1e-8 * abs(h1["alpha"])
             assert abs(h1["beta"] - h2["beta"]) <= 1e-8 * abs(h1["beta"])
@@ -134,14 +131,15 @@ class TestScalarTraceEquivalence:
     def test_sstep_s1_iterates_match_cg(self, fem):
         op, handler, b, minv, dense = fem
         for k in (1, 3, 7, 10):
-            a = solve_cg(op, b, SolverConfig(fixed_iterations=k))
-            c = solve_sstep(op, b, SolverConfig(fixed_iterations=k, s=1))
+            a = solve("cg", op, b, config=SolverConfig(fixed_iterations=k))
+            c = solve("sstep", op, b,
+                      config=SolverConfig(fixed_iterations=k, s=1))
             np.testing.assert_allclose(c.x, a.x, rtol=1e-8, atol=1e-12)
 
     def test_combined_pcg_identity_equals_combined_cg(self, fem):
         op, handler, b, minv, dense = fem
-        a = solve_combined_cg(op, b)
-        c = solve_combined_pcg(op, b, np.ones(handler.n_dofs))
+        a = solve("combined_cg", op, b)
+        c = solve("combined_pcg", op, b, minv=np.ones(handler.n_dofs))
         assert a.iterations == c.iterations
         for h1, h2 in zip(a.history, c.history):
             assert abs(h1["alpha"] - h2["alpha"]) <= 1e-12 * abs(h1["alpha"])
@@ -152,7 +150,8 @@ class TestScalarTraceEquivalence:
 class TestRecurrenceFidelity:
     def test_combined_gamma_tracks_explicit_residual(self, fem):
         op, handler, b, minv, dense = fem
-        res = solve_combined_cg(op, b, SolverConfig(fixed_iterations=20))
+        res = solve("combined_cg", op, b,
+                    config=SolverConfig(fixed_iterations=20))
         gamma0 = float(b @ b)
         ref = dense_cg(dense, b, tol=0.0, maxit=20)
         # gamma entry of iteration k+1 is the recurred ||r_k||^2
@@ -163,7 +162,8 @@ class TestRecurrenceFidelity:
 
     def test_pipelined_drift_reported(self, fem):
         op, handler, b, minv, dense = fem
-        res = solve_pipelined(op, b, SolverConfig(fixed_iterations=110))
+        res = solve("pipelined", op, b,
+                    config=SolverConfig(fixed_iterations=110))
         assert [k for k, _ in res.drift] == [50, 100]
         assert all(d < 1e-8 for _, d in res.drift)
 
@@ -174,7 +174,7 @@ class TestEnergyMonotonicity:
         xstar = np.linalg.solve(dense, b)
         prev = None
         for k in range(1, 12):
-            res = solve_cg(op, b, SolverConfig(fixed_iterations=k))
+            res = solve("cg", op, b, config=SolverConfig(fixed_iterations=k))
             e = res.x - xstar
             energy = float(e @ (dense @ e))
             if prev is not None:
@@ -186,17 +186,17 @@ class TestBreakdown:
     def test_cg_indefinite(self):
         A = ArrayOperator(np.diag([1.0, -1.0, 2.0]))
         with pytest.raises(SolverBreakdown):
-            solve_cg(A, np.array([0.0, 1.0, 0.0]))
+            solve("cg", A, np.array([0.0, 1.0, 0.0]))
 
     def test_combined_cg_indefinite(self):
         A = ArrayOperator(np.diag([1.0, -1.0, 2.0]))
         with pytest.raises(SolverBreakdown):
-            solve_combined_cg(A, np.array([0.0, 1.0, 0.0]))
+            solve("combined_cg", A, np.array([0.0, 1.0, 0.0]))
 
     def test_pipelined_indefinite(self):
         A = ArrayOperator(np.diag([1.0, -1.0, 2.0]))
         with pytest.raises(SolverBreakdown):
-            solve_pipelined(A, np.array([1.0, 1.0, 1.0]))
+            solve("pipelined", A, np.array([1.0, 1.0, 1.0]))
 
     def test_sstep_names_outer_step(self):
         # indefinite system: the block Gram matrix cannot be SPD and the
@@ -204,14 +204,14 @@ class TestBreakdown:
         A = ArrayOperator(np.diag([1.0, -1.0, 2.0, 5.0, -3.0, 4.0]))
         b = np.ones(6)
         with pytest.raises(SolverBreakdown, match="outer step 1"):
-            solve_sstep(A, b, SolverConfig(s=4, fixed_iterations=8))
+            solve("sstep", A, b, config=SolverConfig(s=4, fixed_iterations=8))
 
     def test_sstep_low_grade_rhs_converges_instead_of_breaking(self):
         # b spans a 2-dimensional invariant subspace: the s=4 block is rank
         # deficient but the minimum-norm step already solves the system
         A = ArrayOperator(np.diag([1.0, 1.0, 2.0, 2.0, 2.0, 3.0]))
         b = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 0.0])
-        res = solve_sstep(A, b, SolverConfig(s=4))
+        res = solve("sstep", A, b, config=SolverConfig(s=4))
         assert res.converged and res.iterations == 4
         np.testing.assert_allclose(res.x, [1.0, 0.0, 0.5, 0.0, 0.0, 0.0],
                                    atol=1e-10)
@@ -219,19 +219,20 @@ class TestBreakdown:
     def test_combined_pcg_rejects_indefinite_preconditioner(self):
         A = ArrayOperator(np.diag([2.0, 3.0, 4.0]))
         with pytest.raises(SolverBreakdown, match="preconditioner"):
-            solve_combined_pcg(A, np.ones(3), np.array([1.0, -1.0, 1.0]))
+            solve("combined_pcg", A, np.ones(3),
+                  minv=np.array([1.0, -1.0, 1.0]))
 
     def test_pcg_rejects_negative_definite_preconditioner(self):
         # used to zero beta silently and report convergence
         A = ArrayOperator(np.diag([2.0, 3.0, 4.0]))
         with pytest.raises(SolverBreakdown, match="preconditioner"):
-            solve_pcg(A, np.ones(3), -np.ones(3))
+            solve("pcg", A, np.ones(3), minv=-np.ones(3))
 
     def test_pcg_rejects_indefinite_preconditioner_mid_solve(self):
         # r^T M^-1 r > 0 for r = b, <= 0 for a later unconverged residual
         A = ArrayOperator(np.diag([1.0, 2.0, 3.0]))
         with pytest.raises(SolverBreakdown, match="iteration 1"):
-            solve_pcg(A, np.ones(3), np.array([1.0, 1.0, -1.0]))
+            solve("pcg", A, np.ones(3), minv=np.array([1.0, 1.0, -1.0]))
 
     @pytest.mark.parametrize("variant", ALL_SOLVERS)
     def test_non_finite_rhs_rejected(self, variant):
@@ -246,6 +247,15 @@ class TestBreakdown:
         A = ArrayOperator(np.diag([2.0, 3.0, 4.0, 5.0]))
         with pytest.raises(ValueError, match="non-finite"):
             solve(variant, A, np.ones(4), minv=np.array([1.0, np.inf, 1.0, 1.0]))
+
+    @pytest.mark.parametrize("variant", ["cg", "pipelined", "sstep", "combined_cg"])
+    def test_unpreconditioned_variants_ignore_the_preconditioner(self, variant):
+        # a non-finite minv used to be refused even where it is never read
+        A = ArrayOperator(np.diag([2.0, 3.0, 4.0, 5.0]))
+        want = solve(variant, A, np.ones(4)).x
+        for minv in (np.array([1.0, np.inf, 1.0, 1.0]), np.ones(7)):
+            got = solve(variant, A, np.ones(4), minv=minv).x
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("variant", ALL_SOLVERS)
     @pytest.mark.parametrize("case", ["huge_rhs", "nan_operator"])
@@ -279,21 +289,17 @@ class TestBreakdown:
         np.testing.assert_array_equal(res.x, np.ldexp(scaled.x, -shift))
         assert res.history == scaled.history
 
-    def test_run_rejects_nonzero_rhs_with_zero_norm(self):
-        with pytest.raises(ValueError, match="underflows"):
-            solve_cg(ArrayOperator(np.diag([2.0, 3.0])), np.full(2, 1e-200))
-
-    def test_pcg_requires_preconditioner(self):
-        # called directly, a None preconditioner used to fail on its length
-        # (or, with n = 1, run on a NaN inverse diagonal)
+    @pytest.mark.parametrize("variant", ["pcg", "combined_pcg"])
+    def test_pcg_requires_preconditioner(self, variant):
+        # a None preconditioner used to fail on its length (or, with n = 1,
+        # run on a NaN inverse diagonal)
         for n in (1, 3):
             with pytest.raises(ValueError, match="requires a preconditioner"):
-                solve_pcg(ArrayOperator(np.eye(n)), np.ones(n), None)
+                solve(variant, ArrayOperator(np.eye(n)), np.ones(n), minv=None)
 
     def test_sstep_s_guard(self):
-        A = ArrayOperator(np.eye(4))
         with pytest.raises(ValueError, match="s > 8"):
-            solve_sstep(A, np.ones(4), SolverConfig(s=9))
+            SolverConfig(s=9)
 
 
 class TestConfigAndPlumbing:
@@ -320,20 +326,21 @@ class TestConfigAndPlumbing:
 
     def test_fixed_iterations_exact_count(self, fem):
         op, handler, b, minv, dense = fem
-        res = solve_cg(op, b, SolverConfig(fixed_iterations=7))
+        res = solve("cg", op, b, config=SolverConfig(fixed_iterations=7))
         assert res.iterations == 7
         assert len(res.history) == 7
         assert not res.converged
 
     def test_nonconvergence_flagged(self, fem):
         op, handler, b, minv, dense = fem
-        res = solve_cg(op, b, SolverConfig(max_iterations=3))
+        res = solve("cg", op, b, config=SolverConfig(max_iterations=3))
         assert not res.converged
         assert res.iterations == 3
 
     def test_region_seconds_present(self, fem):
         op, handler, b, minv, dense = fem
-        res = solve_pcg(op, b, minv, SolverConfig(fixed_iterations=3))
+        res = solve("pcg", op, b, minv=minv,
+                    config=SolverConfig(fixed_iterations=3))
         for tag in ("matvec", "dot_pv", "update_x", "update_r", "norm_r",
                     "apply_prec", "dot_rz", "update_p"):
             assert res.region_seconds[tag] >= 0.0
@@ -371,8 +378,8 @@ class TestConfigAndPlumbing:
     @pytest.mark.parametrize("traced", [False, True])
     def test_region_that_raises_records_nothing(self, traced):
         rec = AccessRecorder() if traced else None
-        run = solvers._Run("cg", ArrayOperator(np.eye(4)), np.ones(4), None,
-                           rec, ("x", "r"))
+        run = solvers._Run("cg", ArrayOperator(np.eye(4)), np.ones(4), None, rec)
+        run.register(("x", "r"))
         marks = rec.mark() if traced else None
         with pytest.raises(ZeroDivisionError):
             with run.region("boom", reads=("x",), writes=("r",), rw=("x",)):
@@ -401,7 +408,7 @@ class TestConfigAndPlumbing:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
-            solve_cg(ArrayOperator(np.eye(3)), np.ones(4))
+            solve("cg", ArrayOperator(np.eye(3)), np.ones(4))
 
     def test_final_residual_meets_tolerance(self, fem):
         op, handler, b, minv, dense = fem
@@ -451,7 +458,7 @@ class TestThreeComponent:
         op, handler = build_fem(cells=(2, 2, 1), p=2, comp=3)
         b = fem_rhs(handler)
         minv = op.compute_diagonal()
-        res = solve_pcg(op, b, minv)
+        res = solve("pcg", op, b, minv=minv)
         ref = dense_pcg(op.assemble_sparse().toarray(), b,
                         np.repeat(minv.inverse_diagonal, 3))
         assert res.iterations == ref["iterations"]
@@ -461,8 +468,9 @@ class TestThreeComponent:
         op, handler = build_fem(cells=(2, 2, 1), p=2, comp=3)
         b = fem_rhs(handler)
         minv = op.compute_diagonal()
-        ref = solve_pcg(op, b, minv, SolverConfig(fixed_iterations=10))
-        res = solve_combined_pcg(op, b, minv, SolverConfig(fixed_iterations=10))
+        cfg = SolverConfig(fixed_iterations=10)
+        ref = solve("pcg", op, b, minv=minv, config=cfg)
+        res = solve("combined_pcg", op, b, minv=minv, config=cfg)
         # compare only iterations well above the round-off floor: once the
         # residual is near machine noise the recurred and explicit scalars
         # legitimately diverge
