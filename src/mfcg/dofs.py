@@ -17,6 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .mesh import HexMesh, _lattice_coords
+from .trace import GRAIN_BYTES
 
 __all__ = [
     "DofHandler",
@@ -31,7 +32,7 @@ __all__ = [
     "expand_batch",
 ]
 
-RANGE_SIZE = 64
+RANGE_SIZE = GRAIN_BYTES // 8  # dofs per schedule range, one trace grain
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,16 @@ the deformation map through the cell's 3x3x3 lattice, so the compute variants
 (quadratic, isoparametric) and the load variants (inverse Jacobian, final
 tensor) describe exactly the same map and the operator results agree to
 machine precision.  The affine variant is only valid on undeformed meshes.
+
+This module owns the geometry's one format: `precompute_geometry` returns a
+batch's data exactly as the cell kernel streams it, and
+`geometry_coefficients` turns any variant's data into (G, w det J) for every
+consumer (the kernel, the diagonal and the right-hand side).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 
@@ -32,7 +37,7 @@ __all__ = [
     "validate_cells",
     "deform_mesh",
     "precompute_geometry",
-    "SYMMETRIC_INDEX",
+    "geometry_coefficients",
     "symmetric_coefficients",
     "adjugate",
     "jacobian_adjugate",
@@ -194,17 +199,18 @@ def adjugate(jac: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GeometryData:
-    """Per-cell geometric data for one variant.
+    """Per-cell geometric data for one variant, as the kernel streams it.
 
-    Depending on the variant the payload holds geometry node coordinates
-    (compute variants), precomputed inverse Jacobians plus w_q det J, the
-    final symmetric coefficient tensor plus w_q det J, or a single affine
-    J^-1 / det J per mesh.  Per-cell arrays hold the entry axes first and
-    the cells last, the kernel's lane order: "nodes" (n_nodes, 3, n_cells),
-    "inverse_jacobian" (3, 3, n_q^3, n_cells), "final_tensor" (6, n_q^3,
-    n_cells), "jxw" (n_q^3, n_cells).  `doubles_per_cell` records the data
-    volume the variant streams per cell so the locality analysis can model
-    transfer.
+    Every payload array is C-contiguous with the entry axes first and the
+    cells last, the kernel's lane order: "G" (3, 3, n_q^3, n_cells), all
+    nine entries of G = J^-1 (w det J) J^-T, and "jxw" (n_q^3, n_cells),
+    w det J, for the final-tensor and affine variants (the affine one G
+    repeated over the cells); "inverse_jacobian" (3, 3, n_q^3, n_cells) and
+    "jxw" for the inverse-Jacobian variant; "nodes" (n_nodes, 3, n_cells)
+    for the compute variants.  `geometry_coefficients` reads every variant.
+    `doubles_per_cell` is the transfer model's volume per cell, which the
+    locality analysis counts, not the payload's size: the final tensor's
+    six distinct entries and w det J per point, one affine J^-1 and det J.
     """
 
     variant: GeometryVariant
@@ -212,49 +218,54 @@ class GeometryData:
     payload: dict
     doubles_per_cell: int
 
-
-# Position of entry (i, k) of a symmetric 3x3 tensor in its six-entry
-# storage order (xx, yy, zz, xy, xz, yz).
-SYMMETRIC_INDEX = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
-_SYMMETRIC_ROWS = (0, 1, 2, 0, 0, 1)
-_SYMMETRIC_COLS = (0, 1, 2, 1, 2, 2)
+    def without_coefficients(self) -> GeometryData:
+        """The data without a stored G, for an operator that needs no
+        gradients."""
+        return replace(self, payload={
+            key: value for key, value in self.payload.items() if key != "G"})
 
 
 def symmetric_coefficients(m: np.ndarray, scale) -> np.ndarray:
-    """The six distinct entries of m m^T * scale on a new leading axis, in
-    SYMMETRIC_INDEX order: m (3, 3, ...) and scale (...) give (6, ...).
-    With m = J^-1 and scale = w det J this is G = J^-1 (w det J) J^-T."""
-    out = np.empty((6,) + np.broadcast_shapes(m.shape[2:], np.shape(scale)))
-    for entry, a, b in zip(out, _SYMMETRIC_ROWS, _SYMMETRIC_COLS):
-        dot = m[a, 0] * m[b, 0]
-        dot += m[a, 1] * m[b, 1]
-        dot += m[a, 2] * m[b, 2]
-        np.multiply(dot, scale, out=entry)
+    """m m^T * scale with all nine entries: m (3, 3, ...) and scale (...)
+    give (3, 3, ...), each of the six distinct entries computed once and
+    copied to its mirror.  With m = J^-1 and scale = w det J this is
+    G = J^-1 (w det J) J^-T."""
+    out = np.empty((3, 3) + np.broadcast_shapes(m.shape[2:], np.shape(scale)))
+    for a in range(3):
+        for b in range(a, 3):
+            dot = m[a, 0] * m[b, 0]
+            dot += m[a, 1] * m[b, 1]
+            dot += m[a, 2] * m[b, 2]
+            np.multiply(dot, scale, out=out[a, b])
+            if b != a:
+                out[b, a] = out[a, b]
     return out
 
 
 def _tensor_weights(quad: QuadratureRule1D) -> np.ndarray:
+    """w_k w_j w_i of every point, x fastest."""
     w = quad.weights
-    return np.einsum("k,j,i->kji", w, w, w).ravel()
+    return (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
 
 
 def precompute_geometry(mesh: HexMesh, variant: GeometryVariant,
                         quad: QuadratureRule1D, cells) -> GeometryData:
-    """Build the geometry data of one variant for the cells `cells`, in
-    that order on the last axis of every per-cell array."""
+    """The geometry data of one variant for the cells `cells`, in that
+    order on the last axis of every payload array (see GeometryData)."""
     nq = len(quad)
-    weights = _tensor_weights(quad)
     if variant == GeometryVariant.AFFINE:
         if mesh.deformation != 0.0:
             raise ValueError("affine geometry requires an undeformed mesh")
         h = np.array([mesh.extents[d] / mesh.cells_per_dim[d] for d in range(3)])
-        inv = np.diag(1.0 / h)
-        det = float(np.prod(h))
-        payload = {"inverse_jacobian": inv, "det_j": det, "weights": weights}
+        jxw = (float(np.prod(h)) * _tensor_weights(quad))[:, None]
+        G = symmetric_coefficients(np.diag(1.0 / h), jxw)
+        payload = {"G": np.repeat(G, len(cells), axis=-1),
+                   "jxw": np.repeat(jxw, len(cells), axis=-1)}
         return GeometryData(variant, quad, payload, 10)
     nodes = np.take(mesh.quadratic_nodes, cells, axis=-1)
+    quadratic = GeometryData(GeometryVariant.QUADRATIC_COMPUTE, quad, {"nodes": nodes}, 27 * 3)
     if variant == GeometryVariant.QUADRATIC_COMPUTE:
-        return GeometryData(variant, quad, {"nodes": nodes, "weights": weights}, 27 * 3)
+        return quadratic
     if variant == GeometryVariant.ISOPARAMETRIC_COMPUTE:
         # physical coordinates of the tri-quadratic map at the Gauss-Lobatto
         # lattice of n_q points per direction; the operator differentiates
@@ -269,18 +280,41 @@ def precompute_geometry(mesh: HexMesh, variant: GeometryVariant,
         n_cells = nodes.shape[-1]
         # (s, s, s, coord, cells): the coordinates and cells are the lanes
         vals = evaluate_values_lanes(basis2, nodes.reshape(3, 3, 3, 3, n_cells))
-        nodes = vals.reshape(-1, 3, n_cells)
-        return GeometryData(variant, quad, {"nodes": nodes, "weights": weights},
+        return GeometryData(variant, quad, {"nodes": vals.reshape(-1, 3, n_cells)},
                             3 * len(support) ** 3)
-    adj, det = jacobian_adjugate(nodes, lagrange_basis(2, quad), nq)
-    jxw = det * weights[:, None]
+    if variant == GeometryVariant.FINAL_TENSOR_LOAD:
+        G, jxw = geometry_coefficients(quadratic)
+        return GeometryData(variant, quad, {"G": G, "jxw": jxw}, 7 * nq**3)
     if variant == GeometryVariant.INVERSE_JACOBIAN_LOAD:
+        adj, det = jacobian_adjugate(nodes, lagrange_basis(2, quad), nq)
+        jxw = det * _tensor_weights(quad)[:, None]
         adj /= det
         return GeometryData(variant, quad, {"inverse_jacobian": adj, "jxw": jxw}, 10 * nq**3)
-    if variant == GeometryVariant.FINAL_TENSOR_LOAD:
-        sym = symmetric_coefficients(adj, weights[:, None] / det)
-        return GeometryData(variant, quad, {"final_tensor": sym, "jxw": jxw}, 7 * nq**3)
     raise ValueError(f"unknown geometry variant {variant}")
+
+
+def geometry_coefficients(data: GeometryData, gradients: bool = True):
+    """(G, jxw) of any variant's data, cells last: G = J^-1 (w det J) J^-T
+    with all nine entries, (3, 3, n_q^3, n_cells), or None unless
+    `gradients`; jxw = w det J, (n_q^3, n_cells).  The final-tensor and
+    affine variants read both from the payload, the inverse-Jacobian
+    variant forms G from J^-1, and the compute variants form both by
+    differentiating their geometry nodes: the tri-quadratic map
+    (quadratic) or its degree-(n_q-1) interpolant (isoparametric)."""
+    payload, quad = data.payload, data.quadrature
+    if "nodes" in payload:
+        nq = len(quad)
+        degree = 2 if data.variant == GeometryVariant.QUADRATIC_COMPUTE else nq - 1
+        weights = _tensor_weights(quad)[:, None]
+        adj, det = jacobian_adjugate(payload["nodes"], lagrange_basis(degree, quad), nq)
+        G = symmetric_coefficients(adj, weights / det) if gradients else None
+        return G, det * weights
+    jxw = payload["jxw"]
+    if not gradients:
+        return None, jxw
+    if "inverse_jacobian" in payload:
+        return symmetric_coefficients(payload["inverse_jacobian"], jxw), jxw
+    return payload["G"], jxw
 
 
 def _jacobians(nodes: np.ndarray, geo_basis, nq: int) -> np.ndarray:

@@ -5,11 +5,10 @@ diagonal preconditioner, and a sparse assembly oracle for testing.
 The cell kernel holds a batch lanes-last, (z, y, x, cells, components): the
 cells and components are the innermost axis, as SIMD lanes, so each
 sum-factorization sweep is a few GEMMs as wide as the batch (see
-mfcg.tensor).  The geometry is held once, per batch, in that order: G's
-nine entries and w det J for the final-tensor and affine variants (10
-doubles per point; the transfer model's `doubles_per_cell` counts the
-final tensor's 7), J^-1 and w det J, or the geometry nodes.  The scatter
-still sums cell by cell.
+mfcg.tensor).  The geometry is held once, per batch, as
+`mfcg.mesh.precompute_geometry` returns it, and the kernel, the diagonal
+and the right-hand side read (G, w det J) from it through
+`mfcg.mesh.geometry_coefficients`.  The scatter still sums cell by cell.
 
 Constrained (Dirichlet) unknowns are kept in the system as identity rows:
 each batch's gather zeroes its constrained entries, its DoF map sends them
@@ -35,14 +34,10 @@ from .dofs import (
     compute_range_schedule,
 )
 from .mesh import (
-    _SYMMETRIC_COLS,
-    _SYMMETRIC_ROWS,
-    SYMMETRIC_INDEX,
     GeometryVariant,
     HexMesh,
-    jacobian_adjugate,
+    geometry_coefficients,
     precompute_geometry,
-    symmetric_coefficients,
 )
 from .tensor import (
     evaluate_gradients_lanes,
@@ -57,6 +52,10 @@ from .tensor import (
 __all__ = ["OperatorSpec", "DiagonalPreconditioner", "MatrixFreeOperator"]
 
 EQUATIONS = ("mass", "laplace", "mass_plus_laplace")
+
+# cells per block of `node_sum`, which bounds its index array independently
+# of the mesh size
+NODE_SUM_CELLS = 512
 
 
 @dataclass(frozen=True)
@@ -139,11 +138,6 @@ class MatrixFreeOperator:
         else:
             self.quadrature = gauss_lobatto_quadrature(spec.n_q_1d)
         self.basis = lagrange_basis(spec.degree, self.quadrature)
-        self._geo_basis = None
-        if spec.geometry == GeometryVariant.QUADRATIC_COMPUTE:
-            self._geo_basis = lagrange_basis(2, self.quadrature)
-        elif spec.geometry == GeometryVariant.ISOPARAMETRIC_COMPUTE:
-            self._geo_basis = lagrange_basis(spec.n_q_1d - 1, self.quadrature)
         self.schedule = compute_range_schedule(handler, plan)
         self._nq = len(self.quadrature)
         self.n_dofs = handler.n_dofs
@@ -151,14 +145,14 @@ class MatrixFreeOperator:
         self._batch_cells = [np.asarray(cells) for cells in plan.batches]
 
         # the geometry is computed batch by batch and held once, per batch,
-        # as the kernel streams it; the payload keeps only the quadrature
-        # weights, which no cell owns
+        # as the kernel streams it; an operator without gradients drops G.
+        # `geometry` keeps the variant's model volume, `doubles_per_cell`
         self._batch_store = []
         for cells in self._batch_cells:
             geometry = precompute_geometry(mesh, spec.geometry, self.quadrature, cells)
-            self._batch_store.append(self._geometry_store(geometry.payload, len(cells)))
-        self.geometry = replace(geometry, payload={
-            key: value for key, value in geometry.payload.items() if key == "weights"})
+            self._batch_store.append(
+                geometry if spec.needs_gradients else geometry.without_coefficients())
+        self.geometry = replace(geometry, payload={})
 
         mask = np.zeros(handler.n_dofs, dtype=bool)
         mask[handler.constrained_dofs] = True
@@ -213,47 +207,12 @@ class MatrixFreeOperator:
 
     # -- geometry per batch ----------------------------------------------------
 
-    def _geometry_store(self, payload: dict, n_cells: int) -> dict:
-        """One batch's store from its payload, cells last and C-contiguous:
-        the geometry nodes, or J^-1 or G (expanded to its nine entries, only
-        if the equation needs gradients) and w det J; the affine variant's
-        one G and w det J are formed here and copied to each of the
-        batch's `n_cells` cells."""
-        if self.spec.geometry == GeometryVariant.AFFINE:
-            jxw = (payload["det_j"] * payload["weights"])[:, None]
-            payload = {key: np.repeat(value, n_cells, axis=-1) for key, value in (
-                ("final_tensor", symmetric_coefficients(payload["inverse_jacobian"], jxw)),
-                ("jxw", jxw))}
-        store = {key: payload[key] for key in ("nodes", "inverse_jacobian", "jxw")
-                 if key in payload}
-        if "final_tensor" in payload and self.spec.needs_gradients:
-            store["G"] = np.take(payload["final_tensor"], SYMMETRIC_INDEX, axis=0)
-        return store
-
     def _batch_geometry(self, b: int, coefficients: bool = True):
-        """(G, jxw) of batch b, cells last.  G = J^-1 (w det J) J^-T with
-        all nine entries, (3, 3, n_q^3, n_b), is None unless the equation
-        needs gradients, and coefficients=False skips forming it; jxw =
-        w det J, (n_q^3, n_b).  The final-tensor and affine variants read
-        both from the batch's store, the inverse-Jacobian variant forms G
-        from the stored J^-1, and the compute variants form both from the
-        stored geometry nodes."""
-        store = self._batch_store[b]
-        coefficients = coefficients and self.spec.needs_gradients
-        sym = None
-        if "inverse_jacobian" in store:
-            jxw = store["jxw"]
-            if coefficients:
-                sym = symmetric_coefficients(store["inverse_jacobian"], jxw)
-        elif "nodes" in store:  # compute variants: differentiate the geometry interpolant
-            weights = self.geometry.payload["weights"][:, None]
-            adj, det = jacobian_adjugate(store["nodes"], self._geo_basis, self._nq)
-            if coefficients:
-                sym = symmetric_coefficients(adj, weights / det)
-            jxw = det * weights
-        else:  # final-tensor and affine variants: G is stored
-            return store.get("G"), store["jxw"]
-        return (None if sym is None else np.take(sym, SYMMETRIC_INDEX, axis=0)), jxw
+        """(G, jxw) of batch b (see `mfcg.mesh.geometry_coefficients`); G is
+        None unless the equation needs gradients, and coefficients=False
+        skips forming it."""
+        return geometry_coefficients(self._batch_store[b],
+                                     coefficients and self.spec.needs_gradients)
 
     # -- cell kernel -------------------------------------------------------------
 
@@ -374,22 +333,17 @@ class MatrixFreeOperator:
         component on application.  Constrained entries are 1."""
         n1 = self.spec.degree + 1
         basis = lagrange_basis(n1 - 1, gauss_lobatto_quadrature(n1))
-        # the store holds the final tensor at these points only for a
-        # final-tensor operator with Gauss-Lobatto collocation; every other
-        # configuration computes it for the batch's cells
+        # the store holds G at these points only for a final-tensor operator
+        # with Gauss-Lobatto collocation; every other configuration computes
+        # (G, jxw) from the batch's tri-quadratic nodes, without G for mass
         stored = (self.spec.geometry == GeometryVariant.FINAL_TENSOR_LOAD
                   and self.spec.quadrature_kind == "gauss_lobatto")
         local = np.empty((self.handler.n_cells, n1 ** 3))
         for b, cells in enumerate(self._batch_cells):
-            if stored:
-                G, jxw = self._batch_geometry(b)
-                sym = None if G is None else [
-                    G[i, k] for i, k in zip(_SYMMETRIC_ROWS, _SYMMETRIC_COLS)]
-            else:
-                geo = precompute_geometry(self.mesh, GeometryVariant.FINAL_TENSOR_LOAD,
-                                          basis.quadrature, cells).payload
-                sym, jxw = geo["final_tensor"], geo["jxw"]
-            local[cells] = self._local_diagonal(basis, sym, jxw).reshape(-1, len(cells)).T
+            data = self._batch_store[b] if stored else precompute_geometry(
+                self.mesh, GeometryVariant.QUADRATIC_COMPUTE, basis.quadrature, cells)
+            G, jxw = geometry_coefficients(data, self.spec.needs_gradients)
+            local[cells] = self._local_diagonal(basis, G, jxw).reshape(-1, len(cells)).T
         diag = self.node_sum(local)
         diag[np.unique(self._constrained // self.spec.components)] = 1.0
         if np.any(~np.isfinite(diag)) or np.any(diag <= 0.0):
@@ -398,30 +352,37 @@ class MatrixFreeOperator:
 
     def node_sum(self, local: np.ndarray) -> np.ndarray:
         """Per scalar node, the sum of a cell-ordered (n_cells, (p+1)^3)
-        array of nodal values: one bincount over all cells, so that every
-        node adds its cells in cell order."""
-        scalar_idx = _expand_scalar(self.handler, np.arange(self.handler.n_cells))
-        return np.bincount(scalar_idx.ravel(), weights=local.ravel(),
-                           minlength=self.handler.n_nodes)
+        array of nodal values, added with np.add.at into one zeroed output
+        over blocks of `NODE_SUM_CELLS` consecutive cells: every node adds
+        its cells in cell order, as one bincount over all cells would,
+        without an index array for the whole mesh."""
+        n_cells = self.handler.n_cells
+        out = np.zeros(self.handler.n_nodes)
+        for lo in range(0, n_cells, NODE_SUM_CELLS):
+            hi = min(lo + NODE_SUM_CELLS, n_cells)
+            # one-dimensional, np.add.at takes its fast path
+            np.add.at(out, _expand_scalar(self.handler, np.arange(lo, hi)).ravel(),
+                      local[lo:hi].ravel())
+        return out
 
-    def _local_diagonal(self, basis, sym, jxw) -> np.ndarray:
-        """The diagonal on each cell, (p+1, p+1, p+1, n_cells), from the six
-        entries of the final tensor, each ((p+1)^3, n_cells), and w det J at
-        the Gauss-Lobatto nodes of `basis`."""
+    def _local_diagonal(self, basis, G, jxw) -> np.ndarray:
+        """The diagonal on each cell, (p+1, p+1, p+1, n_cells), from
+        G (3, 3, (p+1)^3, n_cells), None without gradients, and w det J
+        ((p+1)^3, n_cells) at the Gauss-Lobatto nodes of `basis`."""
         n1 = basis.degree + 1
         shape = (n1, n1, n1, jxw.shape[-1])
         diag = np.zeros(shape)
         if self.spec.needs_values:
             diag += jxw.reshape(shape)
         if self.spec.needs_gradients:
-            xx, yy, zz, xy, xz, yz = (entry.reshape(shape) for entry in sym)
+            G = G.reshape((3, 3) + shape)
             D2 = basis.shape_gradients ** 2
-            lap = np.einsum("qi,kjqc->kjic", D2, xx)
-            lap += np.einsum("qj,kqic->kjic", D2, yy)
-            lap += np.einsum("qk,qjic->kjic", D2, zz)
+            lap = np.einsum("qi,kjqc->kjic", D2, G[0, 0])
+            lap += np.einsum("qj,kqic->kjic", D2, G[1, 1])
+            lap += np.einsum("qk,qjic->kjic", D2, G[2, 2])
             dd = np.diag(basis.shape_gradients)
             dx, dy, dz = dd[None, None, :, None], dd[None, :, None, None], dd[:, None, None, None]
-            lap += 2.0 * (dx * dy * xy + dx * dz * xz + dy * dz * yz)
+            lap += 2.0 * (dx * dy * G[0, 1] + dx * dz * G[0, 2] + dy * dz * G[1, 2])
             scale = self.spec.scaling if self.spec.equation == "mass_plus_laplace" else 1.0
             diag += scale * lap
         return diag

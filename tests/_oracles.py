@@ -24,7 +24,6 @@ from mfcg.dofs import (
 from mfcg.locality import LINE_BYTES, CacheReplayResult, TagTally, TraceSummary
 from mfcg.mesh import (
     _QUADRATIC_ORDER,
-    SYMMETRIC_INDEX,
     GeometryVariant,
     build_cartesian_mesh,
     deform_mesh,
@@ -48,6 +47,13 @@ from mfcg.tensor import (
     lagrange_basis,
     lagrange_gradients_1d,
 )
+
+
+# Position of entry (i, k) of a symmetric 3x3 tensor in the six-entry order
+# (xx, yy, zz, xy, xz, yz) of the LAPACK and flux oracles, and the rows and
+# columns of those six entries.
+SYMMETRIC_INDEX = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
+SIX_ENTRIES = ((0, 1, 2, 0, 0, 1), (0, 1, 2, 1, 2, 2))
 
 
 def build_fem(cells=(2, 2, 2), p=3, comp=1, eq="laplace", nq=None,
@@ -368,27 +374,26 @@ def plumbed_batch_geometry(op, cells):
     """(six entries or None, jxw) of a batch, cells first, derived from the
     variant's own geometry data for the batch's cells."""
     payload = precompute_geometry(op.mesh, op.spec.geometry, op.quadrature, cells).payload
-    variant = op.spec.geometry
-    if variant == GeometryVariant.FINAL_TENSOR_LOAD:
+    if "G" in payload:  # final-tensor and affine variants
         sym = None
         if op.spec.needs_gradients:
-            sym = payload["final_tensor"].transpose(0, 2, 1)
+            sym = payload["G"][SIX_ENTRIES].transpose(0, 2, 1)
         return sym, payload["jxw"].T
-    if variant == GeometryVariant.AFFINE:
-        inv = payload["inverse_jacobian"]
-        jxw = payload["det_j"] * payload["weights"]
-    elif variant == GeometryVariant.INVERSE_JACOBIAN_LOAD:
+    if "inverse_jacobian" in payload:
         inv = payload["inverse_jacobian"].transpose(0, 1, 3, 2)
         jxw = payload["jxw"].T
-    else:
-        adj, det = jacobian_adjugate(payload["nodes"], op._geo_basis, len(op.quadrature))
-        adj, det = adj.transpose(0, 1, 3, 2), det.T
-        sym = None
-        if op.spec.needs_gradients:
-            sym = symmetric_coefficients(adj, payload["weights"] / det)
-        return sym, det * payload["weights"]
-    sym = symmetric_coefficients(inv, jxw) if op.spec.needs_gradients else None
-    return sym, np.broadcast_to(jxw, (len(cells), jxw.shape[-1]))
+        sym = symmetric_coefficients(inv, jxw)[SIX_ENTRIES] if op.spec.needs_gradients else None
+        return sym, jxw
+    nq = len(op.quadrature)
+    degree = 2 if op.spec.geometry == GeometryVariant.QUADRATIC_COMPUTE else nq - 1
+    w = op.quadrature.weights
+    weights = np.einsum("k,j,i->kji", w, w, w).ravel()
+    adj, det = jacobian_adjugate(payload["nodes"], lagrange_basis(degree, op.quadrature), nq)
+    adj, det = adj.transpose(0, 1, 3, 2), det.T
+    sym = None
+    if op.spec.needs_gradients:
+        sym = symmetric_coefficients(adj, weights / det)[SIX_ENTRIES]
+    return sym, det * weights
 
 
 def plumbed_batch_kernel(op, b, u):
@@ -462,7 +467,7 @@ def flux_batch_kernel(op, b, u):
         out = integrate_values_lanes(op.basis, vals)
     if spec.needs_gradients:
         grads = evaluate_gradients_lanes(op.basis, u)
-        sym = G[(0, 1, 2, 0, 0, 1), (0, 1, 2, 1, 2, 2)]
+        sym = G[SIX_ENTRIES]
         lap = integrate_gradients_lanes(
             op.basis, flux(sym.reshape(6, nq, nq, nq, -1, 1), grads))
         if out is None:
@@ -788,21 +793,10 @@ def quadratic_geometry_nodes(mesh, cell):
 
 
 def gather_geometry(op, payload, cells):
-    """One batch's store gathered from a whole-mesh payload, cells last and
-    C-contiguous: the geometry nodes, or J^-1 or G (expanded to its nine
-    entries, only if the equation needs gradients) and w det J; the affine
-    variant's one G and w det J are formed here and copied to every cell."""
-    if op.spec.geometry == GeometryVariant.AFFINE:
-        jxw = (payload["det_j"] * payload["weights"])[:, None]
-        payload = {"final_tensor": symmetric_coefficients(payload["inverse_jacobian"], jxw),
-                   "jxw": jxw}
-        cells = np.zeros_like(cells)
-    store = {key: np.take(payload[key], cells, axis=-1)
-             for key in ("nodes", "inverse_jacobian", "jxw") if key in payload}
-    if "final_tensor" in payload and op.spec.needs_gradients:
-        store["G"] = np.take(np.take(payload["final_tensor"], cells, axis=-1),
-                             SYMMETRIC_INDEX, axis=0)
-    return store
+    """One batch's payload gathered from a whole-mesh payload, cells last
+    and C-contiguous; an operator without gradients holds no G."""
+    return {key: np.take(value, cells, axis=-1) for key, value in payload.items()
+            if key != "G" or op.spec.needs_gradients}
 
 
 def geometry_data(mesh, cell, variant, quad):
@@ -811,11 +805,7 @@ def geometry_data(mesh, cell, variant, quad):
     if not 0 <= cell < mesh.n_cells:
         raise IndexError(f"cell index {cell} out of range")
     data = precompute_geometry(mesh, variant, quad, np.arange(mesh.n_cells))
-    if variant == GeometryVariant.AFFINE:
-        return dict(data.payload)  # identical for every cell
-    per_cell = {"nodes", "inverse_jacobian", "jxw", "final_tensor"}
-    return {key: (value[..., cell] if key in per_cell else value)
-            for key, value in data.payload.items()}
+    return {key: value[..., cell] for key, value in data.payload.items()}
 
 
 def lapack_geometry(mesh, quad):
@@ -892,7 +882,7 @@ def whole_mesh_diagonal(op):
     n_cells = op.handler.n_cells
     geo = precompute_geometry(op.mesh, GeometryVariant.FINAL_TENSOR_LOAD,
                               basis.quadrature, np.arange(n_cells)).payload
-    diag_loc = op._local_diagonal(basis, geo["final_tensor"], geo["jxw"])
+    diag_loc = op._local_diagonal(basis, geo["G"], geo["jxw"])
     scalar_idx = _expand_scalar(op.handler, np.arange(n_cells))
     diag = np.bincount(scalar_idx.ravel(), weights=diag_loc.transpose(3, 0, 1, 2).ravel(),
                        minlength=op.handler.n_nodes)

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 import mfcg.operator
 import mfcg.tensor
 from _oracles import (
+    SYMMETRIC_INDEX,
     build_fem,
     cells_first_kernel,
     flux,
@@ -37,7 +38,7 @@ from _oracles import (
     plumbed_integrate_values,
 )
 from mfcg.bench import BENCHMARK_PROBLEMS, assemble_problem
-from mfcg.mesh import SYMMETRIC_INDEX, GeometryVariant
+from mfcg.mesh import GeometryVariant
 from mfcg.tensor import (
     evaluate_gradients,
     evaluate_gradients_lanes,

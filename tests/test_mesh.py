@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    SIX_ENTRIES,
+    SYMMETRIC_INDEX,
     cell_lattice,
     geometry_data,
     map_points,
@@ -20,12 +22,13 @@ from _oracles import (
     quadratic_geometry_nodes,
 )
 from mfcg.mesh import (
-    SYMMETRIC_INDEX,
     GeometryVariant,
     build_cartesian_mesh,
     deform_mesh,
+    geometry_coefficients,
     jacobian_adjugate,
     precompute_geometry,
+    symmetric_coefficients,
 )
 from mfcg.tensor import gauss_quadrature, lagrange_basis
 
@@ -240,8 +243,9 @@ class TestJacobians:
         np.testing.assert_allclose(matrix_stack(adj / det),
                                    matrix_stack(ref.payload["inverse_jacobian"]),
                                    rtol=1e-12, atol=1e-14)
-        weights = data.payload["weights"][:, None]
-        np.testing.assert_allclose(det * weights, ref.payload["jxw"], rtol=1e-12)
+        G, jxw = geometry_coefficients(data)
+        np.testing.assert_allclose(jxw, ref.payload["jxw"], rtol=1e-12)
+        np.testing.assert_allclose(G, geometry_coefficients(ref)[0], rtol=1e-12, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -250,18 +254,27 @@ class TestJacobians:
 
 class TestVariants:
     def test_affine_payload(self):
+        # G = diag(1/h)^2 det J w and jxw = det J w, the same for every cell
         mesh = build_cartesian_mesh((2, 4, 8), extents=(1.0, 1.0, 1.0))
-        data = mesh_geometry(mesh, GeometryVariant.AFFINE, gauss_quadrature(2))
-        np.testing.assert_allclose(data.payload["inverse_jacobian"],
-                                   np.diag([2.0, 4.0, 8.0]))
-        np.testing.assert_allclose(data.payload["det_j"], 0.5 * 0.25 * 0.125)
+        quad = gauss_quadrature(2)
+        data = mesh_geometry(mesh, GeometryVariant.AFFINE, quad)
+        assert sorted(data.payload) == ["G", "jxw"]
+        w = quad.weights
+        jxw = 0.5 * 0.25 * 0.125 * np.einsum("k,j,i->kji", w, w, w).ravel()
+        np.testing.assert_allclose(data.payload["jxw"], np.repeat(jxw[:, None], 64, axis=1))
+        G = np.einsum("ik,q->ikq", np.diag([4.0, 16.0, 64.0]), jxw)
+        np.testing.assert_allclose(data.payload["G"], np.repeat(G[..., None], 64, axis=-1))
         assert data.doubles_per_cell == 10
 
     def test_symmetric_index_matches_storage_order(self):
-        # the kernel's flux reads G[i, k] at SYMMETRIC_INDEX[i, k]; the
-        # stored order is xx, yy, zz, xy, xz, yz
+        # the oracles' six-entry order is xx, yy, zz, xy, xz, yz, and
+        # SYMMETRIC_INDEX[i, k] finds entry (i, k) of the nine in it
+        m = np.random.default_rng(0).standard_normal((3, 3, 4))
+        G = symmetric_coefficients(m, 1.0)
+        six = G[SIX_ENTRIES]
         for a, (i, k) in enumerate([(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]):
             assert SYMMETRIC_INDEX[i, k] == SYMMETRIC_INDEX[k, i] == a
+        np.testing.assert_array_equal(six[SYMMETRIC_INDEX], G)
 
     def test_final_tensor_matches_inverse_jacobian(self):
         mesh = deform_mesh(build_cartesian_mesh((2, 2, 2)), 0.07)
@@ -271,9 +284,7 @@ class TestVariants:
         inv = load.payload["inverse_jacobian"]
         jxw = load.payload["jxw"]
         full = np.einsum("ijqc,kjqc,qc->ikqc", inv, inv, jxw)
-        sym = final.payload["final_tensor"]
-        for a, (i, k) in enumerate([(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]):
-            np.testing.assert_allclose(sym[a], full[i, k], rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(final.payload["G"], full, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(final.payload["jxw"], jxw)
 
     def test_isoparametric_reproduces_quadratic_map(self):
@@ -324,8 +335,7 @@ class TestVariants:
         quad = gauss_quadrature(3)
         full = mesh_geometry(mesh, GeometryVariant.FINAL_TENSOR_LOAD, quad)
         view = geometry_data(mesh, 5, GeometryVariant.FINAL_TENSOR_LOAD, quad)
-        np.testing.assert_array_equal(view["final_tensor"],
-                                      full.payload["final_tensor"][..., 5])
+        np.testing.assert_array_equal(view["G"], full.payload["G"][..., 5])
         np.testing.assert_array_equal(view["jxw"], full.payload["jxw"][..., 5])
 
     def test_undeformed_volume(self):
