@@ -19,7 +19,6 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import operator as operator_mod
 from .bench import BENCHMARK_PROBLEMS, assemble_problem, discretize, run_benchmark
 from .dofs import compute_range_schedule
 from .locality import (
@@ -30,7 +29,16 @@ from .locality import (
 )
 from .mesh import GeometryVariant, validate_cells
 from .solvers import VARIANTS, SolverBreakdown, SolverConfig, solve
-from .tensor import evaluate_values, gauss_quadrature, lagrange_basis
+from .tensor import (
+    LanesKernels,
+    evaluate_gradients_lanes,
+    evaluate_values,
+    evaluate_values_lanes,
+    gauss_quadrature,
+    integrate_gradients_lanes,
+    integrate_values_lanes,
+    lagrange_basis,
+)
 from .trace import AccessRecorder
 
 # capacities for the cache sweep: 32 KiB ... 64 MiB, powers of two
@@ -298,6 +306,24 @@ def _suite_oracle(cfg: Config):
     eo = float(abs(plain - fast).max() / abs(plain).max())
     checks.append(("even-odd-equivalence", eo <= 1e-14, f"rel error {eo:.2e}"))
 
+    # the cell loop's bound kernels against the unbound lanes-last sweeps
+    lanes = (5, 3)
+    bound = LanesKernels(basis, lanes, np.empty(
+        (LanesKernels.rows(True, True), LanesKernels.plane_size(basis, 15))),
+        True, True)
+    u = rng.standard_normal((4, 4, 4) + lanes)
+    q = rng.standard_normal((3, 5, 5, 5) + lanes)
+    same = np.array_equal(bound.evaluate_gradients(u),
+                          evaluate_gradients_lanes(basis, u))
+    bound.flux[...] = q
+    same &= np.array_equal(bound.integrate_gradients(),
+                           integrate_gradients_lanes(basis, q))
+    same &= np.array_equal(bound.evaluate_values(u), evaluate_values_lanes(basis, u))
+    bound.values[...] = q[0]
+    same &= np.array_equal(bound.integrate_values(), integrate_values_lanes(basis, q[0]))
+    checks.append(("bound-kernels-identity", same,
+                   "four lanes-last kernels, 15 lanes, bit for bit"))
+
     try:
         op3, b3, minv3 = assemble_problem("BP3", 3, (3, 3, 3))
         res3 = solve("pcg", op3, b3, minv=minv3,
@@ -404,12 +430,14 @@ def cmd_verify(cfg: Config, name_filter: str = "", mutate: str = "") -> int:
     if mutate == "sign-flip":
         # fault-injection self-test: flip the sign of the gradient
         # integration inside the cell loop and expect the oracle to notice
-        real = operator_mod.integrate_gradients_lanes
+        real = LanesKernels.integrate_gradients
 
-        def flipped(*args, **kwargs):
-            return -real(*args, **kwargs)
+        def flipped(kernels):
+            out = real(kernels)
+            np.negative(out, out=out)
+            return out
 
-        operator_mod.integrate_gradients_lanes = flipped
+        LanesKernels.integrate_gradients = flipped
         restore = real
     elif mutate:
         raise ValueError(f"unknown mutation {mutate!r}; have sign-flip")
@@ -426,7 +454,7 @@ def cmd_verify(cfg: Config, name_filter: str = "", mutate: str = "") -> int:
                 failures += not ok
     finally:
         if restore is not None:
-            operator_mod.integrate_gradients_lanes = restore
+            LanesKernels.integrate_gradients = restore
     if failures:
         print(f"{failures} propert{'y' if failures == 1 else 'ies'} failed",
               file=sys.stderr)

@@ -219,10 +219,11 @@ class GeometryData:
     doubles_per_cell: int
 
     def without_coefficients(self) -> GeometryData:
-        """The data without a stored G, for an operator that needs no
-        gradients."""
+        """The data an operator without gradients reads: no stored G and
+        no J^-1, which only forming G reads."""
         return replace(self, payload={
-            key: value for key, value in self.payload.items() if key != "G"})
+            key: value for key, value in self.payload.items()
+            if key not in ("G", "inverse_jacobian")})
 
 
 def symmetric_coefficients(m: np.ndarray, scale) -> np.ndarray:

@@ -8,7 +8,22 @@ sum-factorization sweep is a few GEMMs as wide as the batch (see
 mfcg.tensor).  The geometry is held once, per batch, as
 `mfcg.mesh.precompute_geometry` returns it, and the kernel, the diagonal
 and the right-hand side read (G, w det J) from it through
-`mfcg.mesh.geometry_coefficients`.  The scatter still sums cell by cell.
+`mfcg.mesh.geometry_coefficients`.
+
+Each operator owns one workspace, allocated with it and sized for its
+largest batch (after Kronbichler & Kormann, Computers & Fluids 63, 2012).
+Every batch size is bound once to views into it: the gathered lanes, the
+planes of the sweeps (`mfcg.tensor.LanesKernels`), the gradients, the flux
+and the integrated sums, and the cell-major copy of the result.  A batch
+takes src into the lanes, runs the sweeps with `out=`, forms the flux with
+one `np.einsum(..., out=)`, copies the result cell-major and scatters it:
+one `np.bincount` per batch sums each DoF's cell contributions in batch
+order, and `np.add.at` adds the sums into dst.  So a batch allocates only
+the bincount output, plus numpy's per-call bookkeeping and, with three
+components, the einsum's iterator buffer; the variants that do not store
+G form (G, w det J) per batch.  Nothing lives in the workspace between
+batches, so a callback may apply the operator again; two applications at
+once from different threads would share it and must not run.
 
 Constrained (Dirichlet) unknowns are kept in the system as identity rows:
 each batch's gather zeroes its constrained entries, its DoF map sends them
@@ -21,6 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,12 +57,9 @@ from .mesh import (
     precompute_geometry,
 )
 from .tensor import (
-    evaluate_gradients_lanes,
-    evaluate_values_lanes,
+    LanesKernels,
     gauss_lobatto_quadrature,
     gauss_quadrature,
-    integrate_gradients_lanes,
-    integrate_values_lanes,
     lagrange_basis,
 )
 
@@ -56,6 +70,10 @@ EQUATIONS = ("mass", "laplace", "mass_plus_laplace")
 # cells per block of `node_sum`, which bounds its index array independently
 # of the mesh size
 NODE_SUM_CELLS = 512
+
+# the flux, flux_i = G[i, 0] grad_0 + G[i, 1] grad_1 + G[i, 2] grad_2, in
+# one pass over the points, G broadcast over the components
+FLUX = "ij...,j...->i..."
 
 
 @dataclass(frozen=True)
@@ -108,6 +126,17 @@ def _cell_stream_ranges(cells: np.ndarray, bytes_per_cell: int) -> np.ndarray:
     lo = (cells * bytes_per_cell) // trace.GRAIN_BYTES
     hi = -(-((cells + 1) * bytes_per_cell) // trace.GRAIN_BYTES)
     return np.unique(trace.expand_runs(lo, hi))
+
+
+class _BatchViews(NamedTuple):
+    """The kernels and views into the operator's workspace of the batches
+    of one size."""
+
+    kernels: LanesKernels
+    lanes: np.ndarray       # the gathered batch, (p+1, p+1, p+1, cells, components)
+    lanes_flat: np.ndarray
+    cell_major: np.ndarray  # the kernel's result, (cells, components, p+1, p+1, p+1)
+    cell_major_flat: np.ndarray
 
 
 def _spans(ranges: np.ndarray, n: int) -> list:
@@ -183,6 +212,31 @@ class MatrixFreeOperator:
             lanes = np.ascontiguousarray(idx.transpose(2, 3, 4, 0, 1))
             self._batch_src.append(lanes)
             self._batch_zero.append(np.flatnonzero(mask[lanes]))
+        # one workspace for every batch, sized for the largest: the kernels'
+        # planes, then the gathered lanes and the cell-major copy of the
+        # result, a batch of n lanes bound to the leading part of it.
+        # Batches of one size share their views.  After the last batch the
+        # constrained values pass through its head.
+        values, gradients = spec.needs_values, spec.needs_gradients
+        rows = LanesKernels.rows(values, gradients) + 2
+        widest = max(len(cells) for cells in self._batch_cells) * self.components
+        self._workspace = np.empty(max(
+            rows * LanesKernels.plane_size(self.basis, widest), len(self._constrained)))
+        self._constrained_values = self._workspace[:len(self._constrained)]
+        bound = {}
+        for cells in self._batch_cells:
+            lanes = (len(cells), self.components)
+            if lanes in bound:
+                continue
+            size = LanesKernels.plane_size(self.basis, prod(lanes))
+            planes = self._workspace[:rows * size].reshape(rows, size)
+            kernels = LanesKernels(self.basis, lanes, planes[:-2], values, gradients)
+            lanes_flat, cell_major_flat = planes[-2:, :n1 ** 3 * prod(lanes)]
+            bound[lanes] = _BatchViews(
+                kernels, lanes_flat.reshape((n1,) * 3 + lanes), lanes_flat,
+                cell_major_flat.reshape(lanes + (n1,) * 3), cell_major_flat)
+        self._batch_views = [bound[len(cells), self.components]
+                             for cells in self._batch_cells]
         # per batch: the dst spans first written there, and the (pre, post) callback spans
         self._zero_spans = [_spans(ranges, self.n_dofs) for ranges in _group_by(
             self.schedule.first_touch_batch, plan.n_batches)]
@@ -221,24 +275,27 @@ class MatrixFreeOperator:
 
         u, result: (p+1, p+1, p+1, n_batch, components) nodal values, the
         cells and components innermost, as SIMD lanes: each sweep is a few
-        GEMMs as wide as the batch.
+        GEMMs as wide as the batch.  The result is a view into the
+        workspace, valid until the next batch runs.
         """
         spec = self.spec
         nq = self._nq
+        kernels = self._batch_views[b].kernels
         G, jxw = self._batch_geometry(b)
         out = None
         if spec.needs_values:
-            vals = evaluate_values_lanes(self.basis, u)
+            vals = kernels.evaluate_values(u)
             vals *= jxw.reshape(nq, nq, nq, -1, 1)
-            out = integrate_values_lanes(self.basis, vals)
+            out = kernels.integrate_values()
         if spec.needs_gradients:
-            # flux_i = G[i, 0] grad_0 + G[i, 1] grad_1 + G[i, 2] grad_2 in
-            # one pass over the points, G broadcast over the components
-            grads = evaluate_gradients_lanes(self.basis, u)
-            flux = np.einsum("ij...,j...->i...",
-                             G.reshape(3, 3, nq, nq, nq, -1, 1), grads)
-            lap = integrate_gradients_lanes(self.basis, flux)
-            out = lap if out is None else out + spec.scaling * lap
+            np.einsum(FLUX, G.reshape(3, 3, nq, nq, nq, -1, 1),
+                      kernels.evaluate_gradients(u), out=kernels.flux)
+            lap = kernels.integrate_gradients()
+            if out is None:
+                out = lap
+            else:
+                lap *= spec.scaling
+                out += lap
         return out
 
     # -- application ------------------------------------------------------------
@@ -275,6 +332,7 @@ class MatrixFreeOperator:
             raise ValueError("dst shares memory with src")
         if not np.can_cast(np.float64, dst.dtype, "same_kind"):
             raise ValueError(f"dst of dtype {dst.dtype} cannot hold the result")
+        src = np.asarray(src, dtype=np.float64)
         pre_spans, post_spans = self._hook_spans
         n_batches = self.plan.n_batches
         rec_src, rec_dst = src_name, dst_name
@@ -298,13 +356,17 @@ class MatrixFreeOperator:
                 if recorder is not None:
                     recorder.record_dofs(rec_dst, lo, hi, trace.WRITE)
             dofs = self._batch_dofs[b]
-            lanes = src.take(self._batch_src[b])
-            lanes.reshape(-1)[self._batch_zero[b]] = 0
-            local = self._batch_kernel(b, lanes)
+            views = self._batch_views[b]
+            # mode="clip" takes straight into the workspace; the indices are
+            # in range, so it clips nothing
+            np.take(src, self._batch_src[b], out=views.lanes, mode="clip")
+            views.lanes_flat[self._batch_zero[b]] = 0
+            local = self._batch_kernel(b, views.lanes)
             # summed cell-major, so that every DoF adds the contributions of
             # its cells in batch order
+            np.copyto(views.cell_major, local.transpose(3, 4, 0, 1, 2))
             flat = np.bincount(self._batch_map[b].ravel(),
-                               weights=local.transpose(3, 4, 0, 1, 2).ravel(),
+                               weights=views.cell_major_flat,
                                minlength=len(dofs) + 1)
             np.add.at(dst, dofs, flat[:-1])
             if recorder is not None:
@@ -314,7 +376,9 @@ class MatrixFreeOperator:
                 recorder.record_runs("geometry", geom, trace.READ)
                 recorder.record_runs("cell_indices", indices, trace.READ)
             if b == n_batches - 1 and len(self._constrained):
-                dst[self._constrained] = src[self._constrained]
+                np.take(src, self._constrained, out=self._constrained_values,
+                        mode="clip")
+                dst[self._constrained] = self._constrained_values
                 if recorder is not None:
                     recorder.record_runs(rec_src, constrained_runs, trace.READ)
                     recorder.record_runs(rec_dst, constrained_runs, trace.WRITE)

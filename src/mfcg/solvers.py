@@ -101,7 +101,8 @@ def fused_reductions(r, v, p, minv, lo, hi) -> tuple:
 
 
 def _norm(b):
-    return float(np.linalg.norm(b))
+    # the sum np.linalg.norm forms for a float vector, without its dispatch
+    return math.sqrt(b.dot(b))
 
 
 def _inverse_diagonal(minv) -> np.ndarray:

@@ -794,9 +794,9 @@ def quadratic_geometry_nodes(mesh, cell):
 
 def gather_geometry(op, payload, cells):
     """One batch's payload gathered from a whole-mesh payload, cells last
-    and C-contiguous; an operator without gradients holds no G."""
+    and C-contiguous; an operator without gradients holds no G and no J^-1."""
     return {key: np.take(value, cells, axis=-1) for key, value in payload.items()
-            if key != "G" or op.spec.needs_gradients}
+            if key not in ("G", "inverse_jacobian") or op.spec.needs_gradients}
 
 
 def geometry_data(mesh, cell, variant, quad):

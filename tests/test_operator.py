@@ -2,17 +2,20 @@
 contract, diagonal preconditioner, and trace accounting of one application.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfcg.bench import assemble_problem
 from mfcg.dofs import RANGE_SIZE, distribute_dofs, make_batches
 from mfcg.mesh import GeometryVariant, build_cartesian_mesh, deform_mesh
 from mfcg.operator import MatrixFreeOperator, OperatorSpec
 from mfcg.trace import READ, READWRITE, WRITE, AccessRecorder, ContractViolation
 
-from _oracles import assemble_dense, plumbed_callback_spans
+from _oracles import assemble_dense, build_fem, plumbed_callback_spans
 
 VARIANTS = [GeometryVariant.QUADRATIC_COMPUTE, GeometryVariant.ISOPARAMETRIC_COMPUTE,
             GeometryVariant.INVERSE_JACOBIAN_LOAD, GeometryVariant.FINAL_TENSOR_LOAD]
@@ -441,3 +444,68 @@ def test_oracle_property(p, comp, eq, variant, batch):
     ref = op.assemble_sparse() @ u
     np.testing.assert_allclose(op.apply(u), ref, rtol=1e-12,
                                atol=1e-13 * max(np.abs(ref).max(), 1e-30))
+
+
+class TestWorkspace:
+    """The cell loop runs every batch through one workspace allocated with
+    the operator: the gathered lanes, the sweeps' planes and the cell-major
+    copy are views into it, so an application allocates only each batch's
+    bincount output and numpy's small per-call bookkeeping."""
+
+    # numpy's per-call bookkeeping (np.add.at, the iterators, the views),
+    # about 5.5 KiB here, with room to spare
+    SMALL = 16 * 1024
+
+    @pytest.mark.parametrize("bp", ["BP1", "BP2", "BP3", "BP4", "BP5"])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_apply_allocates_only_the_scatter_sums(self, bp, p):
+        op, _, _ = assemble_problem(bp, p, (4, 4, 4))
+        u = np.random.default_rng(p).standard_normal(op.n_dofs)
+        v = np.empty_like(u)
+        op.apply(u, out=v)
+        tracemalloc.start()
+        try:
+            op.apply(u, out=v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sums = 8 * (max(len(dofs) for dofs in op._batch_dofs) + 1)
+        # with three components the flux einsum broadcasts G over them
+        # through numpy's buffered iterator, whose buffer is bounded by
+        # np.getbufsize() elements whatever the batch
+        buffered = 8 * np.getbufsize() if op.components > 1 else 0
+        assert peak <= sums + buffered + self.SMALL
+
+    @pytest.mark.parametrize("eq", ["mass", "laplace", "mass_plus_laplace"])
+    def test_alternating_applies_reproduce_their_first_results(self, eq):
+        op, handler = build_op(cells=(3, 2, 2), comp=3, eq=eq, batch=4,
+                               scaling=0.35)
+        rng = np.random.default_rng(7)
+        inputs = [rng.standard_normal(handler.n_dofs) for _ in range(2)]
+        first = [op.apply(x) for x in inputs]
+        for _ in range(3):
+            for x, want in zip(inputs, first):
+                np.testing.assert_array_equal(op.apply(x).view(np.uint64),
+                                              want.view(np.uint64))
+
+    @pytest.mark.parametrize("eq", ["mass", "laplace", "mass_plus_laplace"])
+    def test_nested_apply_in_callbacks_leaves_the_result_unchanged(self, eq):
+        # a callback that applies the operator runs the whole cell loop
+        # through the shared workspace between two batches of the outer one
+        op, handler = build_fem((3, 3, 3), p=3, eq=eq, batch=3, scaling=0.35,
+                                numbering="optimized", traversal="morton")
+        rng = np.random.default_rng(8)
+        u, w = (rng.standard_normal(handler.n_dofs) for _ in range(2))
+        want, inner_want = op.apply(u), op.apply(w)
+        inner = []
+
+        def nested(lo, hi):
+            inner.append(op.apply(w))
+
+        got = np.empty_like(u)
+        op.apply_with_callbacks(u, got, nested, nested)
+        assert len(inner) > op.plan.n_batches // 2 > 2
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        for x in inner:
+            np.testing.assert_array_equal(x.view(np.uint64),
+                                          inner_want.view(np.uint64))

@@ -283,6 +283,19 @@ def test_geometry_is_held_once_per_batch(monkeypatch, variant):
     assert calls == list(range(op.plan.n_batches))
 
 
+@pytest.mark.parametrize("variant", list(GeometryVariant))
+def test_mass_store_holds_only_what_its_kernel_reads(variant):
+    # a mass operator reads w det J: stored, or formed from the geometry
+    # nodes by the compute variants; no G and no J^-1
+    affine = variant == GeometryVariant.AFFINE
+    op, _ = build_fem((3, 2, 2), p=2, eq="mass", variant=variant, batch=5,
+                      deformed=0.0 if affine else 0.05)
+    computed = variant in (GeometryVariant.QUADRATIC_COMPUTE,
+                           GeometryVariant.ISOPARAMETRIC_COMPUTE)
+    for store in op._batch_store:
+        assert set(store.payload) == ({"nodes"} if computed else {"jxw"})
+
+
 @pytest.mark.parametrize("eq,comp", [("laplace", 1), ("mass", 3),
                                      ("mass_plus_laplace", 1)])
 @pytest.mark.parametrize("p", [1, 3, 5])

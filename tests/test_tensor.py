@@ -14,13 +14,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfcg.tensor import (
+    LanesKernels,
     QuadratureRule1D,
     evaluate_gradients,
+    evaluate_gradients_lanes,
     evaluate_values,
+    evaluate_values_lanes,
     gauss_lobatto_quadrature,
     gauss_quadrature,
     integrate_gradients,
+    integrate_gradients_lanes,
     integrate_values,
+    integrate_values_lanes,
     lagrange_basis,
     lagrange_gradients_1d,
     lagrange_values_1d,
@@ -443,6 +448,40 @@ def test_sweeps_property_batches_and_components(p, rule, batch, comp, seed):
         for got, ref in _sweep_pairs(basis, u, q, qg, even_odd):
             assert got.shape == ref.shape
             assert _rel(got, ref) <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(1, 6), rule=st.integers(0, 4),
+       lanes=st.tuples(st.integers(1, 9), st.sampled_from([1, 3])),
+       values=st.booleans(), gradients=st.booleans(),
+       seed=st.integers(0, 2**31 - 1))
+def test_bound_kernels_bit_identical_to_lanes_sweeps(p, rule, lanes, values,
+                                                     gradients, seed):
+    # the last rule has fewer points than nodes, where the derivatives are
+    # sweep triples; every kernel is run twice, as the cell loop reruns them
+    basis = lagrange_basis(p, (_rules(p) + [gauss_quadrature(max(p - 1, 1))])[rule])
+    nq, n1 = len(basis.quadrature), p + 1
+    planes = np.full((LanesKernels.rows(values, gradients),
+                      LanesKernels.plane_size(basis, lanes[0] * lanes[1])), np.nan)
+    bound = LanesKernels(basis, lanes, planes, values, gradients)
+    rng = np.random.default_rng(seed)
+    for _ in range(2):
+        u = rng.standard_normal((n1,) * 3 + lanes)
+        q = rng.standard_normal((3,) + (nq,) * 3 + lanes)
+        if gradients:
+            np.testing.assert_array_equal(bound.evaluate_gradients(u),
+                                          evaluate_gradients_lanes(basis, u))
+            bound.flux[...] = q
+            np.testing.assert_array_equal(bound.integrate_gradients(),
+                                          integrate_gradients_lanes(basis, q))
+        if values:
+            np.testing.assert_array_equal(bound.evaluate_values(u),
+                                          evaluate_values_lanes(basis, u))
+            bound.values[...] = q[0]
+            np.testing.assert_array_equal(bound.integrate_values(),
+                                          integrate_values_lanes(basis, q[0]))
+    with pytest.raises(ValueError, match="do not fit"):
+        LanesKernels(basis, lanes, planes[:, 1:], values, gradients)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 5, 9])

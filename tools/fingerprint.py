@@ -1,0 +1,97 @@
+"""Fingerprint of the numbers the library computes: the sha256 of each
+array, so that two trees can be compared bit for bit.
+
+    PYTHONPATH=src python tools/fingerprint.py --out head.json
+    PYTHONPATH=<other checkout>/src python tools/fingerprint.py --against head.json
+
+The matrix is BP1-BP5 x p in {2, 3} x the five geometry variants x both
+numberings on 3^3 cells; each configuration contributes `b`, the inverse
+diagonal and `apply(u)` for a fixed random `u`, and the final-tensor and
+Laplace ones add the six solvers' x after 8 fixed iterations.  A 10 x 9 x 8 mesh, whose
+node sums span several blocks of cells, adds `b`, the inverse diagonal and
+`apply(u)` for BP1 and BP5 at p = 2.  mfcg is imported from the path
+Python finds first, so PYTHONPATH picks the tree.  --out writes the JSON
+(default: stdout); --against lists the keys whose hashes differ from a
+saved fingerprint, or that only one side has, and exits 1 if there are any.
+"""
+
+import argparse
+import hashlib
+import json
+import sys
+
+import numpy as np
+
+import mfcg
+from mfcg.bench import BENCHMARK_PROBLEMS, assemble_problem
+from mfcg.mesh import GeometryVariant
+from mfcg.solvers import VARIANTS, SolverConfig, solve
+
+
+def _sha(array) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+def _problem(out: dict, key: str, problem, solvers: bool) -> None:
+    op, b, minv = problem
+    u = np.random.default_rng(0).standard_normal(op.n_dofs)
+    out[f"{key}/b"] = _sha(b)
+    out[f"{key}/inverse_diagonal"] = _sha(minv.inverse_diagonal)
+    out[f"{key}/apply"] = _sha(op.apply(u))
+    if solvers:
+        config = SolverConfig(fixed_iterations=8)
+        for variant in VARIANTS:
+            out[f"{key}/x.{variant}"] = _sha(
+                solve(variant, op, b, minv=minv, config=config).x)
+
+
+def fingerprint() -> dict:
+    out = {}
+    for bp in sorted(BENCHMARK_PROBLEMS):
+        for degree in (2, 3):
+            for geometry in GeometryVariant:
+                for numbering in ("default", "optimized"):
+                    problem = assemble_problem(bp, degree, (3, 3, 3),
+                                               geometry=geometry,
+                                               numbering=numbering)
+                    _problem(out, f"{bp}-p{degree}-{geometry.value}-{numbering}",
+                             problem,
+                             geometry == GeometryVariant.FINAL_TENSOR_LOAD
+                             or BENCHMARK_PROBLEMS[bp].equation == "laplace")
+    for bp in ("BP1", "BP5"):
+        _problem(out, f"{bp}-p2-10x9x8", assemble_problem(bp, 2, (10, 9, 8)),
+                 False)
+    return out
+
+
+def differences(ours: dict, theirs: dict) -> list:
+    """Keys whose hashes differ, or that only one side has, sorted."""
+    return sorted(k for k in ours.keys() | theirs.keys()
+                  if ours.get(k) != theirs.get(k))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", help="write the fingerprint JSON here")
+    parser.add_argument("--against", help="a saved fingerprint to compare with")
+    args = parser.parse_args(argv)
+    print(f"fingerprinting mfcg from {mfcg.__file__}", file=sys.stderr)
+    ours = fingerprint()
+    text = json.dumps(ours, indent=1, sort_keys=True) + "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    elif not args.against:
+        sys.stdout.write(text)
+    if args.against:
+        with open(args.against) as fh:
+            differ = differences(ours, json.load(fh))
+        for key in differ:
+            print(key)
+        print(f"{len(differ)} of {len(ours)} keys differ", file=sys.stderr)
+        return 1 if differ else 0
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
