@@ -129,7 +129,7 @@ def estimate_problem_bytes(components: int, degree: int, cells, n_q_1d: int, *,
     at s = 4: its 5 + 4 basis vectors, x and w), the mesh's 81 tri-quadratic
     node coordinates per cell, the per-batch geometry store (w det J per
     quadrature point, plus G's nine entries if the operator needs
-    `gradients`) and the three int64 batch maps per (cell, component, node)
+    `gradients`) and the int64 batch index per (cell, component, node)
     entry, plus the transient of one batch's geometry set-up, about 22
     doubles per point of a batch of the default width."""
     n_dofs, n_cells = _problem_size(components, degree, cells)
@@ -137,7 +137,7 @@ def estimate_problem_bytes(components: int, degree: int, cells, n_q_1d: int, *,
     entries = n_cells * components * (degree + 1) ** 3
     batch = min(n_cells, batch_size(degree, components, 8))
     store = 10 if gradients else 1
-    return 8 * (12 * n_dofs + (81 + store * points) * n_cells + 3 * entries
+    return 8 * (12 * n_dofs + (81 + store * points) * n_cells + entries
                 + 22 * batch * points)
 
 

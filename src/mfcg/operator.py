@@ -14,22 +14,22 @@ Each operator owns one workspace, allocated with it and sized for its
 largest batch (after Kronbichler & Kormann, Computers & Fluids 63, 2012).
 Every batch size is bound once to views into it: the gathered lanes, the
 planes of the sweeps (`mfcg.tensor.LanesKernels`), the gradients, the flux
-and the integrated sums, and the cell-major copy of the result.  A batch
-takes src into the lanes, runs the sweeps with `out=`, forms the flux with
-one `np.einsum(..., out=)`, copies the result cell-major and scatters it:
-one `np.bincount` per batch sums each DoF's cell contributions in batch
-order, and `np.add.at` adds the sums into dst.  So a batch allocates only
-the bincount output, plus numpy's per-call bookkeeping and, with three
-components, the einsum's iterator buffer; the variants that do not store
-G form (G, w det J) per batch.  Nothing lives in the workspace between
-batches, so a callback may apply the operator again; two applications at
-once from different threads would share it and must not run.
+and the integrated sums.  Each batch holds one lane-order DoF index, and
+both ends of the cell loop go through it: a batch takes src through it into
+the lanes, runs the sweeps with `out=`, forms the flux with one
+`np.einsum(..., out=)` per component, and adds its result into dst with one
+`np.add.at` through the same index.  So every DoF adds its contributions
+onto dst's running value, batch by batch and, within a batch, in lane
+order.  A batch allocates only numpy's per-call bookkeeping; the variants
+that do not store G form (G, w det J) per batch.  Nothing lives in the
+workspace between batches, so a callback may apply the operator again; two
+applications at once from different threads would share it and must not
+run.
 
 Constrained (Dirichlet) unknowns are kept in the system as identity rows:
-each batch's gather zeroes its constrained entries, its DoF map sends them
-to a slot that is never added back, and the constrained entries of the
-result are copied straight from the source.  This keeps the operator
-symmetric and the vectors full length.
+each batch's gather zeroes its constrained entries, and the constrained
+entries of the result are copied straight from the source after the last
+batch.  This keeps the operator symmetric and the vectors full length.
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ EQUATIONS = ("mass", "laplace", "mass_plus_laplace")
 # of the mesh size
 NODE_SUM_CELLS = 512
 
-# the flux, flux_i = G[i, 0] grad_0 + G[i, 1] grad_1 + G[i, 2] grad_2, in
-# one pass over the points, G broadcast over the components
+# the flux of one component, flux_i = G[i, 0] grad_0 + G[i, 1] grad_1
+# + G[i, 2] grad_2, in one pass over the points
 FLUX = "ij...,j...->i..."
 
 
@@ -135,8 +135,6 @@ class _BatchViews(NamedTuple):
     kernels: LanesKernels
     lanes: np.ndarray       # the gathered batch, (p+1, p+1, p+1, cells, components)
     lanes_flat: np.ndarray
-    cell_major: np.ndarray  # the kernel's result, (cells, components, p+1, p+1, p+1)
-    cell_major_flat: np.ndarray
 
 
 def _spans(ranges: np.ndarray, n: int) -> list:
@@ -187,38 +185,23 @@ class MatrixFreeOperator:
         mask[handler.constrained_dofs] = True
         self._constrained = handler.constrained_dofs
 
-        # per batch: the sorted unconstrained DoFs its cells touch, and the
-        # map from each entry of the (cell, component, node) layout into
-        # them.  Constrained entries are keyed n_dofs, which sorts past
-        # every DoF, so they all map to one extra slot that is never added
-        # back.  The map stays cell-major, the order in which the scatter
-        # sums.  The gather takes src through a lane-order copy of the DoF
-        # indices in one pass, then zeroes the constrained lanes.
-        n1 = spec.degree + 1
-        self._batch_dofs = []
-        self._batch_map = []
-        self._batch_src = []
+        # per batch: the flat DoF index in lane order, through which the
+        # gather takes src in one pass and the scatter adds the result into
+        # dst, and the constrained lanes the gather zeroes
+        self._batch_index = []
         self._batch_zero = []
         for cells in self._batch_cells:
-            idx = (_expand_scalar(handler, cells)[:, None, :] * self.components
-                   + np.arange(self.components)[:, None]
-                   ).reshape(len(cells), self.components, n1, n1, n1)
-            dofs, inverse = np.unique(np.where(mask[idx], handler.n_dofs, idx),
-                                      return_inverse=True)
-            if dofs[-1] == handler.n_dofs:
-                dofs = dofs[:-1]
-            self._batch_dofs.append(dofs)
-            self._batch_map.append(inverse.reshape(idx.shape))
-            lanes = np.ascontiguousarray(idx.transpose(2, 3, 4, 0, 1))
-            self._batch_src.append(lanes)
-            self._batch_zero.append(np.flatnonzero(mask[lanes]))
+            index = (_expand_scalar(handler, cells).T[:, :, None] * self.components
+                     + np.arange(self.components)).reshape(-1)
+            self._batch_index.append(index)
+            self._batch_zero.append(np.flatnonzero(mask[index]))
         # one workspace for every batch, sized for the largest: the kernels'
-        # planes, then the gathered lanes and the cell-major copy of the
-        # result, a batch of n lanes bound to the leading part of it.
-        # Batches of one size share their views.  After the last batch the
-        # constrained values pass through its head.
+        # planes, then the gathered lanes, a batch of n lanes bound to the
+        # leading part of it.  Batches of one size share their views.  After
+        # the last batch the constrained values pass through its head.
         values, gradients = spec.needs_values, spec.needs_gradients
-        rows = LanesKernels.rows(values, gradients) + 2
+        n1 = spec.degree + 1
+        rows = LanesKernels.rows(values, gradients) + 1
         widest = max(len(cells) for cells in self._batch_cells) * self.components
         self._workspace = np.empty(max(
             rows * LanesKernels.plane_size(self.basis, widest), len(self._constrained)))
@@ -230,11 +213,10 @@ class MatrixFreeOperator:
                 continue
             size = LanesKernels.plane_size(self.basis, prod(lanes))
             planes = self._workspace[:rows * size].reshape(rows, size)
-            kernels = LanesKernels(self.basis, lanes, planes[:-2], values, gradients)
-            lanes_flat, cell_major_flat = planes[-2:, :n1 ** 3 * prod(lanes)]
+            kernels = LanesKernels(self.basis, lanes, planes[:-1], values, gradients)
+            lanes_flat = planes[-1, :n1 ** 3 * prod(lanes)]
             bound[lanes] = _BatchViews(
-                kernels, lanes_flat.reshape((n1,) * 3 + lanes), lanes_flat,
-                cell_major_flat.reshape(lanes + (n1,) * 3), cell_major_flat)
+                kernels, lanes_flat.reshape((n1,) * 3 + lanes), lanes_flat)
         self._batch_views = [bound[len(cells), self.components]
                              for cells in self._batch_cells]
         # per batch: the dst spans first written there, and the (pre, post) callback spans
@@ -253,10 +235,10 @@ class MatrixFreeOperator:
         dpc_geo = self.geometry.doubles_per_cell * 8
         dpc_idx = 27 * 4
         batches = [
-            (trace.runs_of(np.unique(src // RANGE_SIZE)),
+            (trace.runs_of(np.unique(index // RANGE_SIZE)),
              trace.runs_of(_cell_stream_ranges(cells, dpc_geo)),
              trace.runs_of(_cell_stream_ranges(cells, dpc_idx)))
-            for src, cells in zip(self._batch_src, self._batch_cells)]
+            for index, cells in zip(self._batch_index, self._batch_cells)]
         return batches, trace.runs_of(np.unique(self._constrained // RANGE_SIZE))
 
     # -- geometry per batch ----------------------------------------------------
@@ -282,14 +264,23 @@ class MatrixFreeOperator:
         nq = self._nq
         kernels = self._batch_views[b].kernels
         G, jxw = self._batch_geometry(b)
+        # the geometry acts on each component's strided view in turn:
+        # broadcast over the components, it would run through numpy's
+        # buffered iterator, which allocates and is slower
+        components = range(spec.components)
         out = None
         if spec.needs_values:
             vals = kernels.evaluate_values(u)
-            vals *= jxw.reshape(nq, nq, nq, -1, 1)
+            jxw = jxw.reshape(nq, nq, nq, -1)
+            for c in components:
+                scaled = vals[..., c]
+                scaled *= jxw
             out = kernels.integrate_values()
         if spec.needs_gradients:
-            np.einsum(FLUX, G.reshape(3, 3, nq, nq, nq, -1, 1),
-                      kernels.evaluate_gradients(u), out=kernels.flux)
+            G = G.reshape(3, 3, nq, nq, nq, -1)
+            grads, flux = kernels.evaluate_gradients(u), kernels.flux
+            for c in components:
+                np.einsum(FLUX, G, grads[..., c], out=flux[..., c])
             lap = kernels.integrate_gradients()
             if out is None:
                 out = lap
@@ -355,20 +346,20 @@ class MatrixFreeOperator:
                 dst[lo:hi] = 0.0
                 if recorder is not None:
                     recorder.record_dofs(rec_dst, lo, hi, trace.WRITE)
-            dofs = self._batch_dofs[b]
             views = self._batch_views[b]
+            index = self._batch_index[b]
             # mode="clip" takes straight into the workspace; the indices are
             # in range, so it clips nothing
-            np.take(src, self._batch_src[b], out=views.lanes, mode="clip")
+            np.take(src, index, out=views.lanes_flat, mode="clip")
             views.lanes_flat[self._batch_zero[b]] = 0
             local = self._batch_kernel(b, views.lanes)
-            # summed cell-major, so that every DoF adds the contributions of
-            # its cells in batch order
-            np.copyto(views.cell_major, local.transpose(3, 4, 0, 1, 2))
-            flat = np.bincount(self._batch_map[b].ravel(),
-                               weights=views.cell_major_flat,
-                               minlength=len(dofs) + 1)
-            np.add.at(dst, dofs, flat[:-1])
+            # every DoF adds onto dst in lane order through the gather's
+            # index.  Constrained lanes add values into dst[constrained] as
+            # well; no callback sees them: a range holding a constrained DoF
+            # runs pre at batch 0 and post at the last batch, is zeroed at
+            # its first touch, and is overwritten with src after the last
+            # batch
+            np.add.at(dst, index, local.reshape(-1))
             if recorder is not None:
                 src_dst, geom, indices = batch_runs[b]
                 recorder.record_runs(rec_src, src_dst, trace.READ)

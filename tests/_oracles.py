@@ -500,11 +500,12 @@ def plumbed_callback_spans(op, ranges):
 
 
 def window_apply(op, src, dst, pre_fn=None, post_fn=None):
-    """`op.apply_with_callbacks` (untraced) with the window scatter it
-    replaced: each batch gathers through node-major indices relative to its
-    first touched range, masks constrained entries on the way in and out,
-    bincounts over its window (first to last touched range) and adds the
-    touched ranges back one merged span at a time."""
+    """`op.apply_with_callbacks` (untraced) with a window scatter: each
+    batch gathers through node-major indices relative to its first touched
+    range, masks constrained entries on the way in and out, and adds its
+    contributions onto its window of dst (first to last touched range) in
+    lane order, (z, y, x, cell, component), one np.add.at through its own
+    index."""
     comp = op.components
     n1 = op.spec.degree + 1
     n_batches = op.plan.n_batches
@@ -517,8 +518,8 @@ def window_apply(op, src, dst, pre_fn=None, post_fn=None):
         cmask = mask[idx]
         ranges = np.unique(idx // RANGE_SIZE)
         lo = int(ranges[0]) * RANGE_SIZE
+        hi = merge_spans(ranges, RANGE_SIZE, op.n_dofs)[-1][1]
         idx = idx - lo
-        spans = merge_spans(ranges, RANGE_SIZE, op.n_dofs)
         if pre_fn is not None:
             for start, end in pre_spans[b]:
                 pre_fn(start, end)
@@ -532,10 +533,9 @@ def window_apply(op, src, dst, pre_fn=None, post_fn=None):
         local = local.reshape(len(idx), comp, -1).transpose(0, 2, 1)
         local = local.reshape(len(idx), -1)
         local[cmask] = 0.0
-        flat = np.bincount(idx.ravel(), weights=local.ravel(),
-                           minlength=spans[-1][1] - lo)
-        for start, end in spans:
-            dst[start:end] += flat[start - lo:end - lo]
+        lanes = (len(idx), n1, n1, n1, comp)
+        np.add.at(dst[lo:hi], idx.reshape(lanes).transpose(1, 2, 3, 0, 4).ravel(),
+                  local.reshape(lanes).transpose(1, 2, 3, 0, 4).ravel())
         if b == n_batches - 1 and len(constrained):
             dst[constrained] = src[constrained]
         if post_fn is not None:

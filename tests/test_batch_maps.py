@@ -1,8 +1,10 @@
-"""The per-batch DoF maps of the cell loop against the window scatter they
-replaced (tests/_oracles.py, `window_apply`): the gather, the kernel and the
-per-DoF summation order are the same, so every result must be bit-identical,
-with and without callbacks, traced or not.  Also pins the size of each
-batch's scatter buffer and the in-place application guard.
+"""The cell loop's one lane-order index per batch against a window scatter
+built from its own node-major index (tests/_oracles.py, `window_apply`) and
+against a pure-Python loop: the gather, the kernel and the per-DoF
+summation order (onto dst's running value, batch by batch, in lane order
+within a batch) are the same, so every result must be bit-identical, with
+and without callbacks, traced or not.  Also pins that the gather and the
+scatter go through the same index, and the in-place application guard.
 """
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import build_fem, window_apply
+from _oracles import build_fem, cells_first_kernel, window_apply
 from mfcg.bench import BENCHMARK_PROBLEMS
 from mfcg.dofs import expand_batch
 from mfcg.trace import AccessRecorder
@@ -88,33 +90,84 @@ def test_window_property(cells, p, bp_id, constrain, batch, numbering):
     assert_matches_window(op, seed=p)
 
 
+def loop_apply(op, src):
+    """dst = A src with the scatter as a Python loop: per batch, dst[i] += w
+    over the batch's (z, y, x, cell, component) entries, in that order, then
+    the constrained entries copied from src.  dst starts at +0.0, as every
+    range is zeroed before its first batch adds into it."""
+    handler = op.handler
+    n1, comp = op.spec.degree + 1, op.components
+    constrained = handler.constrained_dofs
+    mask = np.zeros(op.n_dofs, dtype=bool)
+    mask[constrained] = True
+    dst = [0.0] * op.n_dofs
+    for b, cells in enumerate(op.plan.batches):
+        idx = expand_batch(handler, cells).reshape(len(cells), n1, n1, n1, comp)
+        u = np.where(mask[idx], 0.0, src[idx])
+        local = cells_first_kernel(op, b, u.transpose(0, 4, 1, 2, 3))
+        for i, w in zip(idx.transpose(1, 2, 3, 0, 4).ravel().tolist(),
+                        local.transpose(2, 3, 4, 0, 1).ravel().tolist()):
+            dst[i] += w
+    dst = np.array(dst)
+    dst[constrained] = src[constrained]
+    return dst
+
+
+@settings(max_examples=20, deadline=None)
+@given(cells=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 2)),
+       p=st.integers(1, 3),
+       bp_id=st.sampled_from(sorted(BENCHMARK_PROBLEMS)),
+       constrain=st.booleans(), batch=st.integers(1, 9),
+       numbering=st.sampled_from(["default", "optimized"]))
+def test_bit_identical_to_python_loop_scatter(cells, p, bp_id, constrain, batch,
+                                              numbering):
+    op, _ = build_bp(bp_id, cells=cells, p=p, constrain=constrain, batch=batch,
+                     numbering=numbering)
+    u = np.random.default_rng(p).standard_normal(op.n_dofs)
+    np.testing.assert_array_equal(op.apply(u).view(np.uint64),
+                                  loop_apply(op, u).view(np.uint64))
+
+
 @pytest.mark.parametrize("constrain", [True, False])
 @pytest.mark.parametrize("bp_id", ["BP3", "BP4"])
-def test_scatter_buffer_is_distinct_free_dofs_plus_one(bp_id, constrain,
-                                                       monkeypatch):
+def test_gather_and_scatter_share_one_index(bp_id, constrain, monkeypatch):
     op, handler = build_bp(bp_id, constrain=constrain)
+    n1 = op.spec.degree + 1
     free = np.ones(op.n_dofs, dtype=bool)
     free[handler.constrained_dofs] = False
-    want = []
     for b, cells in enumerate(op.plan.batches):
-        idx = expand_batch(handler, cells)
-        touched = np.unique(idx[free[idx]])
-        np.testing.assert_array_equal(op._batch_dofs[b], touched)
-        # constrained entries, and only they, map to the extra slot
-        slot = op._batch_map[b] == len(touched)
-        assert slot.sum() == np.count_nonzero(~free[idx])
-        want.append(len(touched) + 1)
-    sizes = []
-    bincount = np.bincount
+        idx = expand_batch(handler, cells).reshape(len(cells), n1, n1, n1, -1)
+        lanes = idx.transpose(1, 2, 3, 0, 4).ravel()
+        np.testing.assert_array_equal(op._batch_index[b], lanes)
+        np.testing.assert_array_equal(op._batch_zero[b], np.flatnonzero(~free[lanes]))
+    calls = {"take": [], "add.at": [], "bincount": 0}
+    take, add_at, bincount = np.take, np.add.at, np.bincount
 
-    def counting(*args, **kwargs):
-        out = bincount(*args, **kwargs)
-        sizes.append(len(out))
-        return out
+    def counting_take(a, indices, *args, **kwargs):
+        calls["take"].append(indices)
+        return take(a, indices, *args, **kwargs)
 
-    monkeypatch.setattr(np, "bincount", counting)
+    class CountingAdd:
+        def at(self, a, indices, *args):
+            calls["add.at"].append(indices)
+            return add_at(a, indices, *args)
+
+    def counting_bincount(*args, **kwargs):
+        calls["bincount"] += 1
+        return bincount(*args, **kwargs)
+
+    monkeypatch.setattr(np, "take", counting_take)
+    monkeypatch.setattr(np, "add", CountingAdd())
+    monkeypatch.setattr(np, "bincount", counting_bincount)
     op.apply(np.ones(op.n_dofs))
-    assert sizes == want
+    # one take per batch, and one of the constrained values after the last
+    assert len(calls["take"]) == op.plan.n_batches + constrain
+    assert all(t is i for t, i in zip(calls["take"], op._batch_index))
+    assert len(calls["add.at"]) == op.plan.n_batches
+    assert all(a is i for a, i in zip(calls["add.at"], op._batch_index))
+    assert calls["bincount"] == 0
+    for name in ("_batch_map", "_batch_dofs"):
+        assert not hasattr(op, name)
 
 
 def test_in_place_application_rejected():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfcg.bench import assemble_problem
-from mfcg.dofs import RANGE_SIZE, distribute_dofs, make_batches
+from mfcg.dofs import RANGE_SIZE, distribute_dofs, expand_batch, make_batches
 from mfcg.mesh import GeometryVariant, build_cartesian_mesh, deform_mesh
 from mfcg.operator import MatrixFreeOperator, OperatorSpec
 from mfcg.trace import READ, READWRITE, WRITE, AccessRecorder, ContractViolation
@@ -139,23 +139,30 @@ class TestOracleEquivalence:
 
 class TestOperatorProperties:
     @pytest.mark.parametrize("comp,constrain", [(1, True), (3, True), (1, False)])
-    def test_lane_order_gather_index(self, comp, constrain):
-        # the gather takes src through one lane-order index per batch, then
-        # zeroes the constrained lanes: the same values as reading the
-        # batch's DoFs through the transposed cell-major map
+    def test_one_lane_order_index_per_batch(self, comp, constrain):
+        # the gather takes src and the scatter adds into dst through one
+        # flat index per batch in lane order, (z, y, x, cell, component);
+        # the gather then zeroes the constrained lanes
         op, handler = build_op(cells=(3, 2, 2), comp=comp, constrain=constrain,
                                batch=4)
-        for b in range(op.plan.n_batches):
-            dofs = op._batch_dofs[b]
-            lane_map = op._batch_map[b].transpose(2, 3, 4, 0, 1)
-            src_index = op._batch_src[b]
-            assert src_index.shape == lane_map.shape
-            assert src_index.flags.c_contiguous
-            free = lane_map != len(dofs)
-            np.testing.assert_array_equal(src_index[free], dofs[lane_map[free]])
+        n1 = op.spec.degree + 1
+        free = np.ones(handler.n_dofs, dtype=bool)
+        free[handler.constrained_dofs] = False
+        assert len(op._batch_index) == op.plan.n_batches
+        for b, cells in enumerate(op.plan.batches):
+            index = op._batch_index[b]
+            assert index.shape == (n1 ** 3 * len(cells) * comp,)
+            assert index.dtype == np.intp and index.flags.c_contiguous
+            lanes = index.reshape(n1, n1, n1, len(cells), comp)
+            np.testing.assert_array_equal(lanes - lanes[..., :1], np.broadcast_to(
+                np.arange(comp), lanes.shape))
+            for c, cell in enumerate(cells):
+                np.testing.assert_array_equal(
+                    np.sort(lanes[:, :, :, c].ravel()),
+                    np.sort(expand_batch(handler, [cell]).ravel()))
             np.testing.assert_array_equal(op._batch_zero[b],
-                                          np.flatnonzero(~free))
-            assert free.all() != constrain
+                                          np.flatnonzero(~free[index]))
+            assert free[index].all() != constrain
 
     def test_laplace_annihilates_constants(self):
         op, handler = build_op(eq="laplace", constrain=False)
@@ -448,9 +455,10 @@ def test_oracle_property(p, comp, eq, variant, batch):
 
 class TestWorkspace:
     """The cell loop runs every batch through one workspace allocated with
-    the operator: the gathered lanes, the sweeps' planes and the cell-major
-    copy are views into it, so an application allocates only each batch's
-    bincount output and numpy's small per-call bookkeeping."""
+    the operator: the gathered lanes, the sweeps' planes, the gradients and
+    the flux are views into it, and the scatter adds into dst through the
+    gather's index, so an application allocates only numpy's small per-call
+    bookkeeping."""
 
     # numpy's per-call bookkeeping (np.add.at, the iterators, the views),
     # about 5.5 KiB here, with room to spare
@@ -458,7 +466,7 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("bp", ["BP1", "BP2", "BP3", "BP4", "BP5"])
     @pytest.mark.parametrize("p", [2, 3])
-    def test_apply_allocates_only_the_scatter_sums(self, bp, p):
+    def test_apply_allocates_only_bookkeeping(self, bp, p):
         op, _, _ = assemble_problem(bp, p, (4, 4, 4))
         u = np.random.default_rng(p).standard_normal(op.n_dofs)
         v = np.empty_like(u)
@@ -469,12 +477,7 @@ class TestWorkspace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        sums = 8 * (max(len(dofs) for dofs in op._batch_dofs) + 1)
-        # with three components the flux einsum broadcasts G over them
-        # through numpy's buffered iterator, whose buffer is bounded by
-        # np.getbufsize() elements whatever the batch
-        buffered = 8 * np.getbufsize() if op.components > 1 else 0
-        assert peak <= sums + buffered + self.SMALL
+        assert peak <= self.SMALL
 
     @pytest.mark.parametrize("eq", ["mass", "laplace", "mass_plus_laplace"])
     def test_alternating_applies_reproduce_their_first_results(self, eq):

@@ -78,7 +78,7 @@ def test_bit_identical_to_oracle(problems, variant, problem, config, traced):
 
 @pytest.mark.parametrize("variant,problem", [
     ("cg", "BP2"), ("pcg", "BP2"), ("pipelined", "BP2"), ("sstep", "BP2"),
-    ("combined_cg", "BP1"), ("combined_pcg", "BP2")])
+    ("combined_cg", "BP2"), ("combined_pcg", "BP2")])
 def test_long_fixed_runs_freeze(problems, variant, problem):
     # the 150-iteration comparisons above cover the stagnation freeze only if
     # the solvers reach it: a frozen step has alpha = 0 (sstep: a repeated
