@@ -19,7 +19,12 @@ from .locality import predict_transfer
 from .mesh import GeometryVariant, build_cartesian_mesh, deform_mesh, validate_cells
 from .operator import MatrixFreeOperator, OperatorSpec
 from .solvers import SolverConfig, solve
-from .tensor import evaluate_values_lanes, integrate_values_lanes, lagrange_basis
+from .tensor import (
+    LanesKernels,
+    evaluate_values_lanes,
+    integrate_values_lanes,
+    lagrange_basis,
+)
 
 
 @dataclass(frozen=True)
@@ -122,6 +127,20 @@ def _problem_size(components: int, degree: int, cells) -> tuple:
             math.prod(cells))
 
 
+def workspace_bytes(components: int, degree: int, cells, n_q_1d: int, *,
+                    gradients: bool = False, simd_lanes: int = 8) -> int:
+    """Bytes of the workspace a benchmark problem's operator allocates (see
+    `mfcg.operator`): the kernels' planes for its widest batch, the values
+    integrated without gradients and the gradients without values, or the
+    constrained (boundary) values if they are more."""
+    n_cells = math.prod(cells)
+    lanes = min(n_cells, batch_size(degree, components, simd_lanes)) * components
+    planes = LanesKernels.rows(not gradients, gradients) * max(degree + 1, n_q_1d) ** 3
+    nodes = [degree * n + 1 for n in cells]
+    constrained = components * (math.prod(nodes) - math.prod(n - 2 for n in nodes))
+    return 8 * max(planes * lanes, constrained)
+
+
 def estimate_problem_bytes(components: int, degree: int, cells, n_q_1d: int, *,
                            gradients: bool = False) -> int:
     """Coarse allocation estimate from the closed-form sizes: what a problem
@@ -129,16 +148,18 @@ def estimate_problem_bytes(components: int, degree: int, cells, n_q_1d: int, *,
     at s = 4: its 5 + 4 basis vectors, x and w), the mesh's 81 tri-quadratic
     node coordinates per cell, the per-batch geometry store (w det J per
     quadrature point, plus G's nine entries if the operator needs
-    `gradients`) and the int64 batch index per (cell, component, node)
-    entry, plus the transient of one batch's geometry set-up, about 22
-    doubles per point of a batch of the default width."""
+    `gradients`), the int64 batch index per (cell, component, node) entry
+    and the operator's workspace (`workspace_bytes`), plus the transient of
+    one batch's geometry set-up, about 22 doubles per point of a batch of
+    the default width."""
     n_dofs, n_cells = _problem_size(components, degree, cells)
     points = n_q_1d ** 3
     entries = n_cells * components * (degree + 1) ** 3
     batch = min(n_cells, batch_size(degree, components, 8))
     store = 10 if gradients else 1
-    return 8 * (12 * n_dofs + (81 + store * points) * n_cells + entries
-                + 22 * batch * points)
+    return (8 * (12 * n_dofs + (81 + store * points) * n_cells + entries
+                 + 22 * batch * points)
+            + workspace_bytes(components, degree, cells, n_q_1d, gradients=gradients))
 
 
 def discretize(problem: BenchmarkProblem, degree: int, cells, *, deform: float,

@@ -429,15 +429,18 @@ def cmd_verify(cfg: Config, name_filter: str = "", mutate: str = "") -> int:
     restore = None
     if mutate == "sign-flip":
         # fault-injection self-test: flip the sign of the gradient
-        # integration inside the cell loop and expect the oracle to notice
-        real = LanesKernels.integrate_gradients
+        # integration that every operator built from here on binds into its
+        # cell loop, and expect the oracle to notice
+        real = LanesKernels.calls
 
-        def flipped(kernels):
-            out = real(kernels)
-            np.negative(out, out=out)
-            return out
+        def flipped(kernels, kernel):
+            calls = real(kernels, kernel)
+            if kernel == "integrate_gradients":
+                out = kernels.integrated_gradients
+                calls += ((np.negative, (out,), out),)
+            return calls
 
-        LanesKernels.integrate_gradients = flipped
+        LanesKernels.calls = flipped
         restore = real
     elif mutate:
         raise ValueError(f"unknown mutation {mutate!r}; have sign-flip")
@@ -454,7 +457,7 @@ def cmd_verify(cfg: Config, name_filter: str = "", mutate: str = "") -> int:
                 failures += not ok
     finally:
         if restore is not None:
-            LanesKernels.integrate_gradients = restore
+            LanesKernels.calls = restore
     if failures:
         print(f"{failures} propert{'y' if failures == 1 else 'ies'} failed",
               file=sys.stderr)

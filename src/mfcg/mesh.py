@@ -38,6 +38,7 @@ __all__ = [
     "deform_mesh",
     "precompute_geometry",
     "geometry_coefficients",
+    "stored_coefficients",
     "symmetric_coefficients",
     "adjugate",
     "jacobian_adjugate",
@@ -226,12 +227,13 @@ class GeometryData:
             if key not in ("G", "inverse_jacobian")})
 
 
-def symmetric_coefficients(m: np.ndarray, scale) -> np.ndarray:
+def symmetric_coefficients(m: np.ndarray, scale, out: np.ndarray = None) -> np.ndarray:
     """m m^T * scale with all nine entries: m (3, 3, ...) and scale (...)
-    give (3, 3, ...), each of the six distinct entries computed once and
-    copied to its mirror.  With m = J^-1 and scale = w det J this is
-    G = J^-1 (w det J) J^-T."""
-    out = np.empty((3, 3) + np.broadcast_shapes(m.shape[2:], np.shape(scale)))
+    give (3, 3, ...), into `out` if given, each of the six distinct entries
+    computed once and copied to its mirror.  With m = J^-1 and
+    scale = w det J this is G = J^-1 (w det J) J^-T."""
+    if out is None:
+        out = np.empty((3, 3) + np.broadcast_shapes(m.shape[2:], np.shape(scale)))
     for a in range(3):
         for b in range(a, 3):
             dot = m[a, 0] * m[b, 0]
@@ -294,28 +296,39 @@ def precompute_geometry(mesh: HexMesh, variant: GeometryVariant,
     raise ValueError(f"unknown geometry variant {variant}")
 
 
-def geometry_coefficients(data: GeometryData, gradients: bool = True):
+def geometry_coefficients(data: GeometryData, gradients: bool = True, out: tuple = None):
     """(G, jxw) of any variant's data, cells last: G = J^-1 (w det J) J^-T
     with all nine entries, (3, 3, n_q^3, n_cells), or None unless
     `gradients`; jxw = w det J, (n_q^3, n_cells).  The final-tensor and
     affine variants read both from the payload, the inverse-Jacobian
     variant forms G from J^-1, and the compute variants form both by
     differentiating their geometry nodes: the tri-quadratic map
-    (quadratic) or its degree-(n_q-1) interpolant (isoparametric)."""
+    (quadratic) or its degree-(n_q-1) interpolant (isoparametric).  `out`,
+    a (G, jxw) pair of arrays of those shapes, receives what is formed
+    (see `stored_coefficients`)."""
     payload, quad = data.payload, data.quadrature
+    G_out, jxw_out = (None, None) if out is None else out
     if "nodes" in payload:
         nq = len(quad)
         degree = 2 if data.variant == GeometryVariant.QUADRATIC_COMPUTE else nq - 1
         weights = _tensor_weights(quad)[:, None]
         adj, det = jacobian_adjugate(payload["nodes"], lagrange_basis(degree, quad), nq)
-        G = symmetric_coefficients(adj, weights / det) if gradients else None
-        return G, det * weights
+        G = symmetric_coefficients(adj, weights / det, out=G_out) if gradients else None
+        return G, np.multiply(det, weights, out=jxw_out)
     jxw = payload["jxw"]
     if not gradients:
         return None, jxw
     if "inverse_jacobian" in payload:
-        return symmetric_coefficients(payload["inverse_jacobian"], jxw), jxw
+        return symmetric_coefficients(payload["inverse_jacobian"], jxw, out=G_out), jxw
     return payload["G"], jxw
+
+
+def stored_coefficients(data: GeometryData, gradients: bool = True) -> tuple:
+    """(G, jxw) as `geometry_coefficients` returns them, where the payload
+    of `data` stores them, and None where that function forms them per
+    call; G is None unless `gradients`."""
+    payload = data.payload
+    return payload.get("G") if gradients else None, payload.get("jxw")
 
 
 def _jacobians(nodes: np.ndarray, geo_basis, nq: int) -> np.ndarray:

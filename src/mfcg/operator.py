@@ -14,17 +14,25 @@ Each operator owns one workspace, allocated with it and sized for its
 largest batch (after Kronbichler & Kormann, Computers & Fluids 63, 2012).
 Every batch size is bound once to views into it: the gathered lanes, the
 planes of the sweeps (`mfcg.tensor.LanesKernels`), the gradients, the flux
-and the integrated sums.  Each batch holds one lane-order DoF index, and
-both ends of the cell loop go through it: a batch takes src through it into
-the lanes, runs the sweeps with `out=`, forms the flux with one
-`np.einsum(..., out=)` per component, and adds its result into dst with one
-`np.add.at` through the same index.  So every DoF adds its contributions
-onto dst's running value, batch by batch and, within a batch, in lane
-order.  A batch allocates only numpy's per-call bookkeeping; the variants
-that do not store G form (G, w det J) per batch.  Nothing lives in the
-workspace between batches, so a callback may apply the operator again; two
-applications at once from different threads would share it and must not
-run.
+and the integrated sums.  Each batch is then bound, once, into a program:
+one tuple of (function, operands, out) numpy calls on those views and on
+the batch's geometry, which its cell kernel runs and nothing else.  The
+program holds the sweeps, one `np.matmul` each; the mass term's w det J
+scaling and the flux, one `np.einsum(..., out=)`, per component; the
+ordered sums of the integration; and the mass plus Laplace combination.
+The variants that do not store (G, w det J) form them first, with one call
+into a buffer of their own.  Every application, traced or not, with
+callbacks or not, runs the same programs.
+
+Each batch holds one lane-order DoF index, and both ends of the cell loop
+go through it: a batch takes src through it into the lanes, runs its
+program, and adds its result into dst with one `np.add.at` through the
+same index.  So every DoF adds its contributions onto dst's running value,
+batch by batch and, within a batch, in lane order.  A batch allocates only
+numpy's per-call bookkeeping; the variants that form (G, w det J) allocate
+while forming them.  Nothing lives in the workspace between batches, so a
+callback may apply the operator again; two applications at once from
+different threads would share it and must not run.
 
 Constrained (Dirichlet) unknowns are kept in the system as identity rows:
 each batch's gather zeroes its constrained entries, and the constrained
@@ -55,12 +63,14 @@ from .mesh import (
     HexMesh,
     geometry_coefficients,
     precompute_geometry,
+    stored_coefficients,
 )
 from .tensor import (
     LanesKernels,
     gauss_lobatto_quadrature,
     gauss_quadrature,
     lagrange_basis,
+    run_calls,
 )
 
 __all__ = ["OperatorSpec", "DiagonalPreconditioner", "MatrixFreeOperator"]
@@ -196,15 +206,16 @@ class MatrixFreeOperator:
             self._batch_index.append(index)
             self._batch_zero.append(np.flatnonzero(mask[index]))
         # one workspace for every batch, sized for the largest: the kernels'
-        # planes, then the gathered lanes, a batch of n lanes bound to the
-        # leading part of it.  Batches of one size share their views.  After
-        # the last batch the constrained values pass through its head.
+        # planes, the last one the gathered lanes, a batch of n lanes bound
+        # to the leading part of it.  Batches of one size share their
+        # views.  After the last batch the constrained values pass through
+        # its head.
         values, gradients = spec.needs_values, spec.needs_gradients
-        n1 = spec.degree + 1
-        rows = LanesKernels.rows(values, gradients) + 1
-        widest = max(len(cells) for cells in self._batch_cells) * self.components
+        rows = LanesKernels.rows(values, gradients)
+        widest = max(len(cells) for cells in self._batch_cells)
         self._workspace = np.empty(max(
-            rows * LanesKernels.plane_size(self.basis, widest), len(self._constrained)))
+            rows * LanesKernels.plane_size(self.basis, widest * self.components),
+            len(self._constrained)))
         self._constrained_values = self._workspace[:len(self._constrained)]
         bound = {}
         for cells in self._batch_cells:
@@ -212,13 +223,22 @@ class MatrixFreeOperator:
             if lanes in bound:
                 continue
             size = LanesKernels.plane_size(self.basis, prod(lanes))
-            planes = self._workspace[:rows * size].reshape(rows, size)
-            kernels = LanesKernels(self.basis, lanes, planes[:-1], values, gradients)
-            lanes_flat = planes[-1, :n1 ** 3 * prod(lanes)]
-            bound[lanes] = _BatchViews(
-                kernels, lanes_flat.reshape((n1,) * 3 + lanes), lanes_flat)
+            kernels = LanesKernels(self.basis, lanes,
+                                   self._workspace[:rows * size].reshape(rows, size),
+                                   values, gradients)
+            bound[lanes] = _BatchViews(kernels, kernels.input, kernels.input.reshape(-1))
         self._batch_views = [bound[len(cells), self.components]
                              for cells in self._batch_cells]
+        # the variants that form (G, jxw) per batch form them into one more
+        # buffer, sized likewise
+        G, jxw = stored_coefficients(self._batch_store[0], gradients)
+        self._formed = None
+        if jxw is None or (gradients and G is None):
+            self._formed = np.empty((10 if gradients else 1) * self._nq ** 3 * widest)
+        # per batch: its program, every call of its cell kernel bound once
+        self._programs = [self._bind_program(views.kernels, store, len(cells))
+                          for views, store, cells in zip(
+                              self._batch_views, self._batch_store, self._batch_cells)]
         # per batch: the dst spans first written there, and the (pre, post) callback spans
         self._zero_spans = [_spans(ranges, self.n_dofs) for ranges in _group_by(
             self.schedule.first_touch_batch, plan.n_batches)]
@@ -252,42 +272,60 @@ class MatrixFreeOperator:
 
     # -- cell kernel -------------------------------------------------------------
 
-    def _batch_kernel(self, b: int, u: np.ndarray) -> np.ndarray:
-        """Integrate the equation on one batch of cells.
-
-        u, result: (p+1, p+1, p+1, n_batch, components) nodal values, the
-        cells and components innermost, as SIMD lanes: each sweep is a few
-        GEMMs as wide as the batch.  The result is a view into the
-        workspace, valid until the next batch runs.
-        """
-        spec = self.spec
-        nq = self._nq
-        kernels = self._batch_views[b].kernels
-        G, jxw = self._batch_geometry(b)
+    def _bind_program(self, kernels: LanesKernels, store, n: int) -> tuple:
+        """(program, result) of a batch of n cells: its cell kernel as one
+        tuple of (function, operands, out) calls on `kernels`' views and
+        the batch's geometry, and the view the result is left in."""
+        spec, nq = self.spec, self._nq
+        gradients = spec.needs_gradients
+        calls = []
+        G, jxw = stored_coefficients(store, gradients)
+        if jxw is None or (gradients and G is None):
+            size = nq ** 3 * n
+            formed = (self._formed[size:10 * size].reshape(3, 3, nq ** 3, n)
+                      if gradients else None, self._formed[:size].reshape(nq ** 3, n))
+            calls.append((geometry_coefficients, (store, gradients), formed))
+            G = formed[0] if G is None else G
+            jxw = formed[1] if jxw is None else jxw
         # the geometry acts on each component's strided view in turn:
         # broadcast over the components, it would run through numpy's
         # buffered iterator, which allocates and is slower
         components = range(spec.components)
-        out = None
+        result = None
         if spec.needs_values:
-            vals = kernels.evaluate_values(u)
-            jxw = jxw.reshape(nq, nq, nq, -1)
-            for c in components:
-                scaled = vals[..., c]
-                scaled *= jxw
-            out = kernels.integrate_values()
-        if spec.needs_gradients:
-            G = G.reshape(3, 3, nq, nq, nq, -1)
-            grads, flux = kernels.evaluate_gradients(u), kernels.flux
-            for c in components:
-                np.einsum(FLUX, G, grads[..., c], out=flux[..., c])
-            lap = kernels.integrate_gradients()
-            if out is None:
-                out = lap
+            vals, jxw = kernels.values, jxw.reshape(nq, nq, nq, n)
+            calls += kernels.calls("evaluate_values")
+            calls += [(np.multiply, (vals[..., c], jxw), vals[..., c])
+                      for c in components]
+            calls += kernels.calls("integrate_values")
+            result = kernels.integrated_values
+        if gradients:
+            G, grads, flux = (G.reshape(3, 3, nq, nq, nq, n), kernels.gradients,
+                              kernels.flux)
+            calls += kernels.calls("evaluate_gradients")
+            calls += [(np.einsum, (FLUX, G, grads[..., c]), flux[..., c])
+                      for c in components]
+            calls += kernels.calls("integrate_gradients")
+            lap = kernels.integrated_gradients
+            if result is None:
+                result = lap
             else:
-                lap *= spec.scaling
-                out += lap
-        return out
+                calls += [(np.multiply, (lap, spec.scaling), lap),
+                          (np.add, (result, lap), result)]
+        return tuple(calls), result
+
+    def _batch_kernel(self, b: int, u: np.ndarray) -> np.ndarray:
+        """Integrate the equation on batch b: run its program.
+
+        u: the batch's (p+1, p+1, p+1, n_batch, components) nodal values,
+        the cells and components innermost, as SIMD lanes; it must be the
+        batch's `lanes` view of the workspace, where the program reads it.
+        The result is a view into the workspace, valid until the next
+        batch runs.
+        """
+        program, result = self._programs[b]
+        run_calls(program)
+        return result
 
     # -- application ------------------------------------------------------------
 
@@ -350,7 +388,7 @@ class MatrixFreeOperator:
             index = self._batch_index[b]
             # mode="clip" takes straight into the workspace; the indices are
             # in range, so it clips nothing
-            np.take(src, index, out=views.lanes_flat, mode="clip")
+            src.take(index, out=views.lanes_flat, mode="clip")
             views.lanes_flat[self._batch_zero[b]] = 0
             local = self._batch_kernel(b, views.lanes)
             # every DoF adds onto dst in lane order through the gather's
@@ -367,8 +405,8 @@ class MatrixFreeOperator:
                 recorder.record_runs("geometry", geom, trace.READ)
                 recorder.record_runs("cell_indices", indices, trace.READ)
             if b == n_batches - 1 and len(self._constrained):
-                np.take(src, self._constrained, out=self._constrained_values,
-                        mode="clip")
+                src.take(self._constrained, out=self._constrained_values,
+                         mode="clip")
                 dst[self._constrained] = self._constrained_values
                 if recorder is not None:
                     recorder.record_runs(rec_src, constrained_runs, trace.READ)

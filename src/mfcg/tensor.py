@@ -21,10 +21,13 @@ basis derives its sweep plans (the matrices, the skipped directions and the
 view shapes) once, so a call does the products and little else.
 `LanesKernels` goes one step further for a cell loop that runs the same
 batch shapes many times: it binds the lanes-last plans to views into
-scratch allocated once, so each sweep is one `np.matmul(..., out=)` on
-views made at construction, and a call allocates nothing.  Rules and bases
-are built once per argument and are read-only.  The reference cell is the
-unit cube [0,1]^3.
+scratch allocated once, its input included, so each sweep is one
+`np.matmul(..., out=)` on views made at construction, and a run allocates
+nothing.  It exposes each kernel as that tuple of (function, operands,
+out) calls (`LanesKernels.calls`), which a caller runs with `run_calls` or
+folds into a longer program, as the operator's cell loop does.  Rules and
+bases are built once per argument and are read-only.  The reference cell
+is the unit cube [0,1]^3.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ __all__ = [
     "integrate_values_lanes",
     "integrate_gradients_lanes",
     "LanesKernels",
+    "run_calls",
 ]
 
 # A cell tensor is just an ndarray; the alias documents intent in signatures.
@@ -203,11 +207,20 @@ def _mxm(matrix: np.ndarray, view: np.ndarray, out: np.ndarray = None) -> np.nda
     """matrix (m, n) times the middle axis of view (lead, n, trail): one GEMM
     if trail is 1, else one (m, n) x (n, trail) GEMM per lead index; written
     into `out`, (lead, m, trail), if given."""
+    if out is None:
+        out = np.empty((view.shape[0], matrix.shape[0], view.shape[2]))
+    function, operands, flat = _matmul(matrix, view, out)
+    function(*operands, out=flat)
+    return out
+
+
+def _matmul(matrix: np.ndarray, view: np.ndarray, out: np.ndarray) -> tuple:
+    """_mxm(matrix, view, out) as one (function, operands, out) call on
+    views made here."""
     lead, n, trail = view.shape
     if trail == 1:
-        flat = None if out is None else out.reshape(lead, -1)
-        return np.matmul(view.reshape(lead, n), matrix.T, out=flat).reshape(lead, -1, 1)
-    return np.matmul(matrix, view, out=out)
+        return np.matmul, (view.reshape(lead, n), matrix.T), out.reshape(lead, -1)
+    return np.matmul, (matrix, view), out
 
 
 def _halves(matrix: np.ndarray) -> tuple:
@@ -304,50 +317,32 @@ def _run(sweeps: tuple, tensor: CellTensor, lead: int, lanes: int,
     return tensor
 
 
-class _Step(NamedTuple):
-    """One sweep bound to its views: `out`, (outer, m, trail * lanes), is
-    `matrix` times the middle axis of `source`, or of the tensor the steps
-    run on, reshaped to `shape`, where source is None.  A step without a
-    matrix copies."""
-
-    matrix: np.ndarray | None
-    source: np.ndarray | None
-    shape: tuple
-    out: np.ndarray
-
-
 def _bind(sweeps: tuple, size: int, lanes: int, out: np.ndarray, scratch,
-          source: np.ndarray = None) -> tuple:
-    """(steps, result) running `sweeps` on a lanes-last tensor of `size`
-    values and `lanes` lanes: the first step reads the flat plane `source`
-    (None: the tensor the steps run on), each intermediate product goes to
-    the two flat `scratch` planes in turn and the last to the flat plane
-    `out`; an empty plan copies.  `result` is the flat view written last."""
+          source: np.ndarray) -> tuple:
+    """(calls, result) running `sweeps` on the lanes-last tensor of `size`
+    values and `lanes` lanes in the flat plane `source`: each sweep one
+    `_matmul` call, each intermediate product into the two flat `scratch`
+    planes in turn and the last into the flat plane `out`; an empty plan
+    copies (np.positive).  `result` is the flat view written last."""
     if not sweeps:
-        view = None if source is None else source[:size]
-        return (_Step(None, view, (size,), out[:size]),), out[:size]
-    steps = []
+        return ((np.positive, (source[:size],), out[:size]),), out[:size]
+    calls = []
     for i, (outer, n, trail, matrix) in enumerate(sweeps):
-        shape = (outer, n, trail * lanes)
+        width = trail * lanes
         m = matrix.matrix.shape[0]
         target = out if i == len(sweeps) - 1 else scratch[i % 2]
-        result = target[:outer * m * trail * lanes]
-        view = None if source is None else source[:prod(shape)].reshape(shape)
-        steps.append(_Step(matrix.matrix, view, shape,
-                           result.reshape(outer, m, trail * lanes)))
+        result = target[:outer * m * width]
+        calls.append(_matmul(matrix.matrix,
+                             source[:outer * n * width].reshape(outer, n, width),
+                             result.reshape(outer, m, width)))
         source = result
-    return tuple(steps), source
+    return tuple(calls), source
 
 
-def _run_steps(steps: tuple, tensor: CellTensor = None) -> None:
-    """Run bound steps; `tensor` is what steps without a source read."""
-    for matrix, source, shape, out in steps:
-        if source is None:
-            source = tensor.reshape(shape)
-        if matrix is None:
-            np.copyto(out, source)
-        else:
-            _mxm(matrix, source, out)
+def run_calls(calls: tuple) -> None:
+    """Run bound (function, operands, out) calls in order."""
+    for function, operands, out in calls:
+        function(*operands, out=out)
 
 
 @dataclass(frozen=True)
@@ -546,18 +541,22 @@ def integrate_gradients_lanes(basis: TensorBasis1D, quad_data: CellTensor) -> Ce
 
 class LanesKernels:
     """The four lanes-last kernels of `basis` for tensors with lane axes
-    `lanes`, bound once to views into the rows of `planes`: a call runs
-    its GEMMs into those views and makes no array and no layout.  Each
-    result is a view into a row and holds until the next call.
+    `lanes`, bound once to views into the rows of `planes`: each kernel is
+    a tuple of (function, operands, out) calls, one `np.matmul` per sweep,
+    which `calls` hands out for a caller to run (see `run_calls`) or to fold
+    into a longer program, and which the methods run.  A run makes no
+    array and no layout.  Each result is a view into a row and holds
+    until the next run.
 
     `planes` is a (`rows(values, gradients)`, `plane_size(basis, n)`) float
-    array, n the number of lanes.  With gradients, rows 0-2 hold the
+    array, n the number of lanes.  The last row holds `input`, the tensor
+    the evaluate kernels read.  With gradients, rows 0-2 hold the
     gradients, 3-5 the flux, which the caller writes into `flux`, and 6 the
     values at the quadrature points, then their integrated sum.  With
     values, rows 3-5 (0-2 without gradients; their work is done before the
     flux is formed) hold the values at the quadrature points, which the
     caller may scale in place in `values`, and two intermediate products;
-    the next row holds the integrated values.
+    the row before `input` holds the integrated values.
     """
 
     def __init__(self, basis: TensorBasis1D, lanes: tuple, planes: np.ndarray,
@@ -570,42 +569,46 @@ class LanesKernels:
                              f"{width} lanes")
         nodes, points = n1 ** 3 * width, nq ** 3 * width
         at_nodes, at_points = (n1,) * 3 + tuple(lanes), (nq,) * 3 + tuple(lanes)
+        source = planes[-1]
+        self.input = source[:nodes].reshape(at_nodes)
+        self._calls = {}
         if gradients:
             grads, flux, at_q = planes[0:3], planes[3:6], planes[6]
             self.gradients = grads[:, :points].reshape((3,) + at_points)
             self.flux = flux[:, :points].reshape((3,) + at_points)
-            steps, source = (), None
+            calls = ()
             if basis._to_q:
-                steps, source = _bind(basis._to_q, nodes, width, at_q, flux[1:])
+                calls, source = _bind(basis._to_q, nodes, width, at_q, flux[1:],
+                                      source)
             for plan, out in zip(basis._derivatives, grads):
-                steps += _bind(plan, points, width, out, flux[1:], source)[0]
-            self._evaluate_gradients = steps
+                calls += _bind(plan, points, width, out, flux[1:], source)[0]
+            self._calls["evaluate_gradients"] = calls
             # the three components' integrals summed into row 6 in order,
             # the second and third through row 0
             parts = [_bind(plan, points, width, out, grads[1:], data)
                      for plan, out, data in zip(basis._derivatives_t,
                                                 (at_q, grads[0], grads[0]), flux)]
             (first, total), (second, part), (third, _) = parts
+            add = ((np.add, (total, part), total),)
             back, result = (), total
             if basis._to_q_t:
                 back, result = _bind(basis._to_q_t, points, width, grads[0],
                                      grads[1:], total)
-            self._integrate_gradients = (first, second, third, back, total, part)
-            self._integrated_gradients = result.reshape(at_nodes)
+            self._calls["integrate_gradients"] = first + second + add + third + add + back
+            self.integrated_gradients = result.reshape(at_nodes)
         if values:
             work = planes[3:6] if gradients else planes[0:3]
-            self._evaluate_values, at = _bind(basis._values, nodes, width,
-                                              work[0], work[1:])
+            self._calls["evaluate_values"], at = _bind(
+                basis._values, nodes, width, work[0], work[1:], planes[-1])
             self.values = at.reshape(at_points)
-            self._integrate_values, result = _bind(
-                basis._values_t, points, width, planes[len(planes) - 1],
-                work[1:], work[0])
-            self._integrated_values = result.reshape(at_nodes)
+            self._calls["integrate_values"], result = _bind(
+                basis._values_t, points, width, planes[-2], work[1:], work[0])
+            self.integrated_values = result.reshape(at_nodes)
 
     @staticmethod
     def rows(values: bool, gradients: bool) -> int:
-        """Rows of the planes the kernels need."""
-        return (7 if gradients else 3) + (1 if values else 0)
+        """Rows of the planes the kernels need, `input` included."""
+        return (7 if gradients else 3) + (1 if values else 0) + 1
 
     @staticmethod
     def plane_size(basis: TensorBasis1D, lanes: int) -> int:
@@ -613,28 +616,31 @@ class LanesKernels:
         per lane."""
         return max(basis.degree + 1, len(basis.quadrature)) ** 3 * lanes
 
+    def calls(self, kernel: str) -> tuple:
+        """The bound calls of `kernel`, one of the four methods below by
+        name, each run as function(*operands, out=out)."""
+        return self._calls[kernel]
+
     def evaluate_values(self, tensor: CellTensor) -> CellTensor:
-        """evaluate_values_lanes into `values`."""
-        _run_steps(self._evaluate_values, tensor)
+        """evaluate_values_lanes of `tensor`, copied into `input`, into
+        `values`."""
+        np.copyto(self.input, tensor)
+        run_calls(self.calls("evaluate_values"))
         return self.values
 
     def integrate_values(self) -> CellTensor:
         """integrate_values_lanes of `values`."""
-        _run_steps(self._integrate_values)
-        return self._integrated_values
+        run_calls(self.calls("integrate_values"))
+        return self.integrated_values
 
     def evaluate_gradients(self, tensor: CellTensor) -> CellTensor:
-        """evaluate_gradients_lanes into `gradients`."""
-        _run_steps(self._evaluate_gradients, tensor)
+        """evaluate_gradients_lanes of `tensor`, copied into `input`, into
+        `gradients`."""
+        np.copyto(self.input, tensor)
+        run_calls(self.calls("evaluate_gradients"))
         return self.gradients
 
     def integrate_gradients(self) -> CellTensor:
         """integrate_gradients_lanes of `flux`."""
-        first, second, third, back, total, part = self._integrate_gradients
-        _run_steps(first)
-        _run_steps(second)
-        total += part
-        _run_steps(third)
-        total += part
-        _run_steps(back)
-        return self._integrated_gradients
+        run_calls(self.calls("integrate_gradients"))
+        return self.integrated_gradients

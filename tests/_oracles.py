@@ -427,8 +427,10 @@ def plumbed_batch_kernel(op, b, u):
 
 def cells_first_kernel(op, b, u):
     """op._batch_kernel on cells-first u, (n_batch, components, p+1, p+1,
-    p+1): transposed into the kernel's lanes-last layout and back."""
-    lanes = np.ascontiguousarray(u.transpose(2, 3, 4, 0, 1))
+    p+1): transposed into the batch's lanes view, which its program reads,
+    and back."""
+    lanes = op._batch_views[b].lanes
+    lanes[...] = u.transpose(2, 3, 4, 0, 1)
     return op._batch_kernel(b, lanes).transpose(3, 4, 0, 1, 2)
 
 

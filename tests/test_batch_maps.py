@@ -140,12 +140,16 @@ def test_gather_and_scatter_share_one_index(bp_id, constrain, monkeypatch):
         lanes = idx.transpose(1, 2, 3, 0, 4).ravel()
         np.testing.assert_array_equal(op._batch_index[b], lanes)
         np.testing.assert_array_equal(op._batch_zero[b], np.flatnonzero(~free[lanes]))
-    calls = {"take": [], "add.at": [], "bincount": 0}
-    take, add_at, bincount = np.take, np.add.at, np.bincount
+    # the gather takes src through each batch's index into the lanes the
+    # kernel reads, constrained lanes zeroed, and the scatter adds through
+    # the same index
+    u = np.random.default_rng(0).standard_normal(op.n_dofs)
+    calls = {"lanes": [], "add.at": [], "bincount": 0}
+    kernel, add_at, bincount = op._batch_kernel, np.add.at, np.bincount
 
-    def counting_take(a, indices, *args, **kwargs):
-        calls["take"].append(indices)
-        return take(a, indices, *args, **kwargs)
+    def recording(b, lanes):
+        calls["lanes"].append(lanes.reshape(-1).copy())
+        return kernel(b, lanes)
 
     class CountingAdd:
         def at(self, a, indices, *args):
@@ -156,13 +160,15 @@ def test_gather_and_scatter_share_one_index(bp_id, constrain, monkeypatch):
         calls["bincount"] += 1
         return bincount(*args, **kwargs)
 
-    monkeypatch.setattr(np, "take", counting_take)
+    monkeypatch.setattr(op, "_batch_kernel", recording)
     monkeypatch.setattr(np, "add", CountingAdd())
     monkeypatch.setattr(np, "bincount", counting_bincount)
-    op.apply(np.ones(op.n_dofs))
-    # one take per batch, and one of the constrained values after the last
-    assert len(calls["take"]) == op.plan.n_batches + constrain
-    assert all(t is i for t, i in zip(calls["take"], op._batch_index))
+    op.apply(u)
+    assert len(calls["lanes"]) == op.plan.n_batches
+    for lanes, index, zero in zip(calls["lanes"], op._batch_index, op._batch_zero):
+        want = u[index]
+        want[zero] = 0.0
+        np.testing.assert_array_equal(lanes, want)
     assert len(calls["add.at"]) == op.plan.n_batches
     assert all(a is i for a, i in zip(calls["add.at"], op._batch_index))
     assert calls["bincount"] == 0

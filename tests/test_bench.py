@@ -19,6 +19,7 @@ from mfcg.bench import (
     manufactured_forcing,
     manufactured_solution,
     run_benchmark,
+    workspace_bytes,
 )
 from mfcg.dofs import distribute_dofs
 from mfcg.locality import predict_transfer
@@ -209,6 +210,18 @@ class TestAssembleGuards:
                                           problem.n_quadrature(3),
                                           gradients=problem.equation == "laplace")
         assert peak / 2 <= estimate <= 2 * peak
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("bp", sorted(BENCHMARK_PROBLEMS))
+    def test_workspace_term_is_the_operators_workspace(self, bp, p):
+        # BP2 at p = 3 on 8^3 cells in batches of 5 holds more constrained
+        # values than its planes
+        problem = BENCHMARK_PROBLEMS[bp]
+        for cells, lanes in (((4, 4, 4), 8), ((3, 2, 5), 8), ((8, 8, 8), 1)):
+            op, _, _ = assemble_problem(bp, p, cells, simd_lanes=lanes)
+            assert op._workspace.nbytes == workspace_bytes(
+                problem.components, p, cells, problem.n_quadrature(p),
+                gradients=problem.equation == "laplace", simd_lanes=lanes)
 
     def test_affine_refuses_an_explicit_deformation(self):
         # the affine geometry defaults to an undeformed mesh, but an

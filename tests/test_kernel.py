@@ -2,7 +2,10 @@
 per-call implementation they replaced (tests/_oracles.py, "plumbed"): the
 same contractions, and the flux products of each row summed in the same
 order, so the results must be identical up to the sign of zero, and the
-contraction count per batch is pinned.
+contraction count per batch is pinned.  Each batch's kernel is a program
+of numpy calls bound at construction (`op._programs[b]`), so the counts
+are read from the programs: a function patched after construction is not
+the one a program calls.
 
 The flux is one einsum per component over the nine entries of G.  einsum
 starts each sum at +0.0, where the 15-pass oracle (`flux`) starts at the
@@ -13,12 +16,10 @@ bit-identical to the oracle.
 
 The kernel holds a batch lanes-last, (z, y, x, cells, components); the
 plumbed oracle and the public sweeps hold it cells-first.  The kernel's
-inputs are transposed in and its results out (cells_first_kernel), which
-moves values and changes no bits.  The GEMM count per sweep must not grow
+inputs are transposed into the batch's lanes view and its results out
+(cells_first_kernel), which moves values and changes no bits.  The GEMM count per sweep must not grow
 with the batch.
 """
-
-from functools import partial
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mfcg.operator
-import mfcg.tensor
 from _oracles import (
     SYMMETRIC_INDEX,
     build_fem,
@@ -41,6 +41,7 @@ from _oracles import (
 )
 from mfcg.bench import BENCHMARK_PROBLEMS, assemble_problem
 from mfcg.mesh import GeometryVariant
+from mfcg.trace import AccessRecorder
 from mfcg.tensor import (
     evaluate_gradients,
     evaluate_gradients_lanes,
@@ -152,6 +153,17 @@ def _cells_first(t, shape):
     return t.reshape(t.shape[0] ** 3, -1).T.reshape(shape)
 
 
+def _calls(op, b, function):
+    """The (operands, out) of batch b's program calls of `function`."""
+    return [(operands, out) for f, operands, out in op._programs[b][0]
+            if f is function]
+
+
+def _same_view(a, b):
+    return (a.__array_interface__["data"][0] == b.__array_interface__["data"][0]
+            and a.shape == b.shape and a.strides == b.strides)
+
+
 @pytest.mark.parametrize("bp,degree,contractions", [
     ("BP1", 3, 6),   # values to and from Gauss points
     ("BP3", 3, 12),  # three value sweeps and three derivatives, both ways
@@ -159,44 +171,34 @@ def _cells_first(t, shape):
     ("BP5", 3, 6),   # collocation: derivatives only
     ("BP5", 5, 6),
 ])
-def test_contractions_per_batch(monkeypatch, bp, degree, contractions):
+def test_contractions_per_batch(bp, degree, contractions):
+    # each contraction is one np.matmul call of the batch's program
     op, _, _ = assemble_problem(bp, degree, (2, 2, 2), simd_lanes=4)
-    calls = []
-    original = mfcg.tensor._mxm
+    for b in range(op.plan.n_batches):
+        assert len(_calls(op, b, np.matmul)) == contractions
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
 
-    monkeypatch.setattr(mfcg.tensor, "_mxm", counting)
-    for b, u in enumerate(_batch_inputs(op, 0)):
-        calls.clear()
-        cells_first_kernel(op, b, u)
-        assert len(calls) == contractions
+def _gemm_leads(op, b):
+    """The GEMMs of each np.matmul call in batch b's program: one per
+    leading index of a (lead, n, width) view, or one GEMM on the
+    (lead, n) view of a one-lane sweep (its lead is recorded)."""
+    return [view.shape[0] if view.ndim == 3 else matrix.shape[0]
+            for (matrix, view), _ in _calls(op, b, np.matmul)]
 
 
 @pytest.mark.parametrize("bp,degree", [("BP3", 2), ("BP5", 5)])
-def test_gemms_per_sweep_do_not_grow_with_the_batch(monkeypatch, bp, degree):
+def test_gemms_per_sweep_do_not_grow_with_the_batch(bp, degree):
     # lanes-last, the x sweep is the one with the most GEMMs: one per
     # (z, y) point, each as wide as the batch; cells-first it was one per
     # (cell, z, y)
     problem = BENCHMARK_PROBLEMS[bp]
     nq = problem.n_quadrature(degree)
-    leads = []
-    original = mfcg.tensor._mxm
-
-    def recording(matrix, view, out=None):
-        leads.append(view.shape[0])
-        return original(matrix, view, out)
-
-    monkeypatch.setattr(mfcg.tensor, "_mxm", recording)
     for batch in (1, 8, 64):
         op, handler = build_fem((4, 4, 4), p=degree, comp=problem.components,
                                 eq=problem.equation, nq=nq,
                                 quadrature=problem.quadrature_kind, batch=batch)
         assert max(len(cells) for cells in op.plan.batches) == batch
-        leads.clear()
-        op.apply(np.ones(handler.n_dofs))
+        leads = [lead for b in range(op.plan.n_batches) for lead in _gemm_leads(op, b)]
         assert leads and max(leads) <= nq ** 2
 
 
@@ -247,9 +249,17 @@ def test_apply_bit_identical_to_fifteen_pass_flux(monkeypatch, variant):
                                         scaling=0.35)
                 inputs = _signed_zero_vectors(handler.n_dofs, comp)
                 gots = [op.apply(x) for x in inputs]
+                calls = []
+
+                def oracle(b, u):
+                    calls.append(b)
+                    return flux_batch_kernel(op, b, u)
+
                 with monkeypatch.context() as m:
-                    m.setattr(op, "_batch_kernel", partial(flux_batch_kernel, op))
+                    m.setattr(op, "_batch_kernel", oracle)
                     wants = [op.apply(x) for x in inputs]
+                # the oracle ran: apply calls the patched seam
+                assert calls == list(range(op.plan.n_batches)) * len(inputs)
                 for got, want in zip(gots, wants):
                     np.testing.assert_array_equal(got.view(np.uint64),
                                                   want.view(np.uint64))
@@ -258,25 +268,95 @@ def test_apply_bit_identical_to_fifteen_pass_flux(monkeypatch, variant):
 @pytest.mark.parametrize("comp", [1, 3])
 @pytest.mark.parametrize("variant", list(GeometryVariant))
 @pytest.mark.parametrize("eq", EQUATIONS)
-def test_one_flux_einsum_per_batch(monkeypatch, variant, eq, comp):
+def test_one_flux_einsum_per_batch(variant, eq, comp):
     # one einsum per component on its strided views: G broadcast over the
-    # components would run through numpy's buffered iterator
+    # components would run through numpy's buffered iterator.  Each batch's
+    # program holds them, bound to the batch's own G
     affine = variant == GeometryVariant.AFFINE
     op, _ = build_fem((2, 1, 2), p=2, comp=comp, eq=eq, variant=variant,
                       deformed=0.0 if affine else 0.05)
     einsums = comp if op.spec.needs_gradients else 0
-    subscripts = []
-    original = np.einsum
-
-    def recording(*args, **kwargs):
-        subscripts.append(args[0])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(np, "einsum", recording)
     for b, u in enumerate(_batch_inputs(op, 0)):
-        subscripts.clear()
+        calls = _calls(op, b, np.einsum)
+        assert [operands[0] for operands, _ in calls] == [FLUX] * einsums
+        kernels = op._batch_views[b].kernels
         cells_first_kernel(op, b, u)
-        assert subscripts == [FLUX] * einsums
+        for c, ((_, G, grads), out) in enumerate(calls):
+            assert _same_view(grads, kernels.gradients[..., c])
+            assert _same_view(out, kernels.flux[..., c])
+            np.testing.assert_array_equal(G.reshape(3, 3, -1, G.shape[-1]),
+                                          op._batch_geometry(b)[0])
+
+
+@pytest.mark.parametrize("eq", EQUATIONS)
+def test_patched_batch_kernel_changes_every_application(monkeypatch, eq):
+    # apply, apply_with_callbacks and a traced apply each call
+    # op._batch_kernel once per batch, in order: doubling what it returns
+    # doubles every free entry of dst, bit for bit
+    op, handler = build_fem((3, 2, 2), p=2, comp=3, eq=eq, batch=4, scaling=0.35)
+    u = np.random.default_rng(3).standard_normal(handler.n_dofs)
+    want = op.apply(u)
+    free = np.ones(handler.n_dofs, dtype=bool)
+    free[handler.constrained_dofs] = False
+    want[free] *= 2.0
+    kernel, calls = op._batch_kernel, []
+
+    def doubled(b, lanes):
+        calls.append(b)
+        out = kernel(b, lanes)
+        out *= 2.0
+        return out
+
+    def with_callbacks():
+        dst = np.empty_like(u)
+        op.apply_with_callbacks(u, dst, lambda lo, hi: None, lambda lo, hi: None)
+        return dst
+
+    monkeypatch.setattr(op, "_batch_kernel", doubled)
+    for application in (lambda: op.apply(u), with_callbacks,
+                        lambda: op.apply(u, recorder=AccessRecorder())):
+        calls.clear()
+        got = application()
+        assert calls == list(range(op.plan.n_batches))
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("variant", list(GeometryVariant))
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("bp", sorted(BENCHMARK_PROBLEMS))
+def test_programs_bit_identical_to_plumbed(bp, p, variant):
+    # every batch's program against the plumbed kernel, with one and three
+    # components on each benchmark problem's equation and quadrature: a
+    # full batch and a one-cell batch (with one component a single lane,
+    # the trail-1 GEMM form), run on their own and inside a callback of an
+    # application, which must still reproduce a plain one
+    problem = BENCHMARK_PROBLEMS[bp]
+    affine = variant == GeometryVariant.AFFINE
+    for comp in (1, 3):
+        op, handler = build_fem((2, 1, 2), p=p, comp=comp, eq=problem.equation,
+                                nq=problem.n_quadrature(p),
+                                quadrature=problem.quadrature_kind, variant=variant,
+                                deformed=0.0 if affine else 0.05)
+        assert [len(c) for c in op.plan.batches] == [3, 1]
+        inputs = _batch_inputs(op, p)
+
+        def check(b):
+            np.testing.assert_array_equal(
+                cells_first_kernel(op, b, inputs[b]),
+                plumbed_batch_kernel(op, b, inputs[b].copy()))
+
+        for b in range(op.plan.n_batches):
+            check(b)
+        u = np.random.default_rng(p).standard_normal(handler.n_dofs)
+        want, got, nested = op.apply(u), np.empty_like(u), []
+
+        def pre(lo, hi):
+            nested.append(lo)
+            check(len(nested) % op.plan.n_batches)
+
+        op.apply_with_callbacks(u, got, pre, None)
+        assert nested
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_operator_has_no_fifteen_pass_flux():

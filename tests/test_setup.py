@@ -247,15 +247,17 @@ def test_geometry_is_stored_cells_last(variant):
 
 
 @pytest.mark.parametrize("variant", list(GeometryVariant))
-def test_geometry_is_held_once_per_batch(monkeypatch, variant):
+def test_geometry_is_held_once_per_batch(variant):
     # the operator holds its geometry once, per batch, as precompute_geometry
     # returns it: every array C-contiguous with the batch's cells on its
-    # last axis, and no payload left on op.geometry; the kernel reads G and
-    # jxw from one _batch_geometry(b) call per batch, as stored for the
-    # final-tensor and affine variants
+    # last axis, and no payload left on op.geometry; each batch's program
+    # reads G and jxw as stored for the final-tensor and affine variants,
+    # and forms them from its store with one geometry_coefficients call for
+    # the others
     affine = variant == GeometryVariant.AFFINE
-    op, handler = build_fem((3, 2, 2), p=2, variant=variant, batch=5,
-                            deformed=0.0 if affine else 0.05)
+    stored = variant in (GeometryVariant.FINAL_TENSOR_LOAD, GeometryVariant.AFFINE)
+    op, _ = build_fem((3, 2, 2), p=2, variant=variant, batch=5,
+                      deformed=0.0 if affine else 0.05)
     points = len(op.quadrature) ** 3
     assert points != op.mesh.n_cells
     for b, cells in enumerate(op.plan.batches):
@@ -267,20 +269,19 @@ def test_geometry_is_held_once_per_batch(monkeypatch, variant):
         G, jxw = op._batch_geometry(b)
         assert G.shape == (3, 3, points, len(cells))
         assert jxw.shape == (points, len(cells))
-        if variant in (GeometryVariant.FINAL_TENSOR_LOAD, GeometryVariant.AFFINE):
+        if stored:
             assert G is store.payload["G"] and jxw is store.payload["jxw"]
+        program = op._programs[b][0]
+        reads = [operands for function, operands, _ in program
+                 if function is mfcg.mesh.geometry_coefficients]
+        assert len(reads) == (0 if stored else 1)
+        assert all(data is store and gradients for data, gradients in reads)
+        fluxes = [operands[1] for function, operands, _ in program
+                  if function is np.einsum]
+        home = store.payload["G"] if stored else op._formed
+        assert fluxes and all(np.shares_memory(g, home) for g in fluxes)
     assert op.geometry.payload == {}
     assert op.geometry.doubles_per_cell == store.doubles_per_cell
-    calls = []
-    original = op._batch_geometry
-
-    def counting(b, *args, **kwargs):
-        calls.append(b)
-        return original(b, *args, **kwargs)
-
-    monkeypatch.setattr(op, "_batch_geometry", counting)
-    op.apply(np.ones(handler.n_dofs))
-    assert calls == list(range(op.plan.n_batches))
 
 
 @pytest.mark.parametrize("variant", list(GeometryVariant))
