@@ -142,7 +142,7 @@ def workspace_bytes(components: int, degree: int, cells, n_q_1d: int, *,
 
 
 def estimate_problem_bytes(components: int, degree: int, cells, n_q_1d: int, *,
-                           gradients: bool = False) -> int:
+                           gradients: bool = False, simd_lanes: int = 8) -> int:
     """Coarse allocation estimate from the closed-form sizes: what a problem
     holds, that is 12 vectors (b and the largest solver working set, s-step
     at s = 4: its 5 + 4 basis vectors, x and w), the mesh's 81 tri-quadratic
@@ -151,15 +151,16 @@ def estimate_problem_bytes(components: int, degree: int, cells, n_q_1d: int, *,
     `gradients`), the int64 batch index per (cell, component, node) entry
     and the operator's workspace (`workspace_bytes`), plus the transient of
     one batch's geometry set-up, about 22 doubles per point of a batch of
-    the default width."""
+    `simd_lanes` lanes."""
     n_dofs, n_cells = _problem_size(components, degree, cells)
     points = n_q_1d ** 3
     entries = n_cells * components * (degree + 1) ** 3
-    batch = min(n_cells, batch_size(degree, components, 8))
+    batch = min(n_cells, batch_size(degree, components, simd_lanes))
     store = 10 if gradients else 1
     return (8 * (12 * n_dofs + (81 + store * points) * n_cells + entries
                  + 22 * batch * points)
-            + workspace_bytes(components, degree, cells, n_q_1d, gradients=gradients))
+            + workspace_bytes(components, degree, cells, n_q_1d, gradients=gradients,
+                              simd_lanes=simd_lanes))
 
 
 def discretize(problem: BenchmarkProblem, degree: int, cells, *, deform: float,
@@ -174,7 +175,8 @@ def discretize(problem: BenchmarkProblem, degree: int, cells, *, deform: float,
     cells = validate_cells(cells)
     estimate = estimate_problem_bytes(problem.components, degree, cells,
                                       problem.n_quadrature(degree),
-                                      gradients=problem.equation == "laplace")
+                                      gradients=problem.equation == "laplace",
+                                      simd_lanes=simd_lanes)
     if estimate > memory_limit_bytes:
         raise MemoryError(
             f"size-too-large: {problem.bp_id} p={degree} cells={cells} needs "

@@ -306,7 +306,8 @@ def _suite_oracle(cfg: Config):
     eo = float(abs(plain - fast).max() / abs(plain).max())
     checks.append(("even-odd-equivalence", eo <= 1e-14, f"rel error {eo:.2e}"))
 
-    # the cell loop's bound kernels against the unbound lanes-last sweeps
+    # the cell loop's kernels, bound once to planes every run reuses, against
+    # the lanes-last functions, bound per call to arrays sized for the call
     lanes = (5, 3)
     bound = LanesKernels(basis, lanes, np.empty(
         (LanesKernels.rows(True, True), LanesKernels.plane_size(basis, 15))),

@@ -229,12 +229,11 @@ class MatrixFreeOperator:
             bound[lanes] = _BatchViews(kernels, kernels.input, kernels.input.reshape(-1))
         self._batch_views = [bound[len(cells), self.components]
                              for cells in self._batch_cells]
-        # the variants that form (G, jxw) per batch form them into one more
-        # buffer, sized likewise
+        # the variants that form G or jxw per batch form them into one more
+        # buffer, sized likewise: nine parts for G, one for jxw
         G, jxw = stored_coefficients(self._batch_store[0], gradients)
-        self._formed = None
-        if jxw is None or (gradients and G is None):
-            self._formed = np.empty((10 if gradients else 1) * self._nq ** 3 * widest)
+        parts = 9 * (gradients and G is None) + (jxw is None)
+        self._formed = np.empty(parts * self._nq ** 3 * widest) if parts else None
         # per batch: its program, every call of its cell kernel bound once
         self._programs = [self._bind_program(views.kernels, store, len(cells))
                           for views, store, cells in zip(
@@ -282,8 +281,9 @@ class MatrixFreeOperator:
         G, jxw = stored_coefficients(store, gradients)
         if jxw is None or (gradients and G is None):
             size = nq ** 3 * n
-            formed = (self._formed[size:10 * size].reshape(3, 3, nq ** 3, n)
-                      if gradients else None, self._formed[:size].reshape(nq ** 3, n))
+            at = 9 * size if G is None and gradients else 0  # after a formed G
+            formed = (self._formed[:at].reshape(3, 3, nq ** 3, n) if at else None,
+                      self._formed[at:at + size].reshape(nq ** 3, n) if jxw is None else None)
             calls.append((geometry_coefficients, (store, gradients), formed))
             G = formed[0] if G is None else G
             jxw = formed[1] if jxw is None else jxw

@@ -8,26 +8,23 @@ is x, 1 is y, 2 is z.  A batch of cells comes in one of two layouts:
 * cells-first, ``(lead..., z, y, x)``: the public ``evaluate_*`` and
   ``integrate_*`` functions.  A sweep is one small GEMM per cell and point
   line ``(lead * outer, n, trail)``.
-* lanes-last, ``(z, y, x, lanes...)``: the ``*_lanes`` functions, which the
-  operator's cell kernel runs with the cells and components innermost, as
-  SIMD lanes (after Kronbichler & Kormann, Computers & Fluids 63, 2012).  A
-  sweep is a few long GEMMs ``(outer, n, trail * lanes)``: one for z, n for
-  y and n^2 for x, whatever the batch size.
+* lanes-last, ``(z, y, x, lanes...)``: the ``*_lanes`` functions and
+  `LanesKernels`, with the cells and components innermost as SIMD lanes
+  (after Kronbichler & Kormann, Computers & Fluids 63, 2012).  A sweep is a
+  few long GEMMs ``(outer, n, trail * lanes)``: one for z, n for y and n^2
+  for x, whatever the batch size.
 
-Both layouts run the same sweeps, so a lanes-last tensor of one lane is a
-cells-first tensor of one cell.  Every sweep is a small matrix-matrix product
-on a reshaped view of the tensor (the "mxm" form of sum factorization).  Each
-basis derives its sweep plans (the matrices, the skipped directions and the
-view shapes) once, so a call does the products and little else.
-`LanesKernels` goes one step further for a cell loop that runs the same
-batch shapes many times: it binds the lanes-last plans to views into
-scratch allocated once, its input included, so each sweep is one
-`np.matmul(..., out=)` on views made at construction, and a run allocates
-nothing.  It exposes each kernel as that tuple of (function, operands,
-out) calls (`LanesKernels.calls`), which a caller runs with `run_calls` or
-folds into a longer program, as the operator's cell loop does.  Rules and
-bases are built once per argument and are read-only.  The reference cell
-is the unit cube [0,1]^3.
+Each basis derives its sweep plans (matrices, skipped directions, view
+shapes) once.  One binder, `_bind`, turns a plan on `lead` cells first and
+`lanes` lanes last into products: each sweep one (function, operands, out)
+call on views of given arrays, an `np.matmul(..., out=)` or, if asked, an
+even-odd product, which `run_calls` runs; the gradient kernel and its
+adjoint are composed on it once.  `LanesKernels` binds the lanes-last
+kernels once to planes that a cell loop reuses, and hands their calls
+(`LanesKernels.calls`) to the operator's per-batch programs; the eight
+public functions bind into arrays sized for the call and return arrays
+they own.  Rules and bases are built once per argument and are read-only.
+The reference cell is the unit cube [0,1]^3.
 """
 
 from __future__ import annotations
@@ -203,20 +200,17 @@ def lagrange_gradients_1d(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mxm(matrix: np.ndarray, view: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-    """matrix (m, n) times the middle axis of view (lead, n, trail): one GEMM
-    if trail is 1, else one (m, n) x (n, trail) GEMM per lead index; written
-    into `out`, (lead, m, trail), if given."""
-    if out is None:
-        out = np.empty((view.shape[0], matrix.shape[0], view.shape[2]))
-    function, operands, flat = _matmul(matrix, view, out)
-    function(*operands, out=flat)
+def _mxm(matrix: np.ndarray, view: np.ndarray) -> np.ndarray:
+    """The product of `_matmul` into a new (lead, m, trail) array."""
+    out = np.empty((view.shape[0], matrix.shape[0], view.shape[2]))
+    run_calls((_matmul(matrix, view, out),))
     return out
 
 
 def _matmul(matrix: np.ndarray, view: np.ndarray, out: np.ndarray) -> tuple:
-    """_mxm(matrix, view, out) as one (function, operands, out) call on
-    views made here."""
+    """matrix (m, n) times the middle axis of view (lead, n, trail) into
+    out (lead, m, trail), as one (function, operands, out) call on views
+    made here: one GEMM if trail is 1, else one per lead index."""
     lead, n, trail = view.shape
     if trail == 1:
         return np.matmul, (view.reshape(lead, n), matrix.T), out.reshape(lead, -1)
@@ -293,50 +287,62 @@ def _even_odd(matrix: _Matrix1D, view: np.ndarray, out: np.ndarray = None) -> np
     return out
 
 
-def _contract(sweep: _Sweep, tensor: CellTensor, lead: int, lanes: int,
-              even_odd: bool, out: np.ndarray = None) -> np.ndarray:
-    """One sweep on a (lead, z, y, x, lanes) tensor, into `out` (any shape
-    of the result's size, contiguous) if given: cells-first tensors have
-    lanes 1, lanes-last ones lead 1."""
-    outer, n, trail, matrix = sweep
-    view = tensor.reshape(lead * outer, n, trail * lanes)
-    if out is not None:
-        out = out.reshape(lead * outer, -1, trail * lanes)
-    if even_odd:
-        return _even_odd(matrix, view, out)
-    return _mxm(matrix.matrix, view, out)
-
-
-def _run(sweeps: tuple, tensor: CellTensor, lead: int, lanes: int,
-         even_odd: bool) -> np.ndarray:
-    """Apply a plan's sweeps to a (lead, z, y, x, lanes) tensor: the last
-    sweep's product in its (lead * outer, m, trail * lanes) shape, or
-    `tensor` itself for an empty plan."""
-    for sweep in sweeps:
-        tensor = _contract(sweep, tensor, lead, lanes, even_odd)
-    return tensor
-
-
-def _bind(sweeps: tuple, size: int, lanes: int, out: np.ndarray, scratch,
-          source: np.ndarray) -> tuple:
-    """(calls, result) running `sweeps` on the lanes-last tensor of `size`
-    values and `lanes` lanes in the flat plane `source`: each sweep one
-    `_matmul` call, each intermediate product into the two flat `scratch`
-    planes in turn and the last into the flat plane `out`; an empty plan
-    copies (np.positive).  `result` is the flat view written last."""
+def _bind(sweeps: tuple, lead: int, lanes: int, source: np.ndarray,
+          out: np.ndarray, scratch, even_odd: bool = False) -> tuple:
+    """(calls, result) running `sweeps` on the flat `source` of `lead` cells
+    first and `lanes` lanes last: each sweep one `_matmul` call (or, with
+    `even_odd`, `_even_odd`), the last product into the flat `out`, the one
+    before into scratch[0] and the one before that into scratch[1] (an
+    entry that is None or too small is first replaced by an array of the
+    product's size); an empty plan copies (np.positive).  `result` is the
+    flat view written last."""
     if not sweeps:
-        return ((np.positive, (source[:size],), out[:size]),), out[:size]
+        return ((np.positive, (source,), out[:source.size]),), out[:source.size]
     calls = []
-    for i, (outer, n, trail, matrix) in enumerate(sweeps):
-        width = trail * lanes
-        m = matrix.matrix.shape[0]
-        target = out if i == len(sweeps) - 1 else scratch[i % 2]
-        result = target[:outer * m * width]
-        calls.append(_matmul(matrix.matrix,
-                             source[:outer * n * width].reshape(outer, n, width),
-                             result.reshape(outer, m, width)))
+    for left, (outer, n, trail, matrix) in zip(range(len(sweeps) - 1, -1, -1), sweeps):
+        rows, width, k = lead * outer, trail * lanes, (left - 1) % 2
+        size = rows * matrix.matrix.shape[0] * width
+        if left and (scratch[k] is None or len(scratch[k]) < size):
+            scratch[k] = np.empty(size)
+        result = (scratch[k] if left else out)[:size]
+        view = source.reshape(rows, n, width)
+        into = result.reshape(rows, -1, width)
+        calls.append((_even_odd, (matrix, view), into) if even_odd
+                     else _matmul(matrix.matrix, view, into))
         source = result
     return tuple(calls), source
+
+
+def _bind_gradients(basis: "TensorBasis1D", lead: int, lanes: int,
+                    source: np.ndarray, out: np.ndarray, at_q: np.ndarray,
+                    scratch, even_odd: bool = False) -> tuple:
+    """Calls of the gradient kernel on the flat `source` (see `_bind`): the
+    values at the quadrature points into the flat `at_q` (without
+    collocation, none), then each component's derivatives into out[c]."""
+    calls = ()
+    if basis._to_q:
+        calls, source = _bind(basis._to_q, lead, lanes, source, at_q, scratch, even_odd)
+    for plan, row in zip(basis._derivatives, out):
+        calls += _bind(plan, lead, lanes, source, row, scratch, even_odd)[0]
+    return calls
+
+
+def _bind_gradients_t(basis: "TensorBasis1D", lead: int, lanes: int, data,
+                      out: np.ndarray, total: np.ndarray, part: np.ndarray,
+                      scratch, even_odd: bool = False) -> tuple:
+    """(calls, result) of the gradient kernel's adjoint on three flat
+    components `data`: their transposed derivatives summed in order into
+    the flat `total`, the second and third through `part`, then the
+    transposed value sweeps into `out`; `result` is the view written last."""
+    (first, total), (second, part), (third, _) = [
+        _bind(plan, lead, lanes, source, into, scratch, even_odd)
+        for plan, source, into in zip(basis._derivatives_t, data, (total, part, part))]
+    add = ((np.add, (total, part), total),)
+    calls = first + second + add + third + add
+    if not basis._to_q_t:
+        return calls, total
+    back, result = _bind(basis._to_q_t, lead, lanes, total, out, scratch, even_odd)
+    return calls + back, result
 
 
 def run_calls(calls: tuple) -> None:
@@ -448,24 +454,25 @@ def _values(basis: TensorBasis1D, tensor: CellTensor, transpose: bool,
     sweeps, n_in, n_out = ((basis._values_t, nq, n1) if transpose
                            else (basis._values, n1, nq))
     lead, lanes, before, after = _layout(tensor, n_in, lanes_last)
-    out = _run(sweeps, tensor, lead, lanes, even_odd)
-    if out is tensor:
-        return out.copy()
-    return out.reshape(before + (n_out,) * 3 + after)
+    if not sweeps:
+        return tensor.copy()
+    flat = np.empty(lead * n_out ** 3 * lanes)
+    run_calls(_bind(sweeps, lead, lanes, tensor.reshape(-1), flat, [None, flat], even_odd)[0])
+    return flat.reshape(before + (n_out,) * 3 + after)
 
 
 def _gradients(basis: TensorBasis1D, tensor: CellTensor, lanes_last: bool,
                even_odd: bool) -> CellTensor:
     """Reference-space gradients at the quadrature points, stacked on a new
     leading axis."""
-    nq = len(basis.quadrature)
     lead, lanes, before, after = _layout(tensor, basis.degree + 1, lanes_last)
-    at_q = _run(basis._to_q, tensor, lead, lanes, even_odd)
-    out = np.empty((3,) + before + (nq,) * 3 + after)
-    flat = out.reshape(3, -1)
-    for c, (*sweeps, last) in enumerate(basis._derivatives):
-        _contract(last, _run(sweeps, at_q, lead, lanes, even_odd), lead, lanes,
-                  even_odd, flat[c])
+    out = np.empty((3,) + before + (len(basis.quadrature),) * 3 + after)
+    rows = out.reshape(3, -1)
+    # the sweeps to the quadrature points leave their products in the rows
+    # of the result, which the derivatives write after them
+    at_q = np.empty(rows.shape[1]) if basis._to_q else None
+    run_calls(_bind_gradients(basis, lead, lanes, tensor.reshape(-1), rows, at_q,
+                              rows if basis._to_q else [None, None], even_odd))
     return out
 
 
@@ -476,14 +483,17 @@ def _gradients_t(basis: TensorBasis1D, data: CellTensor, lanes_last: bool,
     value sweeps."""
     if data.shape[0] != 3:
         raise ValueError("quad_data must stack 3 gradient components on axis 0")
-    n1 = basis.degree + 1
     lead, lanes, before, after = _layout(data[0], len(basis.quadrature), lanes_last)
-    d0, d1, d2 = basis._derivatives_t
-    at_q = _run(d0, data[0], lead, lanes, even_odd).reshape(-1)
-    at_q += _run(d1, data[1], lead, lanes, even_odd).reshape(-1)
-    at_q += _run(d2, data[2], lead, lanes, even_odd).reshape(-1)
-    out = _run(basis._to_q_t, at_q, lead, lanes, even_odd)
-    return out.reshape(before + (n1,) * 3 + after)
+    out = np.empty(before + (basis.degree + 1,) * 3 + after)
+    flat, components = out.reshape(-1), data.reshape(3, -1)
+    # without value sweeps the sum is the result; with them, their products
+    # go where the later components were and then where the sum was
+    total = np.empty(components.shape[1]) if basis._to_q_t else flat
+    part = np.empty(total.size)
+    run_calls(_bind_gradients_t(basis, lead, lanes, components, flat, total, part,
+                                [total, part] if basis._to_q_t else [None, None],
+                                even_odd)[0])
+    return out
 
 
 def evaluate_values(basis: TensorBasis1D, cell_dofs: CellTensor,
@@ -543,10 +553,9 @@ class LanesKernels:
     """The four lanes-last kernels of `basis` for tensors with lane axes
     `lanes`, bound once to views into the rows of `planes`: each kernel is
     a tuple of (function, operands, out) calls, one `np.matmul` per sweep,
-    which `calls` hands out for a caller to run (see `run_calls`) or to fold
-    into a longer program, and which the methods run.  A run makes no
-    array and no layout.  Each result is a view into a row and holds
-    until the next run.
+    which `calls` hands out to run (`run_calls`) or to fold into a longer
+    program, and which the methods run, making no array.  Each result is a
+    view into a row and holds until the next run.
 
     `planes` is a (`rows(values, gradients)`, `plane_size(basis, n)`) float
     array, n the number of lanes.  The last row holds `input`, the tensor
@@ -569,40 +578,26 @@ class LanesKernels:
                              f"{width} lanes")
         nodes, points = n1 ** 3 * width, nq ** 3 * width
         at_nodes, at_points = (n1,) * 3 + tuple(lanes), (nq,) * 3 + tuple(lanes)
-        source = planes[-1]
-        self.input = source[:nodes].reshape(at_nodes)
+        source = planes[-1, :nodes]
+        self.input = source.reshape(at_nodes)
         self._calls = {}
         if gradients:
             grads, flux, at_q = planes[0:3], planes[3:6], planes[6]
             self.gradients = grads[:, :points].reshape((3,) + at_points)
             self.flux = flux[:, :points].reshape((3,) + at_points)
-            calls = ()
-            if basis._to_q:
-                calls, source = _bind(basis._to_q, nodes, width, at_q, flux[1:],
-                                      source)
-            for plan, out in zip(basis._derivatives, grads):
-                calls += _bind(plan, points, width, out, flux[1:], source)[0]
-            self._calls["evaluate_gradients"] = calls
-            # the three components' integrals summed into row 6 in order,
-            # the second and third through row 0
-            parts = [_bind(plan, points, width, out, grads[1:], data)
-                     for plan, out, data in zip(basis._derivatives_t,
-                                                (at_q, grads[0], grads[0]), flux)]
-            (first, total), (second, part), (third, _) = parts
-            add = ((np.add, (total, part), total),)
-            back, result = (), total
-            if basis._to_q_t:
-                back, result = _bind(basis._to_q_t, points, width, grads[0],
-                                     grads[1:], total)
-            self._calls["integrate_gradients"] = first + second + add + third + add + back
+            self._calls["evaluate_gradients"] = _bind_gradients(
+                basis, 1, width, source, grads, at_q, flux[1:])
+            # the components' integrals summed into row 6, the later ones via row 0
+            self._calls["integrate_gradients"], result = _bind_gradients_t(
+                basis, 1, width, flux[:, :points], grads[0], at_q, grads[0], grads[1:])
             self.integrated_gradients = result.reshape(at_nodes)
         if values:
             work = planes[3:6] if gradients else planes[0:3]
             self._calls["evaluate_values"], at = _bind(
-                basis._values, nodes, width, work[0], work[1:], planes[-1])
+                basis._values, 1, width, source, work[0], work[1:])
             self.values = at.reshape(at_points)
             self._calls["integrate_values"], result = _bind(
-                basis._values_t, points, width, planes[-2], work[1:], work[0])
+                basis._values_t, 1, width, work[0, :points], planes[-2], work[1:])
             self.integrated_values = result.reshape(at_nodes)
 
     @staticmethod

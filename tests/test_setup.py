@@ -284,6 +284,34 @@ def test_geometry_is_held_once_per_batch(variant):
     assert op.geometry.doubles_per_cell == store.doubles_per_cell
 
 
+@pytest.mark.parametrize("eq", ["laplace", "mass"])
+@pytest.mark.parametrize("variant", list(GeometryVariant))
+def test_formed_buffer_holds_what_the_kernel_forms(variant, eq):
+    # the buffer a batch forms its geometry into holds, for the widest
+    # batch, exactly the parts that its store lacks: G (nine entries) for
+    # the inverse-Jacobian variant's Laplace operators, G and w det J for
+    # the compute variants, w det J only for their mass operators; the
+    # final-tensor and affine variants form nothing and have no buffer
+    affine = variant == GeometryVariant.AFFINE
+    op, _ = build_fem((3, 2, 2), p=2, eq=eq, variant=variant, batch=5,
+                      deformed=0.0 if affine else 0.05)
+    gradients = eq == "laplace"
+    formed = 0
+    for b, cells in enumerate(op.plan.batches):
+        G, jxw = mfcg.mesh.stored_coefficients(op._batch_store[b], gradients)
+        outs = [out for function, _, out in op._programs[b][0]
+                if function is mfcg.mesh.geometry_coefficients]
+        missing = (gradients and G is None, jxw is None)
+        assert len(outs) == any(missing)
+        for G_out, jxw_out in outs:
+            assert (G_out is not None, jxw_out is not None) == missing
+            assert all(np.shares_memory(a, op._formed) for a in (G_out, jxw_out)
+                       if a is not None)
+            if len(cells) == max(map(len, op.plan.batches)):
+                formed = sum(a.size for a in (G_out, jxw_out) if a is not None)
+    assert (op._formed is None) if formed == 0 else (op._formed.size == formed)
+
+
 @pytest.mark.parametrize("variant", list(GeometryVariant))
 def test_mass_store_holds_only_what_its_kernel_reads(variant):
     # a mass operator reads w det J: stored, or formed from the geometry

@@ -7,6 +7,7 @@ sweeps the first einsum/even-odd implementation (_oracles) and the unfactored
 Kronecker matrices.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -500,6 +501,30 @@ def test_identity_skip_equals_general_path(p):
         fast = fn(basis, data)
         np.testing.assert_array_equal(fast, fn(general, data))
         assert not np.shares_memory(fast, data)
+
+
+@pytest.mark.parametrize("kernel,held", [(evaluate_gradients_lanes, 4 / 3),
+                                         (evaluate_values_lanes, 8 / 5)])
+def test_one_shot_call_holds_only_its_products(kernel, held):
+    # one 128-cell geometry batch (degree 2 at 5 Gauss points, 3 coordinates
+    # per cell, 384 lanes): beside its result a call holds no more than the
+    # values at the quadrature points (gradients: 4/3 of the result) or the
+    # value sweeps' second product (values: 8/5), plus the bookkeeping of
+    # its bound calls; a result keeps no more memory alive than its own
+    basis = lagrange_basis(2, gauss_quadrature(5))
+    nodes = np.random.default_rng(0).standard_normal((3, 3, 3, 3, 128))
+    kernel(basis, nodes)
+    tracemalloc.start()
+    try:
+        first = kernel(basis, nodes)
+        _, peak = tracemalloc.get_traced_memory()
+        second = kernel(basis, nodes)
+    finally:
+        tracemalloc.stop()
+    assert peak <= held * first.nbytes + 4096
+    assert (first if first.base is None else first.base).nbytes == first.nbytes
+    assert not np.shares_memory(first, second)
+    np.testing.assert_array_equal(first, second)
 
 
 # ------------------------------------------------ rules and bases built once

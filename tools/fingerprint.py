@@ -9,8 +9,13 @@ numberings on 3^3 cells; each configuration contributes `b`, the inverse
 diagonal and `apply(u)` for a fixed random `u`, and the final-tensor and
 Laplace ones add the six solvers' x after 8 fixed iterations.  A 10 x 9 x 8 mesh, whose
 node sums span several blocks of cells, adds `b`, the inverse diagonal and
-`apply(u)` for BP1 and BP5 at p = 2.  mfcg is imported from the path
-Python finds first, so PYTHONPATH picks the tree.  --out writes the JSON
+`apply(u)` for BP1 and BP5 at p = 2.  The eight public sum-factorization
+kernels of `mfcg.tensor` add their results on fixed random inputs, for
+p = 1-6 at Gauss p+1, p+2 and p+3 points, Gauss-Lobatto p+1 points and
+Gauss max(p-1, 1) points (fewer points than nodes): the four cells-first
+ones with and without even-odd products, and the four lanes-last ones.
+mfcg is imported from the path Python finds first, so PYTHONPATH picks the
+tree.  --out writes the JSON
 (default: stdout); --against lists the keys whose hashes differ from a
 saved fingerprint, or that only one side has, and exits 1 if there are any.
 """
@@ -26,6 +31,19 @@ import mfcg
 from mfcg.bench import BENCHMARK_PROBLEMS, assemble_problem
 from mfcg.mesh import GeometryVariant
 from mfcg.solvers import VARIANTS, SolverConfig, solve
+from mfcg.tensor import (
+    evaluate_gradients,
+    evaluate_gradients_lanes,
+    evaluate_values,
+    evaluate_values_lanes,
+    gauss_lobatto_quadrature,
+    gauss_quadrature,
+    integrate_gradients,
+    integrate_gradients_lanes,
+    integrate_values,
+    integrate_values_lanes,
+    lagrange_basis,
+)
 
 
 def _sha(array) -> str:
@@ -45,6 +63,32 @@ def _problem(out: dict, key: str, problem, solvers: bool) -> None:
                 solve(variant, op, b, minv=minv, config=config).x)
 
 
+def _kernels(out: dict) -> None:
+    for p in range(1, 7):
+        rules = {f"gauss{n}": gauss_quadrature(n) for n in (p + 1, p + 2, p + 3, max(p - 1, 1))}
+        rules[f"lobatto{p + 1}"] = gauss_lobatto_quadrature(p + 1)
+        for name, rule in rules.items():
+            basis, n1, nq = lagrange_basis(p, rule), p + 1, len(rule)
+            rng = np.random.default_rng([p, len(rule), name.startswith("lobatto")])
+            u = rng.standard_normal((2, 3) + (n1,) * 3)
+            q = rng.standard_normal((3, 2, 3) + (nq,) * 3)
+            key = f"kernels/p{p}-{name}"
+            for even_odd in (False, True):
+                tag = "-even_odd" if even_odd else ""
+                out[f"{key}/evaluate_values{tag}"] = _sha(evaluate_values(basis, u, even_odd))
+                out[f"{key}/evaluate_gradients{tag}"] = _sha(
+                    evaluate_gradients(basis, u, even_odd))
+                out[f"{key}/integrate_values{tag}"] = _sha(integrate_values(basis, q[0], even_odd))
+                out[f"{key}/integrate_gradients{tag}"] = _sha(
+                    integrate_gradients(basis, q, even_odd))
+            u = rng.standard_normal((n1,) * 3 + (5, 3))
+            q = rng.standard_normal((3,) + (nq,) * 3 + (5, 3))
+            out[f"{key}/evaluate_values_lanes"] = _sha(evaluate_values_lanes(basis, u))
+            out[f"{key}/evaluate_gradients_lanes"] = _sha(evaluate_gradients_lanes(basis, u))
+            out[f"{key}/integrate_values_lanes"] = _sha(integrate_values_lanes(basis, q[0]))
+            out[f"{key}/integrate_gradients_lanes"] = _sha(integrate_gradients_lanes(basis, q))
+
+
 def fingerprint() -> dict:
     out = {}
     for bp in sorted(BENCHMARK_PROBLEMS):
@@ -61,6 +105,7 @@ def fingerprint() -> dict:
     for bp in ("BP1", "BP5"):
         _problem(out, f"{bp}-p2-10x9x8", assemble_problem(bp, 2, (10, 9, 8)),
                  False)
+    _kernels(out)
     return out
 
 
