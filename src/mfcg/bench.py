@@ -87,20 +87,23 @@ def build_rhs(op: MatrixFreeOperator) -> np.ndarray:
     nq = spec.n_q_1d
     geo_basis = lagrange_basis(2, op.quadrature)
     # batch by batch, lanes-last: the points from the batch's geometry
-    # nodes, w det J from the operator's store, each cell's row written in
-    # cell order
-    local = np.empty((mesh.n_cells, (spec.degree + 1) ** 3))
+    # nodes, w det J from the operator's store, the nodal values added into
+    # the first component of each node, which the others then copy
+    rhs = np.zeros(handler.n_dofs)
+    by_node = rhs.reshape(-1, spec.components)
     for b, cells in enumerate(op._batch_cells):
         nodes = np.take(mesh.quadratic_nodes, cells, axis=-1).reshape(3, 3, 3, 3, -1)
         pts = evaluate_values_lanes(geo_basis, nodes)  # (nq, nq, nq, 3, n_b)
         jxw = op._batch_geometry(b, coefficients=False)[1]
         fw = manufactured_forcing(np.moveaxis(pts, 3, -1), spec.equation)
         fw *= jxw.reshape(nq, nq, nq, -1)
-        local[cells] = integrate_values_lanes(op.basis, fw).reshape(-1, len(cells)).T
-    # every component of a node adds the same values in the same cell order
-    b = np.repeat(op.node_sum(local), spec.components)
-    b[handler.constrained_dofs] = 0.0
-    return b
+        op.add_batch_nodes(b, integrate_values_lanes(op.basis, fw), by_node[:, 0])
+    # column by column: numpy sees that the columns do not overlap, and
+    # copies none through a temporary
+    for component in range(1, spec.components):
+        by_node[:, component] = by_node[:, 0]
+    rhs[handler.constrained_dofs] = 0.0
+    return rhs
 
 
 @dataclass(frozen=True)

@@ -24,15 +24,17 @@ The variants that do not store (G, w det J) form them first, with one call
 into a buffer of their own.  Every application, traced or not, with
 callbacks or not, runs the same programs.
 
-Each batch holds one lane-order DoF index, and both ends of the cell loop
-go through it: a batch takes src through it into the lanes, runs its
-program, and adds its result into dst with one `np.add.at` through the
-same index.  So every DoF adds its contributions onto dst's running value,
-batch by batch and, within a batch, in lane order.  A batch allocates only
-numpy's per-call bookkeeping; the variants that form (G, w det J) allocate
-while forming them.  Nothing lives in the workspace between batches, so a
-callback may apply the operator again; two applications at once from
-different threads would share it and must not run.
+Each batch holds one lane-order DoF index, and every scatter goes through
+it: a batch takes src through it into the lanes, runs its program, and adds
+its result into dst with one `np.add.at` through the same index; set-up
+adds each batch's nodal values of the diagonal and the right-hand side
+through it too, read per node (`add_batch_nodes`).  So every DoF adds its
+contributions onto its running value, batch by batch and, within a batch,
+in lane order.  A batch allocates only numpy's per-call bookkeeping; the
+variants that form (G, w det J) allocate while forming them.  Nothing lives
+in the workspace between batches, so a callback may apply the operator
+again; two applications at once from different threads would share it and
+must not run.
 
 Constrained (Dirichlet) unknowns are kept in the system as identity rows:
 each batch's gather zeroes its constrained entries, and the constrained
@@ -76,10 +78,6 @@ from .tensor import (
 __all__ = ["OperatorSpec", "DiagonalPreconditioner", "MatrixFreeOperator"]
 
 EQUATIONS = ("mass", "laplace", "mass_plus_laplace")
-
-# cells per block of `node_sum`, which bounds its index array independently
-# of the mesh size
-NODE_SUM_CELLS = 512
 
 # the flux of one component, flux_i = G[i, 0] grad_0 + G[i, 1] grad_1
 # + G[i, 2] grad_2, in one pass over the points
@@ -431,32 +429,25 @@ class MatrixFreeOperator:
         # (G, jxw) from the batch's tri-quadratic nodes, without G for mass
         stored = (self.spec.geometry == GeometryVariant.FINAL_TENSOR_LOAD
                   and self.spec.quadrature_kind == "gauss_lobatto")
-        local = np.empty((self.handler.n_cells, n1 ** 3))
+        diag = np.zeros(self.handler.n_nodes)
         for b, cells in enumerate(self._batch_cells):
             data = self._batch_store[b] if stored else precompute_geometry(
                 self.mesh, GeometryVariant.QUADRATIC_COMPUTE, basis.quadrature, cells)
             G, jxw = geometry_coefficients(data, self.spec.needs_gradients)
-            local[cells] = self._local_diagonal(basis, G, jxw).reshape(-1, len(cells)).T
-        diag = self.node_sum(local)
-        diag[np.unique(self._constrained // self.spec.components)] = 1.0
+            self.add_batch_nodes(b, self._local_diagonal(basis, G, jxw), diag)
+        diag[self._constrained // self.spec.components] = 1.0
         if np.any(~np.isfinite(diag)) or np.any(diag <= 0.0):
             raise ValueError("operator diagonal is not positive definite")
-        return DiagonalPreconditioner(1.0 / diag)
+        return DiagonalPreconditioner(np.divide(1.0, diag, out=diag))
 
-    def node_sum(self, local: np.ndarray) -> np.ndarray:
-        """Per scalar node, the sum of a cell-ordered (n_cells, (p+1)^3)
-        array of nodal values, added with np.add.at into one zeroed output
-        over blocks of `NODE_SUM_CELLS` consecutive cells: every node adds
-        its cells in cell order, as one bincount over all cells would,
-        without an index array for the whole mesh."""
-        n_cells = self.handler.n_cells
-        out = np.zeros(self.handler.n_nodes)
-        for lo in range(0, n_cells, NODE_SUM_CELLS):
-            hi = min(lo + NODE_SUM_CELLS, n_cells)
-            # one-dimensional, np.add.at takes its fast path
-            np.add.at(out, _expand_scalar(self.handler, np.arange(lo, hi)).ravel(),
-                      local[lo:hi].ravel())
-        return out
+    def add_batch_nodes(self, b: int, values: np.ndarray, out: np.ndarray) -> None:
+        """Add batch b's lanes-last nodal values, (p+1, p+1, p+1, n_b), into
+        the scalar node vector `out` (a view of every component-th DoF
+        will do) with one np.add.at through the batch's index, read per
+        node: every node adds onto its running value in lane order, as
+        `apply`'s scatter does."""
+        c = self.components
+        np.add.at(out, self._batch_index[b][::c] // c, values.reshape(-1))
 
     def _local_diagonal(self, basis, G, jxw) -> np.ndarray:
         """The diagonal on each cell, (p+1, p+1, p+1, n_cells), from

@@ -8,7 +8,8 @@ is x, 1 is y, 2 is z.  A batch of cells comes in one of two layouts:
 * cells-first, ``(lead..., z, y, x)``: the public ``evaluate_*`` and
   ``integrate_*`` functions.  A sweep is one small GEMM per cell and point
   line ``(lead * outer, n, trail)``.
-* lanes-last, ``(z, y, x, lanes...)``: the ``*_lanes`` functions and
+* lanes-last, ``(z, y, x, lanes...)``: the three ``*_lanes`` functions
+  (the adjoint gradient kernel runs only in a cell loop) and
   `LanesKernels`, with the cells and components innermost as SIMD lanes
   (after Kronbichler & Kormann, Computers & Fluids 63, 2012).  A sweep is a
   few long GEMMs ``(outer, n, trail * lanes)``: one for z, n for y and n^2
@@ -21,7 +22,7 @@ call on views of given arrays, an `np.matmul(..., out=)` or, if asked, an
 even-odd product, which `run_calls` runs; the gradient kernel and its
 adjoint are composed on it once.  `LanesKernels` binds the lanes-last
 kernels once to planes that a cell loop reuses, and hands their calls
-(`LanesKernels.calls`) to the operator's per-batch programs; the eight
+(`LanesKernels.calls`) to the operator's per-batch programs; the seven
 public functions bind into arrays sized for the call and return arrays
 they own.  Rules and bases are built once per argument and are read-only.
 The reference cell is the unit cube [0,1]^3.
@@ -52,7 +53,6 @@ __all__ = [
     "evaluate_values_lanes",
     "evaluate_gradients_lanes",
     "integrate_values_lanes",
-    "integrate_gradients_lanes",
     "LanesKernels",
     "run_calls",
 ]
@@ -544,18 +544,13 @@ def integrate_values_lanes(basis: TensorBasis1D, quad_data: CellTensor) -> CellT
     return _values(basis, quad_data, True, True, False)
 
 
-def integrate_gradients_lanes(basis: TensorBasis1D, quad_data: CellTensor) -> CellTensor:
-    """integrate_gradients on lanes-last tensors stacked on axis 0."""
-    return _gradients_t(basis, quad_data, True, False)
-
-
 class LanesKernels:
     """The four lanes-last kernels of `basis` for tensors with lane axes
     `lanes`, bound once to views into the rows of `planes`: each kernel is
     a tuple of (function, operands, out) calls, one `np.matmul` per sweep,
     which `calls` hands out to run (`run_calls`) or to fold into a longer
-    program, and which the methods run, making no array.  Each result is a
-    view into a row and holds until the next run.
+    program; a run makes no array.  Each result is a view into a row and
+    holds until the next run.
 
     `planes` is a (`rows(values, gradients)`, `plane_size(basis, n)`) float
     array, n the number of lanes.  The last row holds `input`, the tensor
@@ -612,30 +607,7 @@ class LanesKernels:
         return max(basis.degree + 1, len(basis.quadrature)) ** 3 * lanes
 
     def calls(self, kernel: str) -> tuple:
-        """The bound calls of `kernel`, one of the four methods below by
-        name, each run as function(*operands, out=out)."""
+        """The bound calls of `kernel`, "evaluate_values",
+        "integrate_values", "evaluate_gradients" or "integrate_gradients",
+        each run as function(*operands, out=out)."""
         return self._calls[kernel]
-
-    def evaluate_values(self, tensor: CellTensor) -> CellTensor:
-        """evaluate_values_lanes of `tensor`, copied into `input`, into
-        `values`."""
-        np.copyto(self.input, tensor)
-        run_calls(self.calls("evaluate_values"))
-        return self.values
-
-    def integrate_values(self) -> CellTensor:
-        """integrate_values_lanes of `values`."""
-        run_calls(self.calls("integrate_values"))
-        return self.integrated_values
-
-    def evaluate_gradients(self, tensor: CellTensor) -> CellTensor:
-        """evaluate_gradients_lanes of `tensor`, copied into `input`, into
-        `gradients`."""
-        np.copyto(self.input, tensor)
-        run_calls(self.calls("evaluate_gradients"))
-        return self.gradients
-
-    def integrate_gradients(self) -> CellTensor:
-        """integrate_gradients_lanes of `flux`."""
-        run_calls(self.calls("integrate_gradients"))
-        return self.integrated_gradients

@@ -34,6 +34,7 @@ from mfcg.mesh import (
 from mfcg.operator import MatrixFreeOperator, OperatorSpec
 from mfcg.tensor import (
     _even_odd,
+    _gradients_t,
     _Matrix1D,
     evaluate_gradients,
     evaluate_gradients_lanes,
@@ -41,7 +42,6 @@ from mfcg.tensor import (
     evaluate_values_lanes,
     gauss_lobatto_quadrature,
     gauss_quadrature,
-    integrate_gradients_lanes,
     integrate_values,
     integrate_values_lanes,
     lagrange_basis,
@@ -54,6 +54,13 @@ from mfcg.tensor import (
 # columns of those six entries.
 SYMMETRIC_INDEX = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
 SIX_ENTRIES = ((0, 1, 2, 0, 0, 1), (0, 1, 2, 1, 2, 2))
+
+
+def integrate_gradients_lanes(basis, quad_data):
+    """integrate_gradients on lanes-last tensors stacked on axis 0, through
+    the one-shot driver: the adjoint the cell loop binds, run on arrays
+    sized for the call."""
+    return _gradients_t(basis, quad_data, True, False)
 
 
 def build_fem(cells=(2, 2, 2), p=3, comp=1, eq="laplace", nq=None,
@@ -853,10 +860,20 @@ def loop_build_rhs(op):
     return b
 
 
+def _add_batches_in_lane_order(out, plan, index, values):
+    """Add cell-ordered `values` (n_cells, k) into `out` through the
+    matching cell-ordered `index`, batch by batch and, within a batch, in
+    lane order: entry-major, the batch's cells innermost."""
+    for cells in plan.batches:
+        np.add.at(out, index[cells].T.ravel(), values[cells].T.ravel())
+    return out
+
+
 def cells_first_build_rhs(op):
     """Right-hand side in one cells-first pass over the whole mesh: the
     points of all cells at once, w det J read from the operator's store
-    into cell order, one bincount scatter in cell order."""
+    into cell order, then added into the DoFs batch by batch in lane
+    order."""
     spec, mesh, handler = op.spec, op.mesh, op.handler
     nq = spec.n_q_1d
     jxw = np.empty((nq ** 3, mesh.n_cells))
@@ -869,7 +886,7 @@ def cells_first_build_rhs(op):
     local = integrate_values(op.basis, fw).reshape(mesh.n_cells, -1)
     local = np.repeat(local, spec.components, axis=1)
     idx = expand_batch(handler, np.arange(mesh.n_cells))
-    b = np.bincount(idx.ravel(), weights=local.ravel(), minlength=handler.n_dofs)
+    b = _add_batches_in_lane_order(np.zeros(handler.n_dofs), op.plan, idx, local)
     b[handler.constrained_dofs] = 0.0
     return b
 
@@ -877,8 +894,8 @@ def cells_first_build_rhs(op):
 def whole_mesh_diagonal(op):
     """Inverse operator diagonal as first written: the final tensor at the
     Gauss-Lobatto collocation points computed for the whole mesh at once,
-    the diagonal of every cell from it in one pass, and one bincount over
-    all cells in cell order."""
+    the diagonal of every cell from it in one pass, then added into the
+    nodes batch by batch in lane order."""
     n1 = op.spec.degree + 1
     basis = lagrange_basis(n1 - 1, gauss_lobatto_quadrature(n1))
     n_cells = op.handler.n_cells
@@ -886,8 +903,8 @@ def whole_mesh_diagonal(op):
                               basis.quadrature, np.arange(n_cells)).payload
     diag_loc = op._local_diagonal(basis, geo["G"], geo["jxw"])
     scalar_idx = _expand_scalar(op.handler, np.arange(n_cells))
-    diag = np.bincount(scalar_idx.ravel(), weights=diag_loc.transpose(3, 0, 1, 2).ravel(),
-                       minlength=op.handler.n_nodes)
+    diag = _add_batches_in_lane_order(np.zeros(op.handler.n_nodes), op.plan, scalar_idx,
+                                      diag_loc.reshape(-1, n_cells).T)
     diag[np.unique(op.handler.constrained_dofs // op.spec.components)] = 1.0
     return 1.0 / diag
 

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mfcg.cli
+import mfcg.tensor
 from mfcg.bench import BENCHMARK_PROBLEMS
 from mfcg.cli import Config, main, parse_config
 from mfcg.mesh import GeometryVariant
@@ -278,6 +279,24 @@ class TestVerify:
                                 "--filter", "oracle"], capsys)
         assert code == 1
         assert "FAIL oracle-equivalence/cg-matches-dense" in out
+        assert "FAIL oracle-equivalence/apply-matches-assembled" in out
+
+    def test_subtracted_gradient_components_fail_assembled_check(self, capsys,
+                                                                monkeypatch):
+        # the gradient adjoint subtracting its components instead of adding
+        # them, in every kernel bound from here on: apply no longer matches
+        # the matrix that per-cell quadrature assembles
+        real = mfcg.tensor._bind_gradients_t
+
+        def subtracting(*args, **kwargs):
+            calls, result = real(*args, **kwargs)
+            return tuple((np.subtract, *call[1:]) if call[0] is np.add else call
+                         for call in calls), result
+
+        monkeypatch.setattr(mfcg.tensor, "_bind_gradients_t", subtracting)
+        code, out, _ = run_cli(["verify", "--filter", "oracle"], capsys)
+        assert code == 1
+        assert "FAIL oracle-equivalence/apply-matches-assembled" in out
 
     def test_mutation_restores_cleanly(self, capsys):
         run_cli(["verify", "--mutate", "sign-flip", "--filter", "oracle"],

@@ -33,6 +33,7 @@ from _oracles import (
     cells_first_kernel,
     flux,
     flux_batch_kernel,
+    integrate_gradients_lanes,
     plumbed_batch_kernel,
     plumbed_evaluate_gradients,
     plumbed_evaluate_values,
@@ -50,7 +51,6 @@ from mfcg.tensor import (
     gauss_lobatto_quadrature,
     gauss_quadrature,
     integrate_gradients,
-    integrate_gradients_lanes,
     integrate_values,
     integrate_values_lanes,
     lagrange_basis,

@@ -401,7 +401,8 @@ def test_diagonal_is_bit_identical_to_whole_mesh_pass(bp, variant):
 def test_setup_peak_is_bounded_by_what_it_holds(bp):
     # every per-cell array is built batch by batch; the diagonal's whole-mesh
     # Gauss-Lobatto geometry used to take the peak of BP1-BP4 to 1.6-3.8x
-    # what the problem holds, and node_sum's whole-mesh index BP1's to 1.42x
+    # what the problem holds, a whole-mesh index of the node sums BP1's to
+    # 1.42x, and their whole-mesh nodal arrays BP1's to 1.24x
     tracemalloc.start()
     try:
         problem = assemble_problem(bp, 3, (16, 16, 16))
@@ -412,18 +413,23 @@ def test_setup_peak_is_bounded_by_what_it_holds(bp):
     assert peak <= 1.3 * held, peak / held
 
 
-@pytest.mark.parametrize("block", [7, mfcg.operator.NODE_SUM_CELLS])
-def test_node_sum_is_bit_identical_to_one_bincount(monkeypatch, block):
-    # blocks of consecutive cells added in cell order from +0.0 keep every
-    # bit of one bincount over the whole mesh; 720 cells span two default
-    # blocks and many of 7
-    monkeypatch.setattr(mfcg.operator, "NODE_SUM_CELLS", block)
-    op, handler = build_fem((10, 9, 8), p=1, batch=64)
-    assert handler.n_cells > block
-    local = np.random.default_rng(5).standard_normal((handler.n_cells, 8))
-    idx = expand_batch(handler, np.arange(handler.n_cells))
-    want = np.bincount(idx.ravel(), weights=local.ravel(), minlength=handler.n_nodes)
-    np.testing.assert_array_equal(bits(op.node_sum(local)), bits(want))
+@pytest.mark.parametrize("bp", ["BP1", "BP2", "BP3", "BP4", "BP5"])
+def test_setup_holds_no_whole_mesh_nodal_array(bp):
+    # the right-hand side and the diagonal add each batch's nodal values
+    # straight into the vector they return: beyond it, neither allocates
+    # half of one value per (cell, node).  One SIMD lane keeps a batch's
+    # transients (16 cells) below that bound
+    op, _, _ = assemble_problem(bp, 3, (12, 12, 12), simd_lanes=1)
+    bound = op.handler.n_cells * 4 ** 3 * 8 / 2
+    for build in (lambda: build_rhs(op),
+                  lambda: op.compute_diagonal().inverse_diagonal):
+        tracemalloc.start()
+        try:
+            vector = build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - vector.nbytes < bound, (peak - vector.nbytes) / bound
 
 
 @pytest.mark.parametrize("bp", ["BP1", "BP2"])
@@ -452,9 +458,9 @@ def test_mass_diagonal_forms_no_coefficients(monkeypatch, bp):
     ("BP5", 5, (4, 4, 4)),
 ])
 def test_rhs_is_bit_identical_to_cells_first_pass(bp, degree, cells):
-    # batch by batch and lanes-last, with every cell's row written in cell
-    # order, the right-hand side keeps every operation of the one-pass
-    # cells-first formulation, and so every bit
+    # batch by batch and lanes-last, each batch added in lane order, the
+    # right-hand side keeps every operation of the one-pass cells-first
+    # formulation, and so every bit
     op, b, _ = assemble_problem(bp, degree, cells, simd_lanes=1)
     assert op.plan.n_batches > 1
     np.testing.assert_array_equal(bits(b), bits(cells_first_build_rhs(op)))

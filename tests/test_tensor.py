@@ -24,17 +24,18 @@ from mfcg.tensor import (
     gauss_lobatto_quadrature,
     gauss_quadrature,
     integrate_gradients,
-    integrate_gradients_lanes,
     integrate_values,
     integrate_values_lanes,
     lagrange_basis,
     lagrange_gradients_1d,
     lagrange_values_1d,
+    run_calls,
 )
 
 from _oracles import (
     apply_1d,
     even_odd_apply,
+    integrate_gradients_lanes,
     oracle_evaluate_gradients,
     oracle_evaluate_values,
     oracle_integrate_gradients,
@@ -465,21 +466,29 @@ def test_bound_kernels_bit_identical_to_lanes_sweeps(p, rule, lanes, values,
     planes = np.full((LanesKernels.rows(values, gradients),
                       LanesKernels.plane_size(basis, lanes[0] * lanes[1])), np.nan)
     bound = LanesKernels(basis, lanes, planes, values, gradients)
+
+    def run(name, result):
+        run_calls(bound.calls(name))
+        return result
+
     rng = np.random.default_rng(seed)
     for _ in range(2):
         u = rng.standard_normal((n1,) * 3 + lanes)
         q = rng.standard_normal((3,) + (nq,) * 3 + lanes)
         if gradients:
-            np.testing.assert_array_equal(bound.evaluate_gradients(u),
+            bound.input[...] = u
+            np.testing.assert_array_equal(run("evaluate_gradients", bound.gradients),
                                           evaluate_gradients_lanes(basis, u))
             bound.flux[...] = q
-            np.testing.assert_array_equal(bound.integrate_gradients(),
+            np.testing.assert_array_equal(run("integrate_gradients",
+                                              bound.integrated_gradients),
                                           integrate_gradients_lanes(basis, q))
         if values:
-            np.testing.assert_array_equal(bound.evaluate_values(u),
+            bound.input[...] = u
+            np.testing.assert_array_equal(run("evaluate_values", bound.values),
                                           evaluate_values_lanes(basis, u))
             bound.values[...] = q[0]
-            np.testing.assert_array_equal(bound.integrate_values(),
+            np.testing.assert_array_equal(run("integrate_values", bound.integrated_values),
                                           integrate_values_lanes(basis, q[0]))
     with pytest.raises(ValueError, match="do not fit"):
         LanesKernels(basis, lanes, planes[:, 1:], values, gradients)

@@ -7,23 +7,25 @@ array, so that two trees can be compared bit for bit.
 The matrix is BP1-BP5 x p in {2, 3} x the five geometry variants x both
 numberings on 3^3 cells; each configuration contributes `b`, the inverse
 diagonal and `apply(u)` for a fixed random `u`, and the final-tensor and
-Laplace ones add the six solvers' x after 8 fixed iterations.  A 10 x 9 x 8 mesh, whose
-node sums span several blocks of cells, adds `b`, the inverse diagonal and
-`apply(u)` for BP1 and BP5 at p = 2.  The eight public sum-factorization
-kernels of `mfcg.tensor` add their results on fixed random inputs, for
-p = 1-6 at Gauss p+1, p+2 and p+3 points, Gauss-Lobatto p+1 points and
-Gauss max(p-1, 1) points (fewer points than nodes): the four cells-first
-ones with and without even-odd products, and the four lanes-last ones.
-mfcg is imported from the path Python finds first, so PYTHONPATH picks the
-tree.  --out writes the JSON
-(default: stdout); --against lists the keys whose hashes differ from a
-saved fingerprint, or that only one side has, and exits 1 if there are any.
+Laplace ones add the six solvers' x after 8 fixed iterations.  A 10 x 9 x 8
+mesh of 720 cells in several batches adds `b`, the inverse diagonal and
+`apply(u)` for BP1 and BP5 at p = 2.  The sum-factorization kernels of
+`mfcg.tensor` add their results on fixed random inputs, for p = 1-6 at
+Gauss p+1, p+2 and p+3 points, Gauss-Lobatto p+1 points and Gauss
+max(p-1, 1) points (fewer points than nodes): the four cells-first
+functions with and without even-odd products, the three lanes-last
+functions and the lanes-last adjoint gradient kernel as `LanesKernels`
+binds it.  mfcg is imported from the path Python finds first, so
+PYTHONPATH picks the tree.  --out writes the JSON (default: stdout);
+--against lists the keys whose hashes differ from a saved fingerprint, or
+that only one side has, and exits 1 if there are any.
 """
 
 import argparse
 import hashlib
 import json
 import sys
+from math import prod
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from mfcg.bench import BENCHMARK_PROBLEMS, assemble_problem
 from mfcg.mesh import GeometryVariant
 from mfcg.solvers import VARIANTS, SolverConfig, solve
 from mfcg.tensor import (
+    LanesKernels,
     evaluate_gradients,
     evaluate_gradients_lanes,
     evaluate_values,
@@ -39,10 +42,10 @@ from mfcg.tensor import (
     gauss_lobatto_quadrature,
     gauss_quadrature,
     integrate_gradients,
-    integrate_gradients_lanes,
     integrate_values,
     integrate_values_lanes,
     lagrange_basis,
+    run_calls,
 )
 
 
@@ -61,6 +64,18 @@ def _problem(out: dict, key: str, problem, solvers: bool) -> None:
         for variant in VARIANTS:
             out[f"{key}/x.{variant}"] = _sha(
                 solve(variant, op, b, minv=minv, config=config).x)
+
+
+def _integrate_gradients_lanes(basis, q) -> np.ndarray:
+    """The lanes-last adjoint gradient kernel on q, (3, n_q, n_q, n_q) plus
+    lane axes, run once as the cell loop binds it."""
+    lanes = q.shape[4:]
+    kernels = LanesKernels(basis, lanes, np.empty(
+        (LanesKernels.rows(False, True), LanesKernels.plane_size(basis, prod(lanes)))),
+        False, True)
+    kernels.flux[...] = q
+    run_calls(kernels.calls("integrate_gradients"))
+    return kernels.integrated_gradients
 
 
 def _kernels(out: dict) -> None:
@@ -86,7 +101,7 @@ def _kernels(out: dict) -> None:
             out[f"{key}/evaluate_values_lanes"] = _sha(evaluate_values_lanes(basis, u))
             out[f"{key}/evaluate_gradients_lanes"] = _sha(evaluate_gradients_lanes(basis, u))
             out[f"{key}/integrate_values_lanes"] = _sha(integrate_values_lanes(basis, q[0]))
-            out[f"{key}/integrate_gradients_lanes"] = _sha(integrate_gradients_lanes(basis, q))
+            out[f"{key}/integrate_gradients_lanes"] = _sha(_integrate_gradients_lanes(basis, q))
 
 
 def fingerprint() -> dict:
