@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -273,6 +274,86 @@ class CacheReplayResult:
     metadata_stores_per_dof: float
 
 
+# iterations per repeat of a solve's events: one for most variants, two for
+# the combined ones, which update x every other iteration
+_PERIODS = (1, 2)
+
+
+class _LRU:
+    """A fully-associative LRU cache of whole ranges with line-weighted
+    sizes, counting the lines it loads and stores per stream kind."""
+
+    def __init__(self, streams, capacity_lines: int):
+        self.capacity_lines = capacity_lines
+        self.lines_of = {}
+        self.kind_of = {}
+        for stream in streams:
+            self.kind_of[stream.sid] = stream.kind
+            tail = stream.n_ranges - 1
+            full = GRAIN_BYTES // LINE_BYTES
+            tail_lines = -(-int(stream.range_doubles(tail) * 8) // LINE_BYTES)
+            self.lines_of[stream.sid] = (full, tail, tail_lines)
+        self.cache = OrderedDict()      # (sid, rid) -> [n_lines, dirty]
+        self.occupancy = 0
+        self.loads = {"vector": 0, "metadata": 0}
+        self.stores = {"vector": 0, "metadata": 0}
+
+    def walk(self, sids, modes, starts, stops) -> None:
+        """Touch the runs [start, stop) of (sid, mode) in order, range by
+        range."""
+        capacity_lines, lines_of, kind_of = self.capacity_lines, self.lines_of, self.kind_of
+        cache = self.cache
+        get, touch, evict = cache.get, cache.move_to_end, cache.popitem
+        occupancy = self.occupancy
+        loads, stores = self.loads, self.stores
+        for sid, mode, start, stop in zip(sids, modes, starts, stops):
+            kind = kind_of[sid]
+            full, tail, tail_lines = lines_of[sid]
+            writes = bool(mode & WRITE)
+            missed = 0
+            for rid in range(start, stop):
+                key = (sid, rid)
+                entry = get(key)
+                if entry is None:
+                    n_lines = tail_lines if rid == tail else full
+                    missed += n_lines
+                    cache[key] = [n_lines, writes]
+                    occupancy += n_lines
+                    while occupancy > capacity_lines and cache:
+                        old_key, (old_lines, old_dirty) = evict(last=False)
+                        occupancy -= old_lines
+                        if old_dirty:
+                            stores[kind_of[old_key[0]]] += old_lines
+                else:
+                    if writes:
+                        entry[1] = True
+                    touch(key)
+            loads[kind] += missed
+        self.occupancy = occupancy
+
+    def state(self) -> tuple:
+        """The resident ranges from least to most recent, and their dirty
+        flags; their sizes follow from the ranges."""
+        return list(self.cache), list(map(itemgetter(1), self.cache.values()))
+
+    def counts(self) -> tuple:
+        """Lines loaded and stored so far, per kind."""
+        return (*self.loads.values(), *self.stores.values())
+
+    def repeat(self, since: tuple, times: int) -> None:
+        """Count `times` more of what was loaded and stored since `counts()`
+        returned `since`."""
+        for tally, was in ((self.loads, since[:2]), (self.stores, since[2:])):
+            for kind, old in zip(tally, was):
+                tally[kind] += times * (tally[kind] - old)
+
+    def flush(self) -> None:
+        """Store every dirty resident range."""
+        for (sid, _), (n_lines, dirty) in self.cache.items():
+            if dirty:
+                self.stores[self.kind_of[sid]] += n_lines
+
+
 def replay_cache(recorder: AccessRecorder, model: CacheModel, n_dofs: int,
                  n_iterations: int) -> CacheReplayResult:
     """Replay every recorded event (including setup) through the cache model
@@ -283,53 +364,80 @@ def replay_cache(recorder: AccessRecorder, model: CacheModel, n_dofs: int,
     to a per-line LRU; each recorded run is walked range by range.  A write
     to a non-resident range incurs a read-for-ownership load; dirty evictions
     and the final flush count as stores.
+
+    The trace splits into iteration blocks, the stretches of records with
+    one iteration label, and a solve records the same events in each block
+    of its steady state, with a period of one block, or two for the combined
+    variants.  Events compare by stream, mode, runs and ranges, never by
+    region id.  At a boundary where the next period's events repeat the
+    previous period's, and a comparison can follow, the cache state (the
+    resident ranges in LRU order and their dirty flags) is kept.  When it
+    equals the state one period earlier, the replay is deterministic from
+    there: each following period that repeats those events loads and stores
+    exactly what that period did, and leaves the same state behind.  So
+    those periods are counted, not walked, and the walk resumes where the
+    events differ (the last iteration, a finalization, a periodic check).
+    The result is the full walk's, exactly.
     """
-    capacity_lines = model.capacity_bytes // LINE_BYTES
-    lines_of = {}
-    kind_of = {}
-    for stream in recorder.streams.values():
-        kind_of[stream.sid] = stream.kind
-        tail = stream.n_ranges - 1
-        full = GRAIN_BYTES // LINE_BYTES
-        tail_lines = -(-int(stream.range_doubles(tail) * 8) // LINE_BYTES)
-        lines_of[stream.sid] = (full, tail, tail_lines)
-    doubles_per_line = LINE_BYTES / 8.0
+    if n_iterations < 1:
+        raise ValueError("need at least one iteration")
+    if n_dofs < 1:
+        raise ValueError("need at least one DoF")
+    cols = recorder.columns()
+    lru = _LRU(recorder.streams.values(), model.capacity_bytes // LINE_BYTES)
+    run_first = np.append(cols.first, len(cols.start))
+    records = np.flatnonzero(np.diff(cols.iteration)) + 1
+    records = np.concatenate(([0], records, [len(cols.sid)])) if len(cols.sid) else [0]
+    n_blocks = len(records) - 1
 
-    cache = OrderedDict()           # (sid, rid) -> [n_lines, dirty]
-    get, touch, evict = cache.get, cache.move_to_end, cache.popitem
-    occupancy = 0
-    loads = {"vector": 0, "metadata": 0}
-    stores = {"vector": 0, "metadata": 0}
+    def same(b, c):
+        """Whether iteration blocks b and c record the same events."""
+        (r0, r1), (q0, q1) = records[b:b + 2], records[c:c + 2]
+        (a0, a1), (p0, p1) = run_first[[r0, r1]], run_first[[q0, q1]]
+        return (r1 - r0 == q1 - q0 and a1 - a0 == p1 - p0
+                and np.array_equal(cols.sid[r0:r1], cols.sid[q0:q1])
+                and np.array_equal(cols.mode[r0:r1], cols.mode[q0:q1])
+                and np.array_equal(cols.first[r0:r1] - a0, cols.first[q0:q1] - p0)
+                and np.array_equal(cols.start[a0:a1], cols.start[p0:p1])
+                and np.array_equal(cols.stop[a0:a1], cols.stop[p0:p1]))
 
-    for sid, mode, start, stop in recorder.iter_runs():
-        kind = kind_of[sid]
-        full, tail, tail_lines = lines_of[sid]
-        writes = bool(mode & WRITE)
-        missed = 0
-        for rid in range(start, stop):
-            key = (sid, rid)
-            entry = get(key)
-            if entry is None:
-                n_lines = tail_lines if rid == tail else full
-                missed += n_lines
-                cache[key] = [n_lines, writes]
-                occupancy += n_lines
-                while occupancy > capacity_lines and cache:
-                    old_key, (old_lines, old_dirty) = evict(last=False)
-                    occupancy -= old_lines
-                    if old_dirty:
-                        stores[kind_of[old_key[0]]] += old_lines
-            else:
-                if writes:
-                    entry[1] = True
-                touch(key)
-        loads[kind] += missed
+    def repeats(b, period):
+        """Whether blocks b .. b+period-1 repeat the period before them."""
+        return (period <= b <= n_blocks - period
+                and all(same(b + i, b - period + i) for i in range(period)))
 
-    for (sid, _), (n_lines, dirty) in cache.items():
-        if dirty:
-            stores[kind_of[sid]] += n_lines
+    kept = {}                       # boundary -> (cache state, counts)
+    b = 0
+    while b < n_blocks:
+        periods = [p for p in _PERIODS if repeats(b, p)]
+        # a state is taken only where it can be compared with a kept one, or
+        # a later one with it
+        if periods and (any(b - p in kept for p in periods)
+                        or any(repeats(b + p, p) for p in _PERIODS)):
+            state, counts = lru.state(), lru.counts()
+            period = next((p for p in periods
+                           if b - p in kept and kept[b - p][0] == state), 0)
+            if period:
+                times = 1
+                while repeats(b + times * period, period):
+                    times += 1
+                lru.repeat(kept[b - period][1], times)
+                b += times * period
+                kept.clear()
+                continue
+            kept = {k: v for k, v in kept.items() if k > b - max(_PERIODS)}
+            kept[b] = state, counts
+        r0, r1 = records[b:b + 2]
+        runs = np.diff(run_first[r0:r1 + 1])
+        a0, a1 = run_first[[r0, r1]]
+        lru.walk(np.repeat(cols.sid[r0:r1], runs).tolist(),
+                 np.repeat(cols.mode[r0:r1], runs).tolist(),
+                 cols.start[a0:a1].tolist(), cols.stop[a0:a1].tolist())
+        b += 1
+    lru.flush()
 
-    scale = doubles_per_line / (n_dofs * n_iterations)
+    loads, stores = lru.loads, lru.stores
+    scale = (LINE_BYTES / 8.0) / (n_dofs * n_iterations)
     return CacheReplayResult(
         model.capacity_bytes,
         (loads["vector"] + loads["metadata"]) * scale,

@@ -238,14 +238,6 @@ class AccessRecorder:
         end = self._first[i + 1] if i + 1 < len(self._first) else len(self._start)
         return self._first[i], end
 
-    def iter_runs(self):
-        """(sid, mode, start, stop) of every run, in recording order."""
-        for i in range(len(self._first)):
-            sid = self._sid[i]
-            mode = self._mode[i]
-            for j in range(*self._run_bounds(i)):
-                yield sid, mode, self._start[j], self._stop[j]
-
     def columns(self) -> TraceColumns:
         """A copy of the trace's columns as int64 arrays."""
         return TraceColumns(*(np.frombuffer(col, dtype=np.int64).copy() for col in (

@@ -1143,6 +1143,67 @@ def chunk_summarize_trace(recorder, n_dofs, n_iterations):
                         meta_r * scale, meta_w * scale)
 
 
+def walk_replay_cache(recorder, model, n_dofs, n_iterations):
+    """replay_cache as one walk of every run of an AccessRecorder's columns
+    through the per-range OrderedDict LRU, with no period skipped."""
+    capacity_lines = model.capacity_bytes // LINE_BYTES
+    lines_of = {}
+    kind_of = {}
+    for stream in recorder.streams.values():
+        kind_of[stream.sid] = stream.kind
+        tail = stream.n_ranges - 1
+        full = trace.GRAIN_BYTES // LINE_BYTES
+        tail_lines = -(-int(stream.range_doubles(tail) * 8) // LINE_BYTES)
+        lines_of[stream.sid] = (full, tail, tail_lines)
+    doubles_per_line = LINE_BYTES / 8.0
+    cols = recorder.columns()
+    runs = np.diff(np.append(cols.first, len(cols.start)))
+
+    cache = OrderedDict()           # (sid, rid) -> [n_lines, dirty]
+    get, touch, evict = cache.get, cache.move_to_end, cache.popitem
+    occupancy = 0
+    loads = {"vector": 0, "metadata": 0}
+    stores = {"vector": 0, "metadata": 0}
+
+    for sid, mode, start, stop in zip(np.repeat(cols.sid, runs).tolist(),
+                                      np.repeat(cols.mode, runs).tolist(),
+                                      cols.start.tolist(), cols.stop.tolist()):
+        kind = kind_of[sid]
+        full, tail, tail_lines = lines_of[sid]
+        writes = bool(mode & trace.WRITE)
+        missed = 0
+        for rid in range(start, stop):
+            key = (sid, rid)
+            entry = get(key)
+            if entry is None:
+                n_lines = tail_lines if rid == tail else full
+                missed += n_lines
+                cache[key] = [n_lines, writes]
+                occupancy += n_lines
+                while occupancy > capacity_lines and cache:
+                    old_key, (old_lines, old_dirty) = evict(last=False)
+                    occupancy -= old_lines
+                    if old_dirty:
+                        stores[kind_of[old_key[0]]] += old_lines
+            else:
+                if writes:
+                    entry[1] = True
+                touch(key)
+        loads[kind] += missed
+
+    for (sid, _), (n_lines, dirty) in cache.items():
+        if dirty:
+            stores[kind_of[sid]] += n_lines
+
+    scale = doubles_per_line / (n_dofs * n_iterations)
+    return CacheReplayResult(
+        model.capacity_bytes,
+        (loads["vector"] + loads["metadata"]) * scale,
+        (stores["vector"] + stores["metadata"]) * scale,
+        loads["vector"] * scale, stores["vector"] * scale,
+        loads["metadata"] * scale, stores["metadata"] * scale)
+
+
 def chunk_replay_cache(recorder, model, n_dofs, n_iterations):
     """replay_cache over a ChunkRecorder: the same per-range OrderedDict
     LRU, walking each chunk's explicit range ids."""

@@ -290,6 +290,16 @@ class TestCacheReplay:
         with pytest.raises(ValueError):
             CacheModel(-1)
 
+    @pytest.mark.parametrize("n_iterations", [0, -1])
+    def test_refuses_fewer_than_one_iteration(self, n_iterations):
+        with pytest.raises(ValueError, match="iteration"):
+            replay_cache(sweep_trace(), CacheModel(64), 128, n_iterations)
+
+    @pytest.mark.parametrize("n_dofs", [0, -1])
+    def test_refuses_fewer_than_one_dof(self, n_dofs):
+        with pytest.raises(ValueError, match="DoF"):
+            replay_cache(sweep_trace(), CacheModel(64), n_dofs, 3)
+
     def fem_trace(self, numbering="default", iters=10):
         op, handler = build_fem(cells=(4, 4, 4), batch=8, traversal="morton",
                                 numbering=numbering)

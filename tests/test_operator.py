@@ -270,6 +270,22 @@ class TestDiagonal:
         assert np.all(diag.inverse_diagonal > 0.0)
         assert np.all(np.isfinite(diag.inverse_diagonal))
 
+    def test_zero_entry_is_refused(self, monkeypatch):
+        # a cell-interior node belongs to one cell only: zeroing its local
+        # entry makes the assembled diagonal exactly 0.0 there, which has
+        # no finite inverse
+        op, _ = build_op(p=2)
+        local = op._local_diagonal
+
+        def with_a_zero(basis, G, jxw):
+            diag = local(basis, G, jxw)
+            diag[1, 1, 1, 0] = 0.0
+            return diag
+
+        monkeypatch.setattr(op, "_local_diagonal", with_a_zero)
+        with pytest.raises(ValueError, match="not positive definite"):
+            op.compute_diagonal()
+
 
 class TestCallbacks:
     def test_noop_equals_apply(self):

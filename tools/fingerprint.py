@@ -15,22 +15,28 @@ Gauss p+1, p+2 and p+3 points, Gauss-Lobatto p+1 points and Gauss
 max(p-1, 1) points (fewer points than nodes): the four cells-first
 functions with and without even-odd products, the three lanes-last
 functions and the lanes-last adjoint gradient kernel as `LanesKernels`
-binds it.  mfcg is imported from the path Python finds first, so
-PYTHONPATH picks the tree.  --out writes the JSON (default: stdout);
---against lists the keys whose hashes differ from a saved fingerprint, or
-that only one side has, and exits 1 if there are any.
+binds it.  Traced pcg and combined_pcg solves of 16 fixed iterations on
+BP5 p = 3 3^3 cells, both numberings, add the six traffic numbers of
+`replay_cache` at 4 KiB, 256 KiB and 64 MiB, long enough that the replay
+counts repeated periods instead of walking them.  mfcg is imported from
+the path Python finds first, so PYTHONPATH picks the tree.  --out writes
+the JSON (default: stdout); --against lists the keys whose hashes differ
+from a saved fingerprint, or that only one side has, and exits 1 if there
+are any.
 """
 
 import argparse
 import hashlib
 import json
 import sys
+from dataclasses import astuple
 from math import prod
 
 import numpy as np
 
 import mfcg
 from mfcg.bench import BENCHMARK_PROBLEMS, assemble_problem
+from mfcg.locality import CacheModel, replay_cache
 from mfcg.mesh import GeometryVariant
 from mfcg.solvers import VARIANTS, SolverConfig, solve
 from mfcg.tensor import (
@@ -47,6 +53,7 @@ from mfcg.tensor import (
     lagrange_basis,
     run_calls,
 )
+from mfcg.trace import AccessRecorder
 
 
 def _sha(array) -> str:
@@ -104,6 +111,21 @@ def _kernels(out: dict) -> None:
             out[f"{key}/integrate_gradients_lanes"] = _sha(_integrate_gradients_lanes(basis, q))
 
 
+def _replays(out: dict) -> None:
+    config = SolverConfig(fixed_iterations=16)
+    for numbering in ("default", "optimized"):
+        op, b, minv = assemble_problem("BP5", 3, (3, 3, 3), numbering=numbering)
+        for variant in ("pcg", "combined_pcg"):
+            recorder = AccessRecorder()
+            res = solve(variant, op, b, minv=minv, config=config, recorder=recorder)
+            for capacity in (4 << 10, 256 << 10, 64 << 20):
+                r = replay_cache(recorder, CacheModel(capacity), op.n_dofs,
+                                 res.iterations)
+                # the six traffic numbers, after the capacity
+                out[f"replay/BP5-p3-{numbering}/{variant}/{capacity}"] = _sha(
+                    np.array(astuple(r)[1:]))
+
+
 def fingerprint() -> dict:
     out = {}
     for bp in sorted(BENCHMARK_PROBLEMS):
@@ -121,6 +143,7 @@ def fingerprint() -> dict:
         _problem(out, f"{bp}-p2-10x9x8", assemble_problem(bp, 2, (10, 9, 8)),
                  False)
     _kernels(out)
+    _replays(out)
     return out
 
 
