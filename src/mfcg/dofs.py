@@ -62,9 +62,7 @@ class DofHandler:
 class BatchPlan:
     """Cells grouped into batches processed back to back."""
 
-    batch_size: int
     batches: tuple
-    traversal: str
 
     @property
     def n_batches(self) -> int:
@@ -230,7 +228,7 @@ def make_batches(mesh: HexMesh, size: int, traversal: str = "lexicographic") -> 
     else:
         raise ValueError(f"unknown traversal {traversal!r}")
     batches = tuple(order[i:i + size] for i in range(0, len(order), size))
-    return BatchPlan(size, batches, traversal)
+    return BatchPlan(batches)
 
 
 # ---------------------------------------------------------------------------

@@ -57,11 +57,10 @@ class GeometryVariant(Enum):
 
 @dataclass(frozen=True)
 class HexMesh:
-    """Axis-aligned structured mesh of the brick [0,extents], optionally
-    pushed through the smooth boundary-preserving sine deformation."""
+    """Structured mesh of the unit cube [0,1]^3, optionally pushed through
+    the smooth boundary-preserving sine deformation."""
 
     cells_per_dim: tuple
-    extents: tuple
     deformation: float = 0.0
 
     @property
@@ -88,13 +87,9 @@ def validate_cells(cells_per_dim) -> tuple:
     return tuple(int(c) for c in cells)
 
 
-def build_cartesian_mesh(cells_per_dim, extents=(1.0, 1.0, 1.0)) -> HexMesh:
-    """Uniform axis-aligned mesh of the brick [0,extents]^3."""
-    cells = validate_cells(cells_per_dim)
-    ext = tuple(float(e) for e in extents)
-    if not all(np.isfinite(e) and e > 0 for e in ext):
-        raise ValueError(f"extents must be finite and positive, got {ext}")
-    return HexMesh(cells, ext)
+def build_cartesian_mesh(cells_per_dim) -> HexMesh:
+    """Uniform axis-aligned mesh of the unit cube [0,1]^3."""
+    return HexMesh(validate_cells(cells_per_dim))
 
 
 # cells per block of `deform_mesh`'s Jacobian check, which bounds its
@@ -103,13 +98,13 @@ DEFORM_CHECK_CELLS = 512
 
 
 def deform_mesh(mesh: HexMesh, amplitude: float) -> HexMesh:
-    """Apply x -> x + amplitude * prod_d sin(pi x_d / extent_d) to every
-    coordinate.  The bump vanishes on the boundary, so boundary faces stay
-    put.  Rejects amplitudes that are not finite or flip any cell's Jacobian,
-    checked in blocks of `DEFORM_CHECK_CELLS` cells."""
+    """Apply x -> x + amplitude * prod_d sin(pi x_d) to every coordinate.
+    The bump vanishes on the boundary, so boundary faces stay put.  Rejects
+    amplitudes that are not finite or flip any cell's Jacobian, checked in
+    blocks of `DEFORM_CHECK_CELLS` cells."""
     if not np.isfinite(amplitude):
         raise ValueError(f"deformation amplitude must be finite, got {amplitude}")
-    new = HexMesh(mesh.cells_per_dim, mesh.extents, mesh.deformation + amplitude)
+    new = HexMesh(mesh.cells_per_dim, mesh.deformation + amplitude)
     if amplitude != 0.0:
         nodes = new.quadratic_nodes
         basis = lagrange_basis(2, gauss_lobatto_quadrature(3))
@@ -134,20 +129,20 @@ def _lattice_coords(cells_per_dim) -> tuple:
 def _quadratic_lattice(mesh: HexMesh) -> np.ndarray:
     """The (27, 3, n_cells) tri-quadratic nodes of every cell: the
     {0, 1/2, 1}^3 lattice of each cell, x fastest, pushed through the
-    deformation x -> x + a prod_d sin(pi x_d / extent_d).  The map is
-    separable, so each direction's coordinates and sines are computed once
-    per line of cells (3 n_d of each) and broadcast over the lattice."""
+    deformation x -> x + a prod_d sin(pi x_d).  The map is separable, so
+    each direction's coordinates and sines are computed once per line of
+    cells (3 n_d of each) and broadcast over the lattice."""
     n = mesh.cells_per_dim
     coords, sines = [], []
     for d in range(3):
         # (t, c_d) of lattice position t in cell c_d, as a view on the
         # (t_z, t_y, t_x, c_z, c_y, c_x) axes of the lattice
-        h = mesh.extents[d] / n[d]
+        h = 1.0 / n[d]
         x = (np.arange(n[d]) * h)[:, None] + (_QUADRATIC_ORDER * h)[None, :]
         shape = [1] * 6
         shape[2 - d], shape[5 - d] = 3, n[d]
         coords.append(x.T.reshape(shape))
-        sines.append(np.sin(np.pi * x / mesh.extents[d]).T.reshape(shape))
+        sines.append(np.sin(np.pi * x).T.reshape(shape))
     nodes = np.empty((3, 3, 3, 3) + n[::-1])
     if mesh.deformation == 0.0:
         for d in range(3):
@@ -259,7 +254,7 @@ def precompute_geometry(mesh: HexMesh, variant: GeometryVariant,
     if variant == GeometryVariant.AFFINE:
         if mesh.deformation != 0.0:
             raise ValueError("affine geometry requires an undeformed mesh")
-        h = np.array([mesh.extents[d] / mesh.cells_per_dim[d] for d in range(3)])
+        h = np.array([1.0 / n for n in mesh.cells_per_dim])
         jxw = (float(np.prod(h)) * _tensor_weights(quad))[:, None]
         G = symmetric_coefficients(np.diag(1.0 / h), jxw)
         payload = {"G": np.repeat(G, len(cells), axis=-1),

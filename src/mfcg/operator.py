@@ -128,6 +128,11 @@ class DiagonalPreconditioner:
     inverse_diagonal: np.ndarray  # length n_dofs / components
 
 
+# bytes per cell of the traced "cell_indices" stream: a cell's 27 int32
+# entity-block starts
+_INDEX_BYTES_PER_CELL = 27 * 4
+
+
 def _cell_stream_ranges(cells: np.ndarray, bytes_per_cell: int) -> np.ndarray:
     """512-byte range ids covered by the per-cell records of `cells`."""
     cells = np.asarray(cells, dtype=np.int64)
@@ -250,11 +255,10 @@ class MatrixFreeOperator:
         src/dst, geometry and cell-index ranges, and the runs of the
         constrained ranges."""
         dpc_geo = self.geometry.doubles_per_cell * 8
-        dpc_idx = 27 * 4
         batches = [
             (trace.runs_of(np.unique(index // RANGE_SIZE)),
              trace.runs_of(_cell_stream_ranges(cells, dpc_geo)),
-             trace.runs_of(_cell_stream_ranges(cells, dpc_idx)))
+             trace.runs_of(_cell_stream_ranges(cells, _INDEX_BYTES_PER_CELL)))
             for index, cells in zip(self._batch_index, self._batch_cells)]
         return batches, trace.runs_of(np.unique(self._constrained // RANGE_SIZE))
 
@@ -369,7 +373,8 @@ class MatrixFreeOperator:
             recorder.register_dofs(rec_dst, self.n_dofs)
             recorder.register("geometry", self.geometry.doubles_per_cell * 8
                               * self.handler.n_cells, kind="metadata")
-            recorder.register("cell_indices", 27 * 4 * self.handler.n_cells,
+            recorder.register("cell_indices",
+                              _INDEX_BYTES_PER_CELL * self.handler.n_cells,
                               kind="metadata")
         for b in range(n_batches):
             if pre_fn is not None:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -106,28 +105,6 @@ class TraceColumns(NamedTuple):
     stop: np.ndarray
 
 
-class _ChunkView(Sequence):
-    """The records of a recorder as a read-only sequence of EventChunks."""
-
-    def __init__(self, recorder: AccessRecorder):
-        self._rec = recorder
-
-    def __len__(self) -> int:
-        return len(self._rec._sid)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        rec = self._rec
-        i = range(len(self))[i]
-        a, b = rec._run_bounds(i)
-        region = rec._region_col[i]
-        return EventChunk(rec._iteration_col[i], region, rec.region_tag(region),
-                          rec._sid[i], rec._mode[i],
-                          np.array(rec._start[a:b], dtype=np.int64),
-                          np.array(rec._stop[a:b], dtype=np.int64))
-
-
 class AccessRecorder:
     """Collects ordered access events grouped into region instances.
 
@@ -154,7 +131,6 @@ class AccessRecorder:
         # per run
         self._start = array("q")
         self._stop = array("q")
-        self.chunks = _ChunkView(self)
 
     # -- setup ------------------------------------------------------------
 
@@ -169,8 +145,9 @@ class AccessRecorder:
         self._by_sid[stream.sid] = stream
         return stream
 
-    def register_dofs(self, name: str, n_dofs: int, kind: str = "vector") -> Stream:
-        return self.register(name, 8 * n_dofs, kind)
+    def register_dofs(self, name: str, n_dofs: int) -> Stream:
+        """Register a vector stream of n_dofs doubles."""
+        return self.register(name, 8 * n_dofs)
 
     # -- event flow --------------------------------------------------------
 
@@ -218,31 +195,37 @@ class AccessRecorder:
             self._start.extend(starts)
             self._stop.extend(stops)
 
-    def record_span(self, name: str, byte_lo: int, byte_hi: int, mode: int) -> None:
-        if byte_hi <= byte_lo:
+    def record_dofs(self, name: str, lo: int, hi: int, mode: int) -> None:
+        """Record a touch of the doubles [lo, hi) of a stream: one run of
+        the ranges they overlap."""
+        if hi <= lo:
             return
         self._begin_record(self.streams[name].sid, mode)
-        self._start.append(byte_lo // GRAIN_BYTES)
-        self._stop.append(-(-byte_hi // GRAIN_BYTES))
-
-    def record_dofs(self, name: str, lo: int, hi: int, mode: int) -> None:
-        self.record_span(name, 8 * lo, 8 * hi, mode)
+        self._start.append(8 * lo // GRAIN_BYTES)
+        self._stop.append(-(-8 * hi // GRAIN_BYTES))
 
     # -- inspection ---------------------------------------------------------
 
     def mark(self) -> int:
         return len(self._sid)
 
-    def _run_bounds(self, i: int) -> tuple:
-        """[first, last + 1) run indices of record i."""
-        end = self._first[i + 1] if i + 1 < len(self._first) else len(self._start)
-        return self._first[i], end
-
     def columns(self) -> TraceColumns:
         """A copy of the trace's columns as int64 arrays."""
         return TraceColumns(*(np.frombuffer(col, dtype=np.int64).copy() for col in (
             self._iteration_col, self._region_col, self._sid, self._mode,
             self._first, self._start, self._stop)))
+
+    @property
+    def chunks(self) -> tuple:
+        """The records as EventChunks, read from one `columns()` copy."""
+        cols = self.columns()
+        ends = np.append(cols.first[1:], len(cols.start))
+        return tuple(
+            EventChunk(k, region, self.region_tag(region), sid, mode,
+                       cols.start[a:b], cols.stop[a:b])
+            for k, region, sid, mode, a, b in zip(
+                cols.iteration.tolist(), cols.region.tolist(), cols.sid.tolist(),
+                cols.mode.tolist(), cols.first.tolist(), ends.tolist()))
 
     def assert_within(self, mark: int, dof_lo: int, dof_hi: int,
                       n_dofs: int) -> None:
@@ -256,7 +239,8 @@ class AccessRecorder:
             scale = stream.n_bytes / (8 * n_dofs)
             lo = math.floor(dof_lo * 8 * scale / GRAIN_BYTES)
             hi = math.ceil(dof_hi * 8 * scale / GRAIN_BYTES)
-            a, b = self._run_bounds(i)
+            a = self._first[i]
+            b = self._first[i + 1] if i + 1 < len(self._first) else len(self._start)
             first = min(self._start[a:b])
             last = max(self._stop[a:b]) - 1
             if first < lo or last >= max(hi, lo + 1):

@@ -770,8 +770,7 @@ def map_points(mesh, points):
     points = np.asarray(points, dtype=float)
     if mesh.deformation == 0.0:
         return points.copy()
-    scaled = np.pi * points / np.asarray(mesh.extents)
-    bump = np.prod(np.sin(scaled), axis=-1, keepdims=True)
+    bump = np.prod(np.sin(np.pi * points), axis=-1, keepdims=True)
     return points + mesh.deformation * bump
 
 
@@ -782,7 +781,7 @@ def cell_lattice(mesh, order, cells=None):
     shape (len(cells), len(order)^3, 3) in lexicographic x-fastest point
     order, for every cell when `cells` is None.
     """
-    hx, hy, hz = (mesh.extents[d] / mesh.cells_per_dim[d] for d in range(3))
+    hx, hy, hz = (1.0 / n for n in mesh.cells_per_dim)
     nx, ny, _ = mesh.cells_per_dim
     cells = np.arange(mesh.n_cells) if cells is None else np.asarray(cells, dtype=np.int64)
     cx, cy, cz = cells % nx, (cells // nx) % ny, cells // (nx * ny)
@@ -1017,8 +1016,8 @@ class ChunkRecorder:
         self._by_sid[stream.sid] = stream
         return stream
 
-    def register_dofs(self, name, n_dofs, kind="vector"):
-        return self.register(name, 8 * n_dofs, kind)
+    def register_dofs(self, name, n_dofs):
+        return self.register(name, 8 * n_dofs)
 
     def begin_iteration(self, k):
         self.iteration = k
@@ -1051,15 +1050,12 @@ class ChunkRecorder:
         ranges = [r for start, stop in zip(*runs) for r in range(start, stop)]
         self.record_ranges(name, ranges, mode)
 
-    def record_span(self, name, byte_lo, byte_hi, mode):
-        if byte_hi <= byte_lo:
-            return
-        lo = byte_lo // trace.GRAIN_BYTES
-        hi = -(-byte_hi // trace.GRAIN_BYTES)
-        self.record_ranges(name, np.arange(lo, hi), mode)
-
     def record_dofs(self, name, lo, hi, mode):
-        self.record_span(name, 8 * lo, 8 * hi, mode)
+        if hi <= lo:
+            return
+        start = 8 * lo // trace.GRAIN_BYTES
+        stop = -(-8 * hi // trace.GRAIN_BYTES)
+        self.record_ranges(name, np.arange(start, stop), mode)
 
     def mark(self):
         return len(self.chunks)
@@ -1077,6 +1073,16 @@ class ChunkRecorder:
                     f"stream {stream.name!r} touched ranges "
                     f"[{chunk.ranges.min()}, {chunk.ranges.max()}] outside the "
                     f"scheduled span [{lo}, {hi}) in region {chunk.tag!r}")
+
+
+def trace_records(recorder):
+    """(sid, mode, range ids) of every record of an AccessRecorder, read
+    from its `columns()`."""
+    cols = recorder.columns()
+    ends = np.append(cols.first[1:], len(cols.start))
+    return [(sid, mode, trace.expand_runs(cols.start[a:b], cols.stop[a:b]))
+            for sid, mode, a, b in zip(cols.sid.tolist(), cols.mode.tolist(),
+                                        cols.first.tolist(), ends.tolist())]
 
 
 def chunk_summarize_trace(recorder, n_dofs, n_iterations):

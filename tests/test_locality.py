@@ -6,8 +6,8 @@ from _oracles import build_fem, fem_rhs
 
 from mfcg.dofs import (batch_size, compute_range_schedule, distribute_dofs,
                        make_batches, renumber_optimized)
-from mfcg.locality import (CacheModel, liveliness, predict_transfer,
-                           replay_cache, summarize_trace)
+from mfcg.locality import (LINE_BYTES, CacheModel, liveliness,
+                           predict_transfer, replay_cache, summarize_trace)
 from mfcg.mesh import build_cartesian_mesh, deform_mesh
 from mfcg.solvers import SolverConfig, solve
 from mfcg.trace import (GRAIN_BYTES, READ, READWRITE, WRITE, AccessRecorder)
@@ -227,9 +227,9 @@ class TestLiveliness:
 # -- LRU cache replay ---------------------------------------------------------
 
 
-def sweep_trace(n_dofs=128, iters=3, mode=READ, kind="vector"):
+def sweep_trace(n_dofs=128, iters=3, mode=READ):
     rec = AccessRecorder()
-    rec.register_dofs("a", n_dofs, kind=kind)
+    rec.register_dofs("a", n_dofs)
     for k in range(1, iters + 1):
         rec.begin_iteration(k)
         rec.begin_region("sweep")
@@ -264,6 +264,25 @@ class TestCacheReplay:
         assert res.loads_per_dof == pytest.approx(1 / 3)
         assert res.stores_per_dof == pytest.approx(1 / 3)
 
+    @pytest.mark.parametrize("n_ranges", [1, 3])
+    def test_capacity_boundary(self, n_ranges):
+        # n full ranges of 8 lines each, read and written in turn every
+        # iteration: at exactly 8 n lines they all stay cached, each loaded
+        # and stored once; one line less and the cyclic LRU misses on every
+        # touch, storing each range as it is evicted
+        n_dofs, iters = 64 * n_ranges, 4
+        rec = sweep_trace(n_dofs, iters, mode=READWRITE)
+
+        def line_counts(capacity_bytes):
+            res = replay_cache(rec, CacheModel(capacity_bytes), n_dofs, iters)
+            per_line = 8 / (n_dofs * iters)
+            return res.loads_per_dof / per_line, res.stores_per_dof / per_line
+
+        lines = 8 * n_ranges
+        assert line_counts(lines * LINE_BYTES) == pytest.approx((lines, lines))
+        assert (line_counts((lines - 1) * LINE_BYTES)
+                == pytest.approx((lines * iters, lines * iters)))
+
     def test_partial_tail_rounds_to_lines(self):
         rec = AccessRecorder()
         rec.register("t", 800)  # 512 + 288 bytes -> 8 + 5 lines
@@ -276,7 +295,7 @@ class TestCacheReplay:
     def test_metadata_split(self):
         rec = AccessRecorder()
         rec.register_dofs("v", 128)
-        rec.register_dofs("g", 64, kind="metadata")
+        rec.register("g", 8 * 64, kind="metadata")
         rec.begin_iteration(1)
         rec.begin_region("mixed")
         rec.record_stream("v", READ)

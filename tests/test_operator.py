@@ -15,7 +15,7 @@ from mfcg.mesh import GeometryVariant, build_cartesian_mesh, deform_mesh
 from mfcg.operator import MatrixFreeOperator, OperatorSpec
 from mfcg.trace import READ, READWRITE, WRITE, AccessRecorder, ContractViolation
 
-from _oracles import assemble_dense, build_fem, plumbed_callback_spans
+from _oracles import assemble_dense, build_fem, plumbed_callback_spans, trace_records
 
 VARIANTS = [GeometryVariant.QUADRATIC_COMPUTE, GeometryVariant.ISOPARAMETRIC_COMPUTE,
             GeometryVariant.INVERSE_JACOBIAN_LOAD, GeometryVariant.FINAL_TENSOR_LOAD]
@@ -432,15 +432,15 @@ class TestTraceAccounting:
         op.apply(u, recorder=rec, src_name="p", dst_name="v")
         reads = {}
         writes = {}
-        for chunk in rec.chunks:
-            stream = [s for s in rec.streams.values() if s.sid == chunk.sid][0]
+        for sid, mode, ranges in trace_records(rec):
+            stream = [s for s in rec.streams.values() if s.sid == sid][0]
             if stream.kind != "vector":
                 continue
-            for r in chunk.ranges:
-                if chunk.mode & READ:
-                    reads[(chunk.sid, int(r))] = stream.range_doubles(int(r))
-                if chunk.mode & WRITE:
-                    writes[(chunk.sid, int(r))] = stream.range_doubles(int(r))
+            for r in ranges:
+                if mode & READ:
+                    reads[(sid, int(r))] = stream.range_doubles(int(r))
+                if mode & WRITE:
+                    writes[(sid, int(r))] = stream.range_doubles(int(r))
         n = handler.n_dofs
         assert sum(reads.values()) / n == pytest.approx(2.0, abs=1e-12)
         assert sum(writes.values()) / n == pytest.approx(1.0, abs=1e-12)
@@ -452,7 +452,7 @@ class TestTraceAccounting:
         op.apply(np.ones(handler.n_dofs), recorder=rec)
         assert rec.streams["geometry"].kind == "metadata"
         assert rec.streams["cell_indices"].kind == "metadata"
-        geo_events = [c for c in rec.chunks if c.sid == rec.streams["geometry"].sid]
+        geo_events = [r for r in trace_records(rec) if r[0] == rec.streams["geometry"].sid]
         assert geo_events
 
 

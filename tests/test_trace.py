@@ -20,7 +20,7 @@ TAGS = st.sampled_from(["dot", "update", "matvec", "iteration", "drift_check"])
 
 
 def record_op(draw, kind, name, n_bytes):
-    """One record op of `kind` ("ranges", "span", "dofs" or "stream") on
+    """One record op of `kind` ("ranges", "dofs" or "stream") on
     the stream `name` of `n_bytes`."""
     n_ranges = -(-n_bytes // 512)
     mode = draw(MODES)
@@ -29,10 +29,6 @@ def record_op(draw, kind, name, n_bytes):
         if draw(st.booleans()):  # ascending runs with gaps
             ids = sorted(ids)
         return ("ranges", name, ids, mode)
-    if kind == "span":
-        lo = draw(st.integers(0, n_bytes))
-        hi = draw(st.integers(0, n_bytes + 600))
-        return ("span", name, lo, hi, mode)
     if kind == "dofs":
         lo = draw(st.integers(0, n_bytes // 8))
         hi = draw(st.integers(0, n_bytes // 8 + 70))
@@ -48,7 +44,7 @@ def draw_ops(draw, streams, n_regions=0, max_ops=40):
     ops = []
     for _ in range(draw(st.integers(0, max_ops))):
         kind = draw(st.sampled_from(
-            ["iteration", "begin", "resume", "ranges", "span", "dofs", "stream"]))
+            ["iteration", "begin", "resume", "ranges", "dofs", "stream"]))
         if kind == "iteration":
             ops.append(("iteration", draw(st.integers(-1, 5))))
         elif kind == "begin":
@@ -89,7 +85,7 @@ def periodic_traces(draw):
 
     def record():
         name = draw(names)
-        kind = draw(st.sampled_from(["ranges", "span", "dofs", "stream"]))
+        kind = draw(st.sampled_from(["ranges", "dofs", "stream"]))
         return record_op(draw, kind, name, sizes[name])
 
     body = [[("begin", draw(TAGS))] + [record() for _ in range(draw(st.integers(1, 6)))]
@@ -118,8 +114,6 @@ def replay_ops(rec, streams, ops):
             rec.resume_region(op[1])
         elif op[0] == "ranges":
             rec.record_runs(op[1], runs_of(op[2]), op[3])
-        elif op[0] == "span":
-            rec.record_span(*op[1:])
         elif op[0] == "dofs":
             rec.record_dofs(*op[1:])
         else:

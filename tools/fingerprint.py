@@ -17,8 +17,11 @@ functions with and without even-odd products, the three lanes-last
 functions and the lanes-last adjoint gradient kernel as `LanesKernels`
 binds it.  Traced pcg and combined_pcg solves of 16 fixed iterations on
 BP5 p = 3 3^3 cells, both numberings, add the six traffic numbers of
-`replay_cache` at 4 KiB, 256 KiB and 64 MiB, long enough that the replay
-counts repeated periods instead of walking them.  mfcg is imported from
+`replay_cache` at 4 KiB, 128 KiB, 256 KiB and 64 MiB, long enough that
+the replay counts repeated periods instead of walking them.  All traced
+streams fit in 256 KiB, so there a repeated period loads nothing; 128 KiB
+lies between one iteration's working set and that footprint, so the
+repeated periods' loads and stores enter a second capacity's hash.  mfcg is imported from
 the path Python finds first, so PYTHONPATH picks the tree.  --out writes
 the JSON (default: stdout); --against lists the keys whose hashes differ
 from a saved fingerprint, or that only one side has, and exits 1 if there
@@ -118,7 +121,7 @@ def _replays(out: dict) -> None:
         for variant in ("pcg", "combined_pcg"):
             recorder = AccessRecorder()
             res = solve(variant, op, b, minv=minv, config=config, recorder=recorder)
-            for capacity in (4 << 10, 256 << 10, 64 << 20):
+            for capacity in (4 << 10, 128 << 10, 256 << 10, 64 << 20):
                 r = replay_cache(recorder, CacheModel(capacity), op.n_dofs,
                                  res.iterations)
                 # the six traffic numbers, after the capacity
