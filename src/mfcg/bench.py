@@ -91,7 +91,7 @@ def build_rhs(op: MatrixFreeOperator) -> np.ndarray:
     # the first component of each node, which the others then copy
     rhs = np.zeros(handler.n_dofs)
     by_node = rhs.reshape(-1, spec.components)
-    for b, cells in enumerate(op._batch_cells):
+    for b, cells in enumerate(op.plan.batches):
         nodes = np.take(mesh.quadratic_nodes, cells, axis=-1).reshape(3, 3, 3, 3, -1)
         pts = evaluate_values_lanes(geo_basis, nodes)  # (nq, nq, nq, 3, n_b)
         jxw = op._batch_geometry(b, coefficients=False)[1]

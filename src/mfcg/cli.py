@@ -80,8 +80,8 @@ class Config:
         _variant_list(self)
 
 
-_INT_KEYS = {"degree", "iterations", "repeats", "simd_lanes", "cache_bytes",
-             "seed"}
+# the module's annotations are strings (`from __future__ import annotations`)
+_INT_KEYS = {f.name for f in fields(Config) if f.type == "int"}
 
 
 def _coerce(key: str, value: str):

@@ -3,9 +3,10 @@ the range pre/post schedule for split vector operations.
 
 Unknowns of the continuous finite element space are stored once; each cell
 keeps only 3^3 starting indices (one per vertex/edge/face/interior entity of
-the cell) from which all (p+1)^3 node indices are expanded on the fly.  Nodes
-of one entity are numbered contiguously, which is what makes the compressed
-form lossless.  Vector-valued problems interleave components per node:
+the cell) from which all (p+1)^3 node indices are expanded once per batch at
+set-up (`batch_index`), in the lane order of the cell loop.  Nodes of one
+entity are numbered contiguously, which is what makes the compressed form
+lossless.  Vector-valued problems interleave components per node:
 dof = node * components + c.
 """
 
@@ -29,7 +30,7 @@ __all__ = [
     "make_batches",
     "renumber_optimized",
     "compute_range_schedule",
-    "expand_batch",
+    "batch_index",
 ]
 
 RANGE_SIZE = GRAIN_BYTES // 8  # dofs per schedule range, one trace grain
@@ -71,13 +72,15 @@ class BatchPlan:
 
 @dataclass(frozen=True, eq=False)
 class RangeSchedule:
-    """First/last touching batch of every 64-entry vector range, and the
-    derived per-batch pre/post work lists."""
+    """First/last touching batch of every 64-entry vector range, the
+    derived per-batch pre/post work lists, and the per-batch DoF indices
+    (`batch_index`) they were built from."""
 
     first_touch_batch: np.ndarray = field(repr=False)
     last_touch_batch: np.ndarray = field(repr=False)
     pre_schedule: tuple = field(repr=False)
     post_schedule: tuple = field(repr=False)
+    batch_indices: tuple = field(repr=False)
 
     @property
     def n_ranges(self) -> int:
@@ -183,14 +186,11 @@ def _expand_scalar(handler: DofHandler, cells: np.ndarray) -> np.ndarray:
     return handler.cell_index_blocks[cells][:, entity].astype(np.int64) + offset
 
 
-def expand_batch(handler: DofHandler, cells) -> np.ndarray:
-    """(len(cells), (p+1)^3 * components) global indices for a batch of cells."""
-    scalar = _expand_scalar(handler, np.asarray(cells))
+def batch_index(handler: DofHandler, cells) -> np.ndarray:
+    """The flat DoF index of a batch of cells in the cell loop's lane order,
+    (z, y, x, cell, component): the batch's cells and components innermost."""
     c = handler.components
-    if c == 1:
-        return scalar
-    out = scalar[..., None] * c + np.arange(c)
-    return out.reshape(scalar.shape[0], -1)
+    return (_expand_scalar(handler, cells).T[:, :, None] * c + np.arange(c)).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -326,24 +326,26 @@ def _constrained_node_mask(handler: DofHandler) -> np.ndarray:
 
 def compute_range_schedule(handler: DofHandler, plan: BatchPlan) -> RangeSchedule:
     """First/last touching batch of every 64-entry range, plus per-batch
-    pre/post lists.  Ranges holding constrained unknowns are scheduled pre at
-    batch 0 and post at the last batch, since the identity rows are applied
-    alongside the final batch."""
+    pre/post lists, built batch by batch from each batch's `batch_index`,
+    which the schedule keeps.  Ranges holding constrained unknowns are
+    scheduled pre at batch 0 and post at the last batch, since the identity
+    rows are applied alongside the final batch.  A range that no cell
+    touches raises ValueError."""
     n_ranges = -(-handler.n_dofs // RANGE_SIZE)
     n_batches = plan.n_batches
-    batch = np.repeat(np.arange(n_batches), [len(cells) for cells in plan.batches])
-    ranges = expand_batch(handler, np.concatenate(plan.batches)) // RANGE_SIZE
-    batch = np.broadcast_to(batch[:, None], ranges.shape)
-    first = np.full(n_ranges, n_batches, dtype=np.int64)
+    indices = tuple(batch_index(handler, cells) for cells in plan.batches)
+    # the last batch to write a range wins: forward for last, in reverse
+    # for first
     last = np.full(n_ranges, -1, dtype=np.int64)
-    np.minimum.at(first, ranges, batch)
-    np.maximum.at(last, ranges, batch)
-    untouched = first == n_batches
-    if np.any(untouched):
-        # every DoF belongs to some cell, so this can only be a partial
-        # trailing range made entirely of constrained DoFs — schedule wide
-        first[untouched] = 0
-        last[untouched] = n_batches - 1
+    for b, index in enumerate(indices):
+        last[index // RANGE_SIZE] = b
+    untouched = np.flatnonzero(last < 0)
+    if untouched.size:
+        raise ValueError(f"DoF range {untouched[0]} (DoFs from "
+                         f"{untouched[0] * RANGE_SIZE}) is touched by no cell")
+    first = np.empty_like(last)
+    for b in reversed(range(n_batches)):
+        first[indices[b] // RANGE_SIZE] = b
     pre_batch = first.copy()
     post_batch = last.copy()
     if handler.constrained_dofs.size:
@@ -351,7 +353,7 @@ def compute_range_schedule(handler: DofHandler, plan: BatchPlan) -> RangeSchedul
         pre_batch[constrained_ranges] = 0
         post_batch[constrained_ranges] = n_batches - 1
     return RangeSchedule(first, last, _group_by(pre_batch, n_batches),
-                         _group_by(post_batch, n_batches))
+                         _group_by(post_batch, n_batches), indices)
 
 
 def _group_by(keys: np.ndarray, n_groups: int) -> tuple:

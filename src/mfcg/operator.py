@@ -24,13 +24,15 @@ The variants that do not store (G, w det J) form them first, with one call
 into a buffer of their own.  Every application, traced or not, with
 callbacks or not, runs the same programs.
 
-Each batch holds one lane-order DoF index, and every scatter goes through
-it: a batch takes src through it into the lanes, runs its program, and adds
-its result into dst with one `np.add.at` through the same index; set-up
-adds each batch's nodal values of the diagonal and the right-hand side
-through it too, read per node (`add_batch_nodes`).  So every DoF adds its
-contributions onto its running value, batch by batch and, within a batch,
-in lane order.  A batch allocates only numpy's per-call bookkeeping; the
+Each batch holds one lane-order DoF index, the one the range schedule
+expanded at set-up (`mfcg.dofs.batch_index`), and every scatter goes
+through it: a batch takes src through it into the lanes, runs its program,
+and adds its result into dst with one `np.add.at` through the same index;
+set-up adds each batch's nodal values of the diagonal and the right-hand
+side through it too, read per node (`add_batch_nodes`), and so holds no
+whole-mesh (n_cells, (p+1)^3) array.  Every DoF adds its contributions
+onto its running value, batch by batch and, within a batch, in lane
+order.  A batch allocates only numpy's per-call bookkeeping; the
 variants that form (G, w det J) allocate while forming them.  Nothing lives
 in the workspace between batches, so a callback may apply the operator
 again; two applications at once from different threads would share it and
@@ -182,13 +184,12 @@ class MatrixFreeOperator:
         self._nq = len(self.quadrature)
         self.n_dofs = handler.n_dofs
         self.components = spec.components
-        self._batch_cells = [np.asarray(cells) for cells in plan.batches]
 
         # the geometry is computed batch by batch and held once, per batch,
         # as the kernel streams it; an operator without gradients drops G.
         # `geometry` keeps the variant's model volume, `doubles_per_cell`
         self._batch_store = []
-        for cells in self._batch_cells:
+        for cells in plan.batches:
             geometry = precompute_geometry(mesh, spec.geometry, self.quadrature, cells)
             self._batch_store.append(
                 geometry if spec.needs_gradients else geometry.without_coefficients())
@@ -198,16 +199,11 @@ class MatrixFreeOperator:
         mask[handler.constrained_dofs] = True
         self._constrained = handler.constrained_dofs
 
-        # per batch: the flat DoF index in lane order, through which the
-        # gather takes src in one pass and the scatter adds the result into
-        # dst, and the constrained lanes the gather zeroes
-        self._batch_index = []
-        self._batch_zero = []
-        for cells in self._batch_cells:
-            index = (_expand_scalar(handler, cells).T[:, :, None] * self.components
-                     + np.arange(self.components)).reshape(-1)
-            self._batch_index.append(index)
-            self._batch_zero.append(np.flatnonzero(mask[index]))
+        # per batch: the schedule's flat DoF index in lane order, through
+        # which the gather takes src in one pass and the scatter adds the
+        # result into dst, and the constrained lanes the gather zeroes
+        self._batch_index = self.schedule.batch_indices
+        self._batch_zero = [np.flatnonzero(mask[index]) for index in self._batch_index]
         # one workspace for every batch, sized for the largest: the kernels'
         # planes, the last one the gathered lanes, a batch of n lanes bound
         # to the leading part of it.  Batches of one size share their
@@ -215,13 +211,13 @@ class MatrixFreeOperator:
         # its head.
         values, gradients = spec.needs_values, spec.needs_gradients
         rows = LanesKernels.rows(values, gradients)
-        widest = max(len(cells) for cells in self._batch_cells)
+        widest = max(len(cells) for cells in plan.batches)
         self._workspace = np.empty(max(
             rows * LanesKernels.plane_size(self.basis, widest * self.components),
             len(self._constrained)))
         self._constrained_values = self._workspace[:len(self._constrained)]
         bound = {}
-        for cells in self._batch_cells:
+        for cells in plan.batches:
             lanes = (len(cells), self.components)
             if lanes in bound:
                 continue
@@ -231,7 +227,7 @@ class MatrixFreeOperator:
                                    values, gradients)
             bound[lanes] = _BatchViews(kernels, kernels.input, kernels.input.reshape(-1))
         self._batch_views = [bound[len(cells), self.components]
-                             for cells in self._batch_cells]
+                             for cells in plan.batches]
         # the variants that form G or jxw per batch form them into one more
         # buffer, sized likewise: nine parts for G, one for jxw
         G, jxw = stored_coefficients(self._batch_store[0], gradients)
@@ -240,7 +236,7 @@ class MatrixFreeOperator:
         # per batch: its program, every call of its cell kernel bound once
         self._programs = [self._bind_program(views.kernels, store, len(cells))
                           for views, store, cells in zip(
-                              self._batch_views, self._batch_store, self._batch_cells)]
+                              self._batch_views, self._batch_store, plan.batches)]
         # per batch: the dst spans first written there, and the (pre, post) callback spans
         self._zero_spans = [_spans(ranges, self.n_dofs) for ranges in _group_by(
             self.schedule.first_touch_batch, plan.n_batches)]
@@ -259,7 +255,7 @@ class MatrixFreeOperator:
             (trace.runs_of(np.unique(index // RANGE_SIZE)),
              trace.runs_of(_cell_stream_ranges(cells, dpc_geo)),
              trace.runs_of(_cell_stream_ranges(cells, _INDEX_BYTES_PER_CELL)))
-            for index, cells in zip(self._batch_index, self._batch_cells)]
+            for index, cells in zip(self._batch_index, self.plan.batches)]
         return batches, trace.runs_of(np.unique(self._constrained // RANGE_SIZE))
 
     # -- geometry per batch ----------------------------------------------------
@@ -435,7 +431,7 @@ class MatrixFreeOperator:
         stored = (self.spec.geometry == GeometryVariant.FINAL_TENSOR_LOAD
                   and self.spec.quadrature_kind == "gauss_lobatto")
         diag = np.zeros(self.handler.n_nodes)
-        for b, cells in enumerate(self._batch_cells):
+        for b, cells in enumerate(self.plan.batches):
             data = self._batch_store[b] if stored else precompute_geometry(
                 self.mesh, GeometryVariant.QUADRATIC_COMPUTE, basis.quadrature, cells)
             G, jxw = geometry_coefficients(data, self.spec.needs_gradients)
@@ -495,7 +491,7 @@ class MatrixFreeOperator:
         npc = (spec.degree + 1) ** 3
         scale = spec.scaling if spec.equation == "mass_plus_laplace" else 1.0
         local = np.zeros((n_cells, npc, npc))
-        for b, cells in enumerate(self._batch_cells):
+        for b, cells in enumerate(self.plan.batches):
             G, jxw = self._batch_geometry(b)
             if spec.needs_values:
                 local[cells] += np.einsum("qi,qc,qj->cij", S3, jxw, S3, optimize=True)

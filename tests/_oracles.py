@@ -17,8 +17,8 @@ from mfcg.dofs import (
     RANGE_SIZE,
     DofHandler,
     _expand_scalar,
+    batch_index,
     distribute_dofs,
-    expand_batch,
     make_batches,
 )
 from mfcg.locality import LINE_BYTES, CacheReplayResult, TagTally, TraceSummary
@@ -523,7 +523,7 @@ def window_apply(op, src, dst, pre_fn=None, post_fn=None):
     mask[constrained] = True
     pre_spans, post_spans = op._hook_spans
     for b, cells in enumerate(op.plan.batches):
-        idx = expand_batch(op.handler, cells)
+        idx = cell_major_index(op.handler, cells)
         cmask = mask[idx]
         ranges = np.unique(idx // RANGE_SIZE)
         lo = int(ranges[0]) * RANGE_SIZE
@@ -712,12 +712,9 @@ def loop_range_schedule(handler, plan):
     first = np.full(n_ranges, n_batches, dtype=np.int64)
     last = np.full(n_ranges, -1, dtype=np.int64)
     for b, cells in enumerate(plan.batches):
-        touched = np.unique(expand_batch(handler, cells) // RANGE_SIZE)
+        touched = np.unique(batch_index(handler, cells) // RANGE_SIZE)
         first[touched] = np.minimum(first[touched], b)
         last[touched] = np.maximum(last[touched], b)
-    untouched = first == n_batches
-    first[untouched] = 0
-    last[untouched] = n_batches - 1
     pre_batch, post_batch = first.copy(), last.copy()
     if handler.constrained_dofs.size:
         constrained_ranges = np.unique(handler.constrained_dofs // RANGE_SIZE)
@@ -827,12 +824,21 @@ def lapack_geometry(mesh, quad):
     return inv, jxw, lapack_symmetric_coefficients(inv, jxw)
 
 
+def cell_major_index(handler: DofHandler, cells) -> np.ndarray:
+    """`batch_index` of a batch of cells reordered cell by cell:
+    (len(cells), (p+1)^3 * components), each cell's nodes x fastest with
+    interleaved components."""
+    n = len(cells)
+    return (batch_index(handler, cells).reshape(-1, n, handler.components)
+            .transpose(1, 0, 2).reshape(n, -1))
+
+
 def expand_cell_indices(handler: DofHandler, cell: int) -> np.ndarray:
     """All (p+1)^3 * components global indices of one cell, node-major with
     interleaved components."""
     if not 0 <= cell < handler.n_cells:
         raise IndexError(f"cell index {cell} out of range")
-    return expand_batch(handler, np.array([cell]))[0]
+    return cell_major_index(handler, np.array([cell]))[0]
 
 
 def loop_build_rhs(op):
@@ -876,7 +882,7 @@ def cells_first_build_rhs(op):
     spec, mesh, handler = op.spec, op.mesh, op.handler
     nq = spec.n_q_1d
     jxw = np.empty((nq ** 3, mesh.n_cells))
-    for b, cells in enumerate(op._batch_cells):
+    for b, cells in enumerate(op.plan.batches):
         jxw[:, cells] = op._batch_geometry(b, coefficients=False)[1]
     coords = mesh.quadratic_nodes.transpose(2, 1, 0).reshape(-1, 3, 3, 3, 3)
     pts = evaluate_values(lagrange_basis(2, op.quadrature), coords)  # (cells, 3, nq, nq, nq)
@@ -884,7 +890,7 @@ def cells_first_build_rhs(op):
     fw = (manufactured_forcing(pts, spec.equation) * jxw.T).reshape(-1, nq, nq, nq)
     local = integrate_values(op.basis, fw).reshape(mesh.n_cells, -1)
     local = np.repeat(local, spec.components, axis=1)
-    idx = expand_batch(handler, np.arange(mesh.n_cells))
+    idx = cell_major_index(handler, np.arange(mesh.n_cells))
     b = _add_batches_in_lane_order(np.zeros(handler.n_dofs), op.plan, idx, local)
     b[handler.constrained_dofs] = 0.0
     return b

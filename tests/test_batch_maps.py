@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import build_fem, cells_first_kernel, window_apply
+from _oracles import build_fem, cell_major_index, cells_first_kernel, window_apply
 from mfcg.bench import BENCHMARK_PROBLEMS
-from mfcg.dofs import expand_batch
+from mfcg.dofs import batch_index
 from mfcg.trace import AccessRecorder
 
 
@@ -102,7 +102,7 @@ def loop_apply(op, src):
     mask[constrained] = True
     dst = [0.0] * op.n_dofs
     for b, cells in enumerate(op.plan.batches):
-        idx = expand_batch(handler, cells).reshape(len(cells), n1, n1, n1, comp)
+        idx = cell_major_index(handler, cells).reshape(len(cells), n1, n1, n1, comp)
         u = np.where(mask[idx], 0.0, src[idx])
         local = cells_first_kernel(op, b, u.transpose(0, 4, 1, 2, 3))
         for i, w in zip(idx.transpose(1, 2, 3, 0, 4).ravel().tolist(),
@@ -132,12 +132,10 @@ def test_bit_identical_to_python_loop_scatter(cells, p, bp_id, constrain, batch,
 @pytest.mark.parametrize("bp_id", ["BP3", "BP4"])
 def test_gather_and_scatter_share_one_index(bp_id, constrain, monkeypatch):
     op, handler = build_bp(bp_id, constrain=constrain)
-    n1 = op.spec.degree + 1
     free = np.ones(op.n_dofs, dtype=bool)
     free[handler.constrained_dofs] = False
     for b, cells in enumerate(op.plan.batches):
-        idx = expand_batch(handler, cells).reshape(len(cells), n1, n1, n1, -1)
-        lanes = idx.transpose(1, 2, 3, 0, 4).ravel()
+        lanes = batch_index(handler, cells)
         np.testing.assert_array_equal(op._batch_index[b], lanes)
         np.testing.assert_array_equal(op._batch_zero[b], np.flatnonzero(~free[lanes]))
     # the gather takes src through each batch's index into the lanes the
@@ -172,7 +170,7 @@ def test_gather_and_scatter_share_one_index(bp_id, constrain, monkeypatch):
     assert len(calls["add.at"]) == op.plan.n_batches
     assert all(a is i for a, i in zip(calls["add.at"], op._batch_index))
     assert calls["bincount"] == 0
-    for name in ("_batch_map", "_batch_dofs"):
+    for name in ("_batch_map", "_batch_dofs", "_batch_cells"):
         assert not hasattr(op, name)
 
 

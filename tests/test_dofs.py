@@ -6,18 +6,20 @@ lattice point (cx*p+i, cy*p+j, cz*p+k), and two expansions must agree exactly
 where the lattice points agree.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import expand_cell_indices
+from _oracles import cell_major_index, expand_cell_indices
 from mfcg.dofs import (
     RANGE_SIZE,
+    batch_index,
     batch_size,
     compute_range_schedule,
     distribute_dofs,
-    expand_batch,
     make_batches,
     renumber_optimized,
 )
@@ -42,7 +44,7 @@ def lattice_ids(mesh, p):
 
 def scalar_expansions(handler):
     cells = np.arange(handler.n_cells)
-    expanded = expand_batch(handler, cells)
+    expanded = cell_major_index(handler, cells)
     if handler.components > 1:
         expanded = expanded.reshape(handler.n_cells, -1, handler.components)[:, :, 0]
         expanded = expanded // handler.components
@@ -89,7 +91,7 @@ class TestDistribute:
 
     def test_every_dof_referenced(self):
         handler = distribute_dofs(build_cartesian_mesh((2, 2, 1)), 2)
-        seen = np.unique(expand_batch(handler, np.arange(handler.n_cells)))
+        seen = np.unique(batch_index(handler, np.arange(handler.n_cells)))
         assert len(seen) == handler.n_dofs
 
     def test_interior_contiguous(self):
@@ -217,8 +219,8 @@ class TestRenumber:
         plan = make_batches(mesh, 4, "morton")
         new = renumber_optimized(handler, plan)
         cells = np.arange(mesh.n_cells)
-        np.testing.assert_array_equal(expand_batch(new, cells),
-                                      new.permutation[expand_batch(handler, cells)])
+        np.testing.assert_array_equal(batch_index(new, cells),
+                                      new.permutation[batch_index(handler, cells)])
 
     def test_single_batch_identity_when_unconstrained(self):
         mesh = build_cartesian_mesh((2, 2, 2))
@@ -266,7 +268,7 @@ class TestRenumber:
         new = renumber_optimized(handler, plan)
         touching = {}
         for b, cells in enumerate(plan.batches):
-            for dof in np.unique(expand_batch(new, cells)):
+            for dof in np.unique(batch_index(new, cells)):
                 touching.setdefault(int(dof), set()).add(b)
         single = [d for d, bs in touching.items() if len(bs) == 1]
         multi = [d for d, bs in touching.items() if len(bs) > 1]
@@ -338,6 +340,15 @@ class TestRangeSchedule:
             assert r in schedule.pre_schedule[0]
             assert r in schedule.post_schedule[plan.n_batches - 1]
 
+    def test_uncovered_range_rejected(self):
+        # a hand-built handler whose cells leave a range of DoFs untouched
+        # would leave those rows of every product at zero
+        mesh = build_cartesian_mesh((2, 2, 2))
+        handler = distribute_dofs(mesh, 2)
+        wider = dataclasses.replace(handler, n_dofs=handler.n_dofs + RANGE_SIZE)
+        with pytest.raises(ValueError, match="touched by no cell"):
+            compute_range_schedule(wider, make_batches(mesh, 4))
+
     def test_category_one_range_first_equals_last(self):
         mesh = build_cartesian_mesh((4, 1, 1))
         handler = distribute_dofs(mesh, 3)
@@ -360,8 +371,8 @@ def test_renumber_permutation_property(nx, ny, nz, p, size, traversal, constrain
     new = renumber_optimized(handler, plan)
     assert sorted(new.permutation) == list(range(handler.n_dofs))
     cells = np.arange(mesh.n_cells)
-    np.testing.assert_array_equal(expand_batch(new, cells),
-                                  new.permutation[expand_batch(handler, cells)])
+    np.testing.assert_array_equal(batch_index(new, cells),
+                                  new.permutation[batch_index(handler, cells)])
     k = len(handler.constrained_dofs)
     assert np.array_equal(new.constrained_dofs,
                           np.arange(handler.n_dofs - k, handler.n_dofs))

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfcg.bench import assemble_problem
-from mfcg.dofs import RANGE_SIZE, distribute_dofs, expand_batch, make_batches
+from mfcg.dofs import RANGE_SIZE, batch_index, distribute_dofs, make_batches
 from mfcg.mesh import GeometryVariant, build_cartesian_mesh, deform_mesh
 from mfcg.operator import MatrixFreeOperator, OperatorSpec
 from mfcg.trace import READ, READWRITE, WRITE, AccessRecorder, ContractViolation
@@ -142,7 +142,9 @@ class TestOperatorProperties:
     def test_one_lane_order_index_per_batch(self, comp, constrain):
         # the gather takes src and the scatter adds into dst through one
         # flat index per batch in lane order, (z, y, x, cell, component);
-        # the gather then zeroes the constrained lanes
+        # the gather then zeroes the constrained lanes.  The index is the
+        # one the range schedule expanded: each batch's DoFs are expanded
+        # once
         op, handler = build_op(cells=(3, 2, 2), comp=comp, constrain=constrain,
                                batch=4)
         n1 = op.spec.degree + 1
@@ -151,6 +153,7 @@ class TestOperatorProperties:
         assert len(op._batch_index) == op.plan.n_batches
         for b, cells in enumerate(op.plan.batches):
             index = op._batch_index[b]
+            assert index is op.schedule.batch_indices[b]
             assert index.shape == (n1 ** 3 * len(cells) * comp,)
             assert index.dtype == np.intp and index.flags.c_contiguous
             lanes = index.reshape(n1, n1, n1, len(cells), comp)
@@ -159,7 +162,7 @@ class TestOperatorProperties:
             for c, cell in enumerate(cells):
                 np.testing.assert_array_equal(
                     np.sort(lanes[:, :, :, c].ravel()),
-                    np.sort(expand_batch(handler, [cell]).ravel()))
+                    np.sort(batch_index(handler, [cell])))
             np.testing.assert_array_equal(op._batch_zero[b],
                                           np.flatnonzero(~free[index]))
             assert free[index].all() != constrain

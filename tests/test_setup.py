@@ -40,10 +40,10 @@ from mfcg.dofs import (
     RANGE_SIZE,
     _boundary_nodes,
     _morton_order,
+    batch_index,
     batch_size,
     compute_range_schedule,
     distribute_dofs,
-    expand_batch,
     make_batches,
     renumber_optimized,
 )
@@ -148,7 +148,7 @@ def test_operator_spans_and_metadata_ranges_match_loops(cells, numbering, varian
     for cells_b, (src_dst, geom, idxm) in zip(op.plan.batches, batch_runs):
         np.testing.assert_array_equal(
             expand_runs(*src_dst),
-            np.unique(expand_batch(op.handler, cells_b) // RANGE_SIZE))
+            np.unique(batch_index(op.handler, cells_b) // RANGE_SIZE))
         np.testing.assert_array_equal(
             expand_runs(*geom),
             loop_cell_stream_ranges(cells_b, op.geometry.doubles_per_cell * 8))
@@ -430,6 +430,26 @@ def test_setup_holds_no_whole_mesh_nodal_array(bp):
         finally:
             tracemalloc.stop()
         assert peak - vector.nbytes < bound, (peak - vector.nbytes) / bound
+
+
+def test_schedule_expands_no_whole_mesh_index():
+    # the range schedule expands each batch's DoFs once, batch by batch, and
+    # returns those indices for the operator: beyond them it allocates less
+    # than half of one whole-mesh index.  Expanding the whole mesh at once,
+    # then its ranges, peaked at 2.3 whole-mesh indices
+    mesh = build_cartesian_mesh((12, 12, 12))
+    handler = distribute_dofs(mesh, 3, components=3, constrain_boundary=True)
+    plan = make_batches(mesh, batch_size(3, 3, 8), "morton")
+    assert plan.n_batches > 1
+    bound = handler.n_cells * 4 ** 3 * handler.components * 8 / 2
+    tracemalloc.start()
+    try:
+        schedule = compute_range_schedule(handler, plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = sum(index.nbytes for index in schedule.batch_indices)
+    assert peak - held < bound, (peak - held) / bound
 
 
 @pytest.mark.parametrize("bp", ["BP1", "BP2"])

@@ -6,10 +6,12 @@ array, so that two trees can be compared bit for bit.
 
 The matrix is BP1-BP5 x p in {2, 3} x the five geometry variants x both
 numberings on 3^3 cells; each configuration contributes `b`, the inverse
-diagonal and `apply(u)` for a fixed random `u`, and the final-tensor and
-Laplace ones add the six solvers' x after 8 fixed iterations.  A 10 x 9 x 8
-mesh of 720 cells in several batches adds `b`, the inverse diagonal and
-`apply(u)` for BP1 and BP5 at p = 2.  The sum-factorization kernels of
+diagonal, `apply(u)` for a fixed random `u` and its range schedule (first
+and last touching batch of every range, then the lengths of the per-batch
+pre and post lists, then the lists), and the final-tensor and Laplace ones
+add the six solvers' x after 8 fixed iterations.  A 10 x 9 x 8 mesh of 720
+cells in several batches adds `b`, the inverse diagonal, `apply(u)` and
+the schedule for BP1 and BP5 at p = 2.  The sum-factorization kernels of
 `mfcg.tensor` add their results on fixed random inputs, for p = 1-6 at
 Gauss p+1, p+2 and p+3 points, Gauss-Lobatto p+1 points and Gauss
 max(p-1, 1) points (fewer points than nodes): the four cells-first
@@ -69,6 +71,11 @@ def _problem(out: dict, key: str, problem, solvers: bool) -> None:
     out[f"{key}/b"] = _sha(b)
     out[f"{key}/inverse_diagonal"] = _sha(minv.inverse_diagonal)
     out[f"{key}/apply"] = _sha(op.apply(u))
+    schedule = op.schedule
+    lists = schedule.pre_schedule + schedule.post_schedule
+    out[f"{key}/schedule"] = _sha(np.concatenate(
+        (schedule.first_touch_batch, schedule.last_touch_batch,
+         [len(ranges) for ranges in lists], *lists)))
     if solvers:
         config = SolverConfig(fixed_iterations=8)
         for variant in VARIANTS:
